@@ -3,6 +3,7 @@
 
 Prints, per fixture: the cochain space dimensions, the triple cohomology, and
 (when a crossed homomorphism is present and valid) the twisted cohomology.
+Each table builds and ranks every differential d_n once.
 
 Usage: python scripts/cohomology_survey.py [--max-n N]
 """
@@ -15,12 +16,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from supercochain import io as sio
-from supercochain.crossed import CrossedHom, ch_cohomology, ch_units, check_crossed, verify
-from supercochain.triple import (
-    LieSupActTriple,
-    triple_cochain_dim,
-    triple_cohomology,
-)
+from supercochain.crossed import CrossedHom, ch_cohomology_table, ch_units, check_crossed, verify
+from supercochain.triple import LieSupActTriple, triple_cochain_dim, triple_cohomology_table
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -40,16 +37,15 @@ def main():
             continue
         print(f"== {path.name}  (g dims {t.g.space.dims}, h dims {t.h.space.dims})")
         start = time.perf_counter()
-        for n in range(1, args.max_n + 1):
+        degrees = range(1, args.max_n + 1)
+        for n, row in triple_cohomology_table(t, degrees).items():
             dim = triple_cochain_dim(t.g.space, t.h.space, n)
-            even, odd = triple_cohomology(t, n)
-            print(f"   triple H^{n}: even {even}  odd {odd}   (dim C^{n} = {dim})")
+            print(f"   triple H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {dim})")
         if pf.crossed is not None and check_crossed(CrossedHom(t, pf.crossed)).ok:
             D = verify(CrossedHom(t, pf.crossed))
-            for n in range(1, args.max_n + 1):
+            for n, row in ch_cohomology_table(D, degrees).items():
                 dim = len(ch_units(t.g.space, t.h.space, n))
-                even, odd = ch_cohomology(D, n)
-                print(f"   crossed H^{n}: even {even}  odd {odd}   (dim C^{n} = {dim})")
+                print(f"   crossed H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {dim})")
         print(f"   ({(time.perf_counter() - start) * 1000:.0f} ms)")
 
 

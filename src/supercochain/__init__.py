@@ -21,7 +21,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .exact_linalg import Matrix, cohomology_dims, format_scalar, kernel_basis, parse_scalar, rank
+from .exact_linalg import Matrix, cohomology_dims, cohomology_table, format_scalar, kernel_basis
+from .exact_linalg import parse_scalar, rank
 from .graded import (
     GradedSpace,
     direct_sum,
@@ -31,7 +32,8 @@ from .graded import (
     shuffles,
     wedge_basis,
 )
-from .cochains import BlockCochain, Cochain, circ, f_membership, hat_extend, nr_bracket, project_block
+from .cochains import BlockCochain, Cochain, bracket_matrix, circ, f_membership, hat_extend
+from .cochains import nr_bracket, project_block
 from .superalgebra import (
     CheckReport,
     LinearMap,
@@ -52,13 +54,14 @@ from .triple import (
     mc_residual,
     triple_coboundary_matrix,
     triple_cohomology,
+    triple_cohomology_table,
 )
 from .crossed import (
     CHMorphism,
     CrossedHom,
     ch_bracket,
-    ch_bracket_closed,
     ch_cohomology,
+    ch_cohomology_table,
     ch_mc_residual,
     check_crossed,
     check_morphism,

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 from . import io as sio
 from .crossed import (
     CrossedHom,
-    ch_cohomology,
+    ch_cohomology_table,
     ch_mc_residual,
     check_crossed,
     graph_check,
@@ -33,7 +34,7 @@ from .deformation import (
 from .errors import InternalInvariantError, SupercochainError, UsageError, ValidationError
 from .exact_linalg import format_scalar
 from .superalgebra import check_jacobi, check_super_skew
-from .triple import LieSupActTriple, check_action, mc_residual, triple_cohomology
+from .triple import LieSupActTriple, check_action, mc_residual, triple_cohomology_table
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,19 +155,20 @@ def _parity_list(flags):
     return (("even", 0), ("odd", 1))
 
 
+def _cohomology_rows(table_of, flags):
+    """Report rows {"n": {parity name: dim}}; ``table_of`` builds each d_n once."""
+    names = _parity_list(flags)
+    table = table_of(range(1, flags.max_n + 1), tuple(p for _, p in names))
+    return {str(n): {name: row[p] for name, p in names} for n, row in table.items()}
+
+
 def cmd_cohomology(pf, flags):
     t = _triple_of(pf)
     verdicts = _triple_verdicts(t)
     if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
-    table = {}
-    for n in range(1, flags.max_n + 1):
-        even, odd = triple_cohomology(t, n)
-        row = {}
-        for name, p in _parity_list(flags):
-            row[name] = even if p == 0 else odd
-        table[str(n)] = row
-    return {"verdicts": verdicts, "cohomology": table}
+    rows = _cohomology_rows(partial(triple_cohomology_table, t), flags)
+    return {"verdicts": verdicts, "cohomology": rows}
 
 
 def cmd_ch_cohomology(pf, flags):
@@ -177,14 +179,8 @@ def cmd_ch_cohomology(pf, flags):
     if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
     D = verify(D)
-    table = {}
-    for n in range(1, flags.max_n + 1):
-        even, odd = ch_cohomology(D, n)
-        row = {}
-        for name, p in _parity_list(flags):
-            row[name] = even if p == 0 else odd
-        table[str(n)] = row
-    return {"verdicts": verdicts, "cohomology": table}
+    rows = _cohomology_rows(partial(ch_cohomology_table, D), flags)
+    return {"verdicts": verdicts, "cohomology": rows}
 
 
 def cmd_deform(pf, flags):

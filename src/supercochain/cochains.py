@@ -19,6 +19,10 @@ non-homogeneous cochains are just containers for such sums.
 space g + h: a block map on wedge(g)^i x wedge(h)^j extends to the direct sum
 by summing over the block shuffles with Koszul signs, and ``project_block``
 recovers the block from the extension.
+
+``bracket_matrix`` is the matrix of U -> [P, U] for an even arity-2 P on unit
+bases; it expands the bracket over the support of P instead of evaluating
+``nr_bracket`` (the Chevalley-Eilenberg form of the differential).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
+from .exact_linalg import Matrix
 from .graded import (
     DirectSum,
     GradedSpace,
@@ -223,6 +228,71 @@ def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
             sign = Fraction(-1 if (nF * nG + f * g) % 2 == 0 else 1)
             total = total.add(circ(Gpart, Fpart).scale(sign))
     return total
+
+
+def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
+    """Matrix of U -> [P, U] for an even arity-2 cochain P on V.
+
+    ``cols`` and ``rows`` list units (key, target, sign): the cochain with
+    value sign * e_target at the normal-form key, read back through the same
+    sign.  For a column unit U of arity n,
+    [P, U] = circ(P, U) - (-1)^(n-1) circ(U, P) expands over the support of P:
+
+    * circ(P, U) lands on sort(key + x) with value P(x, target); an odd x
+      already in the key counts with its multiplicity in the new key;
+    * circ(U, P) lands on sort(key - k + (a, b)) with value P(a, b)_k, times
+      the number of index pairs of the new key holding (a, b).
+
+    The Koszul sign of each term is the sign ``normalize_tuple`` gives its
+    unsorted tuple, i.e. the sign of the shuffle ``circ`` sums over.
+    """
+    V = P.source
+    if P.target != V or P.arity != 2 or P.parity() != 0:
+        raise ShapeMismatch("bracket_matrix needs an even arity-2 cochain V -> V")
+    pars = V.parities
+    left_of = {}  # y -> [(x, P(x, y))]
+    by_comp = {}  # k -> [((a, b), P(a, b)_k)]
+    for (a, b), vec in P.coeffs.items():
+        left_of.setdefault(b, []).append((a, vec))
+        if a != b:
+            left_of.setdefault(a, []).append((b, vec_scale(vec, normalize_tuple(V, (b, a))[1])))
+        for k, c in enumerate(vec):
+            if c != 0:
+                by_comp.setdefault(k, []).append(((a, b), c))
+    row_of = {(key, tgt): (r, sign) for r, (key, tgt, sign) in enumerate(rows)}
+    ncols = len(cols)
+    entries = [Fraction(0)] * (len(rows) * ncols)
+    for j, (K, T, s) in enumerate(cols):
+        u = (sum(pars[i] for i in K) + pars[T]) % 2
+        for x, vec in left_of.get(T, ()):
+            X, s1 = normalize_tuple(V, (x,) + K)
+            if s1 == 0:
+                continue
+            c = s * s1 * X.count(x) * (-1 if u and pars[x] else 1)
+            for tgt, v in enumerate(vec):
+                hit = row_of.get((X, tgt))
+                if hit is not None and v != 0:
+                    entries[hit[0] * ncols + j] += hit[1] * c * v
+        outer = s if len(K) % 2 == 0 else -s
+        for k in set(K):
+            i = K.index(k)
+            head = K[:i] + K[i + 1 :]
+            s2 = normalize_tuple(V, head + (k,))[1]
+            for (a, b), v in by_comp.get(k, ()):
+                X, s3 = normalize_tuple(V, head + (a, b))
+                hit = row_of.get((X, T))
+                if hit is not None and s3 != 0:
+                    m = X.count(a)
+                    pairs = m * (m - 1) // 2 if a == b else m * X.count(b)
+                    entries[hit[0] * ncols + j] += hit[1] * outer * s2 * s3 * pairs * v
+    return Matrix(len(rows), ncols, entries)
+
+
+def block_unit(ds: DirectSum, gk, hk, side: str, t: int):
+    """The block unit (gk, hk) -> e_t of side ``side`` as a (key, target, sign) unit on g + h."""
+    slots = tuple(ds.left_pos[i] for i in gk) + tuple(ds.right_pos[j] for j in hk)
+    key, sign = normalize_tuple(ds.space, slots)
+    return key, (ds.left_pos if side == "g" else ds.right_pos)[t], sign
 
 
 class BlockCochain:

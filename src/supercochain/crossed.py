@@ -12,12 +12,8 @@ algebra on C^* = Hom(wedge^* g, h) with bracket
     [[f1, f2]] = (-1)^(m-1) [[mu, f1], f2]        (m = arity of f1)
 
 and differential f -> [pi + rho, f], everything computed inside the big
-algebra on g + h through the hat embedding.  The bracket also has a closed
-shuffle form, kept as a second code path and asserted equal in the tests:
-
-    [[f1, f2]](X) = sum over (m,n)-shuffles of
-        koszul_sign * (-1)^(s * parity of the first m shuffled entries)
-        * mu(f1(shuffled head), f2(shuffled tail)),         s = parity of f2.
+algebra on g + h through the hat embedding.  The test suite checks the bracket
+against its closed double-shuffle form.
 
 Cochains here are blocks with no h slots: ``BlockCochain(g, h, m, 0, "h")``.
 """
@@ -27,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
+from .cochains import BlockCochain, block_unit, bracket_matrix, hat_extend, nr_bracket
+from .cochains import project_block
 from .errors import ShapeMismatch, ValidationError
-from .exact_linalg import Matrix, cohomology_dims, rank
-from .graded import direct_sum, koszul_sign, shuffles, wedge_basis
+from .exact_linalg import Matrix, cohomology_table, rank
+from .graded import direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
 from .triple import LieSupActTriple, mu_block, pi_block
-from .util import parallel_map, vec_add, vec_is_zero, vec_scale
+from .util import vec_add, vec_is_zero, vec_scale
 
 
 @dataclass(frozen=True)
@@ -133,37 +130,6 @@ class ChComplex:
         sign = Fraction(1 if (m - 1) % 2 == 0 else -1)
         return project_block(outer.scale(sign), self.ds, m + f2.g_arity, 0, "h")
 
-    def bracket_closed(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
-        """The same bracket from the closed double-shuffle formula."""
-        t = self.triple
-        gspace, h = t.g.space, t.h
-        m, n = f1.g_arity, f2.g_arity
-        shs = shuffles((m, n))
-        pars = gspace.parities
-        out = {}
-        for f2p, s in f2.parity_parts():
-            for X in wedge_basis(gspace, m + n):
-                px = tuple(pars[i] for i in X)
-                acc = None
-                for sigma in shs:
-                    sign = koszul_sign(sigma, px)
-                    if s and sum(px[sigma[i]] for i in range(m)) % 2:
-                        sign = -sign
-                    head = tuple(X[sigma[i]] for i in range(m))
-                    tail = tuple(X[sigma[i]] for i in range(m, m + n))
-                    v1 = f1.eval(head, ())
-                    if vec_is_zero(v1):
-                        continue
-                    v2 = f2p.eval(tail, ())
-                    if vec_is_zero(v2):
-                        continue
-                    term = vec_scale(h.bracket_eval(v1, v2), Fraction(sign))
-                    acc = term if acc is None else vec_add(acc, term)
-                if acc is not None and not vec_is_zero(acc):
-                    cur = out.get((X, ()))
-                    out[(X, ())] = vec_add(cur, acc) if cur is not None else acc
-        return BlockCochain(gspace, h.space, m + n, 0, "h", out)
-
     def coboundary(self, f: BlockCochain) -> BlockCochain:
         """f -> [pi + rho, f], one degree up."""
         result = nr_bracket(self.pr_hat, hat_extend(f))
@@ -175,10 +141,6 @@ class ChComplex:
 
 def ch_bracket(t: LieSupActTriple, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
     return ChComplex(t).bracket(f1, f2)
-
-
-def ch_bracket_closed(t: LieSupActTriple, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
-    return ChComplex(t).bracket_closed(f1, f2)
 
 
 def del_pi_rho(t: LieSupActTriple, f: BlockCochain) -> BlockCochain:
@@ -202,13 +164,6 @@ def ch_units(g_space, h_space, n: int, parity=None):
             if parity is None or up == parity % 2:
                 units.append((gk, t, up))
     return units
-
-
-def _unit_block(g_space, h_space, n, unit) -> BlockCochain:
-    gk, t, _ = unit
-    vec = [Fraction(0)] * h_space.dim
-    vec[t] = Fraction(1)
-    return BlockCochain(g_space, h_space, n, 0, "h", {(gk, ()): tuple(vec)})
 
 
 def block_vector(block: BlockCochain, units):
@@ -241,38 +196,33 @@ def _require_verified(D: CrossedHom) -> CrossedHom:
 
 
 def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
-    """Matrix of f -> [pi+rho, f] + [[D, f]] from degree n to n + 1."""
+    """Matrix of f -> [pi+rho, f] + [[D, f]] from degree n to n + 1.
+
+    Both terms are one bracket [P_D, f] in the big algebra, with the even
+    arity-2 P_D = pi + rho + [mu, D].
+    """
     D = _require_verified(D)
     t = D.triple
     gs, hs = t.g.space, t.h.space
     cc = ChComplex(t)
-    D_block = D.as_block()
-    cols_units = ch_units(gs, hs, n, parity)
-    rows_units = ch_units(gs, hs, n + 1, parity)
+    P = cc.pr_hat.add(nr_bracket(cc.mu_hat, hat_extend(D.as_block())))
 
-    def one_column(unit):
-        image = cc.d_D(D_block, _unit_block(gs, hs, n, unit))
-        return block_vector(image, rows_units)
+    def units(m):
+        return [block_unit(cc.ds, gk, (), "h", k) for gk, k, _ in ch_units(gs, hs, m, parity)]
 
-    columns = parallel_map(one_column, cols_units)
-    return Matrix.from_cols(columns, len(rows_units))
+    return bracket_matrix(P, units(n), units(n + 1))
+
+
+def ch_cohomology_table(D: CrossedHom, degrees, parities=(0, 1)):
+    """{n: {parity: dim H^n}} of the twisted complex, each d_n built once."""
+    D = _require_verified(D)
+    return cohomology_table(lambda n, p: d_D_matrix(D, n, p), degrees, parities)
 
 
 def ch_cohomology(D: CrossedHom, n: int):
     """(even, odd) cohomology dimensions of the crossed homomorphism complex."""
-    if n < 1:
-        raise ValidationError("cohomology degree must be >= 1")
-    D = _require_verified(D)
-    gs, hs = D.triple.g.space, D.triple.h.space
-    dims = []
-    for parity in (0, 1):
-        d_out = d_D_matrix(D, n, parity)
-        if n == 1:
-            d_in = Matrix.zeros(len(ch_units(gs, hs, 1, parity)), 0)
-        else:
-            d_in = d_D_matrix(D, n - 1, parity)
-        dims.append(cohomology_dims(d_in, d_out))
-    return tuple(dims)
+    row = ch_cohomology_table(D, range(n, n + 1))[n]
+    return row[0], row[1]
 
 
 @dataclass(frozen=True)

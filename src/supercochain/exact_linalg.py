@@ -250,15 +250,39 @@ def kernel_basis(m: Matrix):
     return basis
 
 
-def cohomology_dims(d_in: Matrix, d_out: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for one degree of a cochain complex.
-
-    Re-checks d_out . d_in == 0; a failure means the differentials were
-    assembled inconsistently, which is a bug upstream, not bad user data.
-    """
+def _require_composite_zero(d_in: Matrix, d_out: Matrix):
+    """Re-check d_out . d_in == 0; a failure is an assembly bug, not bad data."""
     if d_in.cols > 0 and d_out.rows > 0:
         if d_in.rows != d_out.cols:
             raise DimensionMismatch("d_in codomain != d_out domain")
         if not d_out.mul(d_in).is_zero():
             raise CompositionNonzero("d_out . d_in != 0")
+
+
+def cohomology_dims(d_in: Matrix, d_out: Matrix) -> int:
+    """dim ker(d_out) - rank(d_in) for one degree of a cochain complex."""
+    _require_composite_zero(d_in, d_out)
     return (d_out.cols - rank(d_out)) - rank(d_in)
+
+
+def cohomology_table(differential, degrees, parities=(0, 1)):
+    """{n: {parity: dim H^n}} over consecutive ``degrees`` of a complex starting at 1.
+
+    ``differential(n, parity)`` returns the Matrix of d_n: C^n -> C^(n+1).
+    Each d_n is built and ranked once; d_0 is zero, and every adjacent pair is
+    re-checked for d_n . d_(n-1) == 0.
+    """
+    if not degrees or degrees[0] < 1:
+        raise ValidationError("cohomology degree must be >= 1")
+    table = {n: {} for n in degrees}
+    for parity in parities:
+        prev, prev_rank = None, 0
+        for n in range(max(degrees[0] - 1, 1), degrees[-1] + 1):
+            d = differential(n, parity)
+            if prev is not None:
+                _require_composite_zero(prev, d)
+            r = rank(d)
+            if n in table:
+                table[n][parity] = d.cols - r - prev_rank
+            prev, prev_rank = d, r
+    return table

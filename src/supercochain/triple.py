@@ -17,17 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, f_membership, hat_extend, nr_bracket, project_block
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantError,
-    ShapeMismatch,
-    ValidationError,
-)
-from .exact_linalg import Matrix, cohomology_dims
+from .cochains import BlockCochain, Cochain, block_unit, bracket_matrix, f_membership, hat_extend
+from .cochains import nr_bracket, project_block
+from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
+from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
-from .util import parallel_map, vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 
 class ActionMap:
@@ -347,17 +343,6 @@ def triple_cochain_dim(g_space, h_space, n: int, parity=None) -> int:
     return len(triple_units(g_space, h_space, n, parity))
 
 
-def unit_triple_cochain(g_space, h_space, n, unit) -> TripleCochain:
-    b, gk, hk, t, _ = unit
-    sigs = triple_blocks(n)
-    ga, ha, side = sigs[b]
-    tdim = (g_space if side == "g" else h_space).dim
-    vec = [Fraction(0)] * tdim
-    vec[t] = Fraction(1)
-    block = BlockCochain(g_space, h_space, ga, ha, side, {(gk, hk): tuple(vec)})
-    return TripleCochain.from_blocks(g_space, h_space, n, {sigs[b]: block})
-
-
 def triple_cochain_vector(c: TripleCochain, units):
     out = []
     for b, gk, hk, t, _ in units:
@@ -399,16 +384,23 @@ def triple_cochain_from_sum(g_space, h_space, n, F: Cochain) -> TripleCochain:
     return TripleCochain.from_blocks(g_space, h_space, n, by_sig)
 
 
-def coboundary_of(t: LieSupActTriple, c: TripleCochain, Pi: Cochain = None) -> TripleCochain:
+def coboundary_of(t: LieSupActTriple, c: TripleCochain) -> TripleCochain:
     """[Pi, c] pushed back into block coordinates of degree + 1."""
-    if Pi is None:
-        Pi = mc_element(t)
-    result = nr_bracket(Pi, triple_cochain_to_sum(c))
+    result = nr_bracket(mc_element(t), triple_cochain_to_sum(c))
     return triple_cochain_from_sum(t.g.space, t.h.space, c.degree + 1, result)
 
 
+def _sum_units(g_space, h_space, n: int, parity):
+    ds = direct_sum(g_space, h_space)
+    sigs = triple_blocks(n)
+    return [
+        block_unit(ds, gk, hk, sigs[b][2], t)
+        for b, gk, hk, t, _ in triple_units(g_space, h_space, n, parity)
+    ]
+
+
 def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
-    """Matrix of the degree-n differential on the deterministic unit basis.
+    """Matrix of the degree-n differential [Pi, .] on the deterministic unit basis.
 
     Columns follow ``triple_units(g, h, n, parity)``, rows
     ``triple_units(g, h, n+1, parity)``.  With ``parity=None`` both parities
@@ -416,31 +408,19 @@ def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
     element is even.
     """
     gs, hs = t.g.space, t.h.space
-    cols_units = triple_units(gs, hs, n, parity)
-    rows_units = triple_units(gs, hs, n + 1, parity)
-    Pi = mc_element(t)
+    cols, rows = _sum_units(gs, hs, n, parity), _sum_units(gs, hs, n + 1, parity)
+    return bracket_matrix(mc_element(t), cols, rows)
 
-    def one_column(unit):
-        image = coboundary_of(t, unit_triple_cochain(gs, hs, n, unit), Pi)
-        return triple_cochain_vector(image, rows_units)
 
-    columns = parallel_map(one_column, cols_units)
-    return Matrix.from_cols(columns, len(rows_units))
+def triple_cohomology_table(t: LieSupActTriple, degrees, parities=(0, 1)):
+    """{n: {parity: dim H^n}} over consecutive ``degrees``, each d_n built once."""
+    return cohomology_table(lambda n, p: triple_coboundary_matrix(t, n, p), degrees, parities)
 
 
 def triple_cohomology(t: LieSupActTriple, n: int):
     """(even, odd) dimensions of the degree-n cohomology; complex starts at 1."""
-    if n < 1:
-        raise ValidationError("cohomology degree must be >= 1")
-    dims = []
-    for parity in (0, 1):
-        d_out = triple_coboundary_matrix(t, n, parity)
-        if n == 1:
-            d_in = Matrix.zeros(triple_cochain_dim(t.g.space, t.h.space, 1, parity), 0)
-        else:
-            d_in = triple_coboundary_matrix(t, n - 1, parity)
-        dims.append(cohomology_dims(d_in, d_out))
-    return tuple(dims)
+    row = triple_cohomology_table(t, range(n, n + 1))[n]
+    return row[0], row[1]
 
 
 def f_membership_of_triple_cochain(c: TripleCochain) -> bool:

@@ -1,14 +1,10 @@
-"""Small shared helpers: coordinate-vector arithmetic and bounded parallelism."""
+"""Small shared helpers: coordinate-vector arithmetic."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-
-THREADS_ENV = "SUPERCOCHAIN_THREADS"
 
 
 def zero_vec(n: int):
@@ -31,24 +27,3 @@ def vec_scale(v, c):
 
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map preserving order; uses a thread pool when SUPERCOCHAIN_THREADS > 1.
-
-    Results are identical to the serial path regardless of thread count; the
-    work items must therefore be independent and pure.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -6,16 +6,28 @@ the insertion product is the average of the starred composite over the whole
 symmetric group divided by the block redundancy; differentials are assembled
 by direct evaluation of those raw brackets at basis tuples and the resulting
 matrices go through the exact rank/kernel engine.
+
+The per-unit reference path (one ``nr_bracket`` per basis cochain, then the
+hat projection back to block coordinates) and the closed double-shuffle form
+of the crossed-homomorphism bracket live here too: they reuse the pipeline's
+cochains but none of its direct matrix assembly.
 """
 
 import itertools
 import math
 from fractions import Fraction as F
 
+from supercochain.cochains import BlockCochain
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, koszul_sign
-from supercochain.triple import triple_blocks, triple_units
-from supercochain.crossed import ch_units
+from supercochain.graded import direct_sum, koszul_sign, shuffles, wedge_basis
+from supercochain.triple import (
+    TripleCochain,
+    coboundary_of,
+    triple_blocks,
+    triple_cochain_vector,
+    triple_units,
+)
+from supercochain.crossed import ChComplex, block_vector, ch_units
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 
@@ -317,3 +329,83 @@ class GradedSpaceScalar:
 
     def parities_of(self, slots):
         return self._space.parities_of(slots)
+
+
+def unit_triple_cochain(g_space, h_space, n, unit) -> TripleCochain:
+    """The basis cochain of C^n named by one ``triple_units`` entry."""
+    b, gk, hk, t, _ = unit
+    sigs = triple_blocks(n)
+    ga, ha, side = sigs[b]
+    tdim = (g_space if side == "g" else h_space).dim
+    vec = [F(0)] * tdim
+    vec[t] = F(1)
+    block = BlockCochain(g_space, h_space, ga, ha, side, {(gk, hk): tuple(vec)})
+    return TripleCochain.from_blocks(g_space, h_space, n, {sigs[b]: block})
+
+
+def triple_reference_matrix(t, n, parity):
+    """Degree-n triple differential, one ``coboundary_of`` per unit column."""
+    gs, hs = t.g.space, t.h.space
+    cols = triple_units(gs, hs, n, parity)
+    rows = triple_units(gs, hs, n + 1, parity)
+    columns = [
+        triple_cochain_vector(coboundary_of(t, unit_triple_cochain(gs, hs, n, u)), rows)
+        for u in cols
+    ]
+    return Matrix.from_cols(columns, len(rows))
+
+
+def unit_ch_block(g_space, h_space, n, unit):
+    """The basis cochain of Hom(wedge^n g, h) named by one ``ch_units`` entry."""
+    gk, t, _ = unit
+    vec = [F(0)] * h_space.dim
+    vec[t] = F(1)
+    return BlockCochain(g_space, h_space, n, 0, "h", {(gk, ()): tuple(vec)})
+
+
+def ch_reference_matrix(D, n, parity):
+    """Degree-n twisted differential, one ``ChComplex.d_D`` per unit column."""
+    t = D.triple
+    gs, hs = t.g.space, t.h.space
+    cc = ChComplex(t)
+    D_block = D.as_block()
+    cols = ch_units(gs, hs, n, parity)
+    rows = ch_units(gs, hs, n + 1, parity)
+    columns = [block_vector(cc.d_D(D_block, unit_ch_block(gs, hs, n, u)), rows) for u in cols]
+    return Matrix.from_cols(columns, len(rows))
+
+
+def ch_bracket_closed(t, f1, f2):
+    """[[f1, f2]] from the closed double-shuffle formula.
+
+        [[f1, f2]](X) = sum over (m,n)-shuffles of
+            koszul_sign * (-1)^(s * parity of the first m shuffled entries)
+            * mu(f1(shuffled head), f2(shuffled tail)),         s = parity of f2.
+    """
+    gspace, h = t.g.space, t.h
+    m, n = f1.g_arity, f2.g_arity
+    shs = shuffles((m, n))
+    pars = gspace.parities
+    out = {}
+    for f2p, s in f2.parity_parts():
+        for X in wedge_basis(gspace, m + n):
+            px = tuple(pars[i] for i in X)
+            acc = None
+            for sigma in shs:
+                sign = koszul_sign(sigma, px)
+                if s and sum(px[sigma[i]] for i in range(m)) % 2:
+                    sign = -sign
+                head = tuple(X[sigma[i]] for i in range(m))
+                tail = tuple(X[sigma[i]] for i in range(m, m + n))
+                v1 = f1.eval(head, ())
+                if vec_is_zero(v1):
+                    continue
+                v2 = f2p.eval(tail, ())
+                if vec_is_zero(v2):
+                    continue
+                term = vec_scale(h.bracket_eval(v1, v2), F(sign))
+                acc = term if acc is None else vec_add(acc, term)
+            if acc is not None and not vec_is_zero(acc):
+                cur = out.get((X, ()))
+                out[(X, ())] = vec_add(cur, acc) if cur is not None else acc
+    return BlockCochain(gspace, h.space, m + n, 0, "h", out)

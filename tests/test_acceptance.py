@@ -409,7 +409,7 @@ def test_criterion_9_bracket_cross_check():
                 continue
             b1, _ = p1[0]
             b2, _ = p2[0]
-            assert cc.bracket(b1, b2) == cc.bracket_closed(b1, b2)
+            assert cc.bracket(b1, b2) == oracles.ch_bracket_closed(t, b1, b2)
             taken += 1
             pairs += 1
     assert pairs >= 200

@@ -1,0 +1,80 @@
+"""The direct differential assembly against the per-unit reference path.
+
+``triple_coboundary_matrix`` and ``d_D_matrix`` expand [P, U] over the support
+of the structure constants; ``oracles`` builds the same matrices one column at
+a time through ``nr_bracket`` and the hat projection.  They must agree entry
+for entry, including the sign and scale of every row and column.  (The raw
+table oracles ``triple_oracle_matrix``/``ch_oracle_matrix`` use rescaled bases
+and are compared by rank only.)
+"""
+
+import pytest
+
+from conftest import FIXTURES
+from supercochain import io as sio
+from supercochain.crossed import CrossedHom, ch_units, check_crossed, d_D_matrix, verify
+from supercochain.exact_linalg import Matrix
+from supercochain.superalgebra import LinearMap, gl
+from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_units
+
+import oracles
+from helpers import adjoint_triple, defining_triple
+
+TRIPLE_MAX_N = 3
+CROSSED_MAX_N = 4
+
+
+def _fixture_cases():
+    triples, crossed = {}, {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        pf = sio.parse(path)
+        if pf.action is None:
+            continue
+        t = LieSupActTriple(pf.g, pf.h, pf.action)
+        triples[path.stem] = t
+        if pf.crossed is not None and check_crossed(CrossedHom(t, pf.crossed)).ok:
+            crossed[path.stem] = verify(CrossedHom(t, pf.crossed))
+    adj = adjoint_triple(gl(1, 1))
+    triples["gl11_adjoint"] = adj
+    triples["gl11_defining"] = defining_triple(1, 1)
+    crossed["gl11_adjoint_minus_id"] = verify(
+        CrossedHom(adj, LinearMap.identity(adj.g.space).scale(-1))
+    )
+    return triples, crossed
+
+
+TRIPLES, CROSSED = _fixture_cases()
+CASES = [("triple", name, n) for name in TRIPLES for n in range(1, TRIPLE_MAX_N + 1)] + [
+    ("crossed", name, n) for name in CROSSED for n in range(1, CROSSED_MAX_N + 1)
+]
+
+
+def _restrict(m: Matrix, row_parities, col_parities, parity):
+    """The parity-``parity`` block of a matrix over both parities."""
+    rows = [r for r, p in enumerate(row_parities) if p == parity]
+    cols = [c for c, p in enumerate(col_parities) if p == parity]
+    if not rows:
+        return Matrix.zeros(0, len(cols))
+    return Matrix.from_rows([[m.entry(r, c) for c in cols] for r in rows])
+
+
+@pytest.mark.parametrize("kind,name,n", CASES, ids=[f"{k}-{nm}-d{n}" for k, nm, n in CASES])
+def test_assembly_matches_per_unit_reference(kind, name, n):
+    if kind == "triple":
+        data = t = TRIPLES[name]
+        build, reference = triple_coboundary_matrix, oracles.triple_reference_matrix
+        units = triple_units
+    else:
+        data = CROSSED[name]
+        t = data.triple
+        build, reference, units = d_D_matrix, oracles.ch_reference_matrix, ch_units
+
+    def parities(m):
+        return [u[-1] for u in units(t.g.space, t.h.space, m)]
+
+    # Each reference column is computed on its own unit, so the parity blocks
+    # of the reference over both parities are the per-parity references.
+    ref = reference(data, n, None)
+    assert build(data, n, None) == ref
+    for parity in (0, 1):
+        assert build(data, n, parity) == _restrict(ref, parities(n + 1), parities(n), parity)

@@ -324,17 +324,6 @@ def test_morphism_serialization_round_trip():
     assert check_morphism(D0, D0, back)
 
 
-def test_parallelism_env_does_not_change_results(monkeypatch):
-    from supercochain.triple import triple_coboundary_matrix
-    from helpers import adjoint_triple, aff11
-
-    t = adjoint_triple(aff11())
-    serial = triple_coboundary_matrix(t, 2)
-    monkeypatch.setenv("SUPERCOCHAIN_THREADS", "4")
-    parallel = triple_coboundary_matrix(t, 2)
-    assert serial == parallel
-
-
 def test_module_entry_point_subprocess():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

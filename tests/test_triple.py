@@ -17,7 +17,6 @@ from supercochain.triple import (
     triple_cochain_dim,
     triple_cohomology,
     triple_units,
-    unit_triple_cochain,
 )
 
 import oracles
@@ -229,6 +228,6 @@ def test_unit_cochain_round_trip():
     from supercochain.triple import triple_cochain_vector
 
     for idx, u in enumerate(units):
-        c = unit_triple_cochain(t.g.space, t.h.space, 2, u)
+        c = oracles.unit_triple_cochain(t.g.space, t.h.space, 2, u)
         vec = triple_cochain_vector(c, units)
         assert vec[idx] == 1 and sum(1 for x in vec if x != 0) == 1
