@@ -32,8 +32,8 @@ from .graded import (
     shuffles,
     wedge_basis,
 )
-from .cochains import BlockCochain, Cochain, bracket_matrix, circ, f_membership, hat_extend
-from .cochains import nr_bracket, project_block
+from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_with, circ, f_membership
+from .cochains import hat_extend, nr_bracket, pair_table, project_block
 from .superalgebra import (
     CheckReport,
     LinearMap,

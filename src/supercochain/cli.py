@@ -118,12 +118,15 @@ def cmd_check_triple(pf, flags):
     verdicts = _triple_verdicts(t)
     res = mc_residual(t.g, t.h, t.rho)
     axioms_ok = all(v["ok"] for v in verdicts)
+    # The residual reads the tables through wedge keys, which hold no [x, x]
+    # for an even x, so it agrees with the axioms only on super-skew tables.
+    skew_ok = all(v["ok"] for v in verdicts if v["name"].endswith(".super_skew"))
     for name, comp in res.components().items():
         v = {"name": f"mc_residual.{name}", "ok": comp.is_zero()}
         if not comp.is_zero():
             v["witnesses"] = _block_witnesses(comp)
         verdicts.append(v)
-    if axioms_ok != res.is_zero:
+    if skew_ok and axioms_ok != res.is_zero:
         raise InternalInvariantError("axiom checks disagree with the Maurer-Cartan residual")
     return {"verdicts": verdicts}
 

@@ -20,9 +20,11 @@ space g + h: a block map on wedge(g)^i x wedge(h)^j extends to the direct sum
 by summing over the block shuffles with Koszul signs, and ``project_block``
 recovers the block from the extension.
 
-``bracket_matrix`` is the matrix of U -> [P, U] for an even arity-2 P on unit
-bases; it expands the bracket over the support of P instead of evaluating
-``nr_bracket`` (the Chevalley-Eilenberg form of the differential).
+For an even arity-2 P, ``bracket_with`` computes [P, U] and ``bracket_matrix``
+the matrix of U -> [P, U] on unit bases.  Both expand the bracket unit by unit
+over the support of P (``_unit_image``, the Chevalley-Eilenberg form of the
+differential) instead of summing shuffles over a whole wedge basis as
+``nr_bracket`` does; ``nr_bracket`` stays the general product.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .graded import (
     shuffles,
     wedge_basis,
 )
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import sparse, vec_add, vec_is_zero, vec_scale, zero_vec
+
+_ZERO = Fraction(0)
 
 
 def _require_normal_key(space, key, what):
@@ -230,61 +234,115 @@ def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
     return total
 
 
+def pair_table(c: Cochain):
+    """T[a][b] = {k: c(a, b)_k} on every ordered pair of an arity-2 cochain."""
+    V = c.source
+    T = [[{} for _ in range(V.dim)] for _ in range(V.dim)]
+    for (a, b), vec in c.coeffs.items():
+        T[a][b] = sparse(vec)
+        if a != b:
+            s = normalize_tuple(V, (b, a))[1]
+            T[b][a] = {k: s * x for k, x in T[a][b].items()}
+    return T
+
+
+def _bracket_support(P: Cochain):
+    """The support of an even arity-2 P, indexed for the unit expansion."""
+    V = P.source
+    if P.target != V or P.arity != 2 or P.parity() != 0:
+        raise ShapeMismatch("the bracket expansion needs an even arity-2 cochain V -> V")
+    left_of = {}  # y -> [(x, P(x, y))]
+    for x, row in enumerate(pair_table(P)):
+        for y, vec in enumerate(row):
+            if vec:
+                left_of.setdefault(y, []).append((x, vec))
+    by_comp = {}  # k -> [((a, b), P(a, b)_k)]
+    for (a, b), vec in P.coeffs.items():
+        for k, c in enumerate(vec):
+            if c != 0:
+                by_comp.setdefault(k, []).append(((a, b), c))
+    return left_of, by_comp
+
+
+def _unit_image(V: GradedSpace, support, K, T):
+    """[P, U] for the unit U = (key K -> e_T), as (key, target, coefficient) terms.
+
+    [P, U] = circ(P, U) - (-1)^(n-1) circ(U, P) for U of arity n, expanded
+    over the support of P:
+
+    * circ(P, U) lands on sort(x + K) with value P(x, T); an odd x already
+      in K counts with its multiplicity in the new key;
+    * circ(U, P) lands on sort(K - k + (a, b)) with value P(a, b)_k, times
+      the number of index pairs of the new key holding (a, b).
+
+    The Koszul sign of each term is the sign ``normalize_tuple`` gives its
+    unsorted tuple, i.e. the sign of the shuffle ``circ`` sums over.  Terms
+    may repeat a (key, target); callers add them up.
+    """
+    left_of, by_comp = support
+    pars = V.parities
+    u = (sum(pars[i] for i in K) + pars[T]) % 2
+    for x, vec in left_of.get(T, ()):
+        X, s1 = normalize_tuple(V, (x,) + K)
+        if s1 == 0:
+            continue
+        c = s1 * X.count(x) * (-1 if u and pars[x] else 1)
+        for tgt, v in vec.items():
+            yield X, tgt, c * v
+    outer = 1 if len(K) % 2 == 0 else -1
+    for k in set(K):
+        i = K.index(k)
+        head = K[:i] + K[i + 1 :]
+        s2 = normalize_tuple(V, head + (k,))[1]
+        for (a, b), v in by_comp.get(k, ()):
+            X, s3 = normalize_tuple(V, head + (a, b))
+            if s3 == 0:
+                continue
+            m = X.count(a)
+            pairs = m * (m - 1) // 2 if a == b else m * X.count(b)
+            yield X, T, outer * s2 * s3 * pairs * v
+
+
+def bracket_with(P: Cochain, U: Cochain) -> Cochain:
+    """[P, U] for an even arity-2 cochain P, from the supports of P and U.
+
+    Equal to ``nr_bracket(P, U)``; U may have any arity and mixed parity,
+    since the bracket is linear in U and every unit is homogeneous.
+    """
+    V = P.source
+    if U.source != V or U.target != V:
+        raise SpaceMismatch("bracket_with needs cochains on one space V -> V")
+    support = _bracket_support(P)
+    out = {}
+    for K, vec in U.coeffs.items():
+        for T, v in enumerate(vec):
+            if v == 0:
+                continue
+            for X, tgt, c in _unit_image(V, support, K, T):
+                row = out.get(X)
+                if row is None:
+                    row = out[X] = [_ZERO] * V.dim
+                row[tgt] += v * c
+    return Cochain(V, V, U.arity + 1, out)
+
+
 def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     """Matrix of U -> [P, U] for an even arity-2 cochain P on V.
 
     ``cols`` and ``rows`` list units (key, target, sign): the cochain with
     value sign * e_target at the normal-form key, read back through the same
-    sign.  For a column unit U of arity n,
-    [P, U] = circ(P, U) - (-1)^(n-1) circ(U, P) expands over the support of P:
-
-    * circ(P, U) lands on sort(key + x) with value P(x, target); an odd x
-      already in the key counts with its multiplicity in the new key;
-    * circ(U, P) lands on sort(key - k + (a, b)) with value P(a, b)_k, times
-      the number of index pairs of the new key holding (a, b).
-
-    The Koszul sign of each term is the sign ``normalize_tuple`` gives its
-    unsorted tuple, i.e. the sign of the shuffle ``circ`` sums over.
+    sign.  Each column is the ``_unit_image`` of its unit.
     """
     V = P.source
-    if P.target != V or P.arity != 2 or P.parity() != 0:
-        raise ShapeMismatch("bracket_matrix needs an even arity-2 cochain V -> V")
-    pars = V.parities
-    left_of = {}  # y -> [(x, P(x, y))]
-    by_comp = {}  # k -> [((a, b), P(a, b)_k)]
-    for (a, b), vec in P.coeffs.items():
-        left_of.setdefault(b, []).append((a, vec))
-        if a != b:
-            left_of.setdefault(a, []).append((b, vec_scale(vec, normalize_tuple(V, (b, a))[1])))
-        for k, c in enumerate(vec):
-            if c != 0:
-                by_comp.setdefault(k, []).append(((a, b), c))
+    support = _bracket_support(P)
     row_of = {(key, tgt): (r, sign) for r, (key, tgt, sign) in enumerate(rows)}
     ncols = len(cols)
-    entries = [Fraction(0)] * (len(rows) * ncols)
+    entries = [_ZERO] * (len(rows) * ncols)
     for j, (K, T, s) in enumerate(cols):
-        u = (sum(pars[i] for i in K) + pars[T]) % 2
-        for x, vec in left_of.get(T, ()):
-            X, s1 = normalize_tuple(V, (x,) + K)
-            if s1 == 0:
-                continue
-            c = s * s1 * X.count(x) * (-1 if u and pars[x] else 1)
-            for tgt, v in enumerate(vec):
-                hit = row_of.get((X, tgt))
-                if hit is not None and v != 0:
-                    entries[hit[0] * ncols + j] += hit[1] * c * v
-        outer = s if len(K) % 2 == 0 else -s
-        for k in set(K):
-            i = K.index(k)
-            head = K[:i] + K[i + 1 :]
-            s2 = normalize_tuple(V, head + (k,))[1]
-            for (a, b), v in by_comp.get(k, ()):
-                X, s3 = normalize_tuple(V, head + (a, b))
-                hit = row_of.get((X, T))
-                if hit is not None and s3 != 0:
-                    m = X.count(a)
-                    pairs = m * (m - 1) // 2 if a == b else m * X.count(b)
-                    entries[hit[0] * ncols + j] += hit[1] * outer * s2 * s3 * pairs * v
+        for X, tgt, c in _unit_image(V, support, K, T):
+            hit = row_of.get((X, tgt))
+            if hit is not None:
+                entries[hit[0] * ncols + j] += hit[1] * s * c
     return Matrix(len(rows), ncols, entries)
 
 

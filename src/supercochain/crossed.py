@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cochains import BlockCochain, block_unit, bracket_matrix, hat_extend, nr_bracket
-from .cochains import project_block
+from .cochains import BlockCochain, block_unit, bracket_matrix, bracket_with, hat_extend
+from .cochains import nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, rank
 from .graded import direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
 from .triple import LieSupActTriple, mu_block, pi_block
-from .util import vec_add, vec_is_zero, vec_scale
+from .util import bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,26 @@ def verify(D: CrossedHom) -> CrossedHom:
 def check_crossed(D: CrossedHom) -> CheckReport:
     """Defining identity on all ordered basis pairs of g."""
     t = D.triple
-    g, h, rho = t.g, t.h, t.rho
+    g, h = t.g, t.h
+    G, H, R, e = g.sparse, h.sparse, t.rho.sparse, units(g.dim)
+    Dc = [sparse(col) for col in D.linmap.cols]
+    pars = g.space.parities
     failures = []
     labels = g.space.labels
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = D.linmap.apply(g.bracket_basis(i, j))
-            di, dj = D.linmap.cols[i], D.linmap.cols[j]
-            term1 = rho.operator(i).apply(dj)
-            term2 = rho.operator(j).apply(di)
-            sign = Fraction(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
-            rhs = vec_add(vec_add(term1, vec_scale(term2, sign)), h.bracket_eval(di, dj))
+            lhs = combine(G[i][j], Dc)
+            # rho(x) D(y) - (-1)^{|x||y|} rho(y) D(x) + [D(x), D(y)]
+            sign = 1 if pars[i] * pars[j] else -1
+            rhs = lincomb(
+                (1, bilinear(R, e[i], Dc[j])),
+                (sign, bilinear(R, e[j], Dc[i])),
+                (1, bilinear(H, Dc[i], Dc[j])),
+            )
             if lhs != rhs:
-                failures.append(Failure("crossed", (labels[i], labels[j]), lhs, rhs))
+                failures.append(Failure(
+                    "crossed", (labels[i], labels[j]), dense(lhs, h.dim), dense(rhs, h.dim)
+                ))
     return CheckReport("crossed", tuple(failures))
 
 
@@ -88,29 +95,32 @@ def graph_failures(D: CrossedHom):
     t = D.triple
     ds = direct_sum(t.g.space, t.h.space)
     sd = _semidirect_table(t.g, t.h, t.rho, ds)
+    G = t.g.sparse
+    Dc = [sparse(col) for col in D.linmap.cols]
+
+    def lift(x: dict) -> dict:
+        """(x, D x) in g + h coordinates."""
+        out = {ds.left_pos[k]: c for k, c in x.items()}
+        out.update((ds.right_pos[k], c) for k, c in combine(x, Dc).items())
+        return out
+
+    lifted = [lift(x) for x in units(t.g.dim)]
     failures = []
     labels = t.g.space.labels
     for i in range(t.g.dim):
-        xi = ds.embed_left(_basis_vec(t.g.dim, i))
-        lifted_i = vec_add(xi, ds.embed_right(D.linmap.cols[i]))
         for j in range(t.g.dim):
-            xj = ds.embed_left(_basis_vec(t.g.dim, j))
-            lifted_j = vec_add(xj, ds.embed_right(D.linmap.cols[j]))
-            got = sd.bracket_eval(lifted_i, lifted_j)
-            bracket = t.g.bracket_basis(i, j)
-            want = vec_add(ds.embed_left(bracket), ds.embed_right(D.linmap.apply(bracket)))
+            got = bilinear(sd.sparse, lifted[i], lifted[j])
+            want = lift(G[i][j])
             if got != want:
-                failures.append(Failure("graph", (labels[i], labels[j]), got, want))
+                failures.append(Failure(
+                    "graph", (labels[i], labels[j]), dense(got, sd.dim), dense(want, sd.dim)
+                ))
     return tuple(failures)
 
 
 def graph_check(D: CrossedHom) -> bool:
     """True iff the graph {(x, D x)} is closed under the semidirect bracket."""
     return not graph_failures(D)
-
-
-def _basis_vec(dim, i):
-    return tuple(Fraction(1 if k == i else 0) for k in range(dim))
 
 
 class ChComplex:
@@ -125,14 +135,14 @@ class ChComplex:
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""
         m = f1.g_arity
-        inner = nr_bracket(self.mu_hat, hat_extend(f1))
+        inner = bracket_with(self.mu_hat, hat_extend(f1))
         outer = nr_bracket(inner, hat_extend(f2))
         sign = Fraction(1 if (m - 1) % 2 == 0 else -1)
         return project_block(outer.scale(sign), self.ds, m + f2.g_arity, 0, "h")
 
     def coboundary(self, f: BlockCochain) -> BlockCochain:
         """f -> [pi + rho, f], one degree up."""
-        result = nr_bracket(self.pr_hat, hat_extend(f))
+        result = bracket_with(self.pr_hat, hat_extend(f))
         return project_block(result, self.ds, f.g_arity + 1, 0, "h")
 
     def d_D(self, D_block: BlockCochain, f: BlockCochain) -> BlockCochain:
@@ -205,7 +215,7 @@ def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
     t = D.triple
     gs, hs = t.g.space, t.h.space
     cc = ChComplex(t)
-    P = cc.pr_hat.add(nr_bracket(cc.mu_hat, hat_extend(D.as_block())))
+    P = cc.pr_hat.add(bracket_with(cc.mu_hat, hat_extend(D.as_block())))
 
     def units(m):
         return [block_unit(cc.ds, gk, (), "h", k) for gk, k, _ in ch_units(gs, hs, m, parity)]
@@ -270,7 +280,7 @@ def check_morphism(D: CrossedHom, D2: CrossedHom, m: CHMorphism) -> bool:
         phi_x = m.phi1.cols[i]
         for j in range(t.h.dim):
             left = m.phi2.apply(t.rho.value(i, j))
-            right = t.rho.operator_of(phi_x).apply(m.phi2.cols[j])
+            right = t.rho.apply(phi_x, m.phi2.cols[j])
             if left != right:
                 return False
     return True

@@ -26,9 +26,8 @@ differential d_D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, nr_bracket
+from .cochains import BlockCochain, Cochain, bracket_with, pair_table
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
 from .graded import wedge_basis
@@ -45,7 +44,20 @@ from .triple import (
     coboundary_of,
 )
 from .crossed import ChComplex, CrossedHom, block_vector, ch_units, d_D_matrix
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import bilinear, combine, dense, lincomb, sparse, units, vec_is_zero, zero_vec
+
+
+# Checking orders 0..N evaluates (N + 1)(N + 2) / 2 coefficient products, and
+# the report has one entry per order; larger requests are refused up front.
+MAX_ORDER = 100
+
+
+def check_order(order: int):
+    """Refuse a truncation order outside 1..MAX_ORDER."""
+    if order < 1:
+        raise ValidationError("deformation order must be >= 1")
+    if order > MAX_ORDER:
+        raise ValidationError(f"deformation order {order} exceeds the limit of {MAX_ORDER}")
 
 
 def _require_even_cochain(c: Cochain, what: str):
@@ -79,8 +91,7 @@ class TripleDeformation:
         pi_terms, rho_terms, mu_terms = list(pi_terms), list(rho_terms), list(mu_terms)
         if order is None:
             order = max(1, len(pi_terms), len(rho_terms), len(mu_terms))
-        if order < 1:
-            raise ValidationError("deformation order must be >= 1")
+        check_order(order)
         gs, hs = triple.g.space, triple.h.space
         while len(pi_terms) < order:
             pi_terms.append(Cochain.zero(gs, gs, 2))
@@ -138,30 +149,33 @@ def triple_deformation_residual(d: TripleDeformation, n: int) -> TripleOrderResi
     eq1 = Cochain.zero(gs, gs, 3)
     eq2 = Cochain.zero(hs, hs, 3)
     for i, j in pairs:
-        eq1 = eq1.add(nr_bracket(d.pis[i], d.pis[j]))
-        eq2 = eq2.add(nr_bracket(d.mus[i], d.mus[j]))
+        eq1 = eq1.add(bracket_with(d.pis[i], d.pis[j]))
+        eq2 = eq2.add(bracket_with(d.mus[i], d.mus[j]))
 
     ggg = BlockCochain(gs, hs, 3, 0, "g", {(k, ()): v for k, v in eq1.coeffs.items()})
     hhh = BlockCochain(gs, hs, 0, 3, "h", {((), k): v for k, v in eq2.coeffs.items()})
+
+    R = [r.sparse for r in d.rhos]
+    PI = [pair_table(c) for c in d.pis]
+    MU = [pair_table(c) for c in d.mus]
+    eg, eh = units(gs.dim), units(hs.dim)
 
     ggh_coeffs = {}
     for gk in wedge_basis(gs, 2):
         u, v = gk
         # (-1)^{|u||v|} on the swapped composite
-        swap_sign = Fraction(-1 if (gs.parity(u) * gs.parity(v)) % 2 else 1)
+        swap_sign = -1 if gs.parity(u) * gs.parity(v) else 1
         for x in range(hs.dim):
-            xvec = _basis(hs.dim, x)
-            acc = zero_vec(hs.dim)
+            terms = []
             for i, j in pairs:
-                rho_i, rho_j = d.rhos[i], d.rhos[j]
-                lhs = rho_i.operator_of(d.pis[j].eval((u, v))).apply(xvec)
-                r1 = rho_i.operator(u).apply(rho_j.operator(v).apply(xvec))
-                r2 = rho_i.operator(v).apply(rho_j.operator(u).apply(xvec))
-                acc = vec_add(acc, lhs)
-                acc = vec_add(acc, vec_scale(r1, Fraction(-1)))
-                acc = vec_add(acc, vec_scale(r2, swap_sign))
-            if not vec_is_zero(acc):
-                ggh_coeffs[(gk, (x,))] = acc
+                terms += [
+                    (1, bilinear(R[i], PI[j][u][v], eh[x])),  # rho_i(pi_j(u, v)) x
+                    (-1, bilinear(R[i], eg[u], R[j][v][x])),  # rho_i(u) rho_j(v) x
+                    (swap_sign, bilinear(R[i], eg[v], R[j][u][x])),  # rho_i(v) rho_j(u) x
+                ]
+            acc = lincomb(*terms)
+            if acc:
+                ggh_coeffs[(gk, (x,))] = dense(acc, hs.dim)
     ggh = BlockCochain(gs, hs, 2, 1, "h", ggh_coeffs)
 
     ghh_coeffs = {}
@@ -170,43 +184,20 @@ def triple_deformation_residual(d: TripleDeformation, n: int) -> TripleOrderResi
         for hk in wedge_basis(hs, 2):
             x, y = hk
             # (-1)^{|u||x|} on the second Leibniz term
-            leib_sign = Fraction(-1 if (pu * hs.parity(x)) % 2 else 1)
-            acc = zero_vec(hs.dim)
+            leib_sign = -1 if pu * hs.parity(x) else 1
+            terms = []
             for i, j in pairs:
-                rho_i = d.rhos[i]
-                mu_i, mu_j = d.mus[i], d.mus[j]
-                lhs = rho_i.operator(u).apply(mu_j.eval((x, y)))
-                r1 = _bilinear(mu_i, d.rhos[j].operator(u).apply(_basis(hs.dim, x)), _basis(hs.dim, y))
-                r2 = _bilinear(mu_i, _basis(hs.dim, x), d.rhos[j].operator(u).apply(_basis(hs.dim, y)))
-                acc = vec_add(acc, lhs)
-                acc = vec_add(acc, vec_scale(r1, Fraction(-1)))
-                acc = vec_add(acc, vec_scale(r2, -leib_sign))
-            if not vec_is_zero(acc):
-                ghh_coeffs[((u,), hk)] = acc
+                terms += [
+                    (1, bilinear(R[i], eg[u], MU[j][x][y])),  # rho_i(u) mu_j(x, y)
+                    (-1, bilinear(MU[i], R[j][u][x], eh[y])),  # mu_i(rho_j(u) x, y)
+                    (-leib_sign, bilinear(MU[i], eh[x], R[j][u][y])),  # mu_i(x, rho_j(u) y)
+                ]
+            acc = lincomb(*terms)
+            if acc:
+                ghh_coeffs[((u,), hk)] = dense(acc, hs.dim)
     ghh = BlockCochain(gs, hs, 1, 2, "h", ghh_coeffs)
 
     return TripleOrderResidual(n, ggg, ggh, ghh, hhh)
-
-
-def _bilinear(c: Cochain, xvec, yvec):
-    """Bilinear evaluation of an arity-2 cochain on coordinate vectors."""
-    out = list(zero_vec(c.target.dim))
-    for i, a in enumerate(xvec):
-        if a == 0:
-            continue
-        for j, b in enumerate(yvec):
-            if b == 0:
-                continue
-            val = c.eval((i, j))
-            coef = a * b
-            for k, v in enumerate(val):
-                if v != 0:
-                    out[k] += coef * v
-    return tuple(out)
-
-
-def _basis(dim, i):
-    return tuple(Fraction(1 if k == i else 0) for k in range(dim))
 
 
 @dataclass(frozen=True)
@@ -294,8 +285,7 @@ class CrossedHomDeformation:
         terms = list(terms)
         if order is None:
             order = max(1, len(terms))
-        if order < 1:
-            raise ValidationError("deformation order must be >= 1")
+        check_order(order)
         t = crossed.triple
         while len(terms) < order:
             terms.append(LinearMap.zero(t.g.space, t.h.space))
@@ -312,20 +302,25 @@ def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
     if not 0 <= n <= d.order:
         raise ValidationError(f"order {n} outside 0..{d.order}")
     t = d.crossed.triple
-    g, h, rho = t.g, t.h, t.rho
+    g, h = t.g, t.h
     gs, hs = g.space, h.space
-    Dn = d.maps[n]
+    G, H, R, e = g.sparse, h.sparse, t.rho.sparse, units(gs.dim)
+    maps = [[sparse(col) for col in m.cols] for m in d.maps]
+    Dn = maps[n]
     coeffs = {}
     for gk in wedge_basis(gs, 2):
         x, y = gk
-        sgn = Fraction(1 if (gs.parity(x) * gs.parity(y)) % 2 else -1)
-        acc = vec_scale(Dn.apply(g.bracket_basis(x, y)), Fraction(-1))
-        acc = vec_add(acc, rho.operator(x).apply(Dn.cols[y]))
-        acc = vec_add(acc, vec_scale(rho.operator(y).apply(Dn.cols[x]), sgn))
-        for i in range(n + 1):
-            acc = vec_add(acc, h.bracket_eval(d.maps[i].cols[x], d.maps[n - i].cols[y]))
-        if not vec_is_zero(acc):
-            coeffs[(gk, ())] = acc
+        sgn = 1 if gs.parity(x) * gs.parity(y) else -1
+        # - D_n([x, y]) + rho(x) D_n(y) - (-1)^{|x||y|} rho(y) D_n(x)
+        # + sum_{i+j=n} [D_i(x), D_j(y)]
+        acc = lincomb(
+            (-1, combine(G[x][y], Dn)),
+            (1, bilinear(R, e[x], Dn[y])),
+            (sgn, bilinear(R, e[y], Dn[x])),
+            *((1, bilinear(H, maps[i][x], maps[n - i][y])) for i in range(n + 1)),
+        )
+        if acc:
+            coeffs[(gk, ())] = dense(acc, hs.dim)
     return BlockCochain(gs, hs, 2, 0, "h", coeffs)
 
 

@@ -16,9 +16,10 @@ needs.  Rationals are strings "p" or "p/q" everywhere.  Section shapes:
                          "D": [D entries]}]}
   "requested": [command names]                       (validated, informative)
 
-Structural problems raise ParseError (malformed JSON / wrong types) or
-ValidationError (unknown labels, duplicate entries, parity violations, zero
-denominators); both map to CLI exit code 2.
+Structural problems raise ParseError (unreadable or malformed JSON, wrong
+types) or ValidationError (unknown labels, duplicate entries, parity
+violations in brackets and actions, zero denominators); both map to CLI exit
+code 2.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .deformation import check_order
 from .errors import ParseError, ValidationError
 from .exact_linalg import format_scalar, parse_scalar
 from .graded import GradedSpace
@@ -153,7 +155,15 @@ def _parse_action(entries, g: SuperAlgebra, h: SuperAlgebra) -> ActionMap:
         if (i, j) in seen:
             raise ValidationError(f"action: duplicate entry for ({ent['g']},{ent['h']})")
         seen.add((i, j))
-        table[i][j] = _parse_value(ent["value"], h.space, "action")
+        vec = _parse_value(ent["value"], h.space, "action")
+        want = (g.space.parity(i) + h.space.parity(j)) % 2
+        for k, x in enumerate(vec):
+            if x != 0 and h.space.parity(k) != want:
+                raise ValidationError(
+                    f"action of {ent['g']} on {ent['h']} has a component on "
+                    f"{h.space.labels[k]} of the wrong parity"
+                )
+        table[i][j] = vec
     return ActionMap(g.space, h.space, table)
 
 
@@ -176,6 +186,7 @@ def _parse_deformation(obj) -> RawDeformation:
     _expect(isinstance(obj, dict), "deformation: must be an object")
     order = obj.get("order")
     _expect(isinstance(order, int) and order >= 1, "deformation: order must be an integer >= 1")
+    check_order(order)
     coeffs = obj.get("coefficients", [])
     _expect(isinstance(coeffs, list), "deformation: coefficients must be a list")
     raw = RawDeformation(order, {}, {}, {}, {})
@@ -199,6 +210,13 @@ def parse(path) -> ProblemFile:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (bad byte at offset {exc.start})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # int() refuses literals longer than the interpreter's digit limit
+        raise ParseError(f"{path}: a number literal exceeds the integer digit limit") from exc
     return parse_obj(data)
 
 

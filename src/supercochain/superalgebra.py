@@ -2,7 +2,9 @@
 
 A ``SuperAlgebra`` stores its bracket sparsely on pairs ``i <= j`` of basis
 positions; the ``i > j`` values are derived by super-skew-symmetry, so that
-half of the axiom surface is structural.  The constructor enforces only the
+half of the axiom surface is structural.  ``SuperAlgebra.sparse`` is the
+table over every ordered pair, built on first use; the checks and the
+bilinear evaluation read it.  The constructor enforces only the
 degree-0 pattern of the bracket; the axioms themselves are checked by
 ``check_super_skew`` and ``check_jacobi``, which report violations instead of
 raising (candidate tables are first-class inputs elsewhere).
@@ -21,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .graded import DirectSum, GradedSpace, direct_sum
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import bilinear, dense, lincomb, sparse, units, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class CheckReport:
 class SuperAlgebra:
     """Structure-constant table for a degree-0 bracket on a graded space."""
 
-    __slots__ = ("space", "sc")
+    __slots__ = ("space", "sc", "_sparse")
 
     def __init__(self, space: GradedSpace, sc):
         table = {}
@@ -78,6 +80,7 @@ class SuperAlgebra:
             table[(i, j)] = vec
         self.space = space
         self.sc = table
+        self._sparse = None
 
     @property
     def dim(self) -> int:
@@ -95,6 +98,16 @@ class SuperAlgebra:
         # [b_i,b_j] = -(-1)^{p_i p_j} [b_j,b_i]
         return vec_scale(base, Fraction(sign))
 
+    @property
+    def sparse(self):
+        """T[i][j] = {k: c} with [b_i, b_j] = sum c b_k, for every ordered pair."""
+        if self._sparse is None:
+            dim = self.space.dim
+            self._sparse = tuple(
+                tuple(sparse(self.bracket_basis(i, j)) for j in range(dim)) for i in range(dim)
+            )
+        return self._sparse
+
     def bracket_eval(self, x, y):
         """Bilinear extension of the table to coordinate vectors."""
         dim = self.space.dim
@@ -102,19 +115,7 @@ class SuperAlgebra:
         y = tuple(y)
         if len(x) != dim or len(y) != dim:
             raise DimensionMismatch("vector length != algebra dimension")
-        out = list(zero_vec(dim))
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                vec = self.bracket_basis(i, j)
-                c = xi * yj
-                for k, v in enumerate(vec):
-                    if v != 0:
-                        out[k] += c * v
-        return tuple(out)
+        return dense(bilinear(self.sparse, sparse(x), sparse(y)), dim)
 
     def as_cochain(self) -> Cochain:
         """The bracket as an arity-2 cochain on the underlying space."""
@@ -157,18 +158,19 @@ def check_jacobi(A: SuperAlgebra) -> CheckReport:
     """[a,[b,c]] = [[a,b],c] + (-1)^{|a||b|}[b,[a,c]] on all basis triples."""
     failures = []
     labels = A.space.labels
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(A.dim)) for i in range(A.dim)]
+    pars = A.space.parities
+    T, e = A.sparse, units(A.dim)
     for i in range(A.dim):
         for j in range(A.dim):
-            sign = Fraction(-1 if (A.space.parity(i) * A.space.parity(j)) % 2 else 1)
+            sign = -1 if pars[i] * pars[j] else 1
             for k in range(A.dim):
-                lhs = A.bracket_eval(basis[i], A.bracket_eval(basis[j], basis[k]))
-                rhs = vec_add(
-                    A.bracket_eval(A.bracket_eval(basis[i], basis[j]), basis[k]),
-                    vec_scale(A.bracket_eval(basis[j], A.bracket_eval(basis[i], basis[k])), sign),
-                )
+                lhs = bilinear(T, e[i], T[j][k])
+                rhs = lincomb((1, bilinear(T, T[i][j], e[k])), (sign, bilinear(T, e[j], T[i][k])))
                 if lhs != rhs:
-                    failures.append(Failure("jacobi", (labels[i], labels[j], labels[k]), lhs, rhs))
+                    failures.append(Failure(
+                        "jacobi", (labels[i], labels[j], labels[k]),
+                        dense(lhs, A.dim), dense(rhs, A.dim),
+                    ))
     return CheckReport("jacobi", tuple(failures))
 
 

@@ -17,19 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, block_unit, bracket_matrix, f_membership, hat_extend
-from .cochains import nr_bracket, project_block
+from .cochains import BlockCochain, Cochain, block_unit, bracket_matrix, bracket_with, f_membership
+from .cochains import hat_extend, project_block
 from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import bilinear, dense, lincomb, sparse, units, vec_is_zero, zero_vec
 
 
 class ActionMap:
     """Bilinear degree-0 table rho: value(i, j) = rho(g_i)(h_j) in h coordinates."""
 
-    __slots__ = ("g_space", "h_space", "table")
+    __slots__ = ("g_space", "h_space", "table", "_sparse")
 
     def __init__(self, g_space: GradedSpace, h_space: GradedSpace, table):
         rows = []
@@ -44,17 +44,19 @@ class ActionMap:
         self.g_space = g_space
         self.h_space = h_space
         self.table = tuple(rows)
+        self._sparse = None
 
     @classmethod
     def zero(cls, g_space: GradedSpace, h_space: GradedSpace) -> "ActionMap":
         z = zero_vec(h_space.dim)
         return cls(g_space, h_space, [[z] * h_space.dim for _ in range(g_space.dim)])
 
-    @classmethod
-    def from_operators(cls, g_space: GradedSpace, operators) -> "ActionMap":
-        """Build from one LinearMap on h per g basis vector."""
-        h_space = operators[0].source
-        return cls(g_space, h_space, [[op.cols[j] for j in range(h_space.dim)] for op in operators])
+    @property
+    def sparse(self):
+        """R[i][j] = {k: c} with rho(g_i) h_j = sum c h_k, built on first use."""
+        if self._sparse is None:
+            self._sparse = tuple(tuple(sparse(v) for v in row) for row in self.table)
+        return self._sparse
 
     def value(self, i: int, j: int):
         return self.table[i][j]
@@ -62,30 +64,9 @@ class ActionMap:
     def operator(self, i: int) -> LinearMap:
         return LinearMap(self.h_space, self.h_space, self.table[i])
 
-    def operator_of(self, xvec) -> LinearMap:
-        """rho(x) for an arbitrary coordinate vector x."""
-        cols = [list(zero_vec(self.h_space.dim)) for _ in range(self.h_space.dim)]
-        for i, c in enumerate(xvec):
-            if c == 0:
-                continue
-            for j in range(self.h_space.dim):
-                for k, v in enumerate(self.table[i][j]):
-                    if v != 0:
-                        cols[j][k] += c * v
-        return LinearMap(self.h_space, self.h_space, tuple(tuple(c) for c in cols))
-
     def apply(self, xvec, uvec):
-        out = list(zero_vec(self.h_space.dim))
-        for i, c in enumerate(xvec):
-            if c == 0:
-                continue
-            for j, d in enumerate(uvec):
-                if d == 0:
-                    continue
-                for k, v in enumerate(self.table[i][j]):
-                    if v != 0:
-                        out[k] += c * d * v
-        return tuple(out)
+        """rho(x) u for coordinate vectors x in g and u in h."""
+        return dense(bilinear(self.sparse, sparse(xvec), sparse(uvec)), self.h_space.dim)
 
     def as_block(self) -> BlockCochain:
         coeffs = {}
@@ -155,51 +136,43 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
         raise ShapeMismatch("action table does not match the algebra spaces")
     failures = []
     glab, hlab = g.space.labels, h.space.labels
+    gpar, hpar = g.space.parities, h.space.parities
+    G, H, R = g.sparse, h.sparse, rho.sparse
+    eg, eh = units(g.dim), units(h.dim)
     for i in range(g.dim):
-        pi = g.space.parity(i)
         for j in range(h.dim):
-            want = (pi + h.space.parity(j)) % 2
-            vec = rho.value(i, j)
-            for k, x in enumerate(vec):
-                if x != 0 and h.space.parity(k) != want:
+            want = (gpar[i] + hpar[j]) % 2
+            for k, x in R[i][j].items():
+                if hpar[k] != want:
                     failures.append(
                         Failure("action_degree", (glab[i], hlab[j], hlab[k]), (x,), (Fraction(0),))
                     )
-    hbasis = [
-        tuple(Fraction(1 if t == j else 0) for t in range(h.dim)) for j in range(h.dim)
-    ]
     for i in range(g.dim):
-        op = rho.operator(i)
-        sgn = Fraction(-1 if g.space.parity(i) else 1)
+        sgn = -1 if gpar[i] else 1
         for a in range(h.dim):
             for b in range(h.dim):
-                lhs = op.apply(h.bracket_basis(a, b))
-                first = h.bracket_eval(op.apply(hbasis[a]), hbasis[b])
-                second = h.bracket_eval(hbasis[a], op.apply(hbasis[b]))
-                if h.space.parity(a):
-                    second = vec_scale(second, sgn)
-                rhs = vec_add(first, second)
+                lhs = bilinear(R, eg[i], H[a][b])
+                rhs = lincomb(
+                    (1, bilinear(H, R[i][a], eh[b])),
+                    (sgn if hpar[a] else 1, bilinear(H, eh[a], R[i][b])),
+                )
                 if lhs != rhs:
-                    failures.append(Failure("action_derivation", (glab[i], hlab[a], hlab[b]), lhs, rhs))
+                    failures.append(Failure(
+                        "action_derivation", (glab[i], hlab[a], hlab[b]),
+                        dense(lhs, h.dim), dense(rhs, h.dim),
+                    ))
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs_op = rho.operator_of(g.bracket_basis(i, j))
-            # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x)
-            sign = Fraction(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
-            rhs_op = rho.operator(i).compose(rho.operator(j)).add(
-                rho.operator(j).compose(rho.operator(i)).scale(sign)
-            )
-            if lhs_op.cols != rhs_op.cols:
-                for j2 in range(h.dim):
-                    if lhs_op.cols[j2] != rhs_op.cols[j2]:
-                        failures.append(
-                            Failure(
-                                "action_morphism",
-                                (glab[i], glab[j], hlab[j2]),
-                                lhs_op.cols[j2],
-                                rhs_op.cols[j2],
-                            )
-                        )
+            # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x), column by column
+            sign = 1 if gpar[i] * gpar[j] else -1
+            for u in range(h.dim):
+                lhs = bilinear(R, G[i][j], eh[u])
+                rhs = lincomb((1, bilinear(R, eg[i], R[j][u])), (sign, bilinear(R, eg[j], R[i][u])))
+                if lhs != rhs:
+                    failures.append(Failure(
+                        "action_morphism", (glab[i], glab[j], hlab[u]),
+                        dense(lhs, h.dim), dense(rhs, h.dim),
+                    ))
     return CheckReport("action", tuple(failures))
 
 
@@ -257,18 +230,18 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     against the projections of [Pi, Pi]; a mismatch would be a bug in the
     bracket plumbing, not in the candidate data.
     """
-    from .cochains import circ
-
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("candidate data shapes do not match")
     pi_b, rho_b, mu_b = _blocks_of(g, h, rho)
     P, R, M = hat_extend(pi_b), hat_extend(rho_b), hat_extend(mu_b)
     ds = direct_sum(g.space, h.space)
-    comp_ggg = project_block(nr_bracket(P, P), ds, 3, 0, "g")
-    comp_ggh = project_block(circ(R, P).scale(2).add(nr_bracket(R, R)), ds, 2, 1, "h")
-    comp_ghh = project_block(nr_bracket(R, M).scale(2), ds, 1, 2, "h")
-    comp_hhh = project_block(nr_bracket(M, M), ds, 0, 3, "h")
-    full = nr_bracket(P.add(R).add(M), P.add(R).add(M))
+    comp_ggg = project_block(bracket_with(P, P), ds, 3, 0, "g")
+    # [R, P] = circ(R, P): circ(P, R) vanishes, as P reads only g and R lands in h
+    comp_ggh = project_block(bracket_with(R, P).scale(2).add(bracket_with(R, R)), ds, 2, 1, "h")
+    comp_ghh = project_block(bracket_with(R, M).scale(2), ds, 1, 2, "h")
+    comp_hhh = project_block(bracket_with(M, M), ds, 0, 3, "h")
+    Pi = P.add(R).add(M)
+    full = bracket_with(Pi, Pi)
     for (ga, ha, side), comp in (
         ((3, 0, "g"), comp_ggg),
         ((2, 1, "h"), comp_ggh),
@@ -386,7 +359,7 @@ def triple_cochain_from_sum(g_space, h_space, n, F: Cochain) -> TripleCochain:
 
 def coboundary_of(t: LieSupActTriple, c: TripleCochain) -> TripleCochain:
     """[Pi, c] pushed back into block coordinates of degree + 1."""
-    result = nr_bracket(mc_element(t), triple_cochain_to_sum(c))
+    result = bracket_with(mc_element(t), triple_cochain_to_sum(c))
     return triple_cochain_from_sum(t.g.space, t.h.space, c.degree + 1, result)
 
 

@@ -1,4 +1,10 @@
-"""Small shared helpers: coordinate-vector arithmetic."""
+"""Small shared helpers: coordinate-vector arithmetic, dense and sparse.
+
+A sparse vector is a dict {position: nonzero coefficient}; structure-constant
+tables store one per basis pair, so a check touches only the support of the
+constants.  ``dense`` turns a sparse result back into the coordinate tuple a
+report shows.
+"""
 
 from __future__ import annotations
 
@@ -25,5 +31,56 @@ def vec_scale(v, c):
     return tuple(c * x for x in v)
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def sparse(vec) -> dict:
+    """The nonzero entries of a coordinate vector, in position order."""
+    return {k: x for k, x in enumerate(vec) if x != 0}
+
+
+def dense(vec: dict, dim: int):
+    """Coordinate tuple of a sparse vector."""
+    out = [_ZERO] * dim
+    for k, x in vec.items():
+        out[k] = x
+    return tuple(out)
+
+
+def addmul(acc: dict, vec: dict, c):
+    """acc += c * vec in place; cancelled entries stay as zeros until ``nonzero``."""
+    for k, x in vec.items():
+        acc[k] = acc.get(k, _ZERO) + c * x
+
+
+def nonzero(acc: dict) -> dict:
+    """Drop cancelled entries, so that equal vectors compare equal."""
+    return {k: x for k, x in acc.items() if x != 0}
+
+
+def lincomb(*terms) -> dict:
+    """sum c * v over (c, v) terms of sparse vectors."""
+    acc = {}
+    for c, vec in terms:
+        addmul(acc, vec, c)
+    return nonzero(acc)
+
+
+def combine(coeffs: dict, columns) -> dict:
+    """sum_m coeffs[m] * columns[m]: a column-stored sparse map applied to a vector."""
+    return lincomb(*((c, columns[m]) for m, c in coeffs.items()))
+
+
+def bilinear(table, x: dict, y: dict) -> dict:
+    """sum_{a,b} x_a y_b table[a][b] for a table of sparse vectors on basis pairs."""
+    acc = {}
+    get = acc.get
+    for a, xa in x.items():
+        row = table[a]
+        for b, yb in y.items():
+            c = xa * yb
+            for k, v in row[b].items():
+                acc[k] = get(k, _ZERO) + c * v
+    return nonzero(acc)
+
+
+def units(n: int):
+    """The basis vectors e_0..e_{n-1} as sparse vectors."""
+    return [{i: 1} for i in range(n)]

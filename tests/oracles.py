@@ -11,13 +11,18 @@ The per-unit reference path (one ``nr_bracket`` per basis cochain, then the
 hat projection back to block coordinates) and the closed double-shuffle form
 of the crossed-homomorphism bracket live here too: they reuse the pipeline's
 cochains but none of its direct matrix assembly.
+
+So do the dense axiom checks and deformation residuals: every term is a
+dense coordinate vector pushed through ``LinearMap`` operators and a dense
+bilinear bracket read from ``bracket_basis``, with none of the sparse
+structure-constant tables the library checks read.
 """
 
 import itertools
 import math
 from fractions import Fraction as F
 
-from supercochain.cochains import BlockCochain
+from supercochain.cochains import BlockCochain, Cochain, nr_bracket
 from supercochain.exact_linalg import Matrix
 from supercochain.graded import direct_sum, koszul_sign, shuffles, wedge_basis
 from supercochain.triple import (
@@ -28,6 +33,8 @@ from supercochain.triple import (
     triple_units,
 )
 from supercochain.crossed import ChComplex, block_vector, ch_units
+from supercochain.deformation import TripleOrderResidual
+from supercochain.superalgebra import CheckReport, Failure, LinearMap
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 
@@ -409,3 +416,218 @@ def ch_bracket_closed(t, f1, f2):
                 cur = out.get((X, ()))
                 out[(X, ())] = vec_add(cur, acc) if cur is not None else acc
     return BlockCochain(gspace, h.space, m + n, 0, "h", out)
+
+
+# ---------------------------------------------------------------------------
+# dense axiom checks and deformation residuals
+
+
+def dense_bracket(A, x, y):
+    """[x, y] for coordinate vectors, summed over basis pairs via ``bracket_basis``."""
+    out = list(zero_vec(A.dim))
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            vec = A.bracket_basis(i, j)
+            c = xi * yj
+            for k, v in enumerate(vec):
+                if v != 0:
+                    out[k] += c * v
+    return tuple(out)
+
+
+def _basis(dim, i):
+    return tuple(F(1 if k == i else 0) for k in range(dim))
+
+
+def _operator_of(rho, xvec):
+    """rho(x) for an arbitrary coordinate vector x."""
+    h = rho.h_space
+    cols = [list(zero_vec(h.dim)) for _ in range(h.dim)]
+    for i, c in enumerate(xvec):
+        if c == 0:
+            continue
+        for j in range(h.dim):
+            for k, v in enumerate(rho.table[i][j]):
+                if v != 0:
+                    cols[j][k] += c * v
+    return LinearMap(h, h, tuple(tuple(c) for c in cols))
+
+
+def _bilinear(c: Cochain, xvec, yvec):
+    """Bilinear evaluation of an arity-2 cochain on coordinate vectors."""
+    out = list(zero_vec(c.target.dim))
+    for i, a in enumerate(xvec):
+        if a == 0:
+            continue
+        for j, b in enumerate(yvec):
+            if b == 0:
+                continue
+            val = c.eval((i, j))
+            coef = a * b
+            for k, v in enumerate(val):
+                if v != 0:
+                    out[k] += coef * v
+    return tuple(out)
+
+
+def check_jacobi(A):
+    """Dense reference for ``superalgebra.check_jacobi``."""
+    failures = []
+    labels = A.space.labels
+    basis = [_basis(A.dim, i) for i in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            sign = F(-1 if (A.space.parity(i) * A.space.parity(j)) % 2 else 1)
+            for k in range(A.dim):
+                lhs = dense_bracket(A, basis[i], dense_bracket(A, basis[j], basis[k]))
+                rhs = vec_add(
+                    dense_bracket(A, dense_bracket(A, basis[i], basis[j]), basis[k]),
+                    vec_scale(dense_bracket(A, basis[j], dense_bracket(A, basis[i], basis[k])), sign),
+                )
+                if lhs != rhs:
+                    failures.append(Failure("jacobi", (labels[i], labels[j], labels[k]), lhs, rhs))
+    return CheckReport("jacobi", tuple(failures))
+
+
+def check_action(g, h, rho):
+    """Dense reference for ``triple.check_action``."""
+    failures = []
+    glab, hlab = g.space.labels, h.space.labels
+    for i in range(g.dim):
+        pi = g.space.parity(i)
+        for j in range(h.dim):
+            want = (pi + h.space.parity(j)) % 2
+            vec = rho.value(i, j)
+            for k, x in enumerate(vec):
+                if x != 0 and h.space.parity(k) != want:
+                    failures.append(
+                        Failure("action_degree", (glab[i], hlab[j], hlab[k]), (x,), (F(0),))
+                    )
+    hbasis = [_basis(h.dim, j) for j in range(h.dim)]
+    for i in range(g.dim):
+        op = rho.operator(i)
+        sgn = F(-1 if g.space.parity(i) else 1)
+        for a in range(h.dim):
+            for b in range(h.dim):
+                lhs = op.apply(h.bracket_basis(a, b))
+                first = dense_bracket(h, op.apply(hbasis[a]), hbasis[b])
+                second = dense_bracket(h, hbasis[a], op.apply(hbasis[b]))
+                if h.space.parity(a):
+                    second = vec_scale(second, sgn)
+                rhs = vec_add(first, second)
+                if lhs != rhs:
+                    failures.append(Failure("action_derivation", (glab[i], hlab[a], hlab[b]), lhs, rhs))
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs_op = _operator_of(rho, g.bracket_basis(i, j))
+            # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x)
+            sign = F(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
+            rhs_op = rho.operator(i).compose(rho.operator(j)).add(
+                rho.operator(j).compose(rho.operator(i)).scale(sign)
+            )
+            for j2 in range(h.dim):
+                if lhs_op.cols[j2] != rhs_op.cols[j2]:
+                    failures.append(Failure(
+                        "action_morphism", (glab[i], glab[j], hlab[j2]),
+                        lhs_op.cols[j2], rhs_op.cols[j2],
+                    ))
+    return CheckReport("action", tuple(failures))
+
+
+def check_crossed(D):
+    """Dense reference for ``crossed.check_crossed``."""
+    t = D.triple
+    g, h, rho = t.g, t.h, t.rho
+    failures = []
+    labels = g.space.labels
+    for i in range(g.dim):
+        for j in range(g.dim):
+            lhs = D.linmap.apply(g.bracket_basis(i, j))
+            di, dj = D.linmap.cols[i], D.linmap.cols[j]
+            term1 = rho.operator(i).apply(dj)
+            term2 = rho.operator(j).apply(di)
+            sign = F(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
+            rhs = vec_add(vec_add(term1, vec_scale(term2, sign)), dense_bracket(h, di, dj))
+            if lhs != rhs:
+                failures.append(Failure("crossed", (labels[i], labels[j]), lhs, rhs))
+    return CheckReport("crossed", tuple(failures))
+
+
+def triple_deformation_residual(d, n):
+    """Dense reference for ``deformation.triple_deformation_residual``."""
+    t = d.triple
+    gs, hs = t.g.space, t.h.space
+    pairs = [(i, n - i) for i in range(n + 1)]
+
+    eq1 = Cochain.zero(gs, gs, 3)
+    eq2 = Cochain.zero(hs, hs, 3)
+    for i, j in pairs:
+        eq1 = eq1.add(nr_bracket(d.pis[i], d.pis[j]))
+        eq2 = eq2.add(nr_bracket(d.mus[i], d.mus[j]))
+    ggg = BlockCochain(gs, hs, 3, 0, "g", {(k, ()): v for k, v in eq1.coeffs.items()})
+    hhh = BlockCochain(gs, hs, 0, 3, "h", {((), k): v for k, v in eq2.coeffs.items()})
+
+    ggh_coeffs = {}
+    for gk in wedge_basis(gs, 2):
+        u, v = gk
+        swap_sign = F(-1 if (gs.parity(u) * gs.parity(v)) % 2 else 1)
+        for x in range(hs.dim):
+            xvec = _basis(hs.dim, x)
+            acc = zero_vec(hs.dim)
+            for i, j in pairs:
+                rho_i, rho_j = d.rhos[i], d.rhos[j]
+                lhs = _operator_of(rho_i, d.pis[j].eval((u, v))).apply(xvec)
+                r1 = rho_i.operator(u).apply(rho_j.operator(v).apply(xvec))
+                r2 = rho_i.operator(v).apply(rho_j.operator(u).apply(xvec))
+                acc = vec_add(acc, lhs)
+                acc = vec_add(acc, vec_scale(r1, F(-1)))
+                acc = vec_add(acc, vec_scale(r2, swap_sign))
+            if not vec_is_zero(acc):
+                ggh_coeffs[(gk, (x,))] = acc
+    ggh = BlockCochain(gs, hs, 2, 1, "h", ggh_coeffs)
+
+    ghh_coeffs = {}
+    for u in range(gs.dim):
+        pu = gs.parity(u)
+        for hk in wedge_basis(hs, 2):
+            x, y = hk
+            leib_sign = F(-1 if (pu * hs.parity(x)) % 2 else 1)
+            acc = zero_vec(hs.dim)
+            for i, j in pairs:
+                rho_i = d.rhos[i]
+                mu_i, mu_j = d.mus[i], d.mus[j]
+                lhs = rho_i.operator(u).apply(mu_j.eval((x, y)))
+                r1 = _bilinear(mu_i, d.rhos[j].operator(u).apply(_basis(hs.dim, x)), _basis(hs.dim, y))
+                r2 = _bilinear(mu_i, _basis(hs.dim, x), d.rhos[j].operator(u).apply(_basis(hs.dim, y)))
+                acc = vec_add(acc, lhs)
+                acc = vec_add(acc, vec_scale(r1, F(-1)))
+                acc = vec_add(acc, vec_scale(r2, -leib_sign))
+            if not vec_is_zero(acc):
+                ghh_coeffs[((u,), hk)] = acc
+    ghh = BlockCochain(gs, hs, 1, 2, "h", ghh_coeffs)
+
+    return TripleOrderResidual(n, ggg, ggh, ghh, hhh)
+
+
+def ch_deformation_residual(d, n):
+    """Dense reference for ``deformation.ch_deformation_residual``."""
+    t = d.crossed.triple
+    g, h, rho = t.g, t.h, t.rho
+    gs, hs = g.space, h.space
+    Dn = d.maps[n]
+    coeffs = {}
+    for gk in wedge_basis(gs, 2):
+        x, y = gk
+        sgn = F(1 if (gs.parity(x) * gs.parity(y)) % 2 else -1)
+        acc = vec_scale(Dn.apply(g.bracket_basis(x, y)), F(-1))
+        acc = vec_add(acc, rho.operator(x).apply(Dn.cols[y]))
+        acc = vec_add(acc, vec_scale(rho.operator(y).apply(Dn.cols[x]), sgn))
+        for i in range(n + 1):
+            acc = vec_add(acc, dense_bracket(h, d.maps[i].cols[x], d.maps[n - i].cols[y]))
+        if not vec_is_zero(acc):
+            coeffs[(gk, ())] = acc
+    return BlockCochain(gs, hs, 2, 0, "h", coeffs)

@@ -162,6 +162,71 @@ def test_missing_section_is_exit_2(capsys):
     assert code == 2
 
 
+def _exit_and_stderr(argv, capsys):
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def test_overlong_number_literal_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "long.json"
+    p.write_text('{"algebra": {"even_basis": ["x"], "odd_basis": [], "n": ' + "9" * 4301 + "}}")
+    code, err = _exit_and_stderr(["check-algebra", str(p)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000 + "]" * 200_000)
+    code, err = _exit_and_stderr(["check-algebra", str(p)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_utf8_file_is_exit_2(capsys, tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"algebra": {"even_basis": ["\xe9"], "odd_basis": []}}')
+    code, err = _exit_and_stderr(["check-algebra", str(p)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_action_value_of_wrong_parity_is_rejected(tmp_path):
+    doc = json.loads((FIXTURES / "aff11_adjoint.json").read_text())
+    # e is even, so e acting on e must stay even; f is odd
+    doc["action"].append({"g": "e", "h": "e", "value": [{"basis": "f", "coeff": "1"}]})
+    p = tmp_path / "bad_action.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError):
+        sio.parse(p)
+
+
+def test_deformation_order_beyond_limit_is_exit_2(capsys, tmp_path):
+    from supercochain.deformation import MAX_ORDER
+
+    doc = json.loads((FIXTURES / "solvable2.json").read_text())
+    doc["deformation"]["order"] = 10**9
+    p = tmp_path / "huge_order.json"
+    p.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(["deform", str(p)], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    flag = ["--order", str(MAX_ORDER + 1)]
+    code, err = _exit_and_stderr(["ch-deform", str(FIXTURES / "solvable2.json")] + flag, capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+
+
+def test_even_self_bracket_is_reported_not_internal(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "aff11_adjoint.json").read_text())
+    # [e, e] != 0 for the even e breaks super-skew-symmetry
+    doc["g"]["bracket"].append({"left": "e", "right": "e", "value": [{"basis": "e", "coeff": "1"}]})
+    p = tmp_path / "even_square.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_cli(["check-triple", str(p), "--format", "json"], capsys)
+    assert code == 1
+    verdicts = {v["name"]: v["ok"] for v in json.loads(out)["verdicts"]}
+    assert verdicts["g.super_skew"] is False
+
+
 def test_internal_error_maps_to_exit_3(capsys, monkeypatch):
     from supercochain.errors import InternalInvariantError
 

@@ -4,23 +4,26 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercochain.cochains import (
     BlockCochain,
     Cochain,
+    bracket_with,
     circ,
     f_membership,
     hat_extend,
     nr_bracket,
     project_block,
 )
-from supercochain.errors import SpaceMismatch
+from supercochain.errors import ShapeMismatch, SpaceMismatch
 from supercochain.graded import GradedSpace, direct_sum, wedge_basis
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, gl
 from supercochain.util import vec_is_zero, vec_scale, zero_vec
 
 import oracles
-from helpers import random_block, random_cochain
+from helpers import SMALL_SPACES, random_block, random_cochain, random_homogeneous_cochain
 
 V11 = GradedSpace(("e",), ("f",))
 V21 = GradedSpace(("e", "g"), ("f",))
@@ -308,3 +311,62 @@ def test_parity_parts_partition():
         assert p.parity() == par
         total = total.add(p)
     assert total == c
+
+
+# ---------------------------------------------------------------------------
+# bracket_with: the support-driven [P, U] for an even arity-2 P
+
+
+def _fixture_structure_elements():
+    from conftest import FIXTURES
+    from supercochain import io as sio
+    from supercochain.triple import LieSupActTriple, mc_element
+
+    out = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        pf = sio.parse(path)
+        if pf.action is not None:
+            out[path.stem] = mc_element(LieSupActTriple(pf.g, pf.h, pf.action))
+    return out
+
+
+STRUCTURE_ELEMENTS = _fixture_structure_elements()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_ELEMENTS))
+def test_bracket_with_zero_cochain(name):
+    P = STRUCTURE_ELEMENTS[name]
+    V = P.source
+    for arity in (1, 2, 3):
+        zero = Cochain.zero(V, V, arity)
+        assert bracket_with(P, zero) == nr_bracket(P, zero) == Cochain.zero(V, V, arity + 1)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_ELEMENTS))
+@settings(max_examples=12, deadline=None)
+@given(arity=st.integers(1, 3), keys=st.integers(1, 4), rng=st.randoms(use_true_random=False))
+def test_bracket_with_matches_nr_bracket_on_fixtures(name, arity, keys, rng):
+    P = STRUCTURE_ELEMENTS[name]
+    U = random_cochain(P.source, arity, rng, max_keys=keys)
+    assert bracket_with(P, U) == nr_bracket(P, U)
+
+
+def test_bracket_with_matches_nr_bracket_on_random_even_P():
+    rng = random.Random(5)
+    for _ in range(30):
+        V = rng.choice(SMALL_SPACES)
+        P = random_homogeneous_cochain(V, 2, 0, rng, max_keys=3)
+        U = random_cochain(V, rng.randint(1, 3), rng, max_keys=3)
+        assert bracket_with(P, U) == nr_bracket(P, U)
+
+
+def test_bracket_with_rejects_odd_or_wider_P():
+    rng = random.Random(6)
+    V = V21
+    odd = random_homogeneous_cochain(V, 2, 1, rng, max_keys=3)
+    assert odd.parity() == 1
+    U = random_cochain(V, 1, rng)
+    with pytest.raises(ShapeMismatch):
+        bracket_with(odd, U)
+    with pytest.raises(ShapeMismatch):
+        bracket_with(random_homogeneous_cochain(V, 3, 0, rng, max_keys=3), U)
