@@ -16,9 +16,12 @@ splits its operands into parity components and treats them separately;
 non-homogeneous cochains are just containers for such sums.
 
 ``BlockCochain`` and ``hat_extend`` tie a two-space world (g, h) to the single
-space g + h: a block map on wedge(g)^i x wedge(h)^j extends to the direct sum
-by summing over the block shuffles with Koszul signs, and ``project_block``
-recovers the block from the extension.
+space g + h.  ``block_key`` is the one signed map between the two: it sends a
+block pair (g key, h key) to its normal-form key on g + h with the Koszul
+sign of that sort.  ``hat_extend`` moves each stored block value to its key
+times the sign, and ``project_block`` splits each key of a cochain on g + h
+back into a block pair; neither sums shuffles.  ``Cochain`` and
+``BlockCochain`` share their linear operations and parity split.
 
 For an even arity-2 P, ``bracket_with`` computes [P, U] and ``bracket_matrix``
 the matrix of U -> [P, U] on unit bases.  Both expand the bracket unit by unit
@@ -53,73 +56,63 @@ def _require_normal_key(space, key, what):
         raise ValidationError(f"{what} key {key} is not in wedge normal form")
 
 
-class Cochain:
-    """n-linear super-antisymmetric map, coefficients on wedge normal forms."""
+class _CoefficientMap:
+    """Sparse table {key: value over ``target_space``}, shared by both cochain kinds.
 
-    __slots__ = ("source", "target", "arity", "coeffs", "_parts")
+    A subclass fixes its ``shape`` (the constructor's leading arguments),
+    ``key_parity``, ``target_space``, ``eval``, ``_check_key`` and the
+    ``_kind`` its error messages name; the linear operations and the parity
+    split live here once.  Values are cleaned to Fraction tuples of the
+    target length and zero values are dropped.
+    """
 
-    def __init__(self, source: GradedSpace, target: GradedSpace, arity: int, coeffs):
-        if arity < 1:
-            raise ArityMismatch("cochain arity must be >= 1")
+    __slots__ = ("coeffs", "_parts")
+
+    def _set_coeffs(self, coeffs):
         clean = {}
-        tdim = target.dim
+        tdim = self.target_space.dim
         for key, vec in coeffs.items():
             vec = tuple(Fraction(x) for x in vec)
             if len(vec) != tdim:
-                raise DimensionMismatch("coefficient vector has wrong length")
-            if len(key) != arity:
-                raise ArityMismatch("key arity mismatch")
-            _require_normal_key(source, key, "cochain")
+                raise DimensionMismatch(f"{self._kind} value has wrong length")
+            key = self._check_key(key)
             if not vec_is_zero(vec):
-                clean[tuple(key)] = vec
-        self.source = source
-        self.target = target
-        self.arity = arity
+                clean[key] = vec
         self.coeffs = clean
         self._parts = None
 
+    def _like(self, coeffs):
+        return type(self)(*self.shape, coeffs)
+
     @classmethod
-    def zero(cls, source: GradedSpace, target: GradedSpace, arity: int) -> "Cochain":
-        return cls(source, target, arity, {})
+    def zero(cls, *shape):
+        return cls(*shape, {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def eval(self, slots):
-        """Value at an arbitrary tuple of basis positions."""
-        if len(slots) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} slots, got {len(slots)}")
-        key, sign = normalize_tuple(self.source, slots)
-        if sign == 0:
-            return zero_vec(self.target.dim)
-        vec = self.coeffs.get(key)
+    def _value_at(self, key, sign):
+        """The stored value at ``key`` times ``sign`` (zero when absent or sign is 0)."""
+        vec = self.coeffs.get(key) if sign else None
         if vec is None:
-            return zero_vec(self.target.dim)
+            return zero_vec(self.target_space.dim)
         return vec if sign == 1 else vec_scale(vec, Fraction(sign))
-
-    def key_parity(self, key) -> int:
-        return sum(self.source.parities_of(key)) % 2
 
     def parity_parts(self):
         """[(component, parity)] with mixed coefficients split by map parity."""
         if self._parts is None:
+            tpars = self.target_space.parities
             split = {0: {}, 1: {}}
             for key, vec in self.coeffs.items():
                 kp = self.key_parity(key)
-                buckets = {0: [Fraction(0)] * self.target.dim, 1: [Fraction(0)] * self.target.dim}
+                buckets = {0: [_ZERO] * len(vec), 1: [_ZERO] * len(vec)}
                 for k, x in enumerate(vec):
                     if x != 0:
-                        buckets[(self.target.parity(k) + kp) % 2][k] = x
+                        buckets[(tpars[k] + kp) % 2][k] = x
                 for par, bucket in buckets.items():
                     if any(bucket):
                         split[par][key] = tuple(bucket)
-            parts = []
-            for par in (0, 1):
-                if split[par]:
-                    parts.append(
-                        (Cochain(self.source, self.target, self.arity, split[par]), par)
-                    )
-            self._parts = tuple(parts)
+            self._parts = tuple((self._like(split[par]), par) for par in (0, 1) if split[par])
         return self._parts
 
     def parity(self):
@@ -131,41 +124,59 @@ class Cochain:
             return parts[0][1]
         return None
 
-    def add(self, other: "Cochain") -> "Cochain":
-        self._require_same_shape(other)
+    def add(self, other):
+        if type(other) is not type(self) or other.shape != self.shape:
+            raise ShapeMismatch(f"{self._kind} shapes differ")
         coeffs = dict(self.coeffs)
         for key, vec in other.coeffs.items():
             cur = coeffs.get(key)
             coeffs[key] = vec_add(cur, vec) if cur is not None else vec
-        return Cochain(self.source, self.target, self.arity, coeffs)
+        return self._like(coeffs)
 
-    def scale(self, c) -> "Cochain":
+    def scale(self, c):
         c = Fraction(c)
-        if c == 0:
-            return Cochain.zero(self.source, self.target, self.arity)
-        return Cochain(
-            self.source,
-            self.target,
-            self.arity,
-            {k: vec_scale(v, c) for k, v in self.coeffs.items()},
-        )
-
-    def _require_same_shape(self, other: "Cochain"):
-        if (
-            self.source != other.source
-            or self.target != other.target
-            or self.arity != other.arity
-        ):
-            raise ShapeMismatch("cochain shapes differ")
+        return self._like({} if c == 0 else {k: vec_scale(v, c) for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.source == other.source
-            and self.target == other.target
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
+        return type(other) is type(self) and other.shape == self.shape and other.coeffs == self.coeffs
+
+
+class Cochain(_CoefficientMap):
+    """n-linear super-antisymmetric map, coefficients on wedge normal forms."""
+
+    __slots__ = ("source", "target", "arity")
+    _kind = "cochain"
+
+    def __init__(self, source: GradedSpace, target: GradedSpace, arity: int, coeffs):
+        if arity < 1:
+            raise ArityMismatch("cochain arity must be >= 1")
+        self.source = source
+        self.target = target
+        self.arity = arity
+        self._set_coeffs(coeffs)
+
+    @property
+    def shape(self):
+        return (self.source, self.target, self.arity)
+
+    @property
+    def target_space(self) -> GradedSpace:
+        return self.target
+
+    def _check_key(self, key):
+        if len(key) != self.arity:
+            raise ArityMismatch("key arity mismatch")
+        _require_normal_key(self.source, key, "cochain")
+        return tuple(key)
+
+    def key_parity(self, key) -> int:
+        return sum(self.source.parities_of(key)) % 2
+
+    def eval(self, slots):
+        """Value at an arbitrary tuple of basis positions."""
+        if len(slots) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} slots, got {len(slots)}")
+        return self._value_at(*normalize_tuple(self.source, slots))
 
     def __repr__(self):
         return f"Cochain(arity={self.arity}, keys={len(self.coeffs)})"
@@ -346,142 +357,65 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     return Matrix(len(rows), ncols, entries)
 
 
-def block_unit(ds: DirectSum, gk, hk, side: str, t: int):
-    """The block unit (gk, hk) -> e_t of side ``side`` as a (key, target, sign) unit on g + h."""
+def block_key(ds: DirectSum, gk, hk):
+    """(key on g + h, sign) of the block slots gk on g followed by hk on h.
+
+    The one map between block coordinates and the direct sum: a block value
+    at (gk, hk) is the value of its extension at ``key`` times ``sign``, the
+    Koszul sign of sorting the g entries and the h entries together.  Block
+    keys are normal forms on disjoint sides, so the sign is never 0 and the
+    map is injective.
+    """
     slots = tuple(ds.left_pos[i] for i in gk) + tuple(ds.right_pos[j] for j in hk)
-    key, sign = normalize_tuple(ds.space, slots)
-    return key, (ds.left_pos if side == "g" else ds.right_pos)[t], sign
+    return normalize_tuple(ds.space, slots)
 
 
-class BlockCochain:
+class BlockCochain(_CoefficientMap):
     """Map on wedge(g)^gn x wedge(h)^hn into g or into h.
 
     Super-antisymmetric separately in the g slots and in the h slots;
     coefficients are stored on pairs of normal-form keys.
     """
 
-    __slots__ = ("g_space", "h_space", "g_arity", "h_arity", "target_side", "coeffs")
+    __slots__ = ("g_space", "h_space", "g_arity", "h_arity", "target_side")
+    _kind = "block"
 
     def __init__(self, g_space, h_space, g_arity, h_arity, target_side, coeffs):
         if g_arity < 0 or h_arity < 0 or g_arity + h_arity < 1:
             raise ArityMismatch("block arities must be >= 0 and sum to >= 1")
         if target_side not in ("g", "h"):
             raise ShapeMismatch("target side must be 'g' or 'h'")
-        tdim = (g_space if target_side == "g" else h_space).dim
-        clean = {}
-        for (gk, hk), vec in coeffs.items():
-            if len(gk) != g_arity or len(hk) != h_arity:
-                raise ArityMismatch("block key arity mismatch")
-            vec = tuple(Fraction(x) for x in vec)
-            if len(vec) != tdim:
-                raise DimensionMismatch("block value has wrong length")
-            _require_normal_key(g_space, gk, "block g")
-            _require_normal_key(h_space, hk, "block h")
-            if not vec_is_zero(vec):
-                clean[(tuple(gk), tuple(hk))] = vec
         self.g_space = g_space
         self.h_space = h_space
         self.g_arity = g_arity
         self.h_arity = h_arity
         self.target_side = target_side
-        self.coeffs = clean
+        self._set_coeffs(coeffs)
+
+    @property
+    def shape(self):
+        return (self.g_space, self.h_space, self.g_arity, self.h_arity, self.target_side)
 
     @property
     def target_space(self) -> GradedSpace:
         return self.g_space if self.target_side == "g" else self.h_space
 
-    @classmethod
-    def zero(cls, g_space, h_space, g_arity, h_arity, target_side) -> "BlockCochain":
-        return cls(g_space, h_space, g_arity, h_arity, target_side, {})
+    def _check_key(self, key):
+        gk, hk = key
+        if len(gk) != self.g_arity or len(hk) != self.h_arity:
+            raise ArityMismatch("block key arity mismatch")
+        _require_normal_key(self.g_space, gk, "block g")
+        _require_normal_key(self.h_space, hk, "block h")
+        return (tuple(gk), tuple(hk))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def key_parity(self, key) -> int:
+        gk, hk = key
+        return (sum(self.g_space.parities_of(gk)) + sum(self.h_space.parities_of(hk))) % 2
 
     def eval(self, g_slots, h_slots):
         gk, gs = normalize_tuple(self.g_space, tuple(g_slots))
-        if gs == 0:
-            return zero_vec(self.target_space.dim)
         hk, hs = normalize_tuple(self.h_space, tuple(h_slots))
-        if hs == 0:
-            return zero_vec(self.target_space.dim)
-        vec = self.coeffs.get((gk, hk))
-        if vec is None:
-            return zero_vec(self.target_space.dim)
-        s = gs * hs
-        return vec if s == 1 else vec_scale(vec, Fraction(s))
-
-    def add(self, other: "BlockCochain") -> "BlockCochain":
-        if (
-            self.g_space != other.g_space
-            or self.h_space != other.h_space
-            or (self.g_arity, self.h_arity, self.target_side)
-            != (other.g_arity, other.h_arity, other.target_side)
-        ):
-            raise ShapeMismatch("block shapes differ")
-        coeffs = dict(self.coeffs)
-        for key, vec in other.coeffs.items():
-            cur = coeffs.get(key)
-            coeffs[key] = vec_add(cur, vec) if cur is not None else vec
-        return BlockCochain(
-            self.g_space, self.h_space, self.g_arity, self.h_arity, self.target_side, coeffs
-        )
-
-    def scale(self, c) -> "BlockCochain":
-        c = Fraction(c)
-        return BlockCochain(
-            self.g_space,
-            self.h_space,
-            self.g_arity,
-            self.h_arity,
-            self.target_side,
-            {} if c == 0 else {k: vec_scale(v, c) for k, v in self.coeffs.items()},
-        )
-
-    def unit_parity(self, gk, hk, t) -> int:
-        kp = sum(self.g_space.parities_of(gk)) + sum(self.h_space.parities_of(hk))
-        return (self.target_space.parity(t) + kp) % 2
-
-    def parity_parts(self):
-        split = {0: {}, 1: {}}
-        tdim = self.target_space.dim
-        for (gk, hk), vec in self.coeffs.items():
-            kp = sum(self.g_space.parities_of(gk)) + sum(self.h_space.parities_of(hk))
-            buckets = {0: [Fraction(0)] * tdim, 1: [Fraction(0)] * tdim}
-            for k, x in enumerate(vec):
-                if x != 0:
-                    buckets[(self.target_space.parity(k) + kp) % 2][k] = x
-            for par, bucket in buckets.items():
-                if any(bucket):
-                    split[par][(gk, hk)] = tuple(bucket)
-        return tuple(
-            (
-                BlockCochain(
-                    self.g_space, self.h_space, self.g_arity, self.h_arity,
-                    self.target_side, split[par],
-                ),
-                par,
-            )
-            for par in (0, 1)
-            if split[par]
-        )
-
-    def parity(self):
-        parts = self.parity_parts()
-        if not parts:
-            return 0
-        if len(parts) == 1:
-            return parts[0][1]
-        return None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockCochain)
-            and self.g_space == other.g_space
-            and self.h_space == other.h_space
-            and (self.g_arity, self.h_arity, self.target_side)
-            == (other.g_arity, other.h_arity, other.target_side)
-            and self.coeffs == other.coeffs
-        )
+        return self._value_at((gk, hk), gs * hs)
 
     def __repr__(self):
         return (
@@ -493,53 +427,42 @@ class BlockCochain:
 def hat_extend(block: BlockCochain) -> Cochain:
     """Extend a block map to the direct sum g + h.
 
-    On a basis tuple of the sum the value is zero unless the tuple carries
-    exactly (g_arity, h_arity) entries from the two sides; otherwise exactly
-    one block shuffle survives: the one pulling the g entries to the front in
-    order.  Its Koszul sign multiplies the block value.
+    The extension is zero on every key without exactly (g_arity, h_arity)
+    entries from the two sides.  At the ``block_key`` of a block pair it is
+    the block value times the key's sign, so that reading the g entries
+    first gives the block value back.
     """
     ds = direct_sum(block.g_space, block.h_space)
-    V = ds.space
-    N = block.g_arity + block.h_arity
-    pars = V.parities
     embed = ds.embed_left if block.target_side == "g" else ds.embed_right
     out = {}
-    for X in wedge_basis(V, N):
-        g_sub, h_sub, g_idx, h_idx = [], [], [], []
-        for idx, pos in enumerate(X):
-            side, local = ds.side_of[pos]
-            if side == "g":
-                g_sub.append(local)
-                g_idx.append(idx)
-            else:
-                h_sub.append(local)
-                h_idx.append(idx)
-        if len(g_sub) != block.g_arity:
-            continue
-        vec = block.coeffs.get((tuple(g_sub), tuple(h_sub)))
-        if vec is None:
-            continue
-        sigma = tuple(g_idx + h_idx)
-        sign = koszul_sign(sigma, tuple(pars[i] for i in X))
-        out[X] = embed(vec_scale(vec, Fraction(sign)))
-    return Cochain(V, V, N, out)
+    for (gk, hk), vec in block.coeffs.items():
+        key, sign = block_key(ds, gk, hk)
+        out[key] = embed(vec_scale(vec, sign))
+    return Cochain(ds.space, ds.space, block.g_arity + block.h_arity, out)
 
 
 def project_block(F: Cochain, ds: DirectSum, g_arity: int, h_arity: int, target_side: str) -> BlockCochain:
-    """Read one (g_arity, h_arity) block back out of a cochain on g + h."""
+    """Read one (g_arity, h_arity) block back out of a cochain on g + h.
+
+    Each key of F splits by side into a block pair (gk, hk); a key with
+    g_arity g entries contributes its target-side part times the
+    ``block_key`` sign.
+    """
     if F.source != ds.space or F.target != ds.space:
         raise SpaceMismatch("cochain does not live on the given direct sum")
     if g_arity + h_arity != F.arity:
         raise ArityMismatch("block arities do not sum to the cochain arity")
+    part = 0 if target_side == "g" else 1
     coeffs = {}
-    for gk in wedge_basis(ds.left, g_arity):
-        g_slots = tuple(ds.left_pos[i] for i in gk)
-        for hk in wedge_basis(ds.right, h_arity):
-            slots = g_slots + tuple(ds.right_pos[j] for j in hk)
-            value = F.eval(slots)
-            part = ds.split(value)[0 if target_side == "g" else 1]
-            if not vec_is_zero(part):
-                coeffs[(gk, hk)] = part
+    for key, vec in F.coeffs.items():
+        sides = [ds.side_of[pos] for pos in key]
+        gk = tuple(i for side, i in sides if side == "g")
+        if len(gk) != g_arity:
+            continue
+        value = ds.split(vec)[part]
+        if not vec_is_zero(value):
+            hk = tuple(j for side, j in sides if side == "h")
+            coeffs[(gk, hk)] = vec_scale(value, block_key(ds, gk, hk)[1])
     return BlockCochain(ds.left, ds.right, g_arity, h_arity, target_side, coeffs)
 
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
-from .cochains import BlockCochain, block_unit, bracket_matrix, bracket_with, hat_extend
-from .cochains import nr_bracket, project_block
+from .cochains import BlockCochain, bracket_matrix, bracket_with, hat_extend, nr_bracket
+from .cochains import project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, rank
-from .graded import direct_sum, wedge_basis
+from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
-from .triple import LieSupActTriple, mu_block, pi_block
+from .triple import LieSupActTriple, block_units, mu_block, pi_block, sum_units
 from .util import bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
 
 
@@ -164,16 +165,14 @@ def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     return cc.coboundary(block).add(cc.bracket(block, block).scale(Fraction(1, 2)))
 
 
+def ch_blocks(n: int):
+    """The one block signature of Hom(wedge^n g, h)."""
+    return [(n, 0, "h")]
+
+
 def ch_units(g_space, h_space, n: int, parity=None):
     """Coordinate basis of Hom(wedge^n g, h): (g key, target, map parity)."""
-    units = []
-    for gk in wedge_basis(g_space, n):
-        kp = sum(g_space.parities_of(gk))
-        for t in range(h_space.dim):
-            up = (kp + h_space.parity(t)) % 2
-            if parity is None or up == parity % 2:
-                units.append((gk, t, up))
-    return units
+    return [(gk, t, up) for _, gk, _, t, up in block_units(g_space, h_space, ch_blocks(n), parity)]
 
 
 def block_vector(block: BlockCochain, units):
@@ -213,14 +212,10 @@ def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
     """
     D = _require_verified(D)
     t = D.triple
-    gs, hs = t.g.space, t.h.space
     cc = ChComplex(t)
     P = cc.pr_hat.add(bracket_with(cc.mu_hat, hat_extend(D.as_block())))
-
-    def units(m):
-        return [block_unit(cc.ds, gk, (), "h", k) for gk, k, _ in ch_units(gs, hs, m, parity)]
-
-    return bracket_matrix(P, units(n), units(n + 1))
+    units = partial(sum_units, t.g.space, t.h.space, parity=parity)
+    return bracket_matrix(P, units(ch_blocks(n)), units(ch_blocks(n + 1)))
 
 
 def ch_cohomology_table(D: CrossedHom, degrees, parities=(0, 1)):

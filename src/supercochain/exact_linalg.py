@@ -9,19 +9,27 @@ cohomology pipeline produces.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, InternalInvariantError, ValidationError
 
-Scalar = Fraction
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` into an exact rational; reject q = 0."""
+    """Parse ``"p"`` or ``"p/q"`` into an exact rational; reject q = 0.
+
+    Each part is ASCII ``[+-]?[0-9]+``: no spaces, underscores or non-ASCII
+    digits, all of which ``int`` would accept.
+    """
     if not isinstance(text, str):
         raise ValidationError(f"scalar must be a string, got {text!r}")
     parts = text.split("/")
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise ValidationError(f"bad scalar literal {text!r}")
     try:
         if len(parts) == 1:
             return Fraction(int(parts[0]))
@@ -99,9 +107,6 @@ class Matrix:
     def row(self, r: int):
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
-    def column(self, c: int):
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -148,9 +153,6 @@ class Matrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

@@ -81,9 +81,6 @@ class GradedSpace:
         p = len(self.even_basis)
         return tuple(0 if s < p else 1 for s in slots)
 
-    def to_dict(self):
-        return {"even_basis": list(self.even_basis), "odd_basis": list(self.odd_basis)}
-
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
@@ -101,12 +98,6 @@ def invert(sigma: Perm) -> Perm:
     for i, v in enumerate(sigma):
         inv[v] = i
     return tuple(inv)
-
-
-def act(sigma: Perm, values):
-    """sigma . X, the tuple with X[i] moved to slot sigma[i]."""
-    inv = invert(sigma)
-    return tuple(values[inv[i]] for i in range(len(sigma)))
 
 
 def inverse_act(sigma: Perm, values):

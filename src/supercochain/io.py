@@ -182,10 +182,15 @@ def _parse_crossed(entries, g: SuperAlgebra, h: SuperAlgebra) -> LinearMap:
     return LinearMap(g.space, h.space, tuple(cols))
 
 
+def _is_order(value) -> bool:
+    """An integer >= 1; JSON true/false are bools, which ``int`` would admit."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_deformation(obj) -> RawDeformation:
     _expect(isinstance(obj, dict), "deformation: must be an object")
     order = obj.get("order")
-    _expect(isinstance(order, int) and order >= 1, "deformation: order must be an integer >= 1")
+    _expect(_is_order(order), "deformation: order must be an integer >= 1")
     check_order(order)
     coeffs = obj.get("coefficients", [])
     _expect(isinstance(coeffs, list), "deformation: coefficients must be a list")
@@ -193,7 +198,7 @@ def _parse_deformation(obj) -> RawDeformation:
     for item in coeffs:
         _expect(isinstance(item, dict), "deformation: coefficient blocks must be objects")
         k = item.get("order")
-        _expect(isinstance(k, int) and k >= 1, "deformation: coefficient order must be an integer >= 1")
+        _expect(_is_order(k), "deformation: coefficient order must be an integer >= 1")
         if k in raw.pi or k in raw.rho or k in raw.mu or k in raw.d:
             raise ValidationError(f"deformation: duplicate coefficient block for order {k}")
         for key, store in (("pi", raw.pi), ("rho", raw.rho), ("mu", raw.mu), ("D", raw.d)):

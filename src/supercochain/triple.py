@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .cochains import BlockCochain, Cochain, block_unit, bracket_matrix, bracket_with, f_membership
-from .cochains import hat_extend, project_block
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, bracket_with, hat_extend
+from .cochains import project_block
 from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
@@ -178,20 +179,13 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
 
 def pi_block(g: SuperAlgebra, h_space: GradedSpace) -> BlockCochain:
     """The g bracket as a (2,0) block targeting g."""
-    coeffs = {}
-    for key in wedge_basis(g.space, 2):
-        v = g.bracket_basis(key[0], key[1])
-        if not vec_is_zero(v):
-            coeffs[(key, ())] = v
+    coeffs = {(key, ()): v for key, v in g.as_cochain().coeffs.items()}
     return BlockCochain(g.space, h_space, 2, 0, "g", coeffs)
 
 
 def mu_block(g_space: GradedSpace, h: SuperAlgebra) -> BlockCochain:
-    coeffs = {}
-    for key in wedge_basis(h.space, 2):
-        v = h.bracket_basis(key[0], key[1])
-        if not vec_is_zero(v):
-            coeffs[((), key)] = v
+    """The h bracket as a (0,2) block targeting h."""
+    coeffs = {((), key): v for key, v in h.as_cochain().coeffs.items()}
     return BlockCochain(g_space, h.space, 0, 2, "h", coeffs)
 
 
@@ -292,14 +286,15 @@ class TripleCochain:
         return all(b.is_zero() for b in self.blocks)
 
 
-def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None):
-    """Deterministic coordinate basis of C^n: (block index, g key, h key, target).
+def block_units(g_space, h_space, sigs, parity=None):
+    """Coordinate basis of a sum of blocks: (block index, g key, h key, target, map parity).
 
-    Order: blocks as in ``triple_blocks``, then g key lexicographic, h key
-    lexicographic, target position; optionally filtered to one map parity.
+    ``sigs`` lists block signatures (g_arity, h_arity, target side).  Order:
+    blocks as listed, then g key lexicographic, h key lexicographic, target
+    position; optionally filtered to one map parity.
     """
     units = []
-    for b, (ga, ha, side) in enumerate(triple_blocks(n)):
+    for b, (ga, ha, side) in enumerate(sigs):
         tspace = g_space if side == "g" else h_space
         for gk in wedge_basis(g_space, ga):
             gp = sum(g_space.parities_of(gk))
@@ -310,6 +305,21 @@ def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None
                     if parity is None or up == parity % 2:
                         units.append((b, gk, hk, t, up))
     return units
+
+
+def sum_units(g_space, h_space, sigs, parity=None):
+    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them."""
+    ds = direct_sum(g_space, h_space)
+    out = []
+    for b, gk, hk, t, _ in block_units(g_space, h_space, sigs, parity):
+        key, sign = block_key(ds, gk, hk)
+        out.append((key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign))
+    return out
+
+
+def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None):
+    """Coordinate basis of C^n: ``block_units`` over ``triple_blocks(n)``."""
+    return block_units(g_space, h_space, triple_blocks(n), parity)
 
 
 def triple_cochain_dim(g_space, h_space, n: int, parity=None) -> int:
@@ -363,15 +373,6 @@ def coboundary_of(t: LieSupActTriple, c: TripleCochain) -> TripleCochain:
     return triple_cochain_from_sum(t.g.space, t.h.space, c.degree + 1, result)
 
 
-def _sum_units(g_space, h_space, n: int, parity):
-    ds = direct_sum(g_space, h_space)
-    sigs = triple_blocks(n)
-    return [
-        block_unit(ds, gk, hk, sigs[b][2], t)
-        for b, gk, hk, t, _ in triple_units(g_space, h_space, n, parity)
-    ]
-
-
 def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
     """Matrix of the degree-n differential [Pi, .] on the deterministic unit basis.
 
@@ -380,9 +381,8 @@ def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
     appear; the matrix is block diagonal across them because the structure
     element is even.
     """
-    gs, hs = t.g.space, t.h.space
-    cols, rows = _sum_units(gs, hs, n, parity), _sum_units(gs, hs, n + 1, parity)
-    return bracket_matrix(mc_element(t), cols, rows)
+    units = partial(sum_units, t.g.space, t.h.space, parity=parity)
+    return bracket_matrix(mc_element(t), units(triple_blocks(n)), units(triple_blocks(n + 1)))
 
 
 def triple_cohomology_table(t: LieSupActTriple, degrees, parities=(0, 1)):
@@ -395,7 +395,3 @@ def triple_cohomology(t: LieSupActTriple, n: int):
     row = triple_cohomology_table(t, range(n, n + 1))[n]
     return row[0], row[1]
 
-
-def f_membership_of_triple_cochain(c: TripleCochain) -> bool:
-    ds = direct_sum(c.g_space, c.h_space)
-    return f_membership(triple_cochain_to_sum(c), ds)

@@ -10,7 +10,8 @@ matrices go through the exact rank/kernel engine.
 The per-unit reference path (one ``nr_bracket`` per basis cochain, then the
 hat projection back to block coordinates) and the closed double-shuffle form
 of the crossed-homomorphism bracket live here too: they reuse the pipeline's
-cochains but none of its direct matrix assembly.
+cochains but none of its direct matrix assembly.  So do the shuffle-sum hat
+extension and the whole-basis block projection, which read no ``block_key``.
 
 So do the dense axiom checks and deformation residuals: every term is a
 dense coordinate vector pushed through ``LinearMap`` operators and a dense
@@ -36,6 +37,53 @@ from supercochain.crossed import ChComplex, block_vector, ch_units
 from supercochain.deformation import TripleOrderResidual
 from supercochain.superalgebra import CheckReport, Failure, LinearMap
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
+
+
+def hat_extend_reference(block):
+    """Extension of a block map to g + h, one Koszul-signed block shuffle per key.
+
+    Walks every normal-form key of wedge^N(g + h); a key with exactly
+    g_arity g entries takes the block value times the Koszul sign of the
+    shuffle pulling its g entries to the front in order.
+    """
+    ds = direct_sum(block.g_space, block.h_space)
+    V = ds.space
+    N = block.g_arity + block.h_arity
+    pars = V.parities
+    embed = ds.embed_left if block.target_side == "g" else ds.embed_right
+    out = {}
+    for X in wedge_basis(V, N):
+        g_sub, h_sub, g_idx, h_idx = [], [], [], []
+        for idx, pos in enumerate(X):
+            side, local = ds.side_of[pos]
+            if side == "g":
+                g_sub.append(local)
+                g_idx.append(idx)
+            else:
+                h_sub.append(local)
+                h_idx.append(idx)
+        if len(g_sub) != block.g_arity:
+            continue
+        vec = block.coeffs.get((tuple(g_sub), tuple(h_sub)))
+        if vec is None:
+            continue
+        sigma = tuple(g_idx + h_idx)
+        sign = koszul_sign(sigma, tuple(pars[i] for i in X))
+        out[X] = embed(vec_scale(vec, F(sign)))
+    return Cochain(V, V, N, out)
+
+
+def project_block_reference(Fc, ds, g_arity, h_arity, target_side):
+    """One block of a cochain on g + h, by evaluating it on every block key pair."""
+    coeffs = {}
+    for gk in wedge_basis(ds.left, g_arity):
+        g_slots = tuple(ds.left_pos[i] for i in gk)
+        for hk in wedge_basis(ds.right, h_arity):
+            slots = g_slots + tuple(ds.right_pos[j] for j in hk)
+            part = ds.split(Fc.eval(slots))[0 if target_side == "g" else 1]
+            if not vec_is_zero(part):
+                coeffs[(gk, hk)] = part
+    return BlockCochain(ds.left, ds.right, g_arity, h_arity, target_side, coeffs)
 
 
 def all_perms(n):

@@ -215,6 +215,36 @@ def test_deformation_order_beyond_limit_is_exit_2(capsys, tmp_path):
     assert code == 2 and len(err.splitlines()) == 1
 
 
+def _deformation_with(tmp_path, edit):
+    doc = json.loads((FIXTURES / "solvable2.json").read_text())
+    edit(doc["deformation"])
+    p = tmp_path / "edited.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def test_boolean_deformation_order_is_exit_2(capsys, tmp_path):
+    p = _deformation_with(tmp_path, lambda d: d.update(order=True))
+    code, err = _exit_and_stderr(["deform", str(p), "--format", "json"], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+
+
+def test_boolean_coefficient_order_is_exit_2(capsys, tmp_path):
+    p = _deformation_with(tmp_path, lambda d: d["coefficients"][0].update(order=True))
+    code, err = _exit_and_stderr(["deform", str(p), "--format", "json"], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("coeff", ["1_0", " 1 ", "\u0661"])
+def test_non_ascii_integer_coefficient_is_exit_2(capsys, tmp_path, coeff):
+    doc = json.loads((FIXTURES / "gl11.json").read_text())
+    doc["algebra"]["bracket"][0]["value"][0]["coeff"] = coeff
+    p = tmp_path / "literal.json"
+    p.write_text(json.dumps(doc))
+    code, err = _exit_and_stderr(["check-algebra", str(p)], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+
+
 def test_even_self_bracket_is_reported_not_internal(capsys, tmp_path):
     doc = json.loads((FIXTURES / "aff11_adjoint.json").read_text())
     # [e, e] != 0 for the even e breaks super-skew-symmetry

@@ -304,13 +304,106 @@ def test_f_closure_under_bracket():
 
 def test_parity_parts_partition():
     rng = random.Random(12)
-    c = random_cochain(V21, 2, rng, max_keys=4, bound=3)
-    parts = c.parity_parts()
-    total = Cochain.zero(V21, V21, 2)
-    for p, par in parts:
-        assert p.parity() == par
-        total = total.add(p)
-    assert total == c
+    cochain = random_cochain(V21, 2, rng, max_keys=4, bound=3)
+    block = random_block(V21, V11, 1, 2, "h", rng, max_keys=6, bound=3)
+    for c in (cochain, block):
+        parts = c.parity_parts()
+        total = type(c).zero(*c.shape)
+        for p, par in parts:
+            assert p.parity() == par
+            total = total.add(p)
+        assert total == c
+    assert block.parity() is None  # both parities occur in this draw
+
+
+def test_cochain_and_block_never_equal_or_add():
+    hsp = GradedSpace(("u",), ("v",))
+    vec = (F(1), F(-2))
+    c = Cochain(V11, V11, 1, {(0,): vec})
+    b = BlockCochain(V11, hsp, 1, 0, "g", {((0,), ()): vec})
+    assert c != b and b != c
+    assert Cochain.zero(V11, V11, 1) != BlockCochain.zero(V11, hsp, 1, 0, "g")
+    others = (
+        b,
+        Cochain.zero(V11, V11, 2),
+        Cochain.zero(V11, V21, 1),
+    )
+    for other in others:
+        with pytest.raises(ShapeMismatch):
+            c.add(other)
+    for other in (
+        c,
+        BlockCochain.zero(V11, hsp, 1, 0, "h"),
+        BlockCochain.zero(V11, hsp, 0, 1, "g"),
+        BlockCochain.zero(V11, V11, 1, 0, "g"),
+    ):
+        with pytest.raises(ShapeMismatch):
+            b.add(other)
+
+
+# ---------------------------------------------------------------------------
+# hat_extend and project_block against the shuffle-sum / whole-basis references
+
+
+def _fixture_space_pairs():
+    from conftest import FIXTURES
+    from supercochain import io as sio
+
+    names = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        pf = sio.parse(path)
+        if pf.g is not None and pf.h is not None:
+            names.setdefault((pf.g.space, pf.h.space), path.stem)
+    return {name: pair for pair, name in names.items()}
+
+
+SPACE_PAIRS = _fixture_space_pairs()
+BLOCK_SIGNATURES = [
+    (ga, ha, side) for ga in range(4) for ha in range(4 - ga) if ga + ha >= 1 for side in ("g", "h")
+]
+
+
+def _repeats_odd(space, key):
+    return any(a == b and space.parity(a) for a, b in zip(key, key[1:]))
+
+
+def _block_with_repeated_odd(gsp, hsp, sig, rng, max_keys):
+    """A random block plus, where the signature has one, a key repeating an odd slot."""
+    ga, ha, side = sig
+    blk = random_block(gsp, hsp, ga, ha, side, rng, max_keys=max_keys, bound=3)
+    repeated = [
+        (gk, hk)
+        for gk in wedge_basis(gsp, ga)
+        for hk in wedge_basis(hsp, ha)
+        if _repeats_odd(gsp, gk) or _repeats_odd(hsp, hk)
+    ]
+    if not repeated:
+        return blk
+    vec = tuple(F(rng.randint(1, 3)) for _ in range(blk.target_space.dim))
+    return blk.add(BlockCochain(gsp, hsp, ga, ha, side, {rng.choice(repeated): vec}))
+
+
+@pytest.mark.parametrize("name", sorted(SPACE_PAIRS))
+@settings(max_examples=25, deadline=None)
+@given(keys=st.integers(0, 4), rng=st.randoms(use_true_random=False))
+def test_block_maps_match_references(name, keys, rng):
+    gsp, hsp = SPACE_PAIRS[name]
+    ds = direct_sum(gsp, hsp)
+    totals = {}
+    for sig in BLOCK_SIGNATURES:
+        blk = _block_with_repeated_odd(gsp, hsp, sig, rng, keys)
+        ext = hat_extend(blk)
+        assert ext == oracles.hat_extend_reference(blk)
+        assert project_block(ext, ds, *sig) == blk
+        n = sig[0] + sig[1]
+        totals[n] = totals[n].add(ext) if n in totals else ext
+    for n, total in totals.items():
+        # noise off the block image: g targets on mixed keys, h targets on g keys
+        Fc = total.add(random_cochain(ds.space, n, rng, max_keys=keys, bound=3))
+        for ga, ha, side in BLOCK_SIGNATURES:
+            if ga + ha == n:
+                want = oracles.project_block_reference(Fc, ds, ga, ha, side)
+                assert project_block(Fc, ds, ga, ha, side) == want
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,10 @@ def test_parse_scalar():
         parse_scalar("x")
     with pytest.raises(ValidationError):
         parse_scalar("1/2/3")
+    # int() reads these; the "p"/"p/q" grammar takes ASCII [+-]?[0-9]+ only
+    for text in ("1_0", " 1 ", "1 ", "\u0661", "1/\u0662", "1/ 2", "+-1", ""):
+        with pytest.raises(ValidationError):
+            parse_scalar(text)
 
 
 def test_format_scalar_round_trip():
