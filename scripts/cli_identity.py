@@ -8,10 +8,11 @@ set below through both source trees, one job at a time, and reports every
 job whose JSON stdout, stderr or exit code differs.  Exits 1 if any job
 differs, 0 otherwise.  Standard library only.
 
-Each job runs under a time limit and an address-space limit, so that an
-input too large for the dense rank (such as the gl(2|1) adjoint triple at
-``--max-n 3``, which grows past 5 GB) ends that job instead of the machine's
-memory.  Such a job compares its exit code and stderr like any other.
+Each job runs under a time limit and an address-space limit, so that a job
+too large for one of the trees (a revision with the dense rank grows past
+5 GB on the gl(2|1) adjoint triple at ``--max-n 3``) ends that job instead of
+the machine's memory.  Such a job compares its exit code and stderr like any
+other.
 """
 
 from __future__ import annotations

@@ -340,21 +340,22 @@ def bracket_with(P: Cochain, U: Cochain) -> Cochain:
 def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     """Matrix of U -> [P, U] for an even arity-2 cochain P on V.
 
-    ``cols`` and ``rows`` list units (key, target, sign): the cochain with
-    value sign * e_target at the normal-form key, read back through the same
-    sign.  Each column is the ``_unit_image`` of its unit.
+    ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
+    cochain with value sign * e_target at the normal-form key, read back
+    through the same sign.  Each column is the ``_unit_image`` of its unit.
     """
     V = P.source
     support = _bracket_support(P)
-    row_of = {(key, tgt): (r, sign) for r, (key, tgt, sign) in enumerate(rows)}
-    ncols = len(cols)
-    entries = [_ZERO] * (len(rows) * ncols)
+    data = [{} for _ in rows]
+    row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
     for j, (K, T, s) in enumerate(cols):
         for X, tgt, c in _unit_image(V, support, K, T):
             hit = row_of.get((X, tgt))
             if hit is not None:
-                entries[hit[0] * ncols + j] += hit[1] * s * c
-    return Matrix(len(rows), ncols, entries)
+                row, sign = hit
+                v = c if sign == s else -c
+                row[j] = row[j] + v if j in row else v
+    return Matrix(len(rows), len(cols), data)
 
 
 def block_key(ds: DirectSum, gk, hk):

@@ -1,22 +1,29 @@
-"""Exact rational linear algebra: dense matrices, rank, kernels.
+"""Exact rational linear algebra: sparse matrices, rank, kernels.
 
-All arithmetic is over ``fractions.Fraction`` (always lowest terms, positive
-denominator, never rounded).  Elimination is fraction-free: rows are scaled
-to integers and reduced Bareiss-style so intermediate entries stay integral,
-which keeps coefficient growth under control on the desk-scale matrices the
-cohomology pipeline produces.
+A ``Matrix`` stores, per row, a dict from column to nonzero ``Fraction``; the
+differentials of the cohomology pipeline are only a few percent dense.  All
+arithmetic is over ``fractions.Fraction`` and ``int``, never rounded, with no
+modular or randomized shortcut.  Elimination is fraction-free, as in
+Bareiss (1968), but on sparse rows: rows are scaled to coprime integers and
+each update is ``a * row - b * pivot_row`` divided by the new row's content
+gcd (not by the previous pivot), so entries stay integral and small, and every
+division is exact.  ``rank`` picks Markowitz pivots
+(sparsest column, then its shortest row); ``kernel_basis`` eliminates left to
+right so that its basis is the canonical one of the pivot columns.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import CompositionNonzero, DimensionMismatch, InternalInvariantError, ValidationError
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_ZERO = Fraction(0)
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -51,82 +58,109 @@ def format_scalar(value: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix of exact rationals, row-major storage."""
+    """Immutable sparse matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``data[r]`` maps each column of row r that holds a nonzero entry to that
+    entry, a ``Fraction``; no zero is stored, so equal matrices have equal
+    ``data``.  ``data`` exposes the stored dicts themselves: treat them as
+    read-only.
+    """
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(Fraction(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"need {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data):
+        """``data`` holds one ``{column: value}`` mapping per row; zero values are dropped."""
+        data = tuple(data)
+        if len(data) != rows:
+            raise DimensionMismatch(f"need {rows} rows for a {rows}x{cols} matrix, got {len(data)}")
+        clean = []
+        for row in data:
+            out = {}
+            for c, v in row.items():
+                if not 0 <= c < cols:
+                    raise DimensionMismatch(f"column {c} outside a {rows}x{cols} matrix")
+                if v:
+                    out[c] = v if type(v) is Fraction else Fraction(v)
+            clean.append(out)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "data", tuple(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls(rows, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        ent = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return cls(n, n, ent)
+        return cls(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows_data) -> "Matrix":
-        rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if nrows else 0
-        flat = []
-        for r in rows_data:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
+        rows_data = [tuple(r) for r in rows_data]
+        ncols = len(rows_data[0]) if rows_data else 0
+        if any(len(r) != ncols for r in rows_data):
+            raise DimensionMismatch("ragged rows")
+        return cls(len(rows_data), ncols, [{c: v for c, v in enumerate(r) if v} for r in rows_data])
 
     @classmethod
     def from_cols(cls, cols_data, rows: int) -> "Matrix":
         cols_data = [tuple(c) for c in cols_data]
-        for c in cols_data:
-            if len(c) != rows:
-                raise DimensionMismatch("column of wrong height")
-        ncols = len(cols_data)
-        flat = [cols_data[c][r] for r in range(rows) for c in range(ncols)]
-        return cls(rows, ncols, flat)
+        if any(len(c) != rows for c in cols_data):
+            raise DimensionMismatch("column of wrong height")
+        data = [{} for _ in range(rows)]
+        for c, col in enumerate(cols_data):
+            for r, v in enumerate(col):
+                if v:
+                    data[r][c] = v
+        return cls(rows, len(cols_data), data)
+
+    @property
+    def entries(self):
+        """All rows*cols entries, row-major: a dense copy for inspection, never for work."""
+        out = [_ZERO] * (self.rows * self.cols)
+        for r, row in enumerate(self.data):
+            base = r * self.cols
+            for c, v in row.items():
+                out[base + c] = v
+        return tuple(out)
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
+        if not 0 <= c < self.cols:
+            raise IndexError(f"column {c} outside a {self.rows}x{self.cols} matrix")
+        return self.data[r].get(c, _ZERO)
 
     def row(self, r: int):
-        return self.entries[r * self.cols : (r + 1) * self.cols]
+        """Row r as a dense tuple."""
+        row = self.data[r]
+        return tuple(row.get(c, _ZERO) for c in range(self.cols))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.data)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """Sparse product, summed over ints.
+
+        Row k of ``other`` is t_k / s_k with t_k integral, so row i of the
+        product is the sum over the nonzero a_ik of (a_ik / s_k) t_k; with
+        those coefficients over one common denominator the sum runs on ints
+        and only its nonzero results become Fractions.
+        """
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = [Fraction(0)] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                orow = other.entries
-                obase_i = i * other.cols
-                for j in range(other.cols):
-                    b = orow[obase + j]
-                    if b != 0:
-                        out[obase_i + j] += a * b
+        scaled = [_scaled_to_ints(row) for row in other.data]
+        out = []
+        for row in self.data:
+            terms = [(a.numerator, a.denominator * scaled[k][0], scaled[k][1]) for k, a in row.items()]
+            den = lcm(*(d for _, d, _ in terms))
+            acc = {}
+            for n, d, t in terms:
+                m = n * (den // d)
+                for j, v in t.items():
+                    acc[j] = acc.get(j, 0) + m * v
+            out.append({j: Fraction(v, den) for j, v in acc.items() if v})
         return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec):
@@ -135,14 +169,12 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length != cols")
         out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            s = Fraction(0)
-            for j, v in enumerate(vec):
-                if v != 0:
-                    e = self.entries[base + j]
-                    if e != 0:
-                        s += e * v
+        for row in self.data:
+            s = _ZERO
+            for j, e in row.items():
+                v = vec[j]
+                if v:
+                    s += e * v
             out.append(s)
         return tuple(out)
 
@@ -151,104 +183,151 @@ class Matrix:
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def _scaled_to_ints(row):
+    """(s, {column: int}) with row == ints / s, s the lcm of the denominators."""
+    s = lcm(*(v.denominator for v in row.values()))
+    return s, {c: v.numerator * (s // v.denominator) for c, v in row.items()}
+
+
 def _integer_rows(m: Matrix):
-    """Rows rescaled to coprime integers; preserves rank and kernel."""
+    """The nonzero rows as {column: int}, each scaled to coprime integers.
+
+    Scaling a row by a nonzero rational changes neither the rank nor the kernel.
+    """
     out = []
-    for r in range(m.rows):
-        row = m.row(r)
-        lcm = 1
-        for e in row:
-            d = e.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(e * lcm) for e in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+    for row in m.data:
+        if not row:
+            continue
+        ints = _scaled_to_ints(row)[1]
+        g = gcd(*ints.values())
+        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
     return out
 
 
-def _bareiss(rows):
-    """Fraction-free forward elimination in place; returns pivot columns.
+def _column_index(rows):
+    """column -> set of indices of the rows with an entry in that column."""
+    where = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    return where
 
-    Entries stay integral: every division below is exact by the Sylvester
-    determinant identity, and that exactness is asserted.
+
+def _eliminate(rows, where, i, c, holders):
+    """Clear column c from every row in ``holders`` but row i, the pivot row.
+
+    Each update is row <- a*row - b*pivot with a/b = pivot[c]/row[c] in lowest
+    terms, then division by the new row's content gcd: integer arithmetic
+    only, and every division is exact.  Row i leaves ``where`` and ``rows``.
+    Returns the columns whose entry count changed.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    piv_cols = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                p = i
-                break
-        if p is None:
+    pivot = rows[i]
+    rows[i] = None
+    p = pivot[c]
+    changed = set()
+    for k in pivot:
+        if k != c:
+            where[k].discard(i)
+            changed.add(k)
+    for j in holders:
+        if j == i:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            fac = rows[i][c]
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c, ncols):
-                num = pivot * ri[j] - fac * rr[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalInvariantError("fraction-free elimination lost exactness")
-                ri[j] = q
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-    return piv_cols
+        row = rows[j]
+        f = row[c]
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        new = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+        for k, v in pivot.items():
+            w = new.get(k)
+            if w is None:
+                new[k] = -b * v
+                where.setdefault(k, set()).add(j)
+                changed.add(k)
+            elif w != b * v:
+                new[k] = w - b * v
+            else:
+                del new[k]
+                if k != c:
+                    where[k].discard(j)
+                    changed.add(k)
+        if new:
+            g = gcd(*new.values())
+            if g > 1:
+                new = {k: v // g for k, v in new.items()}
+        rows[j] = new
+    return changed
+
+
+def _shortest(rows, holders):
+    return min(holders, key=lambda i: (len(rows[i]), i))
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
+    """Exact rank over the rationals.
+
+    Markowitz pivot choice (Markowitz 1957): eliminate the column with the
+    fewest entries next, on its shortest row, which keeps fill-in low on the
+    sparse differentials.  A lazy heap holds the column counts.
+    """
     rows = _integer_rows(m)
-    return len(_bareiss(rows))
+    where = _column_index(rows)
+    heap = [(len(s), c) for c, s in where.items()]
+    heapify(heap)
+    r = 0
+    while heap:
+        n, c = heappop(heap)
+        holders = where.get(c)
+        if holders is None or len(holders) != n:
+            continue
+        del where[c]
+        for k in _eliminate(rows, where, _shortest(rows, holders), c, holders):
+            s = where[k]
+            if s:
+                heappush(heap, (len(s), k))
+            else:
+                del where[k]
+        r += 1
+    return r
 
 
 def kernel_basis(m: Matrix):
-    """Basis of the right null space; each vector satisfies m.apply(v) == 0."""
+    """Basis of the right null space; each vector satisfies m.apply(v) == 0.
+
+    Columns are eliminated left to right, so the pivot columns are those not
+    spanned by the columns before them.  The basis vector of a free column f
+    has v[f] = 1 and 0 at every other free column, which fixes it: the basis
+    does not depend on the pivot rows chosen.
+    """
     n = m.cols
-    if n == 0:
-        return []
-    if m.rows == 0:
-        return [tuple(Fraction(1 if j == f else 0) for j in range(n)) for f in range(n)]
     rows = _integer_rows(m)
-    piv_cols = _bareiss(rows)
-    piv_set = set(piv_cols)
-    free_cols = [c for c in range(n) if c not in piv_set]
+    where = _column_index(rows)
+    pivots = []
+    for c in sorted(where):
+        holders = where.pop(c)
+        if not holders:
+            continue
+        i = _shortest(rows, holders)
+        pivot = rows[i]
+        _eliminate(rows, where, i, c, holders)
+        pivots.append((c, pivot))
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for k in range(len(piv_cols) - 1, -1, -1):
-            p = piv_cols[k]
-            s = Fraction(0)
-            row = rows[k]
-            for j in range(p + 1, n):
-                if row[j] and v[j]:
-                    s += Fraction(row[j]) * v[j]
-            v[p] = -s / row[p]
-        basis.append(tuple(v))
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        v = {f: Fraction(1)}
+        for c, row in reversed(pivots):
+            s = sum(e * v[k] for k, e in row.items() if k in v)
+            if s:
+                v[c] = -s / row[c]
+        basis.append(tuple(v.get(k, _ZERO) for k in range(n)))
     return basis
 
 
@@ -271,8 +350,9 @@ def cohomology_table(differential, degrees, parities=(0, 1)):
     """{n: {parity: dim H^n}} over consecutive ``degrees`` of a complex starting at 1.
 
     ``differential(n, parity)`` returns the Matrix of d_n: C^n -> C^(n+1).
-    Each d_n is built and ranked once; d_0 is zero, and every adjacent pair is
-    re-checked for d_n . d_(n-1) == 0.
+    Each d_n is built and ranked once; d_0 is zero.  Every adjacent pair is
+    re-checked for d_n . d_(n-1) == 0, and every degree for rank-nullity:
+    rank d_n <= min(rows, cols) and rank d_(n-1) <= dim ker d_n.
     """
     if not degrees or degrees[0] < 1:
         raise ValidationError("cohomology degree must be >= 1")
@@ -284,6 +364,11 @@ def cohomology_table(differential, degrees, parities=(0, 1)):
             if prev is not None:
                 _require_composite_zero(prev, d)
             r = rank(d)
+            if r > min(d.rows, d.cols) or prev_rank > d.cols - r:
+                raise InternalInvariantError(
+                    f"rank-nullity fails in degree {n}: rank d_{n} = {r} on a "
+                    f"{d.rows}x{d.cols} matrix, rank d_{n - 1} = {prev_rank}"
+                )
             if n in table:
                 table[n][parity] = d.cols - r - prev_rank
             prev, prev_rank = d, r

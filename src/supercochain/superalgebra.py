@@ -366,33 +366,28 @@ def derivation_space(A: SuperAlgebra):
             for j in range(dim):
                 bracket = A.bracket_basis(i, j)
                 for comp in range(dim):
-                    row = [Fraction(0)] * len(slots)
+                    row = {}
                     # D applied to [b_i, b_j], component `comp`
                     for k, c in enumerate(bracket):
                         if c != 0 and (comp, k) in index:
-                            row[index[(comp, k)]] += c
+                            t = index[(comp, k)]
+                            row[t] = row.get(t, 0) + c
                     # minus [D b_i, b_j]
                     for k in range(dim):
                         if (k, i) in index:
                             v = A.bracket_basis(k, j)[comp]
                             if v != 0:
-                                row[index[(k, i)]] -= v
+                                t = index[(k, i)]
+                                row[t] = row.get(t, 0) - v
                     # minus (-1)^{s|b_i|} [b_i, D b_j]
                     for k in range(dim):
                         if (k, j) in index:
                             v = A.bracket_basis(i, k)[comp]
                             if v != 0:
-                                row[index[(k, j)]] -= sign * v
-                    if any(row):
-                        rows.append(row)
-        if rows:
-            mat = Matrix.from_rows(rows)
-            kernel = kernel_basis(mat)
-        else:
-            kernel = [
-                tuple(Fraction(1 if t == u else 0) for t in range(len(slots)))
-                for u in range(len(slots))
-            ]
+                                t = index[(k, j)]
+                                row[t] = row.get(t, 0) - sign * v
+                    rows.append(row)
+        kernel = kernel_basis(Matrix(len(rows), len(slots), rows))
         maps = []
         for vec in kernel:
             cols = [[Fraction(0)] * dim for _ in range(dim)]

@@ -17,6 +17,10 @@ So do the dense axiom checks and deformation residuals: every term is a
 dense coordinate vector pushed through ``LinearMap`` operators and a dense
 bilinear bracket read from ``bracket_basis``, with none of the sparse
 structure-constant tables the library checks read.
+
+So does the dense exact rank and kernel: every row of every matrix is read
+in full, scaled to integers and reduced by Bareiss elimination in leftmost
+column order, with no sparse storage or pivot choice.
 """
 
 import itertools
@@ -679,3 +683,96 @@ def ch_deformation_residual(d, n):
         if not vec_is_zero(acc):
             coeffs[(gk, ())] = acc
     return BlockCochain(gs, hs, 2, 0, "h", coeffs)
+
+
+def _dense_integer_rows(m: Matrix):
+    """Every row as a dense list of coprime integers; preserves rank and kernel."""
+    out = []
+    for r in range(m.rows):
+        row = m.row(r)
+        lcm = 1
+        for e in row:
+            d = e.denominator
+            lcm = lcm * d // math.gcd(lcm, d)
+        ints = [int(e * lcm) for e in row]
+        g = 0
+        for v in ints:
+            g = math.gcd(g, abs(v))
+        if g > 1:
+            ints = [v // g for v in ints]
+        out.append(ints)
+    return out
+
+
+def _dense_bareiss(rows):
+    """Fraction-free forward elimination in place; returns pivot columns.
+
+    Every division is exact by the Sylvester determinant identity, and that
+    exactness is asserted.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    piv_cols = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                p = i
+                break
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][c]
+        for i in range(r + 1, nrows):
+            fac = rows[i][c]
+            ri = rows[i]
+            rr = rows[r]
+            for j in range(c, ncols):
+                q, rem = divmod(pivot * ri[j] - fac * rr[j], prev)
+                assert rem == 0, "fraction-free elimination lost exactness"
+                ri[j] = q
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
+def dense_rank(m: Matrix) -> int:
+    """Exact rank by dense Bareiss elimination over every cell."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(_dense_bareiss(_dense_integer_rows(m)))
+
+
+def dense_kernel_basis(m: Matrix):
+    """Right null space by dense Bareiss elimination and back substitution.
+
+    The vector of free column f has v[f] = 1 and 0 at the other free columns.
+    """
+    n = m.cols
+    if n == 0:
+        return []
+    if m.rows == 0:
+        return [tuple(F(1 if j == f else 0) for j in range(n)) for f in range(n)]
+    rows = _dense_integer_rows(m)
+    piv_cols = _dense_bareiss(rows)
+    piv_set = set(piv_cols)
+    basis = []
+    for f in (c for c in range(n) if c not in piv_set):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for k in range(len(piv_cols) - 1, -1, -1):
+            p = piv_cols[k]
+            s = F(0)
+            row = rows[k]
+            for j in range(p + 1, n):
+                if row[j] and v[j]:
+                    s += F(row[j]) * v[j]
+            v[p] = -s / row[p]
+        basis.append(tuple(v))
+    return basis

@@ -13,7 +13,7 @@ import pytest
 from conftest import FIXTURES
 from supercochain import io as sio
 from supercochain.crossed import CrossedHom, ch_units, check_crossed, d_D_matrix, verify
-from supercochain.exact_linalg import Matrix
+from supercochain.exact_linalg import Matrix, kernel_basis, rank
 from supercochain.superalgebra import LinearMap, gl
 from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_units
 
@@ -78,3 +78,14 @@ def test_assembly_matches_per_unit_reference(kind, name, n):
     assert build(data, n, None) == ref
     for parity in (0, 1):
         assert build(data, n, parity) == _restrict(ref, parities(n + 1), parities(n), parity)
+
+
+@pytest.mark.parametrize("kind,name,n", CASES, ids=[f"{k}-{nm}-d{n}" for k, nm, n in CASES])
+def test_rank_and_kernel_match_dense_reference(kind, name, n):
+    for parity in (0, 1):
+        if kind == "triple":
+            m = triple_coboundary_matrix(TRIPLES[name], n, parity)
+        else:
+            m = d_D_matrix(CROSSED[name], n, parity)
+        assert rank(m) == oracles.dense_rank(m)
+        assert kernel_basis(m) == oracles.dense_kernel_basis(m)

@@ -4,15 +4,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercochain.errors import CompositionNonzero, ValidationError
+from conftest import FIXTURES
+from supercochain import cli
+from supercochain import exact_linalg
+from supercochain import io as sio
+from supercochain.errors import (
+    CompositionNonzero,
+    DimensionMismatch,
+    InternalInvariantError,
+    ValidationError,
+)
 from supercochain.exact_linalg import (
     Matrix,
     cohomology_dims,
+    cohomology_table,
     format_scalar,
     kernel_basis,
     parse_scalar,
     rank,
 )
+from supercochain.triple import LieSupActTriple, triple_cohomology_table
+
+import oracles
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -101,7 +114,7 @@ def test_rank_nullity(nrows, ncols, data):
     entries = data.draw(
         st.lists(fractions, min_size=nrows * ncols, max_size=nrows * ncols)
     )
-    m = Matrix(nrows, ncols, entries)
+    m = Matrix.from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
     basis = kernel_basis(m)
     assert rank(m) + len(basis) == ncols
     for v in basis:
@@ -112,7 +125,7 @@ def test_rank_nullity(nrows, ncols, data):
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_row_ops(nrows, ncols, data):
     entries = data.draw(st.lists(fractions, min_size=nrows * ncols, max_size=nrows * ncols))
-    m = Matrix(nrows, ncols, entries)
+    m = Matrix.from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
     r0, r1 = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
     scale = data.draw(st.sampled_from([F(2), F(-1), F(3, 2), F(1, 3)]))
     rows = [list(m.row(i)) for i in range(nrows)]
@@ -127,3 +140,129 @@ def test_scalar_arithmetic_round_trips(a, b):
     assert (a + b) - b == a
     if b != 0:
         assert (a / b) * b == a
+
+
+nonzero_fractions = fractions.filter(lambda x: x != 0)
+
+
+@st.composite
+def dense_matrices(draw):
+    """Dense rows of shape 0..12 x 0..12 at 0-60% density.
+
+    Up to three structural edits follow: repeat a row, scale a row, zero a
+    row or zero a column, so that dependent rows and empty lines are common.
+    """
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    density = draw(st.integers(0, 60))
+    rows = [
+        [draw(nonzero_fractions) if draw(st.integers(0, 99)) < density else F(0) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for edit in draw(st.lists(st.sampled_from(["repeat", "scale", "zero_row", "zero_col"]), max_size=3)):
+        if not rows or not ncols:
+            break
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        if edit == "repeat":
+            rows[i] = list(rows[j])
+        elif edit == "scale":
+            factor = draw(nonzero_fractions)
+            rows[i] = [factor * x for x in rows[j]]
+        elif edit == "zero_row":
+            rows[i] = [F(0)] * ncols
+        else:
+            c = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[c] = F(0)
+    return nrows, ncols, rows
+
+
+def _matrix(nrows, ncols, rows):
+    return Matrix.from_rows(rows) if nrows else Matrix.zeros(0, ncols)
+
+
+@given(dense_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_kernel_match_dense_reference(shape_rows):
+    m = _matrix(*shape_rows)
+    assert rank(m) == oracles.dense_rank(m)
+    assert kernel_basis(m) == oracles.dense_kernel_basis(m)
+
+
+@given(dense_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_storage_round_trips_dense_input(shape_rows, data):
+    nrows, ncols, rows = shape_rows
+    m = _matrix(nrows, ncols, rows)
+    flat = tuple(x for row in rows for x in row)
+    # the dense view is the input, and storage holds exactly its nonzeros
+    assert m.entries == flat
+    assert all(v != 0 for row in m.data for v in row.values())
+    assert sum(len(row) for row in m.data) == sum(1 for x in flat if x != 0)
+    assert [m.row(r) for r in range(nrows)] == [tuple(row) for row in rows]
+    assert all(m.entry(r, c) == rows[r][c] for r in range(nrows) for c in range(ncols))
+    # the same matrix from columns, from sparse rows and from sparse rows with explicit zeros
+    assert Matrix.from_cols([[rows[r][c] for r in range(nrows)] for c in range(ncols)], nrows) == m
+    assert Matrix(nrows, ncols, [dict(enumerate(row)) for row in rows]) == m
+    assert Matrix(nrows, ncols, [{c: v for c, v in enumerate(row) if v} for row in rows]) == m
+    vec = data.draw(st.lists(fractions, min_size=ncols, max_size=ncols))
+    assert m.apply(vec) == tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in rows)
+    if any(flat):
+        r, c = next((r, c) for r in range(nrows) for c in range(ncols) if rows[r][c])
+        bumped = [list(row) for row in rows]
+        bumped[r][c] += 1
+        assert _matrix(nrows, ncols, bumped) != m
+
+
+def test_sparse_product_matches_dense_product():
+    a = mat([[1, 0, 2], [0, 0, 0], [F(1, 2), -1, 0]])
+    b = mat([[0, 3], [1, 0], [F(-1, 4), 0]])
+    assert a.mul(b) == mat([[F(-1, 2), 3], [0, 0], [-1, F(3, 2)]])
+    # cancellation leaves no stored zero
+    assert mat([[1, 1]]).mul(mat([[1], [-1]])).data == ({},)
+
+
+def test_matrix_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 2, [{0: 1}])
+    with pytest.raises(DimensionMismatch):
+        Matrix(1, 2, [{2: 1}])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([[1, 2]], 3)
+
+
+def _mixed21_triple():
+    pf = sio.parse(FIXTURES / "mixed21.json")
+    return LieSupActTriple(pf.g, pf.h, pf.action)
+
+
+def test_cohomology_table_multiplies_once_per_adjacent_pair(monkeypatch):
+    products = []
+    real_mul = Matrix.mul
+
+    def counting_mul(self, other):
+        products.append((self.rows, self.cols, other.rows, other.cols))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "mul", counting_mul)
+    triple_cohomology_table(_mixed21_triple(), range(1, 4))
+    # d1, d2, d3 per parity (d1 is 46x13 even, 46x12 odd): d2 . d1 and d3 . d2
+    assert products == [
+        (110, 46, 46, 13), (206, 110, 110, 46),
+        (110, 46, 46, 12), (206, 110, 110, 46),
+    ]
+
+
+@pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
+def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):
+    # over-large in the first case; in the second, rank d_1 = 2 leaves ker d_2 = 0 < rank d_1
+    monkeypatch.setattr(exact_linalg, "rank", wrong)
+    with pytest.raises(InternalInvariantError, match="rank-nullity"):
+        cohomology_table(lambda n, parity: Matrix.zeros(2, 2), range(1, 3), parities=(0,))
+
+
+def test_wrong_rank_is_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(exact_linalg, "rank", lambda m: m.cols + 1)
+    assert cli.main(["cohomology", str(FIXTURES / "mixed21.json"), "--max-n", "2"]) == 3
+    assert "rank-nullity" in capsys.readouterr().err
