@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Sign-mutation smoke test: every mutation in the table must fail its tests.
+
+    python scripts/mutation_smoke.py
+
+Copies ``src/``, ``tests/`` and ``fixtures/`` (which the tests read) into a
+temporary directory and first runs every selection below on the unmutated
+copy, which must pass.  Then, one mutation at a time, it replaces the anchor
+text in the copy, runs ``python -m pytest -q -x <selection>`` against the
+copy, and restores the file.  Each mutation is reported as
+
+    killed          pytest reported failing tests;
+    SURVIVED        pytest passed, so no test sees the change;
+    anchor-missing  the anchor does not occur exactly once in the file;
+    error (exit N)  pytest stopped for another reason (bad selection, ...).
+
+Exits 1 unless every mutation is killed.  One pytest process runs at a time
+and no bytecode is written into the copy.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "fixtures")
+RUN_TIMEOUT_S = 900
+PYTEST_TESTS_FAILED = 1
+
+# (file under src/supercochain, anchor, replacement, pytest selection)
+MUTATIONS = (
+    (
+        "cochains.py",
+        "outer = 1 if len(K) % 2 == 0 else -1",
+        "outer = -1 if len(K) % 2 == 0 else 1",
+        ("tests/test_assembly.py",),
+    ),
+    (
+        "cochains.py",
+        "c = s1 * X.count(x) * (-1 if u and pars[x] else 1)",
+        "c = s1 * X.count(x)",
+        ("tests/test_assembly.py",),
+    ),
+    (
+        "cochains.py",
+        "out[key] = embed(vec_scale(vec, sign))",
+        "out[key] = embed(vec)",
+        ("tests/test_cochains.py::test_block_maps_match_references",),
+    ),
+    (
+        "cochains.py",
+        "coeffs[(gk, hk)] = vec_scale(value, block_key(ds, gk, hk)[1])",
+        "coeffs[(gk, hk)] = value",
+        ("tests/test_cochains.py::test_block_maps_match_references",),
+    ),
+    (
+        "crossed.py",
+        "P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)))",
+        "P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)).scale(-1))",
+        ("tests/test_assembly.py",),
+    ),
+    (
+        "exact_linalg.py",
+        "new[k] = -b * v",
+        "new[k] = b * v",
+        ("tests/test_exact_linalg.py",),
+    ),
+)
+
+
+def pytest_exit(tmp: Path, selection, env) -> int:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *selection]
+    done = subprocess.run(
+        cmd, cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=RUN_TIMEOUT_S,
+    )
+    return done.returncode
+
+
+def mutate_and_run(tmp: Path, mutation, env) -> str:
+    name, anchor, replacement, selection = mutation
+    path = tmp / "src" / "supercochain" / name
+    original = path.read_text(encoding="utf-8")
+    if original.count(anchor) != 1:
+        return "anchor-missing"
+    path.write_text(original.replace(anchor, replacement), encoding="utf-8")
+    try:
+        code = pytest_exit(tmp, selection, env)
+    finally:
+        path.write_text(original, encoding="utf-8")
+    if code == 0:
+        return "SURVIVED"
+    return "killed" if code == PYTEST_TESTS_FAILED else f"error (exit {code})"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutation_smoke_") as tmpdir:
+        tmp = Path(tmpdir)
+        for name in COPIED:
+            shutil.copytree(
+                ROOT / name, tmp / name,
+                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"),
+            )
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        selections = sorted({s for m in MUTATIONS for s in m[3]})
+        code = pytest_exit(tmp, selections, env)
+        if code != 0:
+            print(f"unmutated copy fails its selections (pytest exit {code}); nothing to test")
+            return 1
+        bad = 0
+        for mutation in MUTATIONS:
+            outcome = mutate_and_run(tmp, mutation, env)
+            bad += outcome != "killed"
+            print(f"{outcome:15} {mutation[0]}: {mutation[1]!r} -> {mutation[2]!r}", flush=True)
+    print(f"{len(MUTATIONS) - bad} of {len(MUTATIONS)} mutations killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -59,7 +59,6 @@ from .triple import (
 from .crossed import (
     CHMorphism,
     CrossedHom,
-    ch_bracket,
     ch_cohomology,
     ch_cohomology_table,
     ch_mc_residual,
@@ -67,7 +66,6 @@ from .crossed import (
     check_morphism,
     compose_morphisms,
     d_D_matrix,
-    del_pi_rho,
     graph_check,
     identity_morphism,
     verify,

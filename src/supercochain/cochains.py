@@ -72,7 +72,7 @@ class _CoefficientMap:
         clean = {}
         tdim = self.target_space.dim
         for key, vec in coeffs.items():
-            vec = tuple(Fraction(x) for x in vec)
+            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
             if len(vec) != tdim:
                 raise DimensionMismatch(f"{self._kind} value has wrong length")
             key = self._check_key(key)

@@ -15,22 +15,29 @@ and differential f -> [pi + rho, f], everything computed inside the big
 algebra on g + h through the hat embedding.  The test suite checks the bracket
 against its closed double-shuffle form.
 
-Cochains here are blocks with no h slots: ``BlockCochain(g, h, m, 0, "h")``.
+Cochains here are blocks with no h slots: ``BlockCochain(g, h, m, 0, "h")``,
+the one signature ``ch_blocks(m)``.  The twisted differential of D,
+
+    d_D f = [pi + rho, f] + [[D, f]] = [P_D, f],   P_D = pi + rho + [mu, D],
+
+is one bracket with an even arity-2 element of the big algebra, so
+``ChComplex.twisted`` builds P_D and returns its ``triple.BlockComplex``
+over ``ch_blocks``.  The Maurer-Cartan residual, the d_D matrices and the
+deformation checks all go through it; only ``ChComplex.bracket``, the
+general [[f1, f2]], uses ``nr_bracket``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
-from .cochains import BlockCochain, bracket_matrix, bracket_with, hat_extend, nr_bracket
-from .cochains import project_block
+from .cochains import BlockCochain, bracket_with, hat_extend, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, rank
 from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
-from .triple import LieSupActTriple, block_units, mu_block, pi_block, sum_units
+from .triple import BlockComplex, LieSupActTriple, block_units, mu_block, pi_block
 from .util import bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
 
 
@@ -124,6 +131,16 @@ def graph_check(D: CrossedHom) -> bool:
     return not graph_failures(D)
 
 
+def ch_blocks(n: int):
+    """The one block signature of Hom(wedge^n g, h)."""
+    return [(n, 0, "h")]
+
+
+def ch_units(g_space, h_space, n: int, parity=None):
+    """Coordinate basis of Hom(wedge^n g, h): ``block_units`` over ``ch_blocks(n)``."""
+    return block_units(g_space, h_space, ch_blocks(n), parity)
+
+
 class ChComplex:
     """Cached hat embeddings for one triple's crossed-homomorphism complex."""
 
@@ -132,6 +149,7 @@ class ChComplex:
         self.ds = direct_sum(t.g.space, t.h.space)
         self.mu_hat = hat_extend(mu_block(t.g.space, t.h))
         self.pr_hat = hat_extend(pi_block(t.g, t.h.space)).add(hat_extend(t.rho.as_block()))
+        self._untwisted = BlockComplex(t.g.space, t.h.space, self.pr_hat, ch_blocks)
 
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""
@@ -143,54 +161,18 @@ class ChComplex:
 
     def coboundary(self, f: BlockCochain) -> BlockCochain:
         """f -> [pi + rho, f], one degree up."""
-        result = bracket_with(self.pr_hat, hat_extend(f))
-        return project_block(result, self.ds, f.g_arity + 1, 0, "h")
+        return self._untwisted.d((f,))[0]
 
-    def d_D(self, D_block: BlockCochain, f: BlockCochain) -> BlockCochain:
-        return self.coboundary(f).add(self.bracket(D_block, f))
-
-
-def ch_bracket(t: LieSupActTriple, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
-    return ChComplex(t).bracket(f1, f2)
-
-
-def del_pi_rho(t: LieSupActTriple, f: BlockCochain) -> BlockCochain:
-    return ChComplex(t).coboundary(f)
+    def twisted(self, D_block: BlockCochain) -> BlockComplex:
+        """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``."""
+        P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)))
+        return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
 
 
 def ch_mc_residual(D: CrossedHom) -> BlockCochain:
-    """Maurer-Cartan defect of D: coboundary of D plus half its self-bracket."""
-    cc = ChComplex(D.triple)
+    """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]]."""
     block = D.as_block()
-    return cc.coboundary(block).add(cc.bracket(block, block).scale(Fraction(1, 2)))
-
-
-def ch_blocks(n: int):
-    """The one block signature of Hom(wedge^n g, h)."""
-    return [(n, 0, "h")]
-
-
-def ch_units(g_space, h_space, n: int, parity=None):
-    """Coordinate basis of Hom(wedge^n g, h): (g key, target, map parity)."""
-    return [(gk, t, up) for _, gk, _, t, up in block_units(g_space, h_space, ch_blocks(n), parity)]
-
-
-def block_vector(block: BlockCochain, units):
-    out = []
-    for gk, t, _ in units:
-        vec = block.coeffs.get((gk, ()))
-        out.append(vec[t] if vec is not None else Fraction(0))
-    return tuple(out)
-
-
-def block_from_vector(g_space, h_space, n, units, vec) -> BlockCochain:
-    table = {}
-    for (gk, t, _), x in zip(units, vec):
-        if x == 0:
-            continue
-        cur = table.setdefault((gk, ()), [Fraction(0)] * h_space.dim)
-        cur[t] += Fraction(x)
-    return BlockCochain(g_space, h_space, n, 0, "h", {k: tuple(v) for k, v in table.items()})
+    return ChComplex(D.triple).twisted(block.scale(Fraction(1, 2))).d((block,))[0]
 
 
 def _require_verified(D: CrossedHom) -> CrossedHom:
@@ -205,17 +187,13 @@ def _require_verified(D: CrossedHom) -> CrossedHom:
 
 
 def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
-    """Matrix of f -> [pi+rho, f] + [[D, f]] from degree n to n + 1.
+    """Matrix of d_D = [P_D, .] from degree n to n + 1, on ``ch_units``.
 
-    Both terms are one bracket [P_D, f] in the big algebra, with the even
-    arity-2 P_D = pi + rho + [mu, D].
+    Refuses a D that is not a crossed homomorphism, since d_D squares to
+    zero only then.
     """
     D = _require_verified(D)
-    t = D.triple
-    cc = ChComplex(t)
-    P = cc.pr_hat.add(bracket_with(cc.mu_hat, hat_extend(D.as_block())))
-    units = partial(sum_units, t.g.space, t.h.space, parity=parity)
-    return bracket_matrix(P, units(ch_blocks(n)), units(ch_blocks(n + 1)))
+    return ChComplex(D.triple).twisted(D.as_block()).matrix(n, parity)
 
 
 def ch_cohomology_table(D: CrossedHom, degrees, parities=(0, 1)):

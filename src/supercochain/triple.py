@@ -10,6 +10,12 @@ with Pi is the differential of the associated cochain complex
 
 which starts at n = 1.  The differential preserves map parity, so cohomology
 is reported per parity.
+
+``BlockComplex`` is the one implementation of such a complex: an element of
+C^n is the tuple of its blocks, listed by a signature function, and both the
+differential of one element and its matrix on the unit basis are the bracket
+with one even arity-2 element P on g + h.  The triple complex is the instance
+P = Pi over ``triple_blocks``; the crossed-homomorphism complex is another.
 """
 
 from __future__ import annotations
@@ -201,7 +207,11 @@ def mc_element(t: LieSupActTriple) -> Cochain:
 
 @dataclass(frozen=True)
 class McResidual:
-    """The four block components of the self-bracket of candidate data."""
+    """The four block components of a C^3-shaped obstruction.
+
+    ``mc_residual`` fills them with the self-bracket of candidate data and
+    ``deformation.triple_deformation_residual`` with the defect of one order.
+    """
 
     ggg: BlockCochain  # wedge^3 g -> g
     ggh: BlockCochain  # wedge^2 g x h -> h
@@ -259,33 +269,6 @@ def triple_blocks(n: int):
     return sigs
 
 
-@dataclass(frozen=True)
-class TripleCochain:
-    """One element of C^n: a g-target block plus h-target mixed blocks."""
-
-    g_space: GradedSpace
-    h_space: GradedSpace
-    degree: int
-    blocks: tuple  # aligned with triple_blocks(degree)
-
-    @classmethod
-    def zero(cls, g_space, h_space, n) -> "TripleCochain":
-        blocks = tuple(
-            BlockCochain.zero(g_space, h_space, ga, ha, side) for ga, ha, side in triple_blocks(n)
-        )
-        return cls(g_space, h_space, n, blocks)
-
-    @classmethod
-    def from_blocks(cls, g_space, h_space, n, by_sig) -> "TripleCochain":
-        blocks = []
-        for sig in triple_blocks(n):
-            blocks.append(by_sig.get(sig) or BlockCochain.zero(g_space, h_space, *sig))
-        return cls(g_space, h_space, n, tuple(blocks))
-
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
-
-
 def block_units(g_space, h_space, sigs, parity=None):
     """Coordinate basis of a sum of blocks: (block index, g key, h key, target, map parity).
 
@@ -317,6 +300,65 @@ def sum_units(g_space, h_space, sigs, parity=None):
     return out
 
 
+def blocks_vector(blocks, units):
+    """Coordinates of a tuple of blocks on ``block_units`` of their signatures."""
+    out = []
+    for b, gk, hk, t, _ in units:
+        vec = blocks[b].coeffs.get((gk, hk))
+        out.append(vec[t] if vec is not None else Fraction(0))
+    return tuple(out)
+
+
+def blocks_from_vector(g_space, h_space, sigs, units, vec):
+    """The tuple of blocks, one per signature in ``sigs``, with coordinates ``vec``."""
+    tables = [{} for _ in sigs]
+    for (b, gk, hk, t, _), x in zip(units, vec):
+        if x == 0:
+            continue
+        tdim = (g_space if sigs[b][2] == "g" else h_space).dim
+        cur = tables[b].setdefault((gk, hk), [Fraction(0)] * tdim)
+        cur[t] += Fraction(x)
+    return tuple(
+        BlockCochain(g_space, h_space, *sig, {k: tuple(v) for k, v in table.items()})
+        for sig, table in zip(sigs, tables)
+    )
+
+
+class BlockComplex:
+    """The complex (C^*, [P, .]) of block cochains for an even arity-2 P on g + h.
+
+    ``sigs(n)`` lists the block signatures of C^n; an element of C^n is the
+    tuple of its ``BlockCochain``s in that order.  The triple complex has
+    P = pi + rho + mu over ``triple_blocks``, the crossed-homomorphism
+    complex P_D = pi + rho + [mu, D] over ``crossed.ch_blocks``.
+    """
+
+    def __init__(self, g_space: GradedSpace, h_space: GradedSpace, P: Cochain, sigs):
+        self.g_space = g_space
+        self.h_space = h_space
+        self.P = P
+        self.sigs = sigs
+
+    def matrix(self, n: int, parity=None) -> Matrix:
+        """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""
+        units = partial(sum_units, self.g_space, self.h_space, parity=parity)
+        return bracket_matrix(self.P, units(self.sigs(n)), units(self.sigs(n + 1)))
+
+    def d(self, blocks):
+        """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
+        total = hat_extend(blocks[0])
+        for block in blocks[1:]:
+            total = total.add(hat_extend(block))
+        image = bracket_with(self.P, total)
+        ds = direct_sum(self.g_space, self.h_space)
+        return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
+
+
+def triple_complex(t: LieSupActTriple) -> BlockComplex:
+    """The triple complex: [Pi, .] over ``triple_blocks``."""
+    return BlockComplex(t.g.space, t.h.space, mc_element(t), triple_blocks)
+
+
 def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None):
     """Coordinate basis of C^n: ``block_units`` over ``triple_blocks(n)``."""
     return block_units(g_space, h_space, triple_blocks(n), parity)
@@ -324,53 +366,6 @@ def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None
 
 def triple_cochain_dim(g_space, h_space, n: int, parity=None) -> int:
     return len(triple_units(g_space, h_space, n, parity))
-
-
-def triple_cochain_vector(c: TripleCochain, units):
-    out = []
-    for b, gk, hk, t, _ in units:
-        vec = c.blocks[b].coeffs.get((gk, hk))
-        out.append(vec[t] if vec is not None else Fraction(0))
-    return tuple(out)
-
-
-def triple_cochain_from_vector(g_space, h_space, n, units, vec) -> TripleCochain:
-    sigs = triple_blocks(n)
-    data = {sig: {} for sig in sigs}
-    for (b, gk, hk, t, _), x in zip(units, vec):
-        if x == 0:
-            continue
-        sig = sigs[b]
-        tdim = (g_space if sig[2] == "g" else h_space).dim
-        cur = data[sig].setdefault((gk, hk), [Fraction(0)] * tdim)
-        cur[t] += Fraction(x)
-    by_sig = {
-        sig: BlockCochain(g_space, h_space, *sig, {k: tuple(v) for k, v in table.items()})
-        for sig, table in data.items()
-    }
-    return TripleCochain.from_blocks(g_space, h_space, n, by_sig)
-
-
-def triple_cochain_to_sum(c: TripleCochain) -> Cochain:
-    out = None
-    for block in c.blocks:
-        ext = hat_extend(block)
-        out = ext if out is None else out.add(ext)
-    return out
-
-
-def triple_cochain_from_sum(g_space, h_space, n, F: Cochain) -> TripleCochain:
-    ds = direct_sum(g_space, h_space)
-    by_sig = {
-        sig: project_block(F, ds, *sig) for sig in triple_blocks(n)
-    }
-    return TripleCochain.from_blocks(g_space, h_space, n, by_sig)
-
-
-def coboundary_of(t: LieSupActTriple, c: TripleCochain) -> TripleCochain:
-    """[Pi, c] pushed back into block coordinates of degree + 1."""
-    result = bracket_with(mc_element(t), triple_cochain_to_sum(c))
-    return triple_cochain_from_sum(t.g.space, t.h.space, c.degree + 1, result)
 
 
 def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
@@ -381,8 +376,7 @@ def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
     appear; the matrix is block diagonal across them because the structure
     element is even.
     """
-    units = partial(sum_units, t.g.space, t.h.space, parity=parity)
-    return bracket_matrix(mc_element(t), units(triple_blocks(n)), units(triple_blocks(n + 1)))
+    return triple_complex(t).matrix(n, parity)
 
 
 def triple_cohomology_table(t: LieSupActTriple, degrees, parities=(0, 1)):

@@ -10,8 +10,10 @@ matrices go through the exact rank/kernel engine.
 The per-unit reference path (one ``nr_bracket`` per basis cochain, then the
 hat projection back to block coordinates) and the closed double-shuffle form
 of the crossed-homomorphism bracket live here too: they reuse the pipeline's
-cochains but none of its direct matrix assembly.  So do the shuffle-sum hat
-extension and the whole-basis block projection, which read no ``block_key``.
+cochains but neither its direct matrix assembly nor ``bracket_with``, the
+unit expansion behind it; the [mu, D] of the twisted differential is a
+``nr_bracket`` too.  So do the shuffle-sum hat extension and the whole-basis
+block projection, which read no ``block_key``.
 
 So do the dense axiom checks and deformation residuals: every term is a
 dense coordinate vector pushed through ``LinearMap`` operators and a dense
@@ -27,18 +29,20 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from supercochain.cochains import BlockCochain, Cochain, nr_bracket
+from supercochain.cochains import BlockCochain, Cochain, hat_extend, nr_bracket, project_block
 from supercochain.exact_linalg import Matrix
 from supercochain.graded import direct_sum, koszul_sign, shuffles, wedge_basis
 from supercochain.triple import (
-    TripleCochain,
-    coboundary_of,
+    McResidual,
+    block_units,
+    blocks_vector,
+    mc_element,
+    mu_block,
+    pi_block,
     triple_blocks,
-    triple_cochain_vector,
     triple_units,
 )
-from supercochain.crossed import ChComplex, block_vector, ch_units
-from supercochain.deformation import TripleOrderResidual
+from supercochain.crossed import ch_blocks, ch_units
 from supercochain.superalgebra import CheckReport, Failure, LinearMap
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
 
@@ -281,10 +285,10 @@ def ch_oracle_matrix(D, n, parity):
     cols = ch_units(t.g.space, t.h.space, n, parity)
     rows = ch_units(t.g.space, t.h.space, n + 1, parity)
     row_meta = [
-        (tuple(ds.left_pos[i] for i in gk), ds.right_pos[tpos]) for gk, tpos, _ in rows
+        (tuple(ds.left_pos[i] for i in gk), ds.right_pos[tpos]) for _, gk, _, tpos, _ in rows
     ]
     columns = []
-    for gk, tpos, up in cols:
+    for _, gk, _, tpos, up in cols:
         key = tuple(ds.left_pos[i] for i in gk)
         Ftab = sym_table(space, key, ds.right_pos[tpos])
         col = []
@@ -390,48 +394,52 @@ class GradedSpaceScalar:
         return self._space.parities_of(slots)
 
 
-def unit_triple_cochain(g_space, h_space, n, unit) -> TripleCochain:
-    """The basis cochain of C^n named by one ``triple_units`` entry."""
+def unit_blocks(g_space, h_space, sigs, unit):
+    """The basis element named by one ``block_units`` entry over ``sigs``, as blocks."""
     b, gk, hk, t, _ = unit
-    sigs = triple_blocks(n)
+    blocks = [BlockCochain.zero(g_space, h_space, *sig) for sig in sigs]
     ga, ha, side = sigs[b]
-    tdim = (g_space if side == "g" else h_space).dim
-    vec = [F(0)] * tdim
+    vec = [F(0)] * (g_space if side == "g" else h_space).dim
     vec[t] = F(1)
-    block = BlockCochain(g_space, h_space, ga, ha, side, {(gk, hk): tuple(vec)})
-    return TripleCochain.from_blocks(g_space, h_space, n, {sigs[b]: block})
+    blocks[b] = BlockCochain(g_space, h_space, ga, ha, side, {(gk, hk): tuple(vec)})
+    return tuple(blocks)
+
+
+def unit_triple_cochain(g_space, h_space, n, unit):
+    """The basis cochain of C^n named by one ``triple_units`` entry."""
+    return unit_blocks(g_space, h_space, triple_blocks(n), unit)
+
+
+def _reference_matrix(g_space, h_space, P, sigs, n, parity):
+    """Matrix of [P, .] from C^n to C^(n+1), one ``nr_bracket`` per unit column.
+
+    Each unit block is hat-extended, bracketed with P by the shuffle-sum
+    product and projected back onto every block signature of degree n + 1.
+    """
+    ds = direct_sum(g_space, h_space)
+    cols = block_units(g_space, h_space, sigs(n), parity)
+    rows = block_units(g_space, h_space, sigs(n + 1), parity)
+    columns = []
+    for u in cols:
+        unit = unit_blocks(g_space, h_space, sigs(n), u)[u[0]]
+        image = nr_bracket(P, hat_extend(unit))
+        blocks = tuple(project_block(image, ds, *sig) for sig in sigs(n + 1))
+        columns.append(blocks_vector(blocks, rows))
+    return Matrix.from_cols(columns, len(rows))
 
 
 def triple_reference_matrix(t, n, parity):
-    """Degree-n triple differential, one ``coboundary_of`` per unit column."""
-    gs, hs = t.g.space, t.h.space
-    cols = triple_units(gs, hs, n, parity)
-    rows = triple_units(gs, hs, n + 1, parity)
-    columns = [
-        triple_cochain_vector(coboundary_of(t, unit_triple_cochain(gs, hs, n, u)), rows)
-        for u in cols
-    ]
-    return Matrix.from_cols(columns, len(rows))
-
-
-def unit_ch_block(g_space, h_space, n, unit):
-    """The basis cochain of Hom(wedge^n g, h) named by one ``ch_units`` entry."""
-    gk, t, _ = unit
-    vec = [F(0)] * h_space.dim
-    vec[t] = F(1)
-    return BlockCochain(g_space, h_space, n, 0, "h", {(gk, ()): tuple(vec)})
+    """Degree-n triple differential [Pi, .], one ``nr_bracket`` per unit column."""
+    return _reference_matrix(t.g.space, t.h.space, mc_element(t), triple_blocks, n, parity)
 
 
 def ch_reference_matrix(D, n, parity):
-    """Degree-n twisted differential, one ``ChComplex.d_D`` per unit column."""
+    """Degree-n twisted differential [pi + rho + [mu, D], .], one ``nr_bracket`` per column."""
     t = D.triple
     gs, hs = t.g.space, t.h.space
-    cc = ChComplex(t)
-    D_block = D.as_block()
-    cols = ch_units(gs, hs, n, parity)
-    rows = ch_units(gs, hs, n + 1, parity)
-    columns = [block_vector(cc.d_D(D_block, unit_ch_block(gs, hs, n, u)), rows) for u in cols]
-    return Matrix.from_cols(columns, len(rows))
+    mu_D = nr_bracket(hat_extend(mu_block(gs, t.h)), hat_extend(D.as_block()))
+    P_D = hat_extend(pi_block(t.g, hs)).add(hat_extend(t.rho.as_block())).add(mu_D)
+    return _reference_matrix(gs, hs, P_D, ch_blocks, n, parity)
 
 
 def ch_bracket_closed(t, f1, f2):
@@ -662,7 +670,7 @@ def triple_deformation_residual(d, n):
                 ghh_coeffs[((u,), hk)] = acc
     ghh = BlockCochain(gs, hs, 1, 2, "h", ghh_coeffs)
 
-    return TripleOrderResidual(n, ggg, ggh, ghh, hhh)
+    return McResidual(ggg, ggh, ghh, hhh)
 
 
 def ch_deformation_residual(d, n):

@@ -16,7 +16,7 @@ from supercochain.cochains import circ, f_membership, hat_extend, nr_bracket
 from supercochain.crossed import (
     ChComplex,
     CrossedHom,
-    block_from_vector,
+    ch_blocks,
     ch_cohomology,
     ch_mc_residual,
     ch_units,
@@ -36,12 +36,13 @@ from supercochain.graded import GradedSpace, compose, direct_sum, inverse_act, k
 from supercochain.superalgebra import LinearMap
 from supercochain.triple import (
     LieSupActTriple,
+    blocks_from_vector,
     mc_element,
     mc_residual,
     mu_block,
+    triple_blocks,
     triple_coboundary_matrix,
     triple_cochain_dim,
-    triple_cochain_from_vector,
     triple_cohomology,
     triple_units,
 )
@@ -344,7 +345,7 @@ def test_criterion_8_deformation_iff():
                 vec = tuple(F(rng.randint(-2, 2)) for _ in units)
                 if vec_is_zero(mat.apply(vec)):
                     continue
-                c = triple_cochain_from_vector(t.g.space, t.h.space, 2, units, vec)
+                c = blocks_from_vector(t.g.space, t.h.space, triple_blocks(2), units, vec)
                 from test_deformation import unpack_degree2
 
                 pi1, rho1, mu1 = unpack_degree2(t, c)
@@ -358,7 +359,7 @@ def test_criterion_8_deformation_iff():
         units1 = ch_units(t.g.space, t.h.space, 1, parity=0)
         dmat = d_D_matrix(D, 1, parity=0)
         for vec in kernel_basis(dmat):
-            blk = block_from_vector(t.g.space, t.h.space, 1, units1, vec)
+            blk = blocks_from_vector(t.g.space, t.h.space, ch_blocks(1), units1, vec)[0]
             cols = tuple(
                 tuple(blk.coeffs.get(((i,), ()), zero_vec(t.h.dim)))
                 for i in range(t.g.dim)
@@ -373,7 +374,7 @@ def test_criterion_8_deformation_iff():
                 vec = tuple(F(rng.randint(-2, 2)) for _ in units1)
                 if vec_is_zero(dmat.apply(vec)):
                     continue
-                blk = block_from_vector(t.g.space, t.h.space, 1, units1, vec)
+                blk = blocks_from_vector(t.g.space, t.h.space, ch_blocks(1), units1, vec)[0]
                 cols = tuple(
                     tuple(blk.coeffs.get(((i,), ()), zero_vec(t.h.dim)))
                     for i in range(t.g.dim)

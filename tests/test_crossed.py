@@ -144,9 +144,9 @@ def test_d_D_matrix_is_parity_block_diagonal(aff_triple):
     full = d_D_matrix(D, 1)
     units1 = ch_units(aff_triple.g.space, aff_triple.h.space, 1)
     units2 = ch_units(aff_triple.g.space, aff_triple.h.space, 2)
-    for r, (_, _, rp) in enumerate(units2):
-        for c, (_, _, cp) in enumerate(units1):
-            if rp != cp:
+    for r, ru in enumerate(units2):
+        for c, cu in enumerate(units1):
+            if ru[4] != cu[4]:
                 assert full.entry(r, c) == 0
 
 
@@ -330,8 +330,8 @@ def test_d_D_squares_to_zero_and_converse(aff_triple):
     rng = random.Random(12)
     for _ in range(20):
         f = random_block(aff_triple.g.space, aff_triple.h.space, 1, 0, "h", rng)
-        once = cc.d_D(bad_block, f)
-        twice = cc.d_D(bad_block, once)
+        once = cc.twisted(bad_block).d((f,))[0]
+        twice = cc.twisted(bad_block).d((once,))[0]
         if not twice.is_zero():
             broke = True
             break

@@ -7,7 +7,7 @@ from supercochain.cochains import BlockCochain, Cochain
 from supercochain.crossed import (
     ChComplex,
     CrossedHom,
-    block_from_vector,
+    ch_blocks,
     ch_units,
     d_D_matrix,
     verify,
@@ -29,9 +29,9 @@ from supercochain.graded import wedge_basis
 from supercochain.superalgebra import LinearMap
 from supercochain.triple import (
     ActionMap,
+    blocks_from_vector,
     triple_blocks,
     triple_coboundary_matrix,
-    triple_cochain_from_vector,
     triple_units,
 )
 from supercochain.util import vec_is_zero, zero_vec
@@ -40,16 +40,16 @@ from helpers import adjoint_triple, aff11, mixed21_triple, solvable_triple
 
 
 def unpack_degree2(t, c):
-    """TripleCochain of degree 2 -> (pi1, rho1, mu1) coefficient maps."""
+    """Blocks of a degree-2 cochain -> (pi1, rho1, mu1) coefficient maps."""
     gs, hs = t.g.space, t.h.space
     sigs = triple_blocks(2)
-    pi1 = Cochain(gs, gs, 2, {gk: v for (gk, hk), v in c.blocks[0].coeffs.items()})
-    rho_block = c.blocks[sigs.index((1, 1, "h"))]
+    pi1 = Cochain(gs, gs, 2, {gk: v for (gk, hk), v in c[0].coeffs.items()})
+    rho_block = c[sigs.index((1, 1, "h"))]
     table = [[zero_vec(hs.dim) for _ in range(hs.dim)] for _ in range(gs.dim)]
     for (gk, hk), v in rho_block.coeffs.items():
         table[gk[0]][hk[0]] = v
     rho1 = ActionMap(gs, hs, table)
-    mu_b = c.blocks[sigs.index((0, 2, "h"))]
+    mu_b = c[sigs.index((0, 2, "h"))]
     mu1 = Cochain(hs, hs, 2, {hk: v for (gk, hk), v in mu_b.coeffs.items()})
     return pi1, rho1, mu1
 
@@ -107,7 +107,7 @@ def test_non_cocycles_fail_linear_check(make):
         vec = tuple(F(rng.randint(-2, 2)) for _ in units)
         if vec_is_zero(mat.apply(vec)):
             continue
-        c = triple_cochain_from_vector(gs, hs, 2, units, vec)
+        c = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
         pi1, rho1, mu1 = unpack_degree2(t, c)
         assert not linear_triple_check(t, pi1, rho1, mu1)
         found += 1
@@ -179,7 +179,7 @@ def test_ch_kernel_vectors_linearly_deform(crossed_D):
     kb = kernel_basis(mat)
     assert kb
     for vec in kb:
-        blk = block_from_vector(gs, hs, 1, units, vec)
+        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
         cols = tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         D1 = LinearMap(gs, hs, cols)
         assert linear_ch_check(crossed_D, D1)
@@ -199,7 +199,7 @@ def test_ch_non_cocycles_fail(crossed_D):
         vec = tuple(F(rng.randint(-2, 2)) for _ in units)
         if vec_is_zero(mat.apply(vec)):
             continue
-        blk = block_from_vector(gs, hs, 1, units, vec)
+        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
         cols = tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         D1 = LinearMap(gs, hs, cols)
         assert not linear_ch_check(crossed_D, D1)
@@ -218,7 +218,7 @@ def test_ch_obstruction_shape_at_order_two(crossed_D):
     for _ in range(10):
         coefs = [F(rng.randint(-2, 2)) for _ in kb]
         vec = tuple(sum(c * k[i] for c, k in zip(coefs, kb)) for i in range(len(units)))
-        blk = block_from_vector(gs, hs, 1, units, vec)
+        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
         D1 = LinearMap(
             gs, hs, tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         )
@@ -240,7 +240,7 @@ def test_ch_obstruction_shape_at_order_two(crossed_D):
             v = t.h.bracket_eval(D1.cols[gk[0]], D1.cols[gk[1]])
             if not vec_is_zero(v):
                 quad[(gk, ())] = v
-        expect = cc.d_D(crossed_D.as_block(), CrossedHom(t, D2).as_block()).add(
+        expect = cc.twisted(crossed_D.as_block()).d((CrossedHom(t, D2).as_block(),))[0].add(
             BlockCochain(gs, hs, 2, 0, "h", quad)
         )
         assert ch_deformation_residual(d, 2) == expect

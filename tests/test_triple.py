@@ -225,9 +225,9 @@ def test_cohomology_matches_raw_table_oracle(make):
 def test_unit_cochain_round_trip():
     t = adjoint_triple(aff11())
     units = triple_units(t.g.space, t.h.space, 2)
-    from supercochain.triple import triple_cochain_vector
+    from supercochain.triple import blocks_vector
 
     for idx, u in enumerate(units):
         c = oracles.unit_triple_cochain(t.g.space, t.h.space, 2, u)
-        vec = triple_cochain_vector(c, units)
+        vec = blocks_vector(c, units)
         assert vec[idx] == 1 and sum(1 for x in vec if x != 0) == 1
