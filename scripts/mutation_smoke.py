@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sign-mutation smoke test: every mutation in the table must fail its tests.
+"""Mutation smoke test: every mutation in the table must fail its tests.
 
     python scripts/mutation_smoke.py
 
@@ -69,6 +69,12 @@ MUTATIONS = (
         "new[k] = -b * v",
         "new[k] = b * v",
         ("tests/test_exact_linalg.py",),
+    ),
+    (
+        "util.py",
+        "return self._fields == other._fields",
+        "return getattr(self, self.__slots__[0]) == getattr(other, other.__slots__[0])",
+        ("tests/test_value_classes.py",),
     ),
 )
 

@@ -29,7 +29,6 @@ general [[f1, f2]], uses ``nr_bracket``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cochains import BlockCochain, bracket_with, hat_extend, nr_bracket, project_block
@@ -38,25 +37,20 @@ from .exact_linalg import Matrix, cohomology_table, rank
 from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
 from .triple import BlockComplex, LieSupActTriple, block_units, mu_block, pi_block
-from .util import bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
+from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
 
 
-@dataclass(frozen=True)
-class CrossedHom:
+class CrossedHom(Frozen):
     """Candidate crossed homomorphism; ``verified`` records its check status."""
 
-    triple: LieSupActTriple
-    linmap: LinearMap
-    verified: bool = None
+    __slots__ = ("triple", "linmap", "verified")
 
-    def __post_init__(self):
-        if (
-            self.linmap.source != self.triple.g.space
-            or self.linmap.target != self.triple.h.space
-        ):
+    def __init__(self, triple: LieSupActTriple, linmap: LinearMap, verified: bool = None):
+        if linmap.source != triple.g.space or linmap.target != triple.h.space:
             raise ShapeMismatch("map does not go from g to h")
-        if self.linmap.parity() not in (0,):
+        if linmap.parity() not in (0,):
             raise ValidationError("crossed homomorphism candidates must have degree 0")
+        super().__init__(triple, linmap, verified)
 
     def as_block(self) -> BlockCochain:
         coeffs = {}
@@ -69,7 +63,7 @@ class CrossedHom:
 
 
 def verify(D: CrossedHom) -> CrossedHom:
-    return replace(D, verified=check_crossed(D).ok)
+    return CrossedHom(D.triple, D.linmap, check_crossed(D).ok)
 
 
 def check_crossed(D: CrossedHom) -> CheckReport:
@@ -183,7 +177,7 @@ def _require_verified(D: CrossedHom) -> CrossedHom:
         raise ValidationError(
             f"map is not a crossed homomorphism ({len(report.failures)} failing pairs)"
         )
-    return replace(D, verified=True)
+    return CrossedHom(D.triple, D.linmap, True)
 
 
 def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
@@ -208,12 +202,13 @@ def ch_cohomology(D: CrossedHom, n: int):
     return row[0], row[1]
 
 
-@dataclass(frozen=True)
-class CHMorphism:
+class CHMorphism(Frozen):
     """Pair of degree-0 maps (phi1 on g, phi2 on h)."""
 
-    phi1: LinearMap
-    phi2: LinearMap
+    __slots__ = ("phi1", "phi2")
+
+    def __init__(self, phi1: LinearMap, phi2: LinearMap):
+        super().__init__(phi1, phi2)
 
     @property
     def is_isomorphism(self) -> bool:

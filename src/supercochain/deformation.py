@@ -25,8 +25,6 @@ differential d_D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cochains import BlockCochain, Cochain, bracket_with, pair_table
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
@@ -43,7 +41,7 @@ from .triple import (
     triple_units,
 )
 from .crossed import ChComplex, CrossedHom, _require_verified
-from .util import bilinear, combine, dense, lincomb, sparse, units, zero_vec
+from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, zero_vec
 
 
 # Checking orders 0..N evaluates (N + 1)(N + 2) / 2 coefficient products, and
@@ -74,15 +72,14 @@ def _require_even_action(a: ActionMap, what: str):
                     raise ValidationError(f"{what} coefficient must have degree 0")
 
 
-@dataclass(frozen=True)
-class TripleDeformation:
-    """Coefficient lists (pi_k, rho_k, mu_k), k = 0..order, with base at k=0."""
+class TripleDeformation(Frozen):
+    """Coefficient lists (pi_k, rho_k, mu_k), k = 0..order, with base at k=0: arity-2
+    cochains on g, action maps and arity-2 cochains on h."""
 
-    triple: LieSupActTriple
-    order: int
-    pis: tuple   # Cochain on g, arity 2
-    rhos: tuple  # ActionMap
-    mus: tuple   # Cochain on h, arity 2
+    __slots__ = ("triple", "order", "pis", "rhos", "mus")
+
+    def __init__(self, triple: LieSupActTriple, order: int, pis: tuple, rhos: tuple, mus: tuple):
+        super().__init__(triple, order, pis, rhos, mus)
 
     @classmethod
     def build(cls, triple: LieSupActTriple, pi_terms=(), rho_terms=(), mu_terms=(), order=None):
@@ -181,11 +178,14 @@ def triple_deformation_residual(d: TripleDeformation, n: int) -> McResidual:
     return McResidual(ggg, ggh, ghh, hhh)
 
 
-@dataclass(frozen=True)
-class InfinitesimalReport:
-    order: int          # None when all higher coefficients vanish
-    cochain: tuple      # the blocks of a degree-2 cochain, in triple_blocks(2) order
-    is_cocycle: bool
+class InfinitesimalReport(Frozen):
+    """``order`` is None when all higher coefficients vanish; ``cochain`` holds
+    the blocks of a degree-2 cochain, in ``triple_blocks(2)`` order."""
+
+    __slots__ = ("order", "cochain", "is_cocycle")
+
+    def __init__(self, order: int, cochain: tuple, is_cocycle: bool):
+        super().__init__(order, cochain, is_cocycle)
 
 
 def triple_infinitesimal(d: TripleDeformation):
@@ -250,13 +250,13 @@ def triple_cocycle_deformations(t: LieSupActTriple):
     return out
 
 
-@dataclass(frozen=True)
-class CrossedHomDeformation:
+class CrossedHomDeformation(Frozen):
     """Coefficient list (D_0..D_N) of degree-0 maps g -> h with D_0 = D."""
 
-    crossed: CrossedHom
-    order: int
-    maps: tuple
+    __slots__ = ("crossed", "order", "maps")
+
+    def __init__(self, crossed: CrossedHom, order: int, maps: tuple):
+        super().__init__(crossed, order, maps)
 
     @classmethod
     def build(cls, crossed: CrossedHom, terms=(), order=None):
@@ -302,11 +302,13 @@ def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
     return BlockCochain(gs, hs, 2, 0, "h", coeffs)
 
 
-@dataclass(frozen=True)
-class ChInfinitesimalReport:
-    order: int  # None when no nonzero higher coefficient exists
-    map: LinearMap
-    is_cocycle: bool
+class ChInfinitesimalReport(Frozen):
+    """``order`` is None when no nonzero higher coefficient exists."""
+
+    __slots__ = ("order", "map", "is_cocycle")
+
+    def __init__(self, order: int, map: LinearMap, is_cocycle: bool):
+        super().__init__(order, map, is_cocycle)
 
 
 def ch_infinitesimal(d: CrossedHomDeformation):

@@ -21,13 +21,13 @@ increasing on the odd block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, ValidationError
+from .util import Frozen
 
 _ZERO = Fraction(0)
 
@@ -35,19 +35,17 @@ Perm = tuple  # tuple[int, ...], 0-based images
 WedgeKey = tuple  # tuple[int, ...], normal-form basis positions
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(Frozen):
     """Finite-dimensional Z2-graded vector space with a named, ordered basis."""
 
-    even_basis: tuple
-    odd_basis: tuple
+    __slots__ = ("even_basis", "odd_basis")
 
-    def __post_init__(self):
-        object.__setattr__(self, "even_basis", tuple(self.even_basis))
-        object.__setattr__(self, "odd_basis", tuple(self.odd_basis))
-        labels = self.even_basis + self.odd_basis
+    def __init__(self, even_basis: tuple, odd_basis: tuple):
+        even_basis, odd_basis = tuple(even_basis), tuple(odd_basis)
+        labels = even_basis + odd_basis
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate basis labels in {labels}")
+        super().__init__(even_basis, odd_basis)
 
     @property
     def dim(self) -> int:

@@ -25,13 +25,14 @@ code 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .cochains import Cochain
+from .crossed import CHMorphism
 from .deformation import check_order
 from .errors import ParseError, ValidationError
 from .exact_linalg import format_scalar, parse_scalar
-from .graded import GradedSpace
+from .graded import GradedSpace, normalize_tuple
 from .superalgebra import LinearMap, SuperAlgebra
 from .triple import ActionMap
 from .util import zero_vec
@@ -47,26 +48,26 @@ COMMANDS = (
 )
 
 
-@dataclass
 class RawDeformation:
-    order: int
-    pi: dict    # k -> bracket entry list
-    rho: dict   # k -> action entry list
-    mu: dict    # k -> bracket entry list
-    d: dict     # k -> D entry list
+    """Per-order entry lists, k -> list: bracket entries for ``pi`` and ``mu``,
+    action entries for ``rho``, D entries for ``d``."""
+
+    __slots__ = ("order", "pi", "rho", "mu", "d")
+
+    def __init__(self, order: int, pi: dict, rho: dict, mu: dict, d: dict):
+        self.order, self.pi, self.rho, self.mu, self.d = order, pi, rho, mu, d
 
 
-@dataclass
 class ProblemFile:
     """Validated sections of one input file."""
 
-    algebra: SuperAlgebra = None
-    g: SuperAlgebra = None
-    h: SuperAlgebra = None
-    action: ActionMap = None
-    crossed: LinearMap = None
-    deformation: RawDeformation = None
-    requested: tuple = ()
+    __slots__ = ("algebra", "g", "h", "action", "crossed", "deformation", "requested")
+
+    def __init__(self, algebra: SuperAlgebra = None, g: SuperAlgebra = None, h: SuperAlgebra = None,
+                 action: ActionMap = None, crossed: LinearMap = None,
+                 deformation: RawDeformation = None, requested: tuple = ()):
+        self.algebra, self.g, self.h, self.action = algebra, g, h, action
+        self.crossed, self.deformation, self.requested = crossed, deformation, requested
 
     def algebras(self):
         out = []
@@ -258,8 +259,6 @@ def parse_obj(data) -> ProblemFile:
 
 def deformation_terms(pf: ProblemFile):
     """Materialize the triple-deformation coefficient lists against g, h."""
-    from .cochains import Cochain
-
     raw = pf.deformation
     g, h = pf.g, pf.h
     pis, rhos, mus = [], [], []
@@ -351,9 +350,6 @@ def cochain_to_obj(c):
 
 
 def cochain_from_obj(entries, source: GradedSpace, target: GradedSpace, arity: int):
-    from .cochains import Cochain
-    from .graded import normalize_tuple
-
     _expect(isinstance(entries, list), "cochain: must be a list")
     coeffs = {}
     for ent in entries:
@@ -384,8 +380,6 @@ def morphism_to_obj(m):
 
 
 def morphism_from_obj(obj, g_space: GradedSpace, h_space: GradedSpace):
-    from .crossed import CHMorphism
-
     _expect(isinstance(obj, dict), "morphism: must be an object")
     _expect("phi1" in obj and "phi2" in obj, "morphism: needs phi1 and phi2")
 

@@ -12,7 +12,6 @@ raising (candidate tables are first-class inputs elsewhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cochains import Cochain
@@ -22,18 +21,18 @@ from .errors import (
     InvalidAction,
     ValidationError,
 )
-from .graded import DirectSum, GradedSpace, direct_sum
-from .util import bilinear, dense, lincomb, sparse, units, vec_add, vec_is_zero, vec_scale, zero_vec
+from .exact_linalg import Matrix, kernel_basis
+from .graded import DirectSum, GradedSpace, direct_sum, wedge_basis
+from .util import Frozen, bilinear, dense, lincomb, sparse, units, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Frozen):
     """One axiom violation: which rule, at which basis labels, both sides."""
 
-    axiom: str
-    where: tuple
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ("axiom", "where", "lhs", "rhs")
+
+    def __init__(self, axiom: str, where: tuple, lhs: tuple, rhs: tuple):
+        super().__init__(axiom, where, lhs, rhs)
 
     def to_dict(self, fmt=str):
         return {
@@ -44,10 +43,11 @@ class Failure:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    failures: tuple
+class CheckReport(Frozen):
+    __slots__ = ("name", "failures")
+
+    def __init__(self, name: str, failures: tuple):
+        super().__init__(name, failures)
 
     @property
     def ok(self) -> bool:
@@ -119,8 +119,6 @@ class SuperAlgebra:
 
     def as_cochain(self) -> Cochain:
         """The bracket as an arity-2 cochain on the underlying space."""
-        from .graded import wedge_basis
-
         coeffs = {}
         for key in wedge_basis(self.space, 2):
             v = self.bracket_basis(key[0], key[1])
@@ -227,19 +225,16 @@ def abelian(p: int, q: int, even_prefix: str = "x", odd_prefix: str = "y") -> Su
     return SuperAlgebra(space, {})
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Frozen):
     """Linear map stored column-wise: cols[j] is the image of source basis j."""
 
-    source: GradedSpace
-    target: GradedSpace
-    cols: tuple
+    __slots__ = ("source", "target", "cols")
 
-    def __post_init__(self):
-        cols = tuple(tuple(Fraction(x) for x in c) for c in self.cols)
-        if len(cols) != self.source.dim or any(len(c) != self.target.dim for c in cols):
+    def __init__(self, source: GradedSpace, target: GradedSpace, cols: tuple):
+        cols = tuple(tuple(Fraction(x) for x in c) for c in cols)
+        if len(cols) != source.dim or any(len(c) != target.dim for c in cols):
             raise DimensionMismatch("column shape does not match spaces")
-        object.__setattr__(self, "cols", cols)
+        super().__init__(source, target, cols)
 
     @classmethod
     def zero(cls, source: GradedSpace, target: GradedSpace) -> "LinearMap":
@@ -247,14 +242,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "LinearMap":
-        return cls(
-            space,
-            space,
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for i in range(space.dim))
-                for j in range(space.dim)
-            ),
-        )
+        return cls(space, space, [[int(i == j) for i in range(space.dim)] for j in range(space.dim)])
 
     def apply(self, vec):
         vec = tuple(vec)
@@ -346,11 +334,8 @@ def derivation_space(A: SuperAlgebra):
     D[a,b] = [D a, b] + (-1)^{s |a|} [a, D b] on all basis pairs; the
     conditions form a linear system in the matrix entries of D, solved exactly.
     """
-    from .exact_linalg import Matrix, kernel_basis
-
     out = []
     dim = A.dim
-    basis = [tuple(Fraction(1 if k == i else 0) for k in range(dim)) for i in range(dim)]
     for s in (0, 1):
         slots = [
             (k, j)
@@ -411,7 +396,7 @@ def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho) -> SuperAlgebra:
     The action must pass ``check_action``; the resulting table is re-verified
     with ``check_jacobi`` rather than trusted.
     """
-    from .triple import check_action
+    from .triple import check_action  # triple imports this module: a real cycle
 
     report = check_action(g, h, rho)
     if not report.ok:

@@ -20,7 +20,6 @@ P = Pi over ``triple_blocks``; the crossed-homomorphism complex is another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -29,8 +28,9 @@ from .cochains import project_block
 from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
-from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
-from .util import bilinear, dense, lincomb, sparse, units, vec_is_zero, zero_vec
+from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
+from .superalgebra import check_super_skew
+from .util import Frozen, bilinear, dense, lincomb, sparse, units, vec_is_zero, zero_vec
 
 
 class ActionMap:
@@ -93,17 +93,15 @@ class ActionMap:
         )
 
 
-@dataclass(frozen=True)
-class LieSupActTriple:
+class LieSupActTriple(Frozen):
     """Two superalgebras and an action table; validity is checked, not assumed."""
 
-    g: SuperAlgebra
-    h: SuperAlgebra
-    rho: ActionMap
+    __slots__ = ("g", "h", "rho")
 
-    def __post_init__(self):
-        if self.rho.g_space != self.g.space or self.rho.h_space != self.h.space:
+    def __init__(self, g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap):
+        if rho.g_space != g.space or rho.h_space != h.space:
             raise ShapeMismatch("action table does not match the algebra spaces")
+        super().__init__(g, h, rho)
 
     def check(self) -> CheckReport:
         failures = []
@@ -118,17 +116,11 @@ class LieSupActTriple:
 
 
 def _prefixed(A: SuperAlgebra, tag: str):
-    from .superalgebra import check_jacobi, check_super_skew
-
-    skew = check_super_skew(A)
-    jac = check_jacobi(A)
-    return (
-        CheckReport(f"{tag}_super_skew", tuple(
-            Failure(f"{tag}_{f.axiom}", f.where, f.lhs, f.rhs) for f in skew.failures
-        )),
-        CheckReport(f"{tag}_jacobi", tuple(
-            Failure(f"{tag}_{f.axiom}", f.where, f.lhs, f.rhs) for f in jac.failures
-        )),
+    return tuple(
+        CheckReport(f"{tag}_{r.name}", tuple(
+            Failure(f"{tag}_{f.axiom}", f.where, f.lhs, f.rhs) for f in r.failures
+        ))
+        for r in (check_super_skew(A), check_jacobi(A))
     )
 
 
@@ -205,18 +197,19 @@ def mc_element(t: LieSupActTriple) -> Cochain:
     return hat_extend(pi).add(hat_extend(rho_b)).add(hat_extend(mu))
 
 
-@dataclass(frozen=True)
-class McResidual:
+class McResidual(Frozen):
     """The four block components of a C^3-shaped obstruction.
 
     ``mc_residual`` fills them with the self-bracket of candidate data and
-    ``deformation.triple_deformation_residual`` with the defect of one order.
+    ``deformation.triple_deformation_residual`` with the defect of one order:
+    ``ggg`` on wedge^3 g -> g, ``ggh`` on wedge^2 g x h -> h, ``ghh`` on
+    g x wedge^2 h -> h and ``hhh`` on wedge^3 h -> h.
     """
 
-    ggg: BlockCochain  # wedge^3 g -> g
-    ggh: BlockCochain  # wedge^2 g x h -> h
-    ghh: BlockCochain  # g x wedge^2 h -> h
-    hhh: BlockCochain  # wedge^3 h -> h
+    __slots__ = ("ggg", "ggh", "ghh", "hhh")
+
+    def __init__(self, ggg: BlockCochain, ggh: BlockCochain, ghh: BlockCochain, hhh: BlockCochain):
+        super().__init__(ggg, ggh, ghh, hhh)
 
     @property
     def is_zero(self) -> bool:

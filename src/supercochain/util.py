@@ -1,4 +1,4 @@
-"""Small shared helpers: coordinate-vector arithmetic, dense and sparse.
+"""Shared helpers: an immutable record base and coordinate-vector arithmetic, dense and sparse.
 
 A sparse vector is a dict {position: nonzero coefficient}; structure-constant
 tables store one per basis pair, so a check touches only the support of the
@@ -9,8 +9,41 @@ report shows.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 _ZERO = Fraction(0)
+
+
+class Frozen:
+    """Immutable record over ``__slots__``: fields are stored, compared (same
+    class only), hashed and printed in slot order, and never assigned again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def zero_vec(n: int):

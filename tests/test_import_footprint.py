@@ -1,0 +1,38 @@
+"""What ``import supercochain.cli`` loads, in a fresh interpreter.
+
+Every CLI job pays this import.  ``dataclasses`` pulls in ``inspect``,
+``ast``, ``dis`` and ``tokenize``, so neither may appear; and the imports stay
+eager, so every submodule but ``__main__`` is loaded once the CLI is.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = {
+    "cli", "cochains", "crossed", "deformation", "errors", "exact_linalg",
+    "graded", "io", "superalgebra", "triple", "util",
+}
+
+
+def loaded_after_cli_import():
+    code = "import json, sys, supercochain.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout))
+
+
+def test_cli_import_loads_no_dataclasses_and_every_submodule():
+    loaded = loaded_after_cli_import()
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    ours = {name.split(".", 1)[1] for name in loaded if name.startswith("supercochain.")}
+    assert ours == SUBMODULES
+    assert {path.stem for path in (SRC / "supercochain").glob("*.py")} == (
+        SUBMODULES | {"__init__", "__main__"}
+    )
