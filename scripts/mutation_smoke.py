@@ -36,15 +36,27 @@ PYTEST_TESTS_FAILED = 1
 MUTATIONS = (
     (
         "cochains.py",
-        "outer = 1 if len(K) % 2 == 0 else -1",
-        "outer = -1 if len(K) % 2 == 0 else 1",
+        "outer = -1 if nP * (len(K) - 1) % 2 == 0 else 1",
+        "outer = 1 if nP * (len(K) - 1) % 2 == 0 else -1",
         ("tests/test_assembly.py",),
     ),
     (
         "cochains.py",
-        "c = s1 * X.count(x) * (-1 if u and pars[x] else 1)",
-        "c = s1 * X.count(x)",
+        "* (-1 if u and hpar else 1)",
+        "* 1",
         ("tests/test_assembly.py",),
+    ),
+    (
+        "cochains.py",
+        "flip = (sum(pars[j] for j in head) + u) % 2",
+        "flip = u",
+        ("tests/test_cochains.py::test_nr_bracket_matches_shuffle_reference",),
+    ),
+    (
+        "cochains.py",
+        "m *= comb(X.count(e), c)",
+        "m *= X.count(e)",
+        ("tests/test_cochains.py::test_circ_matches_shuffle_reference",),
     ),
     (
         "cochains.py",
@@ -60,8 +72,8 @@ MUTATIONS = (
     ),
     (
         "crossed.py",
-        "P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)))",
-        "P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)).scale(-1))",
+        "P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))",
+        "P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)).scale(-1))",
         ("tests/test_assembly.py",),
     ),
     (

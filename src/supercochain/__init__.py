@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for Lie superalgebra structures.
 
 Core layers, bottom to top: ``exact_linalg`` (rational rank/kernel engine),
-``graded`` (Koszul signs, wedge bases, shuffles), ``superalgebra`` (structure
+``graded`` (Koszul signs, wedge bases, direct sums), ``superalgebra`` (structure
 constants, axiom checkers, derivations), ``cochains`` (the graded Lie algebra
 of super-antisymmetric maps), ``triple`` and ``crossed`` (Maurer-Cartan
 characterizations and cohomology), ``deformation`` (order-by-order formal
@@ -29,10 +29,9 @@ from .graded import (
     koszul_K,
     koszul_sign,
     normalize_tuple,
-    shuffles,
     wedge_basis,
 )
-from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_with, circ, f_membership
+from .cochains import BlockCochain, Cochain, bracket_matrix, circ, f_membership
 from .cochains import hat_extend, nr_bracket, pair_table, project_block
 from .superalgebra import (
     CheckReport,

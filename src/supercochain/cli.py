@@ -83,13 +83,14 @@ def _triple_of(pf: sio.ProblemFile) -> LieSupActTriple:
     return LieSupActTriple(pf.g, pf.h, pf.action)
 
 
+def _algebra_verdicts(tag, alg):
+    """The ``tag.super_skew`` and ``tag.jacobi`` verdicts of one algebra."""
+    reports = (check_super_skew(alg), check_jacobi(alg))
+    return [_verdict(f"{tag}.{r.name}", r.ok, r.failures) for r in reports]
+
+
 def _triple_verdicts(t: LieSupActTriple):
-    verdicts = []
-    for tag, alg in (("g", t.g), ("h", t.h)):
-        skew = check_super_skew(alg)
-        jac = check_jacobi(alg)
-        verdicts.append(_verdict(f"{tag}.super_skew", skew.ok, skew.failures))
-        verdicts.append(_verdict(f"{tag}.jacobi", jac.ok, jac.failures))
+    verdicts = _algebra_verdicts("g", t.g) + _algebra_verdicts("h", t.h)
     act = check_action(t.g, t.h, t.rho)
     verdicts.append(_verdict("action", act.ok, act.failures))
     return verdicts
@@ -104,13 +105,7 @@ def cmd_check_algebra(pf, flags):
     algs = pf.algebras()
     if not algs:
         raise ValidationError("file has no algebra section")
-    verdicts = []
-    for name, alg in algs:
-        skew = check_super_skew(alg)
-        jac = check_jacobi(alg)
-        verdicts.append(_verdict(f"{name}.super_skew", skew.ok, skew.failures))
-        verdicts.append(_verdict(f"{name}.jacobi", jac.ok, jac.failures))
-    return {"verdicts": verdicts}
+    return {"verdicts": [v for name, alg in algs for v in _algebra_verdicts(name, alg)]}
 
 
 def cmd_check_triple(pf, flags):

@@ -11,10 +11,6 @@ product of (n, f) and (n', f') pieces has bidegree (n+n', f+f'), and
 
     [F, G] = circ(F, G) - (-1)^(n n' + f f') circ(G, F).
 
-Formulas are stated for homogeneous parities, so every product here first
-splits its operands into parity components and treats them separately;
-non-homogeneous cochains are just containers for such sums.
-
 ``BlockCochain`` and ``hat_extend`` tie a two-space world (g, h) to the single
 space g + h.  ``block_key`` is the one signed map between the two: it sends a
 block pair (g key, h key) to its normal-form key on g + h with the Koszul
@@ -23,29 +19,21 @@ times the sign, and ``project_block`` splits each key of a cochain on g + h
 back into a block pair; neither sums shuffles.  ``Cochain`` and
 ``BlockCochain`` share their linear operations and parity split.
 
-For an even arity-2 P, ``bracket_with`` computes [P, U] and ``bracket_matrix``
-the matrix of U -> [P, U] on unit bases.  Both expand the bracket unit by unit
-over the support of P (``_unit_image``, the Chevalley-Eilenberg form of the
-differential) instead of summing shuffles over a whole wedge basis as
-``nr_bracket`` does; ``nr_bracket`` stays the general product.
+``circ``, ``nr_bracket`` and ``bracket_matrix`` share one term expansion: for
+each unit U = (key K -> e_T) of the right operand, ``_unit_image`` lists the
+terms of [P, U] (or circ(P, U)) over the support of a P of any arity and
+parity.  Every Koszul sign comes from ``normalize_tuple``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
-from .graded import (
-    DirectSum,
-    GradedSpace,
-    direct_sum,
-    koszul_sign,
-    normalize_tuple,
-    shuffles,
-    wedge_basis,
-)
-from .util import sparse, vec_add, vec_is_zero, vec_scale, zero_vec
+from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
+from .util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 _ZERO = Fraction(0)
 
@@ -182,159 +170,113 @@ class Cochain(_CoefficientMap):
         return f"Cochain(arity={self.arity}, keys={len(self.coeffs)})"
 
 
-def _require_endo_pair(F: Cochain, G: Cochain):
-    if F.source != F.target or G.source != G.target or F.source != G.source:
-        raise SpaceMismatch("insertion product needs cochains on one space V -> V")
+def _bracket_support(P: Cochain):
+    """P indexed by each distinct entry k of its keys and by output component.
 
-
-def circ(F: Cochain, G: Cochain) -> Cochain:
-    """Insertion product: shuffle-sum over G plugged into the last slot of F.
-
-    For homogeneous G of parity g the summand on an argument tuple Y is
-    (-1)^(g * (parity of the first weight-of-F entries)) F(Y_head, G(Y_tail));
-    summing over the (weight, arity-of-G) shuffles with Koszul signs lands back
-    in the wedge-invariant maps.  Mixed G is handled per parity part.
+    ``by_entry[k]``: (H, |H|, counts(H), {t: P(H, k)_t}) for H a key minus one k;
+    ``by_comp[t]``: (key, parity of the term, counts(key), P(key)_t).  Only odd
+    entries can repeat, so counts(part) lists (e, count) for those alone.
     """
-    _require_endo_pair(F, G)
-    V = F.source
-    nF = F.arity - 1
-    N = F.arity + G.arity - 1
-    out = {}
-    if F.is_zero() or G.is_zero():
-        return Cochain.zero(V, V, N)
-    shs = shuffles((nF, G.arity))
+    V = P.source
     pars = V.parities
-    keys = wedge_basis(V, N)
-    for Gpart, gpar in G.parity_parts():
-        for X in keys:
-            px = tuple(pars[i] for i in X)
-            acc = None
-            for sigma in shs:
-                sign = koszul_sign(sigma, px)
-                Y = tuple(X[sigma[i]] for i in range(N))
-                if gpar and sum(px[sigma[i]] for i in range(nF)) % 2:
-                    sign = -sign
-                inner = Gpart.eval(Y[nF:])
-                head = Y[:nF]
-                for k, c in enumerate(inner):
-                    if c == 0:
-                        continue
-                    fv = F.eval(head + (k,))
-                    if vec_is_zero(fv):
-                        continue
-                    term = vec_scale(fv, sign * c)
-                    acc = term if acc is None else vec_add(acc, term)
-            if acc is not None and not vec_is_zero(acc):
-                cur = out.get(X)
-                out[X] = vec_add(cur, acc) if cur is not None else acc
-    return Cochain(V, V, N, out)
 
+    def counts(part):
+        return tuple((e, part.count(e)) for e in set(part) if pars[e])
 
-def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
-    """Graded commutator of the insertion product, bilinear over parity parts."""
-    _require_endo_pair(F, G)
-    V = F.source
-    nF, nG = F.arity - 1, G.arity - 1
-    N = F.arity + G.arity - 1
-    total = Cochain.zero(V, V, N)
-    for Gpart, g in G.parity_parts():
-        total = total.add(circ(F, Gpart))
-        for Fpart, f in F.parity_parts():
-            sign = Fraction(-1 if (nF * nG + f * g) % 2 == 0 else 1)
-            total = total.add(circ(Gpart, Fpart).scale(sign))
-    return total
+    by_entry, by_comp = {}, {}
+    for key, vec in P.coeffs.items():
+        kp = sum(pars[i] for i in key)
+        nonzero = [(t, x) for t, x in enumerate(vec) if x != 0]
+        for k in sorted(set(key)):
+            i = key.index(k)
+            H = key[:i] + key[i + 1 :]
+            s = normalize_tuple(V, H + (k,))[1]
+            vals = dict(nonzero) if s > 0 else {t: -x for t, x in nonzero}
+            by_entry.setdefault(k, []).append((H, (kp + pars[k]) % 2, counts(H), vals))
+        kc = counts(key)
+        for t, x in nonzero:
+            by_comp.setdefault(t, []).append((key, (kp + pars[t]) % 2, kc, x))
+    return P.arity - 1, by_entry, by_comp
 
 
 def pair_table(c: Cochain):
     """T[a][b] = {k: c(a, b)_k} on every ordered pair of an arity-2 cochain."""
-    V = c.source
-    T = [[{} for _ in range(V.dim)] for _ in range(V.dim)]
-    for (a, b), vec in c.coeffs.items():
-        T[a][b] = sparse(vec)
-        if a != b:
-            s = normalize_tuple(V, (b, a))[1]
-            T[b][a] = {k: s * x for k, x in T[a][b].items()}
+    T = [[{} for _ in range(c.source.dim)] for _ in range(c.source.dim)]
+    for b, entries in _bracket_support(c)[1].items():
+        for (a,), _, _, vals in entries:
+            T[a][b] = vals
     return T
 
 
-def _bracket_support(P: Cochain):
-    """The support of an even arity-2 P, indexed for the unit expansion."""
-    V = P.source
-    if P.target != V or P.arity != 2 or P.parity() != 0:
-        raise ShapeMismatch("the bracket expansion needs an even arity-2 cochain V -> V")
-    left_of = {}  # y -> [(x, P(x, y))]
-    for x, row in enumerate(pair_table(P)):
-        for y, vec in enumerate(row):
-            if vec:
-                left_of.setdefault(y, []).append((x, vec))
-    by_comp = {}  # k -> [((a, b), P(a, b)_k)]
-    for (a, b), vec in P.coeffs.items():
-        for k, c in enumerate(vec):
-            if c != 0:
-                by_comp.setdefault(k, []).append(((a, b), c))
-    return left_of, by_comp
+def _multiplicity(X, counts):
+    """Prod_e C(count_X(e), count(e)): the ways a part with these ``counts`` sits in the key X."""
+    m = 1
+    for e, c in counts:
+        m *= comb(X.count(e), c)
+    return m
 
 
-def _unit_image(V: GradedSpace, support, K, T):
-    """[P, U] for the unit U = (key K -> e_T), as (key, target, coefficient) terms.
+def _unit_image(V: GradedSpace, support, K, T, bracket=True):
+    """Terms (key, target, coefficient) of [P, U], or of circ(P, U), for U = (key K -> e_T).
 
-    [P, U] = circ(P, U) - (-1)^(n-1) circ(U, P) for U of arity n, expanded
-    over the support of P:
-
-    * circ(P, U) lands on sort(x + K) with value P(x, T); an odd x already
-      in K counts with its multiplicity in the new key;
-    * circ(U, P) lands on sort(K - k + (a, b)) with value P(a, b)_k, times
-      the number of index pairs of the new key holding (a, b).
-
-    The Koszul sign of each term is the sign ``normalize_tuple`` gives its
-    unsorted tuple, i.e. the sign of the shuffle ``circ`` sums over.  Terms
-    may repeat a (key, target); callers add them up.
+    [P, U] = circ(P, U) - (-1)^(nP nU + f u) circ(U, P) for U of arity nU + 1
+    and parity u, P of arity nP + 1 and term parities f.  In circ(P, U),
+    P(H, T) lands on sort(H + K) with (-1)^(u |H|); in circ(U, P), each entry
+    k of K, read as U(head, k), takes P(key)_k to sort(head + key) with
+    (-1)^(f |head|).  Each term also carries the sign ``normalize_tuple``
+    gives its unsorted key and the multiplicity of P's part in the new key.
+    Terms may repeat a (key, target); callers add them up.
     """
-    left_of, by_comp = support
+    nP, by_entry, by_comp = support
     pars = V.parities
     u = (sum(pars[i] for i in K) + pars[T]) % 2
-    for x, vec in left_of.get(T, ()):
-        X, s1 = normalize_tuple(V, (x,) + K)
-        if s1 == 0:
-            continue
-        c = s1 * X.count(x) * (-1 if u and pars[x] else 1)
-        for tgt, v in vec.items():
-            yield X, tgt, c * v
-    outer = 1 if len(K) % 2 == 0 else -1
+    for H, hpar, counts, vals in by_entry.get(T, ()):
+        X, s = normalize_tuple(V, H + K)
+        if s:
+            c = s * _multiplicity(X, counts) * (-1 if u and hpar else 1)
+            for tgt, v in vals.items():
+                yield X, tgt, c * v
+    if not bracket:
+        return
+    outer = -1 if nP * (len(K) - 1) % 2 == 0 else 1  # -(-1)^(nP nU)
     for k in set(K):
         i = K.index(k)
         head = K[:i] + K[i + 1 :]
-        s2 = normalize_tuple(V, head + (k,))[1]
-        for (a, b), v in by_comp.get(k, ()):
-            X, s3 = normalize_tuple(V, head + (a, b))
-            if s3 == 0:
-                continue
-            m = X.count(a)
-            pairs = m * (m - 1) // 2 if a == b else m * X.count(b)
-            yield X, T, outer * s2 * s3 * pairs * v
+        s2 = outer * normalize_tuple(V, head + (k,))[1]
+        flip = (sum(pars[j] for j in head) + u) % 2  # (-1)^(f |head|) (-1)^(f u)
+        for key, f, counts, v in by_comp.get(k, ()):
+            X, s3 = normalize_tuple(V, head + key)
+            if s3:
+                c = s2 * s3 * _multiplicity(X, counts)
+                yield X, T, (-c if f and flip else c) * v
 
 
-def bracket_with(P: Cochain, U: Cochain) -> Cochain:
-    """[P, U] for an even arity-2 cochain P, from the supports of P and U.
-
-    Equal to ``nr_bracket(P, U)``; U may have any arity and mixed parity,
-    since the bracket is linear in U and every unit is homogeneous.
-    """
+def _expand(P: Cochain, U: Cochain, bracket: bool) -> Cochain:
+    """The sum over the units (K -> e_T) of U of U(K)_T times their ``_unit_image``."""
     V = P.source
-    if U.source != V or U.target != V:
-        raise SpaceMismatch("bracket_with needs cochains on one space V -> V")
+    if V != P.target or U.source != V or U.target != V:
+        raise SpaceMismatch("insertion product needs cochains on one space V -> V")
     support = _bracket_support(P)
     out = {}
     for K, vec in U.coeffs.items():
         for T, v in enumerate(vec):
-            if v == 0:
-                continue
-            for X, tgt, c in _unit_image(V, support, K, T):
-                row = out.get(X)
-                if row is None:
-                    row = out[X] = [_ZERO] * V.dim
-                row[tgt] += v * c
-    return Cochain(V, V, U.arity + 1, out)
+            if v != 0:
+                for X, tgt, c in _unit_image(V, support, K, T, bracket):
+                    row = out.get(X)
+                    if row is None:
+                        row = out[X] = [_ZERO] * V.dim
+                    row[tgt] += v * c
+    return Cochain(V, V, P.arity + U.arity - 1, out)
+
+
+def circ(F: Cochain, G: Cochain) -> Cochain:
+    """Insertion product F o G, G plugged into the last slot of F, over the units of G."""
+    return _expand(F, G, bracket=False)
+
+
+def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
+    """Graded commutator [F, G] of the insertion product, over the units of G."""
+    return _expand(F, G, bracket=True)
 
 
 def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
@@ -345,6 +287,8 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     through the same sign.  Each column is the ``_unit_image`` of its unit.
     """
     V = P.source
+    if P.target != V or P.arity != 2 or P.parity() != 0:
+        raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
     support = _bracket_support(P)
     data = [{} for _ in rows]
     row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}

@@ -23,15 +23,15 @@ the one signature ``ch_blocks(m)``.  The twisted differential of D,
 is one bracket with an even arity-2 element of the big algebra, so
 ``ChComplex.twisted`` builds P_D and returns its ``triple.BlockComplex``
 over ``ch_blocks``.  The Maurer-Cartan residual, the d_D matrices and the
-deformation checks all go through it; only ``ChComplex.bracket``, the
-general [[f1, f2]], uses ``nr_bracket``.
+deformation checks all go through it.  [mu, D] and ``ChComplex.bracket``,
+the general [[f1, f2]], are ``nr_bracket`` products of the same expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, bracket_with, hat_extend, nr_bracket, project_block
+from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, rank
 from .graded import direct_sum
@@ -148,7 +148,7 @@ class ChComplex:
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""
         m = f1.g_arity
-        inner = bracket_with(self.mu_hat, hat_extend(f1))
+        inner = nr_bracket(self.mu_hat, hat_extend(f1))
         outer = nr_bracket(inner, hat_extend(f2))
         sign = Fraction(1 if (m - 1) % 2 == 0 else -1)
         return project_block(outer.scale(sign), self.ds, m + f2.g_arity, 0, "h")
@@ -159,7 +159,7 @@ class ChComplex:
 
     def twisted(self, D_block: BlockCochain) -> BlockComplex:
         """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``."""
-        P = self.pr_hat.add(bracket_with(self.mu_hat, hat_extend(D_block)))
+        P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))
         return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
 
 

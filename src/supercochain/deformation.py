@@ -25,7 +25,7 @@ differential d_D.
 
 from __future__ import annotations
 
-from .cochains import BlockCochain, Cochain, bracket_with, pair_table
+from .cochains import BlockCochain, Cochain, nr_bracket, pair_table
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
 from .graded import wedge_basis
@@ -127,8 +127,8 @@ def triple_deformation_residual(d: TripleDeformation, n: int) -> McResidual:
     eq1 = Cochain.zero(gs, gs, 3)
     eq2 = Cochain.zero(hs, hs, 3)
     for i, j in pairs:
-        eq1 = eq1.add(bracket_with(d.pis[i], d.pis[j]))
-        eq2 = eq2.add(bracket_with(d.mus[i], d.mus[j]))
+        eq1 = eq1.add(nr_bracket(d.pis[i], d.pis[j]))
+        eq2 = eq2.add(nr_bracket(d.mus[i], d.mus[j]))
 
     ggg = BlockCochain(gs, hs, 3, 0, "g", {(k, ()): v for k, v in eq1.coeffs.items()})
     hhh = BlockCochain(gs, hs, 0, 3, "h", {((), k): v for k, v in eq2.coeffs.items()})

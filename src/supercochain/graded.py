@@ -1,4 +1,4 @@
-"""Z2-graded spaces, Koszul signs, super-wedge bases and shuffles.
+"""Z2-graded spaces, Koszul signs, super-wedge bases and direct sums.
 
 Conventions, fixed once and property-tested:
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, ValidationError
@@ -144,33 +143,6 @@ def koszul_sign(sigma: Perm, parities) -> int:
     if len(sigma) != len(parities):
         raise ArityMismatch(f"permutation degree {len(sigma)} != parity vector length {len(parities)}")
     return _koszul_sign_cached(tuple(sigma), parities)
-
-
-@lru_cache(maxsize=None)
-def shuffles(block_sizes: tuple):
-    """All permutations increasing within each consecutive block, lex order.
-
-    Returned permutations are images tuples; the count is the multinomial
-    coefficient of ``block_sizes``.
-    """
-    blocks = tuple(int(b) for b in block_sizes)
-    if any(b < 0 for b in blocks):
-        raise ValidationError("block sizes must be >= 0")
-    n = sum(blocks)
-    results = []
-
-    def assign(remaining, blocks_left, acc):
-        if not blocks_left:
-            results.append(tuple(acc))
-            return
-        size = blocks_left[0]
-        for chosen in combinations(remaining, size):
-            rest = tuple(x for x in remaining if x not in chosen)
-            assign(rest, blocks_left[1:], acc + list(chosen))
-        return
-
-    assign(tuple(range(n)), blocks, [])
-    return tuple(results)
 
 
 def _multiset_count(q: int, j: int) -> int:

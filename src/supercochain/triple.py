@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, bracket_with, hat_extend
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_extend, nr_bracket
 from .cochains import project_block
 from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table
@@ -91,6 +91,11 @@ class ActionMap:
             and self.h_space == other.h_space
             and self.table == other.table
         )
+
+    def __repr__(self):
+        entries = sum(not vec_is_zero(vec) for row in self.table for vec in row)
+        (p, q), (r, s) = self.g_space.dims, self.h_space.dims
+        return f"ActionMap(dims=({p}|{q})->({r}|{s}), entries={entries})"
 
 
 class LieSupActTriple(Frozen):
@@ -232,13 +237,15 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     pi_b, rho_b, mu_b = _blocks_of(g, h, rho)
     P, R, M = hat_extend(pi_b), hat_extend(rho_b), hat_extend(mu_b)
     ds = direct_sum(g.space, h.space)
-    comp_ggg = project_block(bracket_with(P, P), ds, 3, 0, "g")
+    if R.parity() != 0:
+        raise ShapeMismatch("the action is not degree 0")
+    comp_ggg = project_block(nr_bracket(P, P), ds, 3, 0, "g")
     # [R, P] = circ(R, P): circ(P, R) vanishes, as P reads only g and R lands in h
-    comp_ggh = project_block(bracket_with(R, P).scale(2).add(bracket_with(R, R)), ds, 2, 1, "h")
-    comp_ghh = project_block(bracket_with(R, M).scale(2), ds, 1, 2, "h")
-    comp_hhh = project_block(bracket_with(M, M), ds, 0, 3, "h")
+    comp_ggh = project_block(nr_bracket(R, P).scale(2).add(nr_bracket(R, R)), ds, 2, 1, "h")
+    comp_ghh = project_block(nr_bracket(R, M).scale(2), ds, 1, 2, "h")
+    comp_hhh = project_block(nr_bracket(M, M), ds, 0, 3, "h")
     Pi = P.add(R).add(M)
-    full = bracket_with(Pi, Pi)
+    full = nr_bracket(Pi, Pi)
     for (ga, ha, side), comp in (
         ((3, 0, "g"), comp_ggg),
         ((2, 1, "h"), comp_ggh),
@@ -339,10 +346,12 @@ class BlockComplex:
 
     def d(self, blocks):
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
+        if self.P.parity() != 0:
+            raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
         total = hat_extend(blocks[0])
         for block in blocks[1:]:
             total = total.add(hat_extend(block))
-        image = bracket_with(self.P, total)
+        image = nr_bracket(self.P, total)
         ds = direct_sum(self.g_space, self.h_space)
         return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
 

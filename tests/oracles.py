@@ -1,4 +1,4 @@
-"""Brute-force oracles, independent of the wedge/shuffle/hat pipeline.
+"""Brute-force oracles, independent of the library's bracket expansion and block maps.
 
 Cochains live here as raw coefficient tables over *all* basis tuples.  The
 invariant subspace is spanned by full symmetrizations of elementary tables;
@@ -7,13 +7,15 @@ symmetric group divided by the block redundancy; differentials are assembled
 by direct evaluation of those raw brackets at basis tuples and the resulting
 matrices go through the exact rank/kernel engine.
 
-The per-unit reference path (one ``nr_bracket`` per basis cochain, then the
-hat projection back to block coordinates) and the closed double-shuffle form
-of the crossed-homomorphism bracket live here too: they reuse the pipeline's
-cochains but neither its direct matrix assembly nor ``bracket_with``, the
-unit expansion behind it; the [mu, D] of the twisted differential is a
-``nr_bracket`` too.  So do the shuffle-sum hat extension and the whole-basis
-block projection, which read no ``block_key``.
+The shuffle-sum insertion product and bracket (``shuffle_circ``,
+``shuffle_nr_bracket``) live here too: they sum Koszul-signed shuffles over a
+whole wedge basis and read none of the library's unit expansion.  The
+per-unit reference path (one ``shuffle_nr_bracket`` per basis cochain, then
+the hat projection back to block coordinates), the [mu, D] of the twisted
+differential, the closed double-shuffle form of the crossed-homomorphism
+bracket and the dense deformation residual use only them.  So do the
+shuffle-sum hat extension and the whole-basis block projection, which read
+no ``block_key``.
 
 So do the dense axiom checks and deformation residuals: every term is a
 dense coordinate vector pushed through ``LinearMap`` operators and a dense
@@ -25,13 +27,15 @@ in full, scaled to integers and reduced by Bareiss elimination in leftmost
 column order, with no sparse storage or pivot choice.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction as F
 
-from supercochain.cochains import BlockCochain, Cochain, hat_extend, nr_bracket, project_block
+from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_block
+from supercochain.errors import SpaceMismatch, ValidationError
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, koszul_sign, shuffles, wedge_basis
+from supercochain.graded import direct_sum, koszul_sign, wedge_basis
 from supercochain.triple import (
     McResidual,
     block_units,
@@ -45,6 +49,94 @@ from supercochain.triple import (
 from supercochain.crossed import ch_blocks, ch_units
 from supercochain.superalgebra import CheckReport, Failure, LinearMap
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
+
+
+@functools.lru_cache(maxsize=None)
+def shuffles(block_sizes: tuple):
+    """All permutations increasing within each consecutive block, lex order.
+
+    Returned permutations are images tuples; the count is the multinomial
+    coefficient of ``block_sizes``.
+    """
+    blocks = tuple(int(b) for b in block_sizes)
+    if any(b < 0 for b in blocks):
+        raise ValidationError("block sizes must be >= 0")
+    n = sum(blocks)
+    results = []
+
+    def assign(remaining, blocks_left, acc):
+        if not blocks_left:
+            results.append(tuple(acc))
+            return
+        size = blocks_left[0]
+        for chosen in itertools.combinations(remaining, size):
+            rest = tuple(x for x in remaining if x not in chosen)
+            assign(rest, blocks_left[1:], acc + list(chosen))
+
+    assign(tuple(range(n)), blocks, [])
+    return tuple(results)
+
+
+def _require_endo_pair(Fc, Gc):
+    if Fc.source != Fc.target or Gc.source != Gc.target or Fc.source != Gc.source:
+        raise SpaceMismatch("insertion product needs cochains on one space V -> V")
+
+
+def shuffle_circ(Fc, Gc):
+    """Insertion product: shuffle-sum over G plugged into the last slot of F.
+
+    For homogeneous G of parity g the summand on an argument tuple Y is
+    (-1)^(g * (parity of the first weight-of-F entries)) F(Y_head, G(Y_tail));
+    summing over the (weight, arity-of-G) shuffles with Koszul signs lands back
+    in the wedge-invariant maps.  Mixed G is handled per parity part.
+    """
+    _require_endo_pair(Fc, Gc)
+    V = Fc.source
+    nF = Fc.arity - 1
+    N = Fc.arity + Gc.arity - 1
+    out = {}
+    if Fc.is_zero() or Gc.is_zero():
+        return Cochain.zero(V, V, N)
+    shs = shuffles((nF, Gc.arity))
+    pars = V.parities
+    keys = wedge_basis(V, N)
+    for Gpart, gpar in Gc.parity_parts():
+        for X in keys:
+            px = tuple(pars[i] for i in X)
+            acc = None
+            for sigma in shs:
+                sign = koszul_sign(sigma, px)
+                Y = tuple(X[sigma[i]] for i in range(N))
+                if gpar and sum(px[sigma[i]] for i in range(nF)) % 2:
+                    sign = -sign
+                inner = Gpart.eval(Y[nF:])
+                head = Y[:nF]
+                for k, c in enumerate(inner):
+                    if c == 0:
+                        continue
+                    fv = Fc.eval(head + (k,))
+                    if vec_is_zero(fv):
+                        continue
+                    term = vec_scale(fv, sign * c)
+                    acc = term if acc is None else vec_add(acc, term)
+            if acc is not None and not vec_is_zero(acc):
+                cur = out.get(X)
+                out[X] = vec_add(cur, acc) if cur is not None else acc
+    return Cochain(V, V, N, out)
+
+
+def shuffle_nr_bracket(Fc, Gc):
+    """Graded commutator of ``shuffle_circ``, bilinear over parity parts."""
+    _require_endo_pair(Fc, Gc)
+    V = Fc.source
+    nF, nG = Fc.arity - 1, Gc.arity - 1
+    total = Cochain.zero(V, V, Fc.arity + Gc.arity - 1)
+    for Gpart, g in Gc.parity_parts():
+        total = total.add(shuffle_circ(Fc, Gpart))
+        for Fpart, f in Fc.parity_parts():
+            sign = F(-1 if (nF * nG + f * g) % 2 == 0 else 1)
+            total = total.add(shuffle_circ(Gpart, Fpart).scale(sign))
+    return total
 
 
 def hat_extend_reference(block):
@@ -411,7 +503,7 @@ def unit_triple_cochain(g_space, h_space, n, unit):
 
 
 def _reference_matrix(g_space, h_space, P, sigs, n, parity):
-    """Matrix of [P, .] from C^n to C^(n+1), one ``nr_bracket`` per unit column.
+    """Matrix of [P, .] from C^n to C^(n+1), one ``shuffle_nr_bracket`` per unit column.
 
     Each unit block is hat-extended, bracketed with P by the shuffle-sum
     product and projected back onto every block signature of degree n + 1.
@@ -422,22 +514,22 @@ def _reference_matrix(g_space, h_space, P, sigs, n, parity):
     columns = []
     for u in cols:
         unit = unit_blocks(g_space, h_space, sigs(n), u)[u[0]]
-        image = nr_bracket(P, hat_extend(unit))
+        image = shuffle_nr_bracket(P, hat_extend(unit))
         blocks = tuple(project_block(image, ds, *sig) for sig in sigs(n + 1))
         columns.append(blocks_vector(blocks, rows))
     return Matrix.from_cols(columns, len(rows))
 
 
 def triple_reference_matrix(t, n, parity):
-    """Degree-n triple differential [Pi, .], one ``nr_bracket`` per unit column."""
+    """Degree-n triple differential [Pi, .], one ``shuffle_nr_bracket`` per unit column."""
     return _reference_matrix(t.g.space, t.h.space, mc_element(t), triple_blocks, n, parity)
 
 
 def ch_reference_matrix(D, n, parity):
-    """Degree-n twisted differential [pi + rho + [mu, D], .], one ``nr_bracket`` per column."""
+    """Degree-n twisted differential [pi + rho + [mu, D], .], one ``shuffle_nr_bracket`` per column."""
     t = D.triple
     gs, hs = t.g.space, t.h.space
-    mu_D = nr_bracket(hat_extend(mu_block(gs, t.h)), hat_extend(D.as_block()))
+    mu_D = shuffle_nr_bracket(hat_extend(mu_block(gs, t.h)), hat_extend(D.as_block()))
     P_D = hat_extend(pi_block(t.g, hs)).add(hat_extend(t.rho.as_block())).add(mu_D)
     return _reference_matrix(gs, hs, P_D, ch_blocks, n, parity)
 
@@ -626,8 +718,8 @@ def triple_deformation_residual(d, n):
     eq1 = Cochain.zero(gs, gs, 3)
     eq2 = Cochain.zero(hs, hs, 3)
     for i, j in pairs:
-        eq1 = eq1.add(nr_bracket(d.pis[i], d.pis[j]))
-        eq2 = eq2.add(nr_bracket(d.mus[i], d.mus[j]))
+        eq1 = eq1.add(shuffle_nr_bracket(d.pis[i], d.pis[j]))
+        eq2 = eq2.add(shuffle_nr_bracket(d.mus[i], d.mus[j]))
     ggg = BlockCochain(gs, hs, 3, 0, "g", {(k, ()): v for k, v in eq1.coeffs.items()})
     hhh = BlockCochain(gs, hs, 0, 3, "h", {((), k): v for k, v in eq2.coeffs.items()})
 

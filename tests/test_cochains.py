@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from supercochain.cochains import (
     BlockCochain,
     Cochain,
-    bracket_with,
+    bracket_matrix,
     circ,
     f_membership,
     hat_extend,
@@ -20,10 +20,12 @@ from supercochain.cochains import (
 from supercochain.errors import ShapeMismatch, SpaceMismatch
 from supercochain.graded import GradedSpace, direct_sum, wedge_basis
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, gl
+from supercochain.triple import ActionMap, LieSupActTriple, check_action, mc_residual
+from supercochain.triple import triple_blocks, triple_complex
 from supercochain.util import vec_is_zero, vec_scale, zero_vec
 
 import oracles
-from helpers import SMALL_SPACES, random_block, random_cochain, random_homogeneous_cochain
+from helpers import SMALL_SPACES, aff11, random_block, random_cochain, random_homogeneous_cochain
 
 V11 = GradedSpace(("e",), ("f",))
 V21 = GradedSpace(("e", "g"), ("f",))
@@ -407,7 +409,9 @@ def test_block_maps_match_references(name, keys, rng):
 
 
 # ---------------------------------------------------------------------------
-# bracket_with: the support-driven [P, U] for an even arity-2 P
+# circ and nr_bracket, expanded over the support of any cochain, against the
+# shuffle sums of ``oracles``.  The ``test_bracket_with_*`` names are kept so
+# that their test ids stay stable.
 
 
 def _fixture_structure_elements():
@@ -424,6 +428,34 @@ def _fixture_structure_elements():
 
 
 STRUCTURE_ELEMENTS = _fixture_structure_elements()
+PARITIES = st.sampled_from((0, 1, None))  # None: mixed
+
+
+def _operand(space, arity, parity, keys, rng):
+    if parity is None:
+        return random_cochain(space, arity, rng, max_keys=keys)
+    return random_homogeneous_cochain(space, arity, parity, rng, max_keys=keys)
+
+
+OPERANDS = st.tuples(st.integers(1, 3), PARITIES, st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(SMALL_SPACES), f=OPERANDS, g=OPERANDS, rng=st.randoms(use_true_random=False)
+)
+def test_nr_bracket_matches_shuffle_reference(space, f, g, rng):
+    Fc, Gc = _operand(space, *f, rng), _operand(space, *g, rng)
+    assert nr_bracket(Fc, Gc) == oracles.shuffle_nr_bracket(Fc, Gc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(SMALL_SPACES), f=OPERANDS, g=OPERANDS, rng=st.randoms(use_true_random=False)
+)
+def test_circ_matches_shuffle_reference(space, f, g, rng):
+    Fc, Gc = _operand(space, *f, rng), _operand(space, *g, rng)
+    assert circ(Fc, Gc) == oracles.shuffle_circ(Fc, Gc)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ELEMENTS))
@@ -432,16 +464,26 @@ def test_bracket_with_zero_cochain(name):
     V = P.source
     for arity in (1, 2, 3):
         zero = Cochain.zero(V, V, arity)
-        assert bracket_with(P, zero) == nr_bracket(P, zero) == Cochain.zero(V, V, arity + 1)
+        want = Cochain.zero(V, V, arity + 1)
+        assert nr_bracket(P, zero) == oracles.shuffle_nr_bracket(P, zero) == want
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ELEMENTS))
 @settings(max_examples=12, deadline=None)
-@given(arity=st.integers(1, 3), keys=st.integers(1, 4), rng=st.randoms(use_true_random=False))
-def test_bracket_with_matches_nr_bracket_on_fixtures(name, arity, keys, rng):
+@given(
+    arity=st.integers(1, 3),
+    keys=st.integers(1, 4),
+    parity=PARITIES,
+    rng=st.randoms(use_true_random=False),
+)
+def test_bracket_with_matches_nr_bracket_on_fixtures(name, arity, keys, parity, rng):
+    """Both products of the fixture's Pi with U, in both orders, against the shuffle sums."""
     P = STRUCTURE_ELEMENTS[name]
-    U = random_cochain(P.source, arity, rng, max_keys=keys)
-    assert bracket_with(P, U) == nr_bracket(P, U)
+    U = _operand(P.source, arity, parity, keys, rng)
+    assert nr_bracket(P, U) == oracles.shuffle_nr_bracket(P, U)
+    assert nr_bracket(U, P) == oracles.shuffle_nr_bracket(U, P)
+    assert circ(P, U) == oracles.shuffle_circ(P, U)
+    assert circ(U, P) == oracles.shuffle_circ(U, P)
 
 
 def test_bracket_with_matches_nr_bracket_on_random_even_P():
@@ -450,16 +492,25 @@ def test_bracket_with_matches_nr_bracket_on_random_even_P():
         V = rng.choice(SMALL_SPACES)
         P = random_homogeneous_cochain(V, 2, 0, rng, max_keys=3)
         U = random_cochain(V, rng.randint(1, 3), rng, max_keys=3)
-        assert bracket_with(P, U) == nr_bracket(P, U)
+        assert nr_bracket(P, U) == oracles.shuffle_nr_bracket(P, U)
 
 
 def test_bracket_with_rejects_odd_or_wider_P():
+    """The differential needs an even arity-2 P, and the MC residual a degree-0 action."""
     rng = random.Random(6)
     V = V21
     odd = random_homogeneous_cochain(V, 2, 1, rng, max_keys=3)
     assert odd.parity() == 1
-    U = random_cochain(V, 1, rng)
+    cols, rows = [((0,), 0, 1)], [((0, 1), 0, 1)]
     with pytest.raises(ShapeMismatch):
-        bracket_with(odd, U)
+        bracket_matrix(odd, cols, rows)
     with pytest.raises(ShapeMismatch):
-        bracket_with(random_homogeneous_cochain(V, 3, 0, rng, max_keys=3), U)
+        bracket_matrix(random_homogeneous_cochain(V, 3, 0, rng, max_keys=3), cols, rows)
+    g = aff11()
+    rho = ActionMap(g.space, g.space, [[(F(0), F(1)), (F(0), F(0))], [(F(0), F(0))] * 2])
+    assert not check_action(g, g, rho).ok
+    with pytest.raises(ShapeMismatch):
+        mc_residual(g, g, rho)
+    zero = tuple(BlockCochain.zero(g.space, g.space, *sig) for sig in triple_blocks(1))
+    with pytest.raises(ShapeMismatch):
+        triple_complex(LieSupActTriple(g, g, rho)).d(zero)

@@ -17,12 +17,12 @@ from supercochain.graded import (
     koszul_sign,
     normalize_tuple,
     perm_signature,
-    shuffles,
     wedge_basis,
     wedge_dim,
 )
 
 import oracles
+from oracles import shuffles
 
 
 @st.composite

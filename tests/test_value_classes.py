@@ -215,6 +215,19 @@ def test_repr_names_the_fields(name):
         assert f"{field}={value!r}" in text
 
 
+@PARAMS
+def test_equal_objects_built_separately_have_equal_reprs(name):
+    cls, fields, _ = CASES[name]
+    text = repr(cls(**fields()))
+    assert text == repr(cls(**fields()))
+    assert "object at" not in text
+
+
+def test_action_map_repr_gives_dims_and_nonzero_entries():
+    assert repr(ActionMap.zero(space(), other_space())) == "ActionMap(dims=(1|1)->(1|1), entries=0)"
+    assert repr(triple().rho) == "ActionMap(dims=(1|1)->(1|1), entries=2)"
+
+
 def test_graded_space_normalises_and_validates():
     s = GradedSpace(["a", "b"], iter(["c"]))
     assert s.even_basis == ("a", "b") and s.odd_basis == ("c",)
