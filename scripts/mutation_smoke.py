@@ -3,11 +3,11 @@
 
     python scripts/mutation_smoke.py
 
-Copies ``src/``, ``tests/`` and ``fixtures/`` (which the tests read) into a
-temporary directory and first runs every selection below on the unmutated
-copy, which must pass.  Then, one mutation at a time, it replaces the anchor
-text in the copy, runs ``python -m pytest -q -x <selection>`` against the
-copy, and restores the file.  Each mutation is reported as
+Copies ``src/`` and ``tests/``, with ``fixtures/`` and ``perfbench/`` (which
+the tests read), into a temporary directory and first runs every selection
+below on the unmutated copy, which must pass.  Then, one mutation at a time,
+it replaces the anchor text in the copy, runs ``python -m pytest -q -x
+<selection>`` against the copy, and restores the file.  Each mutation is reported as
 
     killed          pytest reported failing tests;
     SURVIVED        pytest passed, so no test sees the change;
@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "fixtures")
+COPIED = ("src", "tests", "fixtures", "perfbench")
 RUN_TIMEOUT_S = 900
 PYTEST_TESTS_FAILED = 1
 
@@ -75,6 +75,12 @@ MUTATIONS = (
         "P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))",
         "P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)).scale(-1))",
         ("tests/test_assembly.py",),
+    ),
+    (
+        "crossed.py",
+        "maps.append(LinearMap(A.space, A.space, cols))",
+        "maps.append(LinearMap(A.space, A.space, tuple(zip(*cols))))",
+        ("tests/test_structure_element.py::test_derivation_space_matches_reference",),
     ),
     (
         "exact_linalg.py",

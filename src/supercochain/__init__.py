@@ -2,9 +2,10 @@
 
 Core layers, bottom to top: ``exact_linalg`` (rational rank/kernel engine),
 ``graded`` (Koszul signs, wedge bases, direct sums), ``superalgebra`` (structure
-constants, axiom checkers, derivations), ``cochains`` (the graded Lie algebra
-of super-antisymmetric maps), ``triple`` and ``crossed`` (Maurer-Cartan
-characterizations and cohomology), ``deformation`` (order-by-order formal
+constants, axiom checkers), ``cochains`` (the graded Lie algebra of
+super-antisymmetric maps), ``triple`` and ``crossed`` (Maurer-Cartan
+characterizations and cohomology; the semidirect product and the derivations,
+both read from the structure element), ``deformation`` (order-by-order formal
 deformation checks), ``cli`` (file-driven checks and reports).
 """
 
@@ -40,10 +41,8 @@ from .superalgebra import (
     abelian,
     check_jacobi,
     check_super_skew,
-    derivation_space,
     gl,
     is_homomorphism,
-    semidirect,
 )
 from .triple import (
     ActionMap,
@@ -51,6 +50,7 @@ from .triple import (
     check_action,
     mc_element,
     mc_residual,
+    semidirect,
     triple_coboundary_matrix,
     triple_cohomology,
     triple_cohomology_table,
@@ -65,6 +65,7 @@ from .crossed import (
     check_morphism,
     compose_morphisms,
     d_D_matrix,
+    derivation_space,
     graph_check,
     identity_morphism,
     verify,

@@ -15,14 +15,7 @@ import time
 from functools import partial
 
 from . import io as sio
-from .crossed import (
-    CrossedHom,
-    ch_cohomology_table,
-    ch_mc_residual,
-    check_crossed,
-    graph_check,
-    verify,
-)
+from .crossed import CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed, graph_check
 from .deformation import (
     CrossedHomDeformation,
     TripleDeformation,
@@ -101,6 +94,12 @@ def _crossed_of(pf: sio.ProblemFile) -> CrossedHom:
     return CrossedHom(_triple_of(pf), pf.crossed)
 
 
+def _crossed_identity(D: CrossedHom):
+    """The ``crossed_identity`` verdict, and D carrying it as ``verified``."""
+    rep = check_crossed(D)
+    return _verdict("crossed_identity", rep.ok, rep.failures), CrossedHom(D.triple, D.linmap, rep.ok)
+
+
 def cmd_check_algebra(pf, flags):
     algs = pf.algebras()
     if not algs:
@@ -131,8 +130,8 @@ def cmd_check_crossed(pf, flags):
     verdicts = _triple_verdicts(D.triple)
     if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
-    rep = check_crossed(D)
-    verdicts.append(_verdict("crossed_identity", rep.ok, rep.failures))
+    identity, D = _crossed_identity(D)
+    verdicts.append(identity)
     graph_ok = graph_check(D)
     verdicts.append(_verdict("graph_in_semidirect", graph_ok))
     residual = ch_mc_residual(D)
@@ -140,7 +139,7 @@ def cmd_check_crossed(pf, flags):
     if not residual.is_zero():
         v["witnesses"] = _block_witnesses(residual)
     verdicts.append(v)
-    if not (rep.ok == graph_ok == residual.is_zero()):
+    if not (D.verified == graph_ok == residual.is_zero()):
         raise InternalInvariantError("crossed homomorphism characterizations disagree")
     return {"verdicts": verdicts}
 
@@ -172,11 +171,10 @@ def cmd_cohomology(pf, flags):
 def cmd_ch_cohomology(pf, flags):
     D = _crossed_of(pf)
     verdicts = _triple_verdicts(D.triple)
-    rep = check_crossed(D)
-    verdicts.append(_verdict("crossed_identity", rep.ok, rep.failures))
+    identity, D = _crossed_identity(D)
+    verdicts.append(identity)
     if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
-    D = verify(D)
     rows = _cohomology_rows(partial(ch_cohomology_table, D), flags)
     return {"verdicts": verdicts, "cohomology": rows}
 
@@ -214,11 +212,10 @@ def cmd_ch_deform(pf, flags):
     D = _crossed_of(pf)
     pf.require("deformation")
     verdicts = _triple_verdicts(D.triple)
-    rep = check_crossed(D)
-    verdicts.append(_verdict("crossed_identity", rep.ok, rep.failures))
+    identity, D = _crossed_identity(D)
+    verdicts.append(identity)
     if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
-    D = verify(D)
     terms = sio.crossed_deformation_terms(pf)
     order = flags.order if flags.order is not None else pf.deformation.order
     d = CrossedHomDeformation.build(D, terms, order=order)

@@ -25,6 +25,10 @@ is one bracket with an even arity-2 element of the big algebra, so
 over ``ch_blocks``.  The Maurer-Cartan residual, the d_D matrices and the
 deformation checks all go through it.  [mu, D] and ``ChComplex.bracket``,
 the general [[f1, f2]], are ``nr_bracket`` products of the same expansion.
+
+For D = 0 on the adjoint triple of A, d_D is the Chevalley-Eilenberg
+differential of A, so ``derivation_space`` reads the derivations off the
+kernel of its d_1.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from fractions import Fraction
 
 from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
-from .exact_linalg import Matrix, cohomology_table, rank
+from .exact_linalg import Matrix, cohomology_table, kernel_basis, rank
 from .graded import direct_sum
-from .superalgebra import CheckReport, Failure, LinearMap, is_homomorphism, _semidirect_table
-from .triple import BlockComplex, LieSupActTriple, block_units, mu_block, pi_block
-from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, vec_is_zero
+from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_super_skew
+from .superalgebra import is_homomorphism
+from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
+from .triple import mu_block, pi_block, semidirect_algebra
+from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, vec_is_zero, zero_vec
 
 
 class CrossedHom(Frozen):
@@ -96,7 +102,7 @@ def graph_failures(D: CrossedHom):
     """Basis pairs where the graph fails to close in the semidirect product."""
     t = D.triple
     ds = direct_sum(t.g.space, t.h.space)
-    sd = _semidirect_table(t.g, t.h, t.rho, ds)
+    sd = semidirect_algebra(t)
     G = t.g.sparse
     Dc = [sparse(col) for col in D.linmap.cols]
 
@@ -200,6 +206,34 @@ def ch_cohomology(D: CrossedHom, n: int):
     """(even, odd) cohomology dimensions of the crossed homomorphism complex."""
     row = ch_cohomology_table(D, range(n, n + 1))[n]
     return row[0], row[1]
+
+
+def derivation_space(A: SuperAlgebra):
+    """Exact bases of the even and odd derivations of A, in kernel order.
+
+    A degree-s map D is a derivation when D[a,b] = [D a, b] + (-1)^(s|a|) [a, D b].
+    For D = 0 on the adjoint triple, d_D is the Chevalley-Eilenberg
+    differential, so the degree-s derivations are the parity-s kernel of d_1.
+    The table must be super-skew: Pi holds no [x, x] of an even x.
+    """
+    skew = check_super_skew(A)
+    if not skew.ok:
+        raise ValidationError(
+            f"derivations need a super-skew bracket: it fails at {skew.failures[0].where}"
+        )
+    zero = zero_vec(A.dim)
+    # the zero map is crossed for every action
+    D0 = CrossedHom(LieSupActTriple(A, A, adjoint_action(A)), LinearMap.zero(A.space, A.space), True)
+    out = []
+    for s in (0, 1):
+        basis = ch_units(A.space, A.space, 1, s)
+        maps = []
+        for vec in kernel_basis(d_D_matrix(D0, 1, s)):
+            (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
+            cols = [block.coeffs.get(((j,), ()), zero) for j in range(A.dim)]
+            maps.append(LinearMap(A.space, A.space, cols))
+        out.append(maps)
+    return out[0], out[1]
 
 
 class CHMorphism(Frozen):

@@ -340,10 +340,25 @@ def _require_composite_zero(d_in: Matrix, d_out: Matrix):
             raise CompositionNonzero("d_out . d_in != 0")
 
 
+def _cohomology_dim(d: Matrix, r: int, prev_rank: int, n=None) -> int:
+    """dim ker d - prev_rank, once rank-nullity holds for d of rank r.
+
+    Requires r <= min(rows, cols) and prev_rank, the rank of the incoming
+    differential, <= dim ker d; a failure is a rank bug, not bad data.
+    """
+    if r > min(d.rows, d.cols) or prev_rank > d.cols - r:
+        where = "" if n is None else f" in degree {n}"
+        raise InternalInvariantError(
+            f"rank-nullity fails{where}: rank {r} on a {d.rows}x{d.cols} differential, "
+            f"incoming rank {prev_rank}"
+        )
+    return d.cols - r - prev_rank
+
+
 def cohomology_dims(d_in: Matrix, d_out: Matrix) -> int:
     """dim ker(d_out) - rank(d_in) for one degree of a cochain complex."""
     _require_composite_zero(d_in, d_out)
-    return (d_out.cols - rank(d_out)) - rank(d_in)
+    return _cohomology_dim(d_out, rank(d_out), rank(d_in))
 
 
 def cohomology_table(differential, degrees, parities=(0, 1)):
@@ -351,8 +366,7 @@ def cohomology_table(differential, degrees, parities=(0, 1)):
 
     ``differential(n, parity)`` returns the Matrix of d_n: C^n -> C^(n+1).
     Each d_n is built and ranked once; d_0 is zero.  Every adjacent pair is
-    re-checked for d_n . d_(n-1) == 0, and every degree for rank-nullity:
-    rank d_n <= min(rows, cols) and rank d_(n-1) <= dim ker d_n.
+    re-checked for d_n . d_(n-1) == 0, and every degree for rank-nullity.
     """
     if not degrees or degrees[0] < 1:
         raise ValidationError("cohomology degree must be >= 1")
@@ -364,12 +378,8 @@ def cohomology_table(differential, degrees, parities=(0, 1)):
             if prev is not None:
                 _require_composite_zero(prev, d)
             r = rank(d)
-            if r > min(d.rows, d.cols) or prev_rank > d.cols - r:
-                raise InternalInvariantError(
-                    f"rank-nullity fails in degree {n}: rank d_{n} = {r} on a "
-                    f"{d.rows}x{d.cols} matrix, rank d_{n - 1} = {prev_rank}"
-                )
+            h = _cohomology_dim(d, r, prev_rank, n)
             if n in table:
-                table[n][parity] = d.cols - r - prev_rank
+                table[n][parity] = h
             prev, prev_rank = d, r
     return table

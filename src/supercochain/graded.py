@@ -192,14 +192,14 @@ def wedge_basis(space: GradedSpace, n: int):
 
 
 @lru_cache(maxsize=None)
-def _normalize_cached(slots: tuple, parities: tuple):
-    order = sorted(range(len(slots)), key=lambda i: slots[i])
+def _normalize_cached(slots: tuple, even_dim: int):
+    order = sorted(range(len(slots)), key=slots.__getitem__)
     key = tuple(slots[i] for i in order)
     # a repeated even position kills the wedge
     for idx in range(len(key) - 1):
-        if key[idx] == key[idx + 1] and parities[order[idx]] == 0:
+        if key[idx] == key[idx + 1] and key[idx] < even_dim:
             return key, 0
-    sign = _koszul_sign_cached(tuple(order), parities)
+    sign = _koszul_sign_cached(tuple(order), tuple(0 if s < even_dim else 1 for s in slots))
     return key, sign
 
 
@@ -209,9 +209,10 @@ def normalize_tuple(space: GradedSpace, slots):
     Returns ``(key, sign)``; ``sign == 0`` marks a repeated even position (the
     zero element of the wedge power).  Evaluation of a super-antisymmetric map
     at an arbitrary tuple is the stored normal-form value times ``sign``.
+    The cache is keyed on the slots and the even dimension, which fix every
+    parity, so a hit builds no parity tuple.
     """
-    slots = tuple(slots)
-    return _normalize_cached(slots, space.parities_of(slots))
+    return _normalize_cached(tuple(slots), len(space.even_basis))
 
 
 class DirectSum:

@@ -15,14 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import Cochain
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantError,
-    InvalidAction,
-    ValidationError,
-)
-from .exact_linalg import Matrix, kernel_basis
-from .graded import DirectSum, GradedSpace, direct_sum, wedge_basis
+from .errors import DimensionMismatch, ValidationError
+from .graded import GradedSpace, wedge_basis
 from .util import Frozen, bilinear, dense, lincomb, sparse, units, vec_add, vec_is_zero, vec_scale, zero_vec
 
 
@@ -327,106 +321,8 @@ def is_homomorphism(f: LinearMap, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     return True
 
 
-def derivation_space(A: SuperAlgebra):
-    """Exact bases of the even and odd derivations of A.
-
-    A degree-s endomorphism D is a derivation when
-    D[a,b] = [D a, b] + (-1)^{s |a|} [a, D b] on all basis pairs; the
-    conditions form a linear system in the matrix entries of D, solved exactly.
-    """
-    out = []
-    dim = A.dim
-    for s in (0, 1):
-        slots = [
-            (k, j)
-            for j in range(dim)
-            for k in range(dim)
-            if (A.space.parity(k) - A.space.parity(j)) % 2 == s
-        ]
-        index = {kj: t for t, kj in enumerate(slots)}
-        rows = []
-        for i in range(dim):
-            pi = A.space.parity(i)
-            sign = Fraction(-1 if (s * pi) % 2 else 1)
-            for j in range(dim):
-                bracket = A.bracket_basis(i, j)
-                for comp in range(dim):
-                    row = {}
-                    # D applied to [b_i, b_j], component `comp`
-                    for k, c in enumerate(bracket):
-                        if c != 0 and (comp, k) in index:
-                            t = index[(comp, k)]
-                            row[t] = row.get(t, 0) + c
-                    # minus [D b_i, b_j]
-                    for k in range(dim):
-                        if (k, i) in index:
-                            v = A.bracket_basis(k, j)[comp]
-                            if v != 0:
-                                t = index[(k, i)]
-                                row[t] = row.get(t, 0) - v
-                    # minus (-1)^{s|b_i|} [b_i, D b_j]
-                    for k in range(dim):
-                        if (k, j) in index:
-                            v = A.bracket_basis(i, k)[comp]
-                            if v != 0:
-                                t = index[(k, j)]
-                                row[t] = row.get(t, 0) - sign * v
-                    rows.append(row)
-        kernel = kernel_basis(Matrix(len(rows), len(slots), rows))
-        maps = []
-        for vec in kernel:
-            cols = [[Fraction(0)] * dim for _ in range(dim)]
-            for t, (k, j) in enumerate(slots):
-                cols[j][k] = vec[t]
-            maps.append(LinearMap(A.space, A.space, tuple(tuple(c) for c in cols)))
-        out.append(maps)
-    return out[0], out[1]
-
-
 def ad(A: SuperAlgebra, i: int) -> LinearMap:
     """Adjoint map of the i-th basis vector."""
     return LinearMap(
         A.space, A.space, tuple(A.bracket_basis(i, j) for j in range(A.dim))
     )
-
-
-def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho) -> SuperAlgebra:
-    """Semidirect product on g + h, twisting the h part by the action.
-
-    The action must pass ``check_action``; the resulting table is re-verified
-    with ``check_jacobi`` rather than trusted.
-    """
-    from .triple import check_action  # triple imports this module: a real cycle
-
-    report = check_action(g, h, rho)
-    if not report.ok:
-        raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
-    ds = direct_sum(g.space, h.space)
-    return _semidirect_table(g, h, rho, ds)
-
-
-def _semidirect_table(g: SuperAlgebra, h: SuperAlgebra, rho, ds: DirectSum) -> SuperAlgebra:
-    dim = ds.space.dim
-    sc = {}
-    for i in range(dim):
-        side_i, li = ds.side_of[i]
-        for j in range(i, dim):
-            side_j, lj = ds.side_of[j]
-            if side_i == "g" and side_j == "g":
-                vec = ds.embed_left(g.bracket_basis(li, lj))
-            elif side_i == "h" and side_j == "h":
-                vec = ds.embed_right(h.bracket_basis(li, lj))
-            elif side_i == "g" and side_j == "h":
-                vec = ds.embed_right(rho.value(li, lj))
-            else:
-                sign = -1 if (ds.space.parity(i) * ds.space.parity(j)) % 2 == 0 else 1
-                vec = ds.embed_right(vec_scale(rho.value(lj, li), Fraction(sign)))
-            if not vec_is_zero(vec):
-                sc[(i, j)] = vec
-    result = SuperAlgebra(ds.space, sc)
-    jac = check_jacobi(result)
-    if not jac.ok:
-        raise InternalInvariantError(
-            f"semidirect product violates the super Jacobi identity at {jac.failures[0].where}"
-        )
-    return result

@@ -11,6 +11,9 @@ with Pi is the differential of the associated cochain complex
 which starts at n = 1.  The differential preserves map parity, so cohomology
 is reported per parity.
 
+Pi is also the bracket of the semidirect product g x| h on g + h, so
+``semidirect`` reads its table from ``mc_element``.
+
 ``BlockComplex`` is the one implementation of such a complex: an element of
 C^n is the tuple of its blocks, listed by a signature function, and both the
 differential of one element and its matrix on the unit basis are the bracket
@@ -25,7 +28,8 @@ from functools import partial
 
 from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_extend, nr_bracket
 from .cochains import project_block
-from .errors import DimensionMismatch, InternalInvariantError, ShapeMismatch, ValidationError
+from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
+from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
@@ -200,6 +204,43 @@ def mc_element(t: LieSupActTriple) -> Cochain:
     """Pi = pi + rho + mu, extended to one arity-2 cochain on g + h."""
     pi, rho_b, mu = _blocks_of(t.g, t.h, t.rho)
     return hat_extend(pi).add(hat_extend(rho_b)).add(hat_extend(mu))
+
+
+def adjoint_action(A: SuperAlgebra) -> ActionMap:
+    """A acting on itself: rho(x) y = [x, y]."""
+    dim = A.dim
+    return ActionMap(A.space, A.space, [[A.bracket_basis(i, j) for j in range(dim)] for i in range(dim)])
+
+
+def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> SuperAlgebra:
+    """The semidirect product g x| h: the algebra on g + h whose bracket is Pi.
+
+    g and h must pass ``check_super_skew`` and ``check_jacobi`` (Pi is stored
+    on wedge keys, so it holds no [x, x] of an even x), else ``ValidationError``;
+    the action must pass ``check_action``, else ``InvalidAction``.
+    """
+    t = LieSupActTriple(g, h, rho)
+    for report in _prefixed(g, "g") + _prefixed(h, "h"):
+        if not report.ok:
+            raise ValidationError(
+                f"the semidirect product needs Lie superalgebras: {report.name} fails "
+                f"at {report.failures[0].where}"
+            )
+    report = check_action(g, h, rho)
+    if not report.ok:
+        raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
+    return semidirect_algebra(t)
+
+
+def semidirect_algebra(t: LieSupActTriple) -> SuperAlgebra:
+    """The table of Pi as a ``SuperAlgebra`` on g + h, re-verified with ``check_jacobi``."""
+    result = SuperAlgebra(direct_sum(t.g.space, t.h.space).space, mc_element(t).coeffs)
+    jac = check_jacobi(result)
+    if not jac.ok:
+        raise InternalInvariantError(
+            f"semidirect product violates the super Jacobi identity at {jac.failures[0].where}"
+        )
+    return result
 
 
 class McResidual(Frozen):

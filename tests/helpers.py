@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from supercochain.cochains import BlockCochain, Cochain
 from supercochain.graded import GradedSpace, wedge_basis
 from supercochain.superalgebra import LinearMap, SuperAlgebra, abelian, gl
-from supercochain.triple import ActionMap, LieSupActTriple
+from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, semidirect
 from supercochain.util import zero_vec
 
 __all__ = [
@@ -31,12 +31,6 @@ def aff11(labels=("e", "f")) -> SuperAlgebra:
     """One even, one odd generator with [e, f] = f."""
     space = GradedSpace((labels[0],), (labels[1],))
     return SuperAlgebra(space, {(0, 1): (F(0), F(1))})
-
-
-def adjoint_action(A: SuperAlgebra) -> ActionMap:
-    return ActionMap(
-        A.space, A.space, [[A.bracket_basis(i, j) for j in range(A.dim)] for i in range(A.dim)]
-    )
 
 
 def adjoint_triple(A: SuperAlgebra) -> LieSupActTriple:
@@ -154,8 +148,6 @@ SMALL_SPACES = (
 
 def scaling_semidirect(p: int, q: int) -> SuperAlgebra:
     """gl(1,0) twisted onto abelian(p,q) by the identity action."""
-    from supercochain.superalgebra import semidirect
-
     g = gl(1, 0)
     h = abelian(p, q, even_prefix="m", odd_prefix="n")
     table = [

@@ -25,6 +25,10 @@ structure-constant tables the library checks read.
 So does the dense exact rank and kernel: every row of every matrix is read
 in full, scaled to integers and reduced by Bareiss elimination in leftmost
 column order, with no sparse storage or pivot choice.
+
+So do the hand-assembled derivation system and the four-case semidirect
+table, each with its own Koszul sign: the library reads both from the
+structure element Pi and its complex.
 """
 
 import functools
@@ -33,9 +37,11 @@ import math
 from fractions import Fraction as F
 
 from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_block
-from supercochain.errors import SpaceMismatch, ValidationError
+from supercochain.errors import InternalInvariantError, InvalidAction, SpaceMismatch
+from supercochain.errors import ValidationError
 from supercochain.exact_linalg import Matrix
 from supercochain.graded import direct_sum, koszul_sign, wedge_basis
+from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
     block_units,
@@ -47,7 +53,8 @@ from supercochain.triple import (
     triple_units,
 )
 from supercochain.crossed import ch_blocks, ch_units
-from supercochain.superalgebra import CheckReport, Failure, LinearMap
+from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
+from supercochain.superalgebra import check_jacobi as superalgebra_check_jacobi
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 
@@ -876,3 +883,96 @@ def dense_kernel_basis(m: Matrix):
             v[p] = -s / row[p]
         basis.append(tuple(v))
     return basis
+
+
+def derivation_space_reference(A):
+    """Hand-assembled linear system for the even and odd derivations of A.
+
+    A degree-s endomorphism D is a derivation when
+    D[a,b] = [D a, b] + (-1)^{s |a|} [a, D b] on all basis pairs; the
+    conditions form a linear system in the matrix entries of D, solved by
+    the dense kernel.
+    """
+    out = []
+    dim = A.dim
+    for s in (0, 1):
+        slots = [
+            (k, j)
+            for j in range(dim)
+            for k in range(dim)
+            if (A.space.parity(k) - A.space.parity(j)) % 2 == s
+        ]
+        index = {kj: t for t, kj in enumerate(slots)}
+        rows = []
+        for i in range(dim):
+            pi = A.space.parity(i)
+            sign = F(-1 if (s * pi) % 2 else 1)
+            for j in range(dim):
+                bracket = A.bracket_basis(i, j)
+                for comp in range(dim):
+                    row = {}
+                    # D applied to [b_i, b_j], component `comp`
+                    for k, c in enumerate(bracket):
+                        if c != 0 and (comp, k) in index:
+                            t = index[(comp, k)]
+                            row[t] = row.get(t, 0) + c
+                    # minus [D b_i, b_j]
+                    for k in range(dim):
+                        if (k, i) in index:
+                            v = A.bracket_basis(k, j)[comp]
+                            if v != 0:
+                                t = index[(k, i)]
+                                row[t] = row.get(t, 0) - v
+                    # minus (-1)^{s|b_i|} [b_i, D b_j]
+                    for k in range(dim):
+                        if (k, j) in index:
+                            v = A.bracket_basis(i, k)[comp]
+                            if v != 0:
+                                t = index[(k, j)]
+                                row[t] = row.get(t, 0) - sign * v
+                    rows.append(row)
+        kernel = dense_kernel_basis(Matrix(len(rows), len(slots), rows))
+        maps = []
+        for vec in kernel:
+            cols = [[F(0)] * dim for _ in range(dim)]
+            for t, (k, j) in enumerate(slots):
+                cols[j][k] = vec[t]
+            maps.append(LinearMap(A.space, A.space, tuple(tuple(c) for c in cols)))
+        out.append(maps)
+    return out[0], out[1]
+
+
+def semidirect_reference(g, h, rho):
+    """Four-case table of g x| h on g + h, with its own super-skew sign.
+
+    The action must pass ``triple.check_action``; the table is re-checked
+    with ``superalgebra.check_jacobi``.
+    """
+    report = triple_check_action(g, h, rho)
+    if not report.ok:
+        raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
+    ds = direct_sum(g.space, h.space)
+    dim = ds.space.dim
+    sc = {}
+    for i in range(dim):
+        side_i, li = ds.side_of[i]
+        for j in range(i, dim):
+            side_j, lj = ds.side_of[j]
+            if side_i == "g" and side_j == "g":
+                vec = ds.embed_left(g.bracket_basis(li, lj))
+            elif side_i == "h" and side_j == "h":
+                vec = ds.embed_right(h.bracket_basis(li, lj))
+            elif side_i == "g" and side_j == "h":
+                vec = ds.embed_right(rho.value(li, lj))
+            else:
+                sign = -1 if (ds.space.parity(i) * ds.space.parity(j)) % 2 == 0 else 1
+                vec = ds.embed_right(vec_scale(rho.value(lj, li), F(sign)))
+            if not vec_is_zero(vec):
+                sc[(i, j)] = vec
+    result = SuperAlgebra(ds.space, sc)
+    jac = superalgebra_check_jacobi(result)
+    if not jac.ok:
+        raise InternalInvariantError(
+            f"semidirect product violates the super Jacobi identity at {jac.failures[0].where}"
+        )
+    return result

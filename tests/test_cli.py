@@ -430,3 +430,31 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command,fixture",
+    [
+        ("check-crossed", "aff11_adjoint"),
+        ("check-crossed", "crossed_bad"),
+        ("ch-cohomology", "mixed21"),
+        ("ch-cohomology", "crossed_bad"),
+        ("ch-deform", "aff11_adjoint"),
+    ],
+)
+def test_crossed_commands_check_the_identity_once(capsys, monkeypatch, command, fixture):
+    from supercochain import crossed
+
+    calls = []
+    real = crossed.check_crossed
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("supercochain") and hasattr(mod, "check_crossed"):
+            monkeypatch.setattr(mod, "check_crossed", counting)
+    code, _ = run_cli([command, str(FIXTURES / f"{fixture}.json"), "--format", "json"], capsys)
+    assert code in (0, 1)
+    assert len(calls) == 1

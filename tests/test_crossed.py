@@ -14,6 +14,7 @@ from supercochain.crossed import (
     check_morphism,
     compose_morphisms,
     d_D_matrix,
+    derivation_space,
     graph_check,
     graph_failures,
     identity_morphism,
@@ -21,7 +22,7 @@ from supercochain.crossed import (
 )
 from supercochain.errors import ValidationError
 from supercochain.graded import direct_sum
-from supercochain.superalgebra import LinearMap, abelian, derivation_space, gl, is_homomorphism
+from supercochain.superalgebra import LinearMap, abelian, gl, is_homomorphism
 from supercochain.triple import ActionMap, LieSupActTriple, mu_block
 
 import oracles

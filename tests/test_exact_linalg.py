@@ -262,6 +262,14 @@ def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):
         cohomology_table(lambda n, parity: Matrix.zeros(2, 2), range(1, 3), parities=(0,))
 
 
+@pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
+def test_cohomology_dims_checks_rank_nullity(monkeypatch, wrong):
+    # over-large in the first case; in the second, rank d_in = 2 leaves ker d_out = 0 < rank d_in
+    monkeypatch.setattr(exact_linalg, "rank", wrong)
+    with pytest.raises(InternalInvariantError, match="rank-nullity"):
+        cohomology_dims(Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+
+
 def test_wrong_rank_is_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(exact_linalg, "rank", lambda m: m.cols + 1)
     assert cli.main(["cohomology", str(FIXTURES / "mixed21.json"), "--max-n", "2"]) == 3

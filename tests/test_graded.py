@@ -138,6 +138,20 @@ def test_normalize_idempotent_and_consistent(data):
         assert key2 == key and sign2 == 1
 
 
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("q", range(4))
+def test_normalize_is_the_koszul_sign_of_the_stable_sort(p, q):
+    sp = GradedSpace(tuple(f"e{i}" for i in range(p)), tuple(f"f{i}" for i in range(q)))
+    pars = sp.parities
+    for n in range(6):
+        for slots in itertools.product(range(sp.dim), repeat=n):
+            order = tuple(sorted(range(n), key=lambda i: slots[i]))
+            key = tuple(sorted(slots))
+            repeated_even = any(a == b and pars[a] == 0 for a, b in zip(key, key[1:]))
+            sign = 0 if repeated_even else koszul_sign(order, [pars[s] for s in slots])
+            assert normalize_tuple(sp, slots) == (key, sign)
+
+
 def test_shuffles_counts():
     assert len(shuffles((1, 1))) == 2
     assert len(shuffles((2, 1))) == 3

@@ -2,9 +2,12 @@
 
 Every CLI job pays this import.  ``dataclasses`` pulls in ``inspect``,
 ``ast``, ``dis`` and ``tokenize``, so neither may appear; and the imports stay
-eager, so every submodule but ``__main__`` is loaded once the CLI is.
+eager, so every submodule but ``__main__`` is loaded once the CLI is.  No
+function imports anything either: an import inside a function is a hidden
+dependency, or a way round an import cycle.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -36,3 +39,17 @@ def test_cli_import_loads_no_dataclasses_and_every_submodule():
     assert {path.stem for path in (SRC / "supercochain").glob("*.py")} == (
         SUBMODULES | {"__init__", "__main__"}
     )
+
+
+def test_no_function_level_imports():
+    found = []
+    for path in sorted((SRC / "supercochain").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    f"{path.name}:{node.lineno} in {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert found == []

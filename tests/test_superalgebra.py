@@ -12,12 +12,11 @@ from supercochain.superalgebra import (
     ad,
     check_jacobi,
     check_super_skew,
-    derivation_space,
     gl,
     is_homomorphism,
-    semidirect,
 )
-from supercochain.triple import ActionMap
+from supercochain.crossed import derivation_space
+from supercochain.triple import ActionMap, semidirect
 from supercochain.exact_linalg import Matrix, rank
 
 from helpers import aff11
