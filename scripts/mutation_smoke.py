@@ -83,6 +83,24 @@ MUTATIONS = (
         ("tests/test_structure_element.py::test_derivation_space_matches_reference",),
     ),
     (
+        "deformation.py",
+        "term = term.scale(2)",
+        "term = term",
+        ("tests/test_sparse_checks.py::test_gl21_perturbed_once_matches_dense",),
+    ),
+    (
+        "deformation.py",
+        "_EQUATION_FACTORS = (1, Fraction(-1, 2), Fraction(1, 2), 1)",
+        "_EQUATION_FACTORS = (1, Fraction(1, 2), Fraction(1, 2), 1)",
+        ("tests/test_sparse_checks.py::test_gl21_perturbed_once_matches_dense",),
+    ),
+    (
+        "deformation.py",
+        "add(quadratic.scale(Fraction(1, 2)))",
+        "add(quadratic)",
+        ("tests/test_self_bracket.py::test_order_zero_crossed_residual_is_the_mc_residual",),
+    ),
+    (
         "exact_linalg.py",
         "new[k] = -b * v",
         "new[k] = b * v",

@@ -33,7 +33,7 @@ from .graded import (
     wedge_basis,
 )
 from .cochains import BlockCochain, Cochain, bracket_matrix, circ, f_membership
-from .cochains import hat_extend, nr_bracket, pair_table, project_block
+from .cochains import hat_extend, nr_bracket, project_block
 from .superalgebra import (
     CheckReport,
     LinearMap,

@@ -28,6 +28,7 @@ parity.  Every Koszul sign comes from ``normalize_tuple``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
@@ -186,7 +187,7 @@ def _bracket_support(P: Cochain):
     by_entry, by_comp = {}, {}
     for key, vec in P.coeffs.items():
         kp = sum(pars[i] for i in key)
-        nonzero = [(t, x) for t, x in enumerate(vec) if x != 0]
+        nonzero = [(t, x) for t, x in enumerate(vec) if x]
         for k in sorted(set(key)):
             i = key.index(k)
             H = key[:i] + key[i + 1 :]
@@ -197,15 +198,6 @@ def _bracket_support(P: Cochain):
         for t, x in nonzero:
             by_comp.setdefault(t, []).append((key, (kp + pars[t]) % 2, kc, x))
     return P.arity - 1, by_entry, by_comp
-
-
-def pair_table(c: Cochain):
-    """T[a][b] = {k: c(a, b)_k} on every ordered pair of an arity-2 cochain."""
-    T = [[{} for _ in range(c.source.dim)] for _ in range(c.source.dim)]
-    for b, entries in _bracket_support(c)[1].items():
-        for (a,), _, _, vals in entries:
-            T[a][b] = vals
-    return T
 
 
 def _multiplicity(X, counts):
@@ -384,6 +376,11 @@ def hat_extend(block: BlockCochain) -> Cochain:
         key, sign = block_key(ds, gk, hk)
         out[key] = embed(vec_scale(vec, sign))
     return Cochain(ds.space, ds.space, block.g_arity + block.h_arity, out)
+
+
+def hat_sum(blocks) -> Cochain:
+    """The sum of the ``hat_extend``s of blocks of one total arity on one g + h."""
+    return reduce(Cochain.add, map(hat_extend, blocks))
 
 
 def project_block(F: Cochain, ds: DirectSum, g_arity: int, h_arity: int, target_side: str) -> BlockCochain:

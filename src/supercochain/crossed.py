@@ -186,20 +186,21 @@ def _require_verified(D: CrossedHom) -> CrossedHom:
     return CrossedHom(D.triple, D.linmap, True)
 
 
-def d_D_matrix(D: CrossedHom, n: int, parity=None) -> Matrix:
+def d_D_matrix(D: CrossedHom, n: int, parity=None, cx=None) -> Matrix:
     """Matrix of d_D = [P_D, .] from degree n to n + 1, on ``ch_units``.
 
     Refuses a D that is not a crossed homomorphism, since d_D squares to
-    zero only then.
+    zero only then.  ``cx`` is the twisted complex of D, if the caller holds it.
     """
     D = _require_verified(D)
-    return ChComplex(D.triple).twisted(D.as_block()).matrix(n, parity)
+    return (cx or ChComplex(D.triple).twisted(D.as_block())).matrix(n, parity)
 
 
 def ch_cohomology_table(D: CrossedHom, degrees, parities=(0, 1)):
-    """{n: {parity: dim H^n}} of the twisted complex, each d_n built once."""
+    """{n: {parity: dim H^n}} of the twisted complex: P_D built once, each d_n once."""
     D = _require_verified(D)
-    return cohomology_table(lambda n, p: d_D_matrix(D, n, p), degrees, parities)
+    cx = ChComplex(D.triple).twisted(D.as_block())
+    return cohomology_table(lambda n, p: d_D_matrix(D, n, p, cx), degrees, parities)
 
 
 def ch_cohomology(D: CrossedHom, n: int):

@@ -2,8 +2,11 @@
 
 A deformation of a triple replaces each structure map by a polynomial in a
 formal parameter, truncated at a chosen order N (series mod t^{N+1}); the
-zeroth coefficients are the base structure by construction.  Validity at each
-order n is four equations over basis tuples:
+zeroth coefficients are the base structure by construction.  The deformed
+Pi(t) = sum_k (pi_k + rho_k + mu_k) t^k is a Maurer-Cartan element over Q[t]
+iff every t^n coefficient sum_{i+j=n} [Pi_i, Pi_j] of its self-bracket
+vanishes (Nijenhuis-Richardson).  Up to the fixed ``_EQUATION_FACTORS``, the
+four blocks of that coefficient are the order-n equations over basis tuples:
 
   (1) sum_{i+j=n} [pi_i, pi_j] = 0                       on wedge^3 g
   (2) sum_{i+j=n} [mu_i, mu_j] = 0                       on wedge^3 h
@@ -18,17 +21,19 @@ order-1 coefficients of a valid deformation form a cocycle of the triple
 complex, and conversely every such cocycle gives a linear deformation, so the
 two code paths are asserted to agree.
 
-Crossed homomorphism deformations follow the same pattern with the single
-defining identity, and the order-1 statement couples to the twisted
-differential d_D.
+A crossed homomorphism deformation D(t) is read the same way, from the t^n
+coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]; its order-1 statement
+couples to the twisted differential d_D.
 """
 
 from __future__ import annotations
 
-from .cochains import BlockCochain, Cochain, nr_bracket, pair_table
+from fractions import Fraction
+
+from .cochains import BlockCochain, Cochain, hat_extend, hat_sum, nr_bracket, project_block
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
-from .graded import wedge_basis
+from .graded import direct_sum
 from .superalgebra import LinearMap
 from .triple import (
     ActionMap,
@@ -36,15 +41,14 @@ from .triple import (
     McResidual,
     blocks_from_vector,
     triple_blocks,
-    triple_coboundary_matrix,
     triple_complex,
     triple_units,
 )
 from .crossed import ChComplex, CrossedHom, _require_verified
-from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, zero_vec
+from .util import Frozen
 
 
-# Checking orders 0..N evaluates (N + 1)(N + 2) / 2 coefficient products, and
+# Checking orders 0..N brackets floor((N + 2)^2 / 4) pairs of coefficients, and
 # the report has one entry per order; larger requests are refused up front.
 MAX_ORDER = 100
 
@@ -57,19 +61,9 @@ def check_order(order: int):
         raise ValidationError(f"deformation order {order} exceeds the limit of {MAX_ORDER}")
 
 
-def _require_even_cochain(c: Cochain, what: str):
+def _require_even(c, what: str):
     if c.parity() not in (0,):
         raise ValidationError(f"{what} coefficient must have degree 0")
-
-
-def _require_even_action(a: ActionMap, what: str):
-    for i in range(a.g_space.dim):
-        pi = a.g_space.parity(i)
-        for j in range(a.h_space.dim):
-            want = (pi + a.h_space.parity(j)) % 2
-            for k, x in enumerate(a.value(i, j)):
-                if x != 0 and a.h_space.parity(k) != want:
-                    raise ValidationError(f"{what} coefficient must have degree 0")
 
 
 class TripleDeformation(Frozen):
@@ -98,15 +92,15 @@ class TripleDeformation(Frozen):
         for c in pi_terms:
             if c.source != gs or c.target != gs or c.arity != 2:
                 raise ShapeMismatch("pi coefficient has the wrong shape")
-            _require_even_cochain(c, "pi")
+            _require_even(c, "pi")
         for c in mu_terms:
             if c.source != hs or c.target != hs or c.arity != 2:
                 raise ShapeMismatch("mu coefficient has the wrong shape")
-            _require_even_cochain(c, "mu")
+            _require_even(c, "mu")
         for a in rho_terms:
             if a.g_space != gs or a.h_space != hs:
                 raise ShapeMismatch("rho coefficient has the wrong shape")
-            _require_even_action(a, "rho")
+            _require_even(a.as_block(), "rho")
         return cls(
             triple,
             order,
@@ -116,66 +110,42 @@ class TripleDeformation(Frozen):
         )
 
 
+# The factor on each block of sum_{i+j=n} [Pi_i, Pi_j] that gives the defect
+# (left minus right) of one order-n equation, in ``McResidual`` field order:
+#   block  equation  factor  the block, summed over i + j = n
+#   ggg    (1)        1      [pi_i, pi_j]: the defect itself
+#   ggh    (3)       -1/2    2 rho_i.pi_j + [rho_i, rho_j]: -2 times the defect
+#   ghh    (4)        1/2    2 [rho_i, mu_j]: 2 times the defect
+#   hhh    (2)        1      [mu_i, mu_j]: the defect itself
+_EQUATION_FACTORS = (1, Fraction(-1, 2), Fraction(1, 2), 1)
+
+
+def _order_sum(terms, n: int, bracket):
+    """sum_{i+j=n} bracket(terms[i], terms[j]) for a symmetric ``bracket``.
+
+    Each unordered pair i < j is bracketed once and counted twice.
+    """
+    total = None
+    for i in range(n // 2 + 1):
+        term = bracket(terms[i], terms[n - i])
+        if i != n - i:
+            term = term.scale(2)
+        total = term if total is None else total.add(term)
+    return total
+
+
 def triple_deformation_residual(d: TripleDeformation, n: int) -> McResidual:
-    """Evaluate the four order-n equations on every basis tuple."""
+    """The four order-n defects: the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled.
+
+    [Pi_i, Pi_j] = [Pi_j, Pi_i] for even Pi of arity 2, so each pair is
+    bracketed once.
+    """
     if not 0 <= n <= d.order:
         raise ValidationError(f"order {n} outside 0..{d.order}")
     t = d.triple
-    gs, hs = t.g.space, t.h.space
-    pairs = [(i, n - i) for i in range(n + 1)]
-
-    eq1 = Cochain.zero(gs, gs, 3)
-    eq2 = Cochain.zero(hs, hs, 3)
-    for i, j in pairs:
-        eq1 = eq1.add(nr_bracket(d.pis[i], d.pis[j]))
-        eq2 = eq2.add(nr_bracket(d.mus[i], d.mus[j]))
-
-    ggg = BlockCochain(gs, hs, 3, 0, "g", {(k, ()): v for k, v in eq1.coeffs.items()})
-    hhh = BlockCochain(gs, hs, 0, 3, "h", {((), k): v for k, v in eq2.coeffs.items()})
-
-    R = [r.sparse for r in d.rhos]
-    PI = [pair_table(c) for c in d.pis]
-    MU = [pair_table(c) for c in d.mus]
-    eg, eh = units(gs.dim), units(hs.dim)
-
-    ggh_coeffs = {}
-    for gk in wedge_basis(gs, 2):
-        u, v = gk
-        # (-1)^{|u||v|} on the swapped composite
-        swap_sign = -1 if gs.parity(u) * gs.parity(v) else 1
-        for x in range(hs.dim):
-            terms = []
-            for i, j in pairs:
-                terms += [
-                    (1, bilinear(R[i], PI[j][u][v], eh[x])),  # rho_i(pi_j(u, v)) x
-                    (-1, bilinear(R[i], eg[u], R[j][v][x])),  # rho_i(u) rho_j(v) x
-                    (swap_sign, bilinear(R[i], eg[v], R[j][u][x])),  # rho_i(v) rho_j(u) x
-                ]
-            acc = lincomb(*terms)
-            if acc:
-                ggh_coeffs[(gk, (x,))] = dense(acc, hs.dim)
-    ggh = BlockCochain(gs, hs, 2, 1, "h", ggh_coeffs)
-
-    ghh_coeffs = {}
-    for u in range(gs.dim):
-        pu = gs.parity(u)
-        for hk in wedge_basis(hs, 2):
-            x, y = hk
-            # (-1)^{|u||x|} on the second Leibniz term
-            leib_sign = -1 if pu * hs.parity(x) else 1
-            terms = []
-            for i, j in pairs:
-                terms += [
-                    (1, bilinear(R[i], eg[u], MU[j][x][y])),  # rho_i(u) mu_j(x, y)
-                    (-1, bilinear(MU[i], R[j][u][x], eh[y])),  # mu_i(rho_j(u) x, y)
-                    (-leib_sign, bilinear(MU[i], eh[x], R[j][u][y])),  # mu_i(x, rho_j(u) y)
-                ]
-            acc = lincomb(*terms)
-            if acc:
-                ghh_coeffs[((u,), hk)] = dense(acc, hs.dim)
-    ghh = BlockCochain(gs, hs, 1, 2, "h", ghh_coeffs)
-
-    return McResidual(ggg, ggh, ghh, hhh)
+    pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(n + 1)]
+    total = _order_sum(pis, n, nr_bracket)
+    return McResidual.project(total, direct_sum(t.g.space, t.h.space), _EQUATION_FACTORS)
 
 
 class InfinitesimalReport(Frozen):
@@ -211,8 +181,7 @@ def _coefficient_cochain(d: TripleDeformation, k: int):
     gs, hs = t.g.space, t.h.space
     pi_b = BlockCochain(gs, hs, 2, 0, "g", {(key, ()): v for key, v in d.pis[k].coeffs.items()})
     mu_b = BlockCochain(gs, hs, 0, 2, "h", {((), key): v for key, v in d.mus[k].coeffs.items()})
-    by_sig = {(2, 0, "g"): pi_b, (1, 1, "h"): d.rhos[k].as_block(), (0, 2, "h"): mu_b}
-    return tuple(by_sig[sig] for sig in triple_blocks(2))
+    return pi_b, mu_b, d.rhos[k].as_block()  # the order of triple_blocks(2)
 
 
 def _order_one_agrees(residual_ok: bool, image) -> bool:
@@ -232,21 +201,15 @@ def linear_triple_check(t: LieSupActTriple, pi1: Cochain, rho1: ActionMap, mu1: 
 def triple_cocycle_deformations(t: LieSupActTriple):
     """One linear deformation per kernel vector of the even degree-2 differential."""
     gs, hs = t.g.space, t.h.space
-    sigs = triple_blocks(2)
     units = triple_units(gs, hs, 2, parity=0)
-    mat = triple_coboundary_matrix(t, 2, parity=0)
     out = []
-    for vec in kernel_basis(mat):
-        c = blocks_from_vector(gs, hs, sigs, units, vec)
-        pi1 = Cochain(gs, gs, 2, {gk: v for (gk, hk), v in c[0].coeffs.items()})
-        rho_block = c[sigs.index((1, 1, "h"))]
-        table = [[zero_vec(hs.dim) for _ in range(hs.dim)] for _ in range(gs.dim)]
-        for (gk, hk), v in rho_block.coeffs.items():
-            table[gk[0]][hk[0]] = v
-        rho1 = ActionMap(gs, hs, table)
-        mu_blockc = c[sigs.index((0, 2, "h"))]
-        mu1 = Cochain(hs, hs, 2, {hk: v for (gk, hk), v in mu_blockc.coeffs.items()})
-        out.append(TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1))
+    for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
+        # the blocks of triple_blocks(2): pi, then mu, then rho
+        pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
+        pi1 = Cochain(gs, gs, 2, {gk: v for (gk, _), v in pi_b.coeffs.items()})
+        mu1 = Cochain(hs, hs, 2, {hk: v for (_, hk), v in mu_b.coeffs.items()})
+        table = [[rho_b.eval((i,), (j,)) for j in range(hs.dim)] for i in range(gs.dim)]
+        out.append(TripleDeformation.build(t, [pi1], [ActionMap(gs, hs, table)], [mu1], order=1))
     return out
 
 
@@ -276,30 +239,20 @@ class CrossedHomDeformation(Frozen):
 
 
 def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
-    """Order-n defect (right minus left) of the deformed crossed identity."""
+    """Order-n defect (right minus left) of the deformed crossed identity.
+
+    The t^n coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)], that is
+    [pi + rho, D_n] + 1/2 sum_{i+j=n} [[mu, D_i], D_j]; the double bracket is
+    symmetric in D_i, D_j, as [D_i, D_j] = 0 for maps g -> h.
+    """
     if not 0 <= n <= d.order:
         raise ValidationError(f"order {n} outside 0..{d.order}")
     t = d.crossed.triple
-    g, h = t.g, t.h
-    gs, hs = g.space, h.space
-    G, H, R, e = g.sparse, h.sparse, t.rho.sparse, units(gs.dim)
-    maps = [[sparse(col) for col in m.cols] for m in d.maps]
-    Dn = maps[n]
-    coeffs = {}
-    for gk in wedge_basis(gs, 2):
-        x, y = gk
-        sgn = 1 if gs.parity(x) * gs.parity(y) else -1
-        # - D_n([x, y]) + rho(x) D_n(y) - (-1)^{|x||y|} rho(y) D_n(x)
-        # + sum_{i+j=n} [D_i(x), D_j(y)]
-        acc = lincomb(
-            (-1, combine(G[x][y], Dn)),
-            (1, bilinear(R, e[x], Dn[y])),
-            (sgn, bilinear(R, e[y], Dn[x])),
-            *((1, bilinear(H, maps[i][x], maps[n - i][y])) for i in range(n + 1)),
-        )
-        if acc:
-            coeffs[(gk, ())] = dense(acc, hs.dim)
-    return BlockCochain(gs, hs, 2, 0, "h", coeffs)
+    cc = ChComplex(t)
+    maps = [hat_extend(CrossedHom(t, m).as_block()) for m in d.maps[: n + 1]]
+    quadratic = _order_sum(maps, n, lambda a, b: nr_bracket(nr_bracket(cc.mu_hat, a), b))
+    total = nr_bracket(cc.pr_hat, maps[n]).add(quadratic.scale(Fraction(1, 2)))
+    return project_block(total, cc.ds, 2, 0, "h")
 
 
 class ChInfinitesimalReport(Frozen):

@@ -200,6 +200,7 @@ def _parse_deformation(obj) -> RawDeformation:
         _expect(isinstance(item, dict), "deformation: coefficient blocks must be objects")
         k = item.get("order")
         _expect(_is_order(k), "deformation: coefficient order must be an integer >= 1")
+        _expect(k <= order, f"deformation: coefficient block of order {k} exceeds the order {order}")
         if k in raw.pi or k in raw.rho or k in raw.mu or k in raw.d:
             raise ValidationError(f"deformation: duplicate coefficient block for order {k}")
         for key, store in (("pi", raw.pi), ("rho", raw.rho), ("mu", raw.mu), ("D", raw.d)):

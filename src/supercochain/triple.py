@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_extend, nr_bracket
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_sum, nr_bracket
 from .cochains import project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
@@ -202,8 +202,7 @@ def _blocks_of(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap):
 
 def mc_element(t: LieSupActTriple) -> Cochain:
     """Pi = pi + rho + mu, extended to one arity-2 cochain on g + h."""
-    pi, rho_b, mu = _blocks_of(t.g, t.h, t.rho)
-    return hat_extend(pi).add(hat_extend(rho_b)).add(hat_extend(mu))
+    return hat_sum(_blocks_of(t.g, t.h, t.rho))
 
 
 def adjoint_action(A: SuperAlgebra) -> ActionMap:
@@ -233,29 +232,36 @@ def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> SuperAlgebra
 
 
 def semidirect_algebra(t: LieSupActTriple) -> SuperAlgebra:
-    """The table of Pi as a ``SuperAlgebra`` on g + h, re-verified with ``check_jacobi``."""
+    """The table of Pi as a ``SuperAlgebra`` on g + h; it is super-skew by
+    construction, so it is re-verified as super Jacobi through [Pi, Pi] = 0."""
     result = SuperAlgebra(direct_sum(t.g.space, t.h.space).space, mc_element(t).coeffs)
-    jac = check_jacobi(result)
-    if not jac.ok:
-        raise InternalInvariantError(
-            f"semidirect product violates the super Jacobi identity at {jac.failures[0].where}"
-        )
+    if not mc_residual(t.g, t.h, t.rho).is_zero:
+        raise InternalInvariantError("semidirect product violates the super Jacobi identity")
     return result
 
 
 class McResidual(Frozen):
-    """The four block components of a C^3-shaped obstruction.
+    """The four blocks of a self-bracket on g + h, the signatures of ``triple_blocks(3)``.
 
-    ``mc_residual`` fills them with the self-bracket of candidate data and
-    ``deformation.triple_deformation_residual`` with the defect of one order:
     ``ggg`` on wedge^3 g -> g, ``ggh`` on wedge^2 g x h -> h, ``ghh`` on
-    g x wedge^2 h -> h and ``hhh`` on wedge^3 h -> h.
+    g x wedge^2 h -> h and ``hhh`` on wedge^3 h -> h.  ``mc_residual`` reads
+    them from [Pi, Pi]; ``deformation.triple_deformation_residual`` reads them,
+    times fixed factors, from the t^n coefficient of a deformed [Pi(t), Pi(t)].
     """
 
     __slots__ = ("ggg", "ggh", "ghh", "hhh")
+    # block signatures in field order
+    SIGNATURES = ((3, 0, "g"), (2, 1, "h"), (1, 2, "h"), (0, 3, "h"))
 
     def __init__(self, ggg: BlockCochain, ggh: BlockCochain, ghh: BlockCochain, hhh: BlockCochain):
         super().__init__(ggg, ggh, ghh, hhh)
+
+    @classmethod
+    def project(cls, F: Cochain, ds, factors=(1, 1, 1, 1)) -> "McResidual":
+        """The four blocks of an arity-3 cochain F on the direct sum ``ds``, times ``factors``."""
+        return cls(*(
+            project_block(F, ds, *sig).scale(c) for sig, c in zip(cls.SIGNATURES, factors)
+        ))
 
     @property
     def is_zero(self) -> bool:
@@ -266,38 +272,19 @@ class McResidual(Frozen):
 
 
 def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
-    """Component-wise self-bracket obstruction of candidate (pi, rho, mu).
+    """The self-bracket [Pi, Pi] of candidate data Pi = pi + rho + mu, by block.
 
-    Computed in the big algebra on g + h from the displayed combinations
-    ([pi,pi]; 2 rho.pi + [rho,rho]; 2[rho,mu]; [mu,mu]) and cross-checked
-    against the projections of [Pi, Pi]; a mismatch would be a bug in the
-    bracket plumbing, not in the candidate data.
+    Its blocks are [pi, pi], 2 rho.pi + [rho, rho], 2 [rho, mu] and [mu, mu]:
+    on super-skew tables they measure Jacobi of g, the action morphism, the
+    action derivation and Jacobi of h.  The action must be degree 0.
     """
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("candidate data shapes do not match")
-    pi_b, rho_b, mu_b = _blocks_of(g, h, rho)
-    P, R, M = hat_extend(pi_b), hat_extend(rho_b), hat_extend(mu_b)
-    ds = direct_sum(g.space, h.space)
-    if R.parity() != 0:
+    blocks = _blocks_of(g, h, rho)
+    if blocks[1].parity() != 0:
         raise ShapeMismatch("the action is not degree 0")
-    comp_ggg = project_block(nr_bracket(P, P), ds, 3, 0, "g")
-    # [R, P] = circ(R, P): circ(P, R) vanishes, as P reads only g and R lands in h
-    comp_ggh = project_block(nr_bracket(R, P).scale(2).add(nr_bracket(R, R)), ds, 2, 1, "h")
-    comp_ghh = project_block(nr_bracket(R, M).scale(2), ds, 1, 2, "h")
-    comp_hhh = project_block(nr_bracket(M, M), ds, 0, 3, "h")
-    Pi = P.add(R).add(M)
-    full = nr_bracket(Pi, Pi)
-    for (ga, ha, side), comp in (
-        ((3, 0, "g"), comp_ggg),
-        ((2, 1, "h"), comp_ggh),
-        ((1, 2, "h"), comp_ghh),
-        ((0, 3, "h"), comp_hhh),
-    ):
-        if project_block(full, ds, ga, ha, side) != comp:
-            raise InternalInvariantError(
-                "component form of the self-bracket disagrees with its projection"
-            )
-    return McResidual(comp_ggg, comp_ggh, comp_ghh, comp_hhh)
+    Pi = hat_sum(blocks)
+    return McResidual.project(nr_bracket(Pi, Pi), direct_sum(g.space, h.space))
 
 
 def triple_blocks(n: int):
@@ -389,9 +376,7 @@ class BlockComplex:
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
         if self.P.parity() != 0:
             raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-        total = hat_extend(blocks[0])
-        for block in blocks[1:]:
-            total = total.add(hat_extend(block))
+        total = hat_sum(blocks)
         image = nr_bracket(self.P, total)
         ds = direct_sum(self.g_space, self.h_space)
         return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
@@ -411,20 +396,21 @@ def triple_cochain_dim(g_space, h_space, n: int, parity=None) -> int:
     return len(triple_units(g_space, h_space, n, parity))
 
 
-def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None) -> Matrix:
+def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None, cx=None) -> Matrix:
     """Matrix of the degree-n differential [Pi, .] on the deterministic unit basis.
 
     Columns follow ``triple_units(g, h, n, parity)``, rows
     ``triple_units(g, h, n+1, parity)``.  With ``parity=None`` both parities
     appear; the matrix is block diagonal across them because the structure
-    element is even.
+    element is even.  ``cx`` is ``triple_complex(t)``, if the caller holds it.
     """
-    return triple_complex(t).matrix(n, parity)
+    return (cx or triple_complex(t)).matrix(n, parity)
 
 
 def triple_cohomology_table(t: LieSupActTriple, degrees, parities=(0, 1)):
-    """{n: {parity: dim H^n}} over consecutive ``degrees``, each d_n built once."""
-    return cohomology_table(lambda n, p: triple_coboundary_matrix(t, n, p), degrees, parities)
+    """{n: {parity: dim H^n}} over consecutive ``degrees``: Pi built once, each d_n once."""
+    cx = triple_complex(t)
+    return cohomology_table(lambda n, p: triple_coboundary_matrix(t, n, p, cx), degrees, parities)
 
 
 def triple_cohomology(t: LieSupActTriple, n: int):

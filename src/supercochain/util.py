@@ -51,7 +51,7 @@ def zero_vec(n: int):
 
 
 def vec_is_zero(v) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def vec_add(a, b):

@@ -28,7 +28,9 @@ column order, with no sparse storage or pivot choice.
 
 So do the hand-assembled derivation system and the four-case semidirect
 table, each with its own Koszul sign: the library reads both from the
-structure element Pi and its complex.
+structure element Pi and its complex.  So do the four component brackets of
+the Maurer-Cartan residual (``mc_residual_components_reference``, shuffle
+sums only): the library projects the one self-bracket [Pi, Pi].
 """
 
 import functools
@@ -714,6 +716,38 @@ def check_crossed(D):
             if lhs != rhs:
                 failures.append(Failure("crossed", (labels[i], labels[j]), lhs, rhs))
     return CheckReport("crossed", tuple(failures))
+
+
+def mc_residual_components_reference(g, h, rho):
+    """The four component brackets of ``triple.mc_residual``, shuffle sums throughout.
+
+    [pi, pi]; 2 rho.pi + [rho, rho]; 2 [rho, mu]; [mu, mu], each taken in the
+    big algebra on g + h and projected to its block, and each checked against
+    the same block of [Pi, Pi]; a mismatch would be a bug in the bracket, not
+    in the candidate data.
+    """
+    ds = direct_sum(g.space, h.space)
+    P, R, M = (
+        hat_extend_reference(b) for b in (pi_block(g, h.space), rho.as_block(), mu_block(g.space, h))
+    )
+    components = (
+        shuffle_nr_bracket(P, P),
+        # [R, P] = circ(R, P): circ(P, R) vanishes, as P reads only g and R lands in h
+        shuffle_nr_bracket(R, P).scale(2).add(shuffle_nr_bracket(R, R)),
+        shuffle_nr_bracket(R, M).scale(2),
+        shuffle_nr_bracket(M, M),
+    )
+    Pi = P.add(R).add(M)
+    full = shuffle_nr_bracket(Pi, Pi)
+    blocks = []
+    for sig, comp in zip(McResidual.SIGNATURES, components):
+        block = project_block_reference(comp, ds, *sig)
+        if block != project_block_reference(full, ds, *sig):
+            raise InternalInvariantError(
+                "component form of the self-bracket disagrees with its projection"
+            )
+        blocks.append(block)
+    return McResidual(*blocks)
 
 
 def triple_deformation_residual(d, n):

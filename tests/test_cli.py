@@ -235,6 +235,17 @@ def test_boolean_coefficient_order_is_exit_2(capsys, tmp_path):
     assert code == 2 and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["deform", "ch-deform"])
+def test_coefficient_block_above_the_order_is_exit_2(capsys, tmp_path, command):
+    # the block names an unknown label; it must be refused, not skipped unread
+    block = {"order": 7, "pi": [{"left": "x", "right": "x1", "value": []}]}
+    p = _deformation_with(tmp_path, lambda d: d["coefficients"].append(block))
+    code, err = _exit_and_stderr([command, str(p), "--format", "json"], capsys)
+    assert code == 2 and err.splitlines() == [
+        "error: deformation: coefficient block of order 7 exceeds the order 1"
+    ]
+
+
 @pytest.mark.parametrize("coeff", ["1_0", " 1 ", "\u0661"])
 def test_non_ascii_integer_coefficient_is_exit_2(capsys, tmp_path, coeff):
     doc = json.loads((FIXTURES / "gl11.json").read_text())
