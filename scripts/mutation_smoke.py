@@ -83,9 +83,9 @@ MUTATIONS = (
         ("tests/test_structure_element.py::test_derivation_space_matches_reference",),
     ),
     (
-        "deformation.py",
-        "term = term.scale(2)",
-        "term = term",
+        "cochains.py",
+        "(i, n - i, 1 if 2 * i == n else 2)",
+        "(i, n - i, 1)",
         ("tests/test_sparse_checks.py::test_gl21_perturbed_once_matches_dense",),
     ),
     (
@@ -95,10 +95,41 @@ MUTATIONS = (
         ("tests/test_sparse_checks.py::test_gl21_perturbed_once_matches_dense",),
     ),
     (
-        "deformation.py",
-        "add(quadratic.scale(Fraction(1, 2)))",
-        "add(quadratic)",
-        ("tests/test_self_bracket.py::test_order_zero_crossed_residual_is_the_mc_residual",),
+        "crossed.py",
+        "(Fraction(w, 2), inner[i], hats[j])",
+        "(w, inner[i], hats[j])",
+        ("tests/test_sparse_checks.py::test_crossed_residual_matches_dense",),
+    ),
+    # denominators: each int kernel divides by exactly the denominators its terms carry
+    (
+        "superalgebra.py",
+        "dense(lhs, A.dim, den * den), dense(rhs, A.dim, den * den)",
+        "dense(lhs, A.dim, den), dense(rhs, A.dim, den)",
+        ("tests/test_rescaled.py::test_rescaled_gl21_matches_references",),
+    ),
+    (
+        "crossed.py",
+        "(m_cubic, bilinear(H, Dc[i], Dc[j]))",
+        "(1, bilinear(H, Dc[i], Dc[j]))",
+        ("tests/test_rescaled.py::test_rescaled_crossed_checks_match_references",),
+    ),
+    (
+        "cochains.py",
+        "prepared.append((c.numerator, c.denominator * dP * dU, support, rows))",
+        "prepared.append((c.numerator, c.denominator * dP, support, rows))",
+        ("tests/test_rescaled.py::test_rescaled_products_match_shuffle_references",),
+    ),
+    (
+        "triple.py",
+        "lhs = lincomb((dr, bilinear(R, G[i][j], eh[u])))",
+        "lhs = lincomb((1, bilinear(R, G[i][j], eh[u])))",
+        ("tests/test_rescaled.py::test_rescaled_triple_checks_match_references",),
+    ),
+    (
+        "crossed.py",
+        "if lincomb((dg, got)) != lincomb((s * dd, want)):",
+        "if lincomb((dg, got)) != lincomb((s, want)):",
+        ("tests/test_rescaled.py::test_rescaled_crossed_checks_match_references",),
     ),
     (
         "exact_linalg.py",

@@ -32,7 +32,7 @@ from .graded import (
     normalize_tuple,
     wedge_basis,
 )
-from .cochains import BlockCochain, Cochain, bracket_matrix, circ, f_membership
+from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_sum, circ, f_membership
 from .cochains import hat_extend, nr_bracket, project_block
 from .superalgebra import (
     CheckReport,
@@ -74,10 +74,12 @@ from .deformation import (
     CrossedHomDeformation,
     TripleDeformation,
     ch_deformation_residual,
+    ch_deformation_residuals,
     ch_infinitesimal,
     linear_ch_check,
     linear_triple_check,
     triple_deformation_residual,
+    triple_deformation_residuals,
     triple_infinitesimal,
 )
 

@@ -15,13 +15,14 @@ import time
 from functools import partial
 
 from . import io as sio
-from .crossed import CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed, graph_check
+from .crossed import ChComplex, CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed
+from .crossed import graph_check
 from .deformation import (
     CrossedHomDeformation,
     TripleDeformation,
-    ch_deformation_residual,
+    ch_deformation_residuals,
     ch_infinitesimal,
-    triple_deformation_residual,
+    triple_deformation_residuals,
     triple_infinitesimal,
 )
 from .errors import InternalInvariantError, SupercochainError, UsageError, ValidationError
@@ -189,8 +190,7 @@ def cmd_deform(pf, flags):
     order = flags.order if flags.order is not None else pf.deformation.order
     d = TripleDeformation.build(t, pis, rhos, mus, order=order)
     residuals = []
-    for n in range(0, d.order + 1):
-        r = triple_deformation_residual(d, n)
+    for n, r in enumerate(triple_deformation_residuals(d)):
         entry = {"order": n, "ok": r.is_zero}
         if not r.is_zero:
             entry["witnesses"] = {
@@ -219,15 +219,15 @@ def cmd_ch_deform(pf, flags):
     terms = sio.crossed_deformation_terms(pf)
     order = flags.order if flags.order is not None else pf.deformation.order
     d = CrossedHomDeformation.build(D, terms, order=order)
+    cc = ChComplex(D.triple)
     residuals = []
-    for n in range(0, d.order + 1):
-        r = ch_deformation_residual(d, n)
+    for n, r in enumerate(ch_deformation_residuals(d, cc=cc)):
         entry = {"order": n, "ok": r.is_zero()}
         if not r.is_zero():
             entry["witnesses"] = _block_witnesses(r)
         residuals.append(entry)
         verdicts.append({"name": f"residual.order{n}", "ok": r.is_zero()})
-    inf = ch_infinitesimal(d)
+    inf = ch_infinitesimal(d, cc)
     info = {"order": inf.order, "is_cocycle": inf.is_cocycle}
     return {"verdicts": verdicts, "residuals": residuals, "infinitesimal": info}
 

@@ -19,22 +19,26 @@ times the sign, and ``project_block`` splits each key of a cochain on g + h
 back into a block pair; neither sums shuffles.  ``Cochain`` and
 ``BlockCochain`` share their linear operations and parity split.
 
-``circ``, ``nr_bracket`` and ``bracket_matrix`` share one term expansion: for
-each unit U = (key K -> e_T) of the right operand, ``_unit_image`` lists the
-terms of [P, U] (or circ(P, U)) over the support of a P of any arity and
-parity.  Every Koszul sign comes from ``normalize_tuple``.
+``circ``, ``nr_bracket``, ``bracket_sum`` and ``bracket_matrix`` share one
+term expansion: for each unit U = (key K -> e_T) of the right operand,
+``_unit_image`` lists the terms of [P, U] (or circ(P, U)) over the support of
+a P of any arity and parity.  Every Koszul sign comes from ``normalize_tuple``.
+The expansion runs on ints: each operand enters as ints over its own common
+denominator (``util.scaled_vectors``), a sum of brackets is accumulated over the lcm of
+the products of those denominators, and only the nonzero entries of the
+result are divided back into ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, lcm
 
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
 from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import over, scaled_vectors, vec_add, vec_is_zero, vec_scale, zero_vec
 
 _ZERO = Fraction(0)
 
@@ -85,7 +89,7 @@ class _CoefficientMap:
         vec = self.coeffs.get(key) if sign else None
         if vec is None:
             return zero_vec(self.target_space.dim)
-        return vec if sign == 1 else vec_scale(vec, Fraction(sign))
+        return vec if sign == 1 else vec_scale(vec, sign)
 
     def parity_parts(self):
         """[(component, parity)] with mixed coefficients split by map parity."""
@@ -172,7 +176,7 @@ class Cochain(_CoefficientMap):
 
 
 def _bracket_support(P: Cochain):
-    """P indexed by each distinct entry k of its keys and by output component.
+    """(den, support): P as ints over ``den``, indexed by each entry of its keys and by output.
 
     ``by_entry[k]``: (H, |H|, counts(H), {t: P(H, k)_t}) for H a key minus one k;
     ``by_comp[t]``: (key, parity of the term, counts(key), P(key)_t).  Only odd
@@ -184,20 +188,20 @@ def _bracket_support(P: Cochain):
     def counts(part):
         return tuple((e, part.count(e)) for e in set(part) if pars[e])
 
+    den, rows = scaled_vectors(P.coeffs)
     by_entry, by_comp = {}, {}
-    for key, vec in P.coeffs.items():
+    for key, vals in rows.items():
         kp = sum(pars[i] for i in key)
-        nonzero = [(t, x) for t, x in enumerate(vec) if x]
         for k in sorted(set(key)):
             i = key.index(k)
             H = key[:i] + key[i + 1 :]
             s = normalize_tuple(V, H + (k,))[1]
-            vals = dict(nonzero) if s > 0 else {t: -x for t, x in nonzero}
-            by_entry.setdefault(k, []).append((H, (kp + pars[k]) % 2, counts(H), vals))
+            signed = vals if s > 0 else {t: -x for t, x in vals.items()}
+            by_entry.setdefault(k, []).append((H, (kp + pars[k]) % 2, counts(H), signed))
         kc = counts(key)
-        for t, x in nonzero:
+        for t, x in vals.items():
             by_comp.setdefault(t, []).append((key, (kp + pars[t]) % 2, kc, x))
-    return P.arity - 1, by_entry, by_comp
+    return den, (P.arity - 1, by_entry, by_comp)
 
 
 def _multiplicity(X, counts):
@@ -217,6 +221,7 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
     k of K, read as U(head, k), takes P(key)_k to sort(head + key) with
     (-1)^(f |head|).  Each term also carries the sign ``normalize_tuple``
     gives its unsorted key and the multiplicity of P's part in the new key.
+    Coefficients are ints over the denominator of P's ``_bracket_support``.
     Terms may repeat a (key, target); callers add them up.
     """
     nP, by_entry, by_comp = support
@@ -243,32 +248,67 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
                 yield X, T, (-c if f and flip else c) * v
 
 
-def _expand(P: Cochain, U: Cochain, bracket: bool) -> Cochain:
-    """The sum over the units (K -> e_T) of U of U(K)_T times their ``_unit_image``."""
-    V = P.source
-    if V != P.target or U.source != V or U.target != V:
-        raise SpaceMismatch("insertion product needs cochains on one space V -> V")
-    support = _bracket_support(P)
+def _expand(terms, bracket: bool) -> Cochain:
+    """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, over the units of each U.
+
+    Term by term, P and U enter as ints over their own denominators dP, dU and
+    c as p / q, so the term is an int sum over q dP dU; every term is put over
+    the lcm of those and added on ints, and only the nonzero entries of the
+    total are divided back.  All terms share one space V and one arity.
+    """
+    V = terms[0][1].source
+    arity = terms[0][1].arity + terms[0][2].arity - 1
+    prepared = []
+    for c, P, U in terms:
+        if V != P.target or P.source != V or U.source != V or U.target != V:
+            raise SpaceMismatch("insertion product needs cochains on one space V -> V")
+        if P.arity + U.arity - 1 != arity:
+            raise ArityMismatch("the terms of a bracket sum have different arities")
+        dP, support = _bracket_support(P)
+        dU, rows = scaled_vectors(U.coeffs)
+        prepared.append((c.numerator, c.denominator * dP * dU, support, rows))
+    den = lcm(*(d for _, d, _, _ in prepared))
     out = {}
-    for K, vec in U.coeffs.items():
-        for T, v in enumerate(vec):
-            if v != 0:
+    for m, d, support, rows in prepared:
+        m *= den // d
+        for K, vals in rows.items():
+            for T, v in vals.items():
+                v *= m
                 for X, tgt, c in _unit_image(V, support, K, T, bracket):
                     row = out.get(X)
                     if row is None:
-                        row = out[X] = [_ZERO] * V.dim
+                        row = out[X] = [0] * V.dim
                     row[tgt] += v * c
-    return Cochain(V, V, P.arity + U.arity - 1, out)
+    coeffs = {
+        X: tuple(Fraction(x, den) if x else _ZERO for x in row) for X, row in out.items() if any(row)
+    }
+    return Cochain(V, V, arity, coeffs)
 
 
 def circ(F: Cochain, G: Cochain) -> Cochain:
     """Insertion product F o G, G plugged into the last slot of F, over the units of G."""
-    return _expand(F, G, bracket=False)
+    return _expand(((1, F, G),), bracket=False)
 
 
 def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
     """Graded commutator [F, G] of the insertion product, over the units of G."""
-    return _expand(F, G, bracket=True)
+    return _expand(((1, F, G),), bracket=True)
+
+
+def bracket_sum(terms) -> Cochain:
+    """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``.
+
+    One integer accumulation over a common denominator: the terms may cancel,
+    and no ``Fraction`` is added on the way.
+    """
+    return _expand(tuple(terms), bracket=True)
+
+
+def order_pairs(n: int):
+    """(i, n - i, w) for i <= n - i: sum_{i+j=n} B(x_i, x_j) for a symmetric bilinear B
+    is sum w B(x_i, x_(n-i)), each unordered pair taken once with weight w = 2 (1 on
+    the diagonal i = n - i)."""
+    return [(i, n - i, 1 if 2 * i == n else 2) for i in range(n // 2 + 1)]
 
 
 def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
@@ -276,12 +316,13 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
 
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
-    through the same sign.  Each column is the ``_unit_image`` of its unit.
+    through the same sign.  Each column is the ``_unit_image`` of its unit,
+    summed on ints over the denominator of P.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    support = _bracket_support(P)
+    den, support = _bracket_support(P)
     data = [{} for _ in rows]
     row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
     for j, (K, T, s) in enumerate(cols):
@@ -291,7 +332,7 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
                 row, sign = hit
                 v = c if sign == s else -c
                 row[j] = row[j] + v if j in row else v
-    return Matrix(len(rows), len(cols), data)
+    return Matrix(len(rows), len(cols), [over(row, den) for row in data])
 
 
 def block_key(ds: DirectSum, gk, hk):

@@ -22,9 +22,15 @@ the one signature ``ch_blocks(m)``.  The twisted differential of D,
 
 is one bracket with an even arity-2 element of the big algebra, so
 ``ChComplex.twisted`` builds P_D and returns its ``triple.BlockComplex``
-over ``ch_blocks``.  The Maurer-Cartan residual, the d_D matrices and the
-deformation checks all go through it.  [mu, D] and ``ChComplex.bracket``,
-the general [[f1, f2]], are ``nr_bracket`` products of the same expansion.
+over ``ch_blocks``.  The d_D matrices and the order-1 cocycle tests go
+through it.  The Maurer-Cartan residual and the deformation residuals are
+the coefficients of one series, [pi + rho + 1/2 [mu, D(t)], D(t)], which
+``ChComplex.series_residuals`` sums as one ``bracket_sum`` per order.
+[mu, D] and ``ChComplex.bracket``, the general [[f1, f2]], are
+``nr_bracket`` products of the same expansion.
+
+The identity checks read the int tables ``SuperAlgebra.sparse`` and
+``ActionMap.sparse`` and compare on ints (see ``util``).
 
 For D = 0 on the adjoint triple of A, d_D is the Chevalley-Eilenberg
 differential of A, so ``derivation_space`` reads the derivations off the
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
+from .cochains import BlockCochain, bracket_sum, hat_extend, nr_bracket, order_pairs, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis, rank
 from .graded import direct_sum
@@ -43,7 +49,7 @@ from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_s
 from .superalgebra import is_homomorphism
 from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
 from .triple import mu_block, pi_block, semidirect_algebra
-from .util import Frozen, bilinear, combine, dense, lincomb, sparse, units, vec_is_zero, zero_vec
+from .util import Frozen, bilinear, combine, dense, lincomb, scaled_vectors, units, vec_is_zero, zero_vec
 
 
 class CrossedHom(Frozen):
@@ -72,56 +78,77 @@ def verify(D: CrossedHom) -> CrossedHom:
     return CrossedHom(D.triple, D.linmap, check_crossed(D).ok)
 
 
+def _scaled_columns(m: LinearMap):
+    """(den, [{k: int}]) with column j of m equal to the ints of entry j over den."""
+    den, cols = scaled_vectors(dict(enumerate(m.cols)))
+    return den, [cols.get(j, {}) for j in range(len(m.cols))]
+
+
 def check_crossed(D: CrossedHom) -> CheckReport:
-    """Defining identity on all ordered basis pairs of g."""
+    """Defining identity on all ordered basis pairs of g.
+
+    Degree 2 in the data (D.pi on the left, rho.D on the right) but for the
+    cubic term [D(x), D(y)]; each term is multiplied by the denominators it
+    lacks, so both sides are ints over den(D)^2 den(g) den(rho) den(h).
+    """
     t = D.triple
     g, h = t.g, t.h
-    G, H, R, e = g.sparse, h.sparse, t.rho.sparse, units(g.dim)
-    Dc = [sparse(col) for col in D.linmap.cols]
+    (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, t.rho.sparse
+    dd, Dc = _scaled_columns(D.linmap)
+    e = units(g.dim)
+    m_lhs, m_rho, m_cubic = dd * dr * dh, dd * dg * dh, dg * dr
+    den = dd * dd * dg * dr * dh
     pars = g.space.parities
     failures = []
     labels = g.space.labels
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = combine(G[i][j], Dc)
+            lhs = lincomb((m_lhs, combine(G[i][j], Dc)))
             # rho(x) D(y) - (-1)^{|x||y|} rho(y) D(x) + [D(x), D(y)]
-            sign = 1 if pars[i] * pars[j] else -1
+            sign = m_rho if pars[i] * pars[j] else -m_rho
             rhs = lincomb(
-                (1, bilinear(R, e[i], Dc[j])),
+                (m_rho, bilinear(R, e[i], Dc[j])),
                 (sign, bilinear(R, e[j], Dc[i])),
-                (1, bilinear(H, Dc[i], Dc[j])),
+                (m_cubic, bilinear(H, Dc[i], Dc[j])),
             )
             if lhs != rhs:
                 failures.append(Failure(
-                    "crossed", (labels[i], labels[j]), dense(lhs, h.dim), dense(rhs, h.dim)
+                    "crossed", (labels[i], labels[j]), dense(lhs, h.dim, den), dense(rhs, h.dim, den)
                 ))
     return CheckReport("crossed", tuple(failures))
 
 
 def graph_failures(D: CrossedHom):
-    """Basis pairs where the graph fails to close in the semidirect product."""
+    """Basis pairs where the graph fails to close in the semidirect product.
+
+    With S = ints / s the table of g x| h and D = ints / dd, the bracket of
+    two lifted units is quadratic, ints over s dd^2, and the lift of
+    [x_i, x_j] is linear, ints over den(g) dd; the two are compared after
+    multiplying each by the other's missing denominators.
+    """
     t = D.triple
     ds = direct_sum(t.g.space, t.h.space)
-    sd = semidirect_algebra(t)
-    G = t.g.sparse
-    Dc = [sparse(col) for col in D.linmap.cols]
+    s, S = semidirect_algebra(t).sparse
+    dg, G = t.g.sparse
+    dd, Dc = _scaled_columns(D.linmap)
 
     def lift(x: dict) -> dict:
-        """(x, D x) in g + h coordinates."""
-        out = {ds.left_pos[k]: c for k, c in x.items()}
+        """(x, D x) in g + h coordinates, times dd: ints over dd times the denominator of x."""
+        out = {ds.left_pos[k]: dd * c for k, c in x.items()}
         out.update((ds.right_pos[k], c) for k, c in combine(x, Dc).items())
         return out
 
     lifted = [lift(x) for x in units(t.g.dim)]
+    dim = ds.space.dim
     failures = []
     labels = t.g.space.labels
     for i in range(t.g.dim):
         for j in range(t.g.dim):
-            got = bilinear(sd.sparse, lifted[i], lifted[j])
+            got = bilinear(S, lifted[i], lifted[j])
             want = lift(G[i][j])
-            if got != want:
+            if lincomb((dg, got)) != lincomb((s * dd, want)):
                 failures.append(Failure(
-                    "graph", (labels[i], labels[j]), dense(got, sd.dim), dense(want, sd.dim)
+                    "graph", (labels[i], labels[j]), dense(got, dim, s * dd * dd), dense(want, dim, dg * dd)
                 ))
     return tuple(failures)
 
@@ -168,11 +195,31 @@ class ChComplex:
         P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))
         return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
 
+    def series_residuals(self, blocks, orders):
+        """For D(t) = sum_k blocks[k] t^k, the t^n coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]
+        for each n in ``orders``.
+
+        That is [pi + rho, D_n] + 1/2 sum_{i+j=n} [[mu, D_i], D_j], one
+        ``bracket_sum``; the double bracket is symmetric in D_i, D_j, as
+        [D_i, D_j] = 0 for maps g -> h.  Each D_k is hat-extended, and
+        bracketed with mu, once for all orders.
+        """
+        hats = [hat_extend(b) for b in blocks[: max(orders) + 1]]
+        inner = [nr_bracket(self.mu_hat, f) for f in hats[: max(orders) // 2 + 1]]
+        out = []
+        for n in orders:
+            terms = [(1, self.pr_hat, hats[n])]
+            terms += [(Fraction(w, 2), inner[i], hats[j]) for i, j, w in order_pairs(n)]
+            out.append(project_block(bracket_sum(terms), self.ds, 2, 0, "h"))
+        return out
+
 
 def ch_mc_residual(D: CrossedHom) -> BlockCochain:
-    """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]]."""
-    block = D.as_block()
-    return ChComplex(D.triple).twisted(block.scale(Fraction(1, 2))).d((block,))[0]
+    """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]].
+
+    The t^0 coefficient of ``ChComplex.series_residuals`` for D(t) = D.
+    """
+    return ChComplex(D.triple).series_residuals([D.as_block()], (0,))[0]
 
 
 def _require_verified(D: CrossedHom) -> CrossedHom:

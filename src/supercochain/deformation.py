@@ -24,13 +24,18 @@ two code paths are asserted to agree.
 A crossed homomorphism deformation D(t) is read the same way, from the t^n
 coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]; its order-1 statement
 couples to the twisted differential d_D.
+
+``triple_deformation_residuals`` and ``ch_deformation_residuals`` check every
+requested order in one pass: each coefficient is hat-extended once, and each
+order is one integer ``bracket_sum`` of its pairs.  The one-order functions
+read the same pass at a single order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, hat_extend, hat_sum, nr_bracket, project_block
+from .cochains import BlockCochain, Cochain, bracket_sum, hat_sum, order_pairs
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
 from .graded import direct_sum
@@ -120,32 +125,40 @@ class TripleDeformation(Frozen):
 _EQUATION_FACTORS = (1, Fraction(-1, 2), Fraction(1, 2), 1)
 
 
-def _order_sum(terms, n: int, bracket):
-    """sum_{i+j=n} bracket(terms[i], terms[j]) for a symmetric ``bracket``.
+def _check_orders(d, orders):
+    """``orders`` (default 0..d.order), each refused outside 0..d.order."""
+    orders = tuple(range(d.order + 1)) if orders is None else tuple(orders)
+    for n in orders:
+        if not 0 <= n <= d.order:
+            raise ValidationError(f"order {n} outside 0..{d.order}")
+    return orders
 
-    Each unordered pair i < j is bracketed once and counted twice.
+
+def triple_deformation_residuals(d: TripleDeformation, orders=None):
+    """The four defects of each order n in ``orders`` (default 0..d.order), in one pass.
+
+    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled, summed as one
+    ``bracket_sum``: [Pi_i, Pi_j] = [Pi_j, Pi_i] for even Pi of arity 2, so
+    each pair is bracketed once.  Each Pi_k is hat-extended once for all
+    orders.
     """
-    total = None
-    for i in range(n // 2 + 1):
-        term = bracket(terms[i], terms[n - i])
-        if i != n - i:
-            term = term.scale(2)
-        total = term if total is None else total.add(term)
-    return total
+    orders = _check_orders(d, orders)
+    if not orders:
+        return ()
+    t = d.triple
+    ds = direct_sum(t.g.space, t.h.space)
+    pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(max(orders) + 1)]
+    return tuple(
+        McResidual.project(
+            bracket_sum((w, pis[i], pis[j]) for i, j, w in order_pairs(n)), ds, _EQUATION_FACTORS
+        )
+        for n in orders
+    )
 
 
 def triple_deformation_residual(d: TripleDeformation, n: int) -> McResidual:
-    """The four order-n defects: the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled.
-
-    [Pi_i, Pi_j] = [Pi_j, Pi_i] for even Pi of arity 2, so each pair is
-    bracketed once.
-    """
-    if not 0 <= n <= d.order:
-        raise ValidationError(f"order {n} outside 0..{d.order}")
-    t = d.triple
-    pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(n + 1)]
-    total = _order_sum(pis, n, nr_bracket)
-    return McResidual.project(total, direct_sum(t.g.space, t.h.space), _EQUATION_FACTORS)
+    """The four order-n defects: ``triple_deformation_residuals`` at order n alone."""
+    return triple_deformation_residuals(d, (n,))[0]
 
 
 class InfinitesimalReport(Frozen):
@@ -238,21 +251,28 @@ class CrossedHomDeformation(Frozen):
         return cls(crossed, order, (crossed.linmap,) + tuple(terms[:order]))
 
 
-def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
-    """Order-n defect (right minus left) of the deformed crossed identity.
-
-    The t^n coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)], that is
-    [pi + rho, D_n] + 1/2 sum_{i+j=n} [[mu, D_i], D_j]; the double bracket is
-    symmetric in D_i, D_j, as [D_i, D_j] = 0 for maps g -> h.
-    """
-    if not 0 <= n <= d.order:
-        raise ValidationError(f"order {n} outside 0..{d.order}")
+def _ch_blocks(d: CrossedHomDeformation):
     t = d.crossed.triple
-    cc = ChComplex(t)
-    maps = [hat_extend(CrossedHom(t, m).as_block()) for m in d.maps[: n + 1]]
-    quadratic = _order_sum(maps, n, lambda a, b: nr_bracket(nr_bracket(cc.mu_hat, a), b))
-    total = nr_bracket(cc.pr_hat, maps[n]).add(quadratic.scale(Fraction(1, 2)))
-    return project_block(total, cc.ds, 2, 0, "h")
+    return [CrossedHom(t, m).as_block() for m in d.maps]
+
+
+def ch_deformation_residuals(d: CrossedHomDeformation, orders=None, cc: ChComplex = None):
+    """Defect (right minus left) of the deformed crossed identity at each order in ``orders``.
+
+    The t^n coefficients of [pi + rho + 1/2 [mu, D(t)], D(t)], read in one
+    pass by ``ChComplex.series_residuals``.  ``cc`` is ``ChComplex`` of the
+    triple, if the caller holds it.
+    """
+    orders = _check_orders(d, orders)
+    if not orders:
+        return ()
+    cc = ChComplex(d.crossed.triple) if cc is None else cc
+    return tuple(cc.series_residuals(_ch_blocks(d), orders))
+
+
+def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
+    """Order-n defect: ``ch_deformation_residuals`` at order n alone."""
+    return ch_deformation_residuals(d, (n,))[0]
 
 
 class ChInfinitesimalReport(Frozen):
@@ -264,12 +284,15 @@ class ChInfinitesimalReport(Frozen):
         super().__init__(order, map, is_cocycle)
 
 
-def ch_infinitesimal(d: CrossedHomDeformation):
+def ch_infinitesimal(d: CrossedHomDeformation, cc: ChComplex = None):
+    """First nonzero higher coefficient D_k and whether d_D D_k = 0; ``cc`` as in
+    ``ch_deformation_residuals``."""
     t = d.crossed.triple
     for k in range(1, d.order + 1):
         if not d.maps[k].is_zero():
+            cc = ChComplex(t) if cc is None else cc
             block = CrossedHom(t, d.maps[k]).as_block()
-            image = ChComplex(t).twisted(d.crossed.as_block()).d((block,))[0]
+            image = cc.twisted(d.crossed.as_block()).d((block,))[0]
             return ChInfinitesimalReport(k, d.maps[k], image.is_zero())
     return ChInfinitesimalReport(None, LinearMap.zero(t.g.space, t.h.space), True)
 
@@ -277,6 +300,7 @@ def ch_infinitesimal(d: CrossedHomDeformation):
 def linear_ch_check(D: CrossedHom, D1: LinearMap) -> bool:
     """Residual test at order 1, cross-checked against d_D(D1) = 0."""
     d = CrossedHomDeformation.build(D, [D1], order=1)
-    residual_ok = ch_deformation_residual(d, 1).is_zero()
-    d_D = ChComplex(D.triple).twisted(_require_verified(D).as_block())
+    cc = ChComplex(D.triple)
+    residual_ok = ch_deformation_residuals(d, (1,), cc)[0].is_zero()
+    d_D = cc.twisted(_require_verified(D).as_block())
     return _order_one_agrees(residual_ok, d_D.d((CrossedHom(D.triple, D1).as_block(),)))

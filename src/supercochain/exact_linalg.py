@@ -20,6 +20,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import CompositionNonzero, DimensionMismatch, InternalInvariantError, ValidationError
+from .util import scaled_to_ints
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -127,14 +128,21 @@ class Matrix:
                 out[base + c] = v
         return tuple(out)
 
+    def _row(self, r: int) -> dict:
+        """The stored row r; an index outside 0..rows-1, negative ones included, is refused."""
+        if not 0 <= r < self.rows:
+            raise IndexError(f"row {r} outside a {self.rows}x{self.cols} matrix")
+        return self.data[r]
+
     def entry(self, r: int, c: int) -> Fraction:
+        row = self._row(r)
         if not 0 <= c < self.cols:
             raise IndexError(f"column {c} outside a {self.rows}x{self.cols} matrix")
-        return self.data[r].get(c, _ZERO)
+        return row.get(c, _ZERO)
 
     def row(self, r: int):
         """Row r as a dense tuple."""
-        row = self.data[r]
+        row = self._row(r)
         return tuple(row.get(c, _ZERO) for c in range(self.cols))
 
     def is_zero(self) -> bool:
@@ -150,7 +158,7 @@ class Matrix:
         """
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        scaled = [_scaled_to_ints(row) for row in other.data]
+        scaled = [scaled_to_ints(row) for row in other.data]
         out = []
         for row in self.data:
             terms = [(a.numerator, a.denominator * scaled[k][0], scaled[k][1]) for k, a in row.items()]
@@ -190,12 +198,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _scaled_to_ints(row):
-    """(s, {column: int}) with row == ints / s, s the lcm of the denominators."""
-    s = lcm(*(v.denominator for v in row.values()))
-    return s, {c: v.numerator * (s // v.denominator) for c, v in row.items()}
-
-
 def _integer_rows(m: Matrix):
     """The nonzero rows as {column: int}, each scaled to coprime integers.
 
@@ -205,7 +207,7 @@ def _integer_rows(m: Matrix):
     for row in m.data:
         if not row:
             continue
-        ints = _scaled_to_ints(row)[1]
+        ints = scaled_to_ints(row)[1]
         g = gcd(*ints.values())
         out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
     return out

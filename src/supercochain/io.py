@@ -25,7 +25,6 @@ code 2.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .cochains import Cochain
 from .crossed import CHMorphism
@@ -35,7 +34,7 @@ from .exact_linalg import format_scalar, parse_scalar
 from .graded import GradedSpace, normalize_tuple
 from .superalgebra import LinearMap, SuperAlgebra
 from .triple import ActionMap
-from .util import zero_vec
+from .util import vec_scale, zero_vec
 
 COMMANDS = (
     "check-algebra",
@@ -127,9 +126,8 @@ def _parse_bracket_entries(entries, space: GradedSpace, section: str):
         vec = _parse_value(ent["value"], space, f"{section}.bracket")
         if i > j:
             # store the i <= j representative via super-skew-symmetry
-            sign = Fraction(-1 if (space.parity(i) * space.parity(j)) % 2 == 0 else 1)
             i, j = j, i
-            vec = tuple(sign * x for x in vec)
+            vec = vec_scale(vec, -1 if (space.parity(i) * space.parity(j)) % 2 == 0 else 1)
         if (i, j) in sc:
             raise ValidationError(
                 f"{section}: duplicate bracket entry for ({ent['left']},{ent['right']})"

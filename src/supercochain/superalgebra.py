@@ -3,11 +3,12 @@
 A ``SuperAlgebra`` stores its bracket sparsely on pairs ``i <= j`` of basis
 positions; the ``i > j`` values are derived by super-skew-symmetry, so that
 half of the axiom surface is structural.  ``SuperAlgebra.sparse`` is the
-table over every ordered pair, built on first use; the checks and the
-bilinear evaluation read it.  The constructor enforces only the
-degree-0 pattern of the bracket; the axioms themselves are checked by
-``check_super_skew`` and ``check_jacobi``, which report violations instead of
-raising (candidate tables are first-class inputs elsewhere).
+table over every ordered pair as ints over one common denominator, built on
+first use; the checks and the bilinear evaluation read it, and compare on
+ints (see ``util``).  The constructor enforces only the degree-0 pattern of
+the bracket; the axioms themselves are checked by ``check_super_skew`` and
+``check_jacobi``, which report violations instead of raising (candidate
+tables are first-class inputs elsewhere).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 from .cochains import Cochain
 from .errors import DimensionMismatch, ValidationError
 from .graded import GradedSpace, wedge_basis
-from .util import Frozen, bilinear, dense, lincomb, sparse, units, vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import Frozen, bilinear, dense, lincomb, scaled_to_ints, scaled_vectors, sparse, units
+from .util import vec_add, vec_is_zero, vec_scale, zero_vec
 
 
 class Failure(Frozen):
@@ -88,18 +90,25 @@ class SuperAlgebra:
         base = self.sc.get((j, i))
         if base is None:
             return zero_vec(dim)
-        sign = -1 if (self.space.parity(i) * self.space.parity(j)) % 2 == 0 else 1
         # [b_i,b_j] = -(-1)^{p_i p_j} [b_j,b_i]
-        return vec_scale(base, Fraction(sign))
+        return vec_scale(base, -1 if (self.space.parity(i) * self.space.parity(j)) % 2 == 0 else 1)
 
     @property
     def sparse(self):
-        """T[i][j] = {k: c} with [b_i, b_j] = sum c b_k, for every ordered pair."""
+        """(den, T): [b_i, b_j] = sum_k T[i][j][k] / den b_k for every ordered pair, T of ints.
+
+        Built on first use from the stored pairs i <= j, the rest by super-skew-symmetry.
+        """
         if self._sparse is None:
             dim = self.space.dim
-            self._sparse = tuple(
-                tuple(sparse(self.bracket_basis(i, j)) for j in range(dim)) for i in range(dim)
-            )
+            pars = self.space.parities
+            den, vecs = scaled_vectors(self.sc)
+            T = [[{} for _ in range(dim)] for _ in range(dim)]
+            for (i, j), vec in vecs.items():
+                T[i][j] = vec
+                if i != j:
+                    T[j][i] = vec if pars[i] and pars[j] else {k: -v for k, v in vec.items()}
+            self._sparse = den, tuple(map(tuple, T))
         return self._sparse
 
     def bracket_eval(self, x, y):
@@ -109,7 +118,10 @@ class SuperAlgebra:
         y = tuple(y)
         if len(x) != dim or len(y) != dim:
             raise DimensionMismatch("vector length != algebra dimension")
-        return dense(bilinear(self.sparse, sparse(x), sparse(y)), dim)
+        den, T = self.sparse
+        dx, xs = scaled_to_ints(sparse(x))
+        dy, ys = scaled_to_ints(sparse(y))
+        return dense(bilinear(T, xs, ys), dim, den * dx * dy)
 
     def as_cochain(self) -> Cochain:
         """The bracket as an arity-2 cochain on the underlying space."""
@@ -133,25 +145,37 @@ class SuperAlgebra:
 
 
 def check_super_skew(A: SuperAlgebra) -> CheckReport:
-    """[a,b] = -(-1)^{|a||b|}[b,a] on all basis pairs, including a = b."""
+    """[a,b] = -(-1)^{|a||b|}[b,a] on all basis pairs, including a = b.
+
+    Degree 1 in the table: both sides are read from the int table over its
+    denominator.
+    """
     failures = []
-    labels = A.space.labels
+    labels, pars = A.space.labels, A.space.parities
+    den, T = A.sparse
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = A.bracket_basis(i, j)
-            sign = -1 if (A.space.parity(i) * A.space.parity(j)) % 2 == 0 else 1
-            rhs = vec_scale(A.bracket_basis(j, i), Fraction(sign))
+            lhs = T[i][j]
+            rhs = T[j][i] if pars[i] and pars[j] else {k: -v for k, v in T[j][i].items()}
             if lhs != rhs:
-                failures.append(Failure("super_skew", (labels[i], labels[j]), lhs, rhs))
+                failures.append(Failure(
+                    "super_skew", (labels[i], labels[j]), dense(lhs, A.dim, den), dense(rhs, A.dim, den)
+                ))
     return CheckReport("super_skew", tuple(failures))
 
 
 def check_jacobi(A: SuperAlgebra) -> CheckReport:
-    """[a,[b,c]] = [[a,b],c] + (-1)^{|a||b|}[b,[a,c]] on all basis triples."""
+    """[a,[b,c]] = [[a,b],c] + (-1)^{|a||b|}[b,[a,c]] on all basis triples.
+
+    Degree 2 in the table: with T = ints / den every term is an int vector
+    over den^2, so both sides are compared on ints and divided by den^2 only
+    for a failure.
+    """
     failures = []
     labels = A.space.labels
     pars = A.space.parities
-    T, e = A.sparse, units(A.dim)
+    den, T = A.sparse
+    e = units(A.dim)
     for i in range(A.dim):
         for j in range(A.dim):
             sign = -1 if pars[i] * pars[j] else 1
@@ -161,7 +185,7 @@ def check_jacobi(A: SuperAlgebra) -> CheckReport:
                 if lhs != rhs:
                     failures.append(Failure(
                         "jacobi", (labels[i], labels[j], labels[k]),
-                        dense(lhs, A.dim), dense(rhs, A.dim),
+                        dense(lhs, A.dim, den * den), dense(rhs, A.dim, den * den),
                     ))
     return CheckReport("jacobi", tuple(failures))
 

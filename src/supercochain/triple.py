@@ -34,7 +34,8 @@ from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
 from .superalgebra import check_super_skew
-from .util import Frozen, bilinear, dense, lincomb, sparse, units, vec_is_zero, zero_vec
+from .util import Frozen, bilinear, dense, lincomb, scaled_to_ints, scaled_vectors, sparse, units
+from .util import vec_is_zero, zero_vec
 
 
 class ActionMap:
@@ -64,9 +65,14 @@ class ActionMap:
 
     @property
     def sparse(self):
-        """R[i][j] = {k: c} with rho(g_i) h_j = sum c h_k, built on first use."""
+        """(den, R): rho(g_i) h_j = sum_k R[i][j][k] / den h_k, R of ints, built on first use."""
         if self._sparse is None:
-            self._sparse = tuple(tuple(sparse(v) for v in row) for row in self.table)
+            den, vecs = scaled_vectors(
+                {(i, j): vec for i, row in enumerate(self.table) for j, vec in enumerate(row)}
+            )
+            self._sparse = den, tuple(
+                tuple(vecs.get((i, j), {}) for j in range(len(row))) for i, row in enumerate(self.table)
+            )
         return self._sparse
 
     def value(self, i: int, j: int):
@@ -77,7 +83,10 @@ class ActionMap:
 
     def apply(self, xvec, uvec):
         """rho(x) u for coordinate vectors x in g and u in h."""
-        return dense(bilinear(self.sparse, sparse(xvec), sparse(uvec)), self.h_space.dim)
+        den, R = self.sparse
+        dx, xs = scaled_to_ints(sparse(xvec))
+        du, us = scaled_to_ints(sparse(uvec))
+        return dense(bilinear(R, xs, us), self.h_space.dim, den * dx * du)
 
     def as_block(self) -> BlockCochain:
         coeffs = {}
@@ -137,24 +146,28 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
     """Degree 0, derivation property, and compatibility with the g bracket.
 
     (a) parity(rho(x)u) = |x| + |u| entry by entry;
-    (b) each rho(x) is a degree-|x| derivation of h;
-    (c) rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) as operators.
+    (b) each rho(x) is a degree-|x| derivation of h: degree (1, 1) in (rho, h),
+        so both sides are ints over den(rho) den(h);
+    (c) rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x) as operators:
+        degree (1, 1) in (rho, g) on the left and 2 in rho on the right, so
+        the left side is multiplied by den(rho) and the right by den(g), and
+        both are ints over den(rho)^2 den(g).
     """
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("action table does not match the algebra spaces")
     failures = []
     glab, hlab = g.space.labels, h.space.labels
     gpar, hpar = g.space.parities, h.space.parities
-    G, H, R = g.sparse, h.sparse, rho.sparse
+    (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, rho.sparse
     eg, eh = units(g.dim), units(h.dim)
     for i in range(g.dim):
         for j in range(h.dim):
             want = (gpar[i] + hpar[j]) % 2
             for k, x in R[i][j].items():
                 if hpar[k] != want:
-                    failures.append(
-                        Failure("action_degree", (glab[i], hlab[j], hlab[k]), (x,), (Fraction(0),))
-                    )
+                    failures.append(Failure(
+                        "action_degree", (glab[i], hlab[j], hlab[k]), (Fraction(x, dr),), (Fraction(0),)
+                    ))
     for i in range(g.dim):
         sgn = -1 if gpar[i] else 1
         for a in range(h.dim):
@@ -167,19 +180,20 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
                 if lhs != rhs:
                     failures.append(Failure(
                         "action_derivation", (glab[i], hlab[a], hlab[b]),
-                        dense(lhs, h.dim), dense(rhs, h.dim),
+                        dense(lhs, h.dim, dr * dh), dense(rhs, h.dim, dr * dh),
                     ))
+    den = dr * dr * dg
     for i in range(g.dim):
         for j in range(g.dim):
             # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x), column by column
-            sign = 1 if gpar[i] * gpar[j] else -1
+            sign = dg if gpar[i] * gpar[j] else -dg
             for u in range(h.dim):
-                lhs = bilinear(R, G[i][j], eh[u])
-                rhs = lincomb((1, bilinear(R, eg[i], R[j][u])), (sign, bilinear(R, eg[j], R[i][u])))
+                lhs = lincomb((dr, bilinear(R, G[i][j], eh[u])))
+                rhs = lincomb((dg, bilinear(R, eg[i], R[j][u])), (sign, bilinear(R, eg[j], R[i][u])))
                 if lhs != rhs:
                     failures.append(Failure(
                         "action_morphism", (glab[i], glab[j], hlab[u]),
-                        dense(lhs, h.dim), dense(rhs, h.dim),
+                        dense(lhs, h.dim, den), dense(rhs, h.dim, den),
                     ))
     return CheckReport("action", tuple(failures))
 

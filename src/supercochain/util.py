@@ -1,14 +1,23 @@
-"""Shared helpers: an immutable record base and coordinate-vector arithmetic, dense and sparse.
+"""Shared helpers: an immutable record base, coordinate vectors and the integer kernels.
 
 A sparse vector is a dict {position: nonzero coefficient}; structure-constant
 tables store one per basis pair, so a check touches only the support of the
 constants.  ``dense`` turns a sparse result back into the coordinate tuple a
 report shows.
+
+The kernel rule: ``Fraction`` at the API and report boundary, ints inside the
+loops.  ``scaled_to_ints`` writes an operand as ints over one common
+denominator (``scaled_vectors`` applies it to a table of vectors); ``addmul``,
+``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and
+``over`` turns only the nonzero entries of a result back into ``Fraction``s.  An identity whose terms carry different denominators is
+compared after multiplying each side by the denominators it lacks, so every
+comparison is exact and made on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 _ZERO = Fraction(0)
@@ -59,33 +68,67 @@ def vec_add(a, b):
 
 
 def vec_scale(v, c):
+    """c * v; a sign c = -1 negates entry by entry, with no multiplication."""
     if c == 1:
         return tuple(v)
+    if c == -1:
+        return tuple(-x for x in v)
     return tuple(c * x for x in v)
 
 
 def sparse(vec) -> dict:
     """The nonzero entries of a coordinate vector, in position order."""
-    return {k: x for k, x in enumerate(vec) if x != 0}
+    return {k: x for k, x in enumerate(vec) if x}
 
 
-def dense(vec: dict, dim: int):
-    """Coordinate tuple of a sparse vector."""
+def dense(vec: dict, dim: int, den: int = 1):
+    """Coordinate tuple of ``Fraction``s of a sparse vector of ints over ``den``."""
     out = [_ZERO] * dim
-    for k, x in vec.items():
+    for k, x in over(vec, den).items():
         out[k] = x
     return tuple(out)
 
 
+def scaled_to_ints(values: dict):
+    """(s, {key: int}) with values == ints / s entry by entry, s the lcm of the denominators.
+
+    The one way an operand enters the integer kernels; ``values`` holds
+    ``Fraction``s or ints (denominator 1).
+    """
+    s = lcm(*(v.denominator for v in values.values()))
+    return s, {k: v.numerator * (s // v.denominator) for k, v in values.items()}
+
+
+def scaled_vectors(vectors: dict):
+    """(den, {name: {k: int}}): ``scaled_to_ints`` over every entry of a dict of coordinate vectors.
+
+    Each vector becomes the sparse int vector of its nonzero entries; an
+    all-zero vector is left out.
+    """
+    den, ints = scaled_to_ints(
+        {(name, k): x for name, vec in vectors.items() for k, x in enumerate(vec) if x}
+    )
+    out = {}
+    for (name, k), v in ints.items():
+        out.setdefault(name, {})[k] = v
+    return den, out
+
+
+def over(acc: dict, den: int) -> dict:
+    """The nonzero entries of ``acc``, ints over ``den``, as ``Fraction``s."""
+    return {k: Fraction(x, den) for k, x in acc.items() if x}
+
+
 def addmul(acc: dict, vec: dict, c):
     """acc += c * vec in place; cancelled entries stay as zeros until ``nonzero``."""
+    get = acc.get
     for k, x in vec.items():
-        acc[k] = acc.get(k, _ZERO) + c * x
+        acc[k] = get(k, 0) + c * x
 
 
 def nonzero(acc: dict) -> dict:
     """Drop cancelled entries, so that equal vectors compare equal."""
-    return {k: x for k, x in acc.items() if x != 0}
+    return {k: x for k, x in acc.items() if x}
 
 
 def lincomb(*terms) -> dict:
@@ -110,7 +153,7 @@ def bilinear(table, x: dict, y: dict) -> dict:
         for b, yb in y.items():
             c = xa * yb
             for k, v in row[b].items():
-                acc[k] = get(k, _ZERO) + c * v
+                acc[k] = get(k, 0) + c * v
     return nonzero(acc)
 
 

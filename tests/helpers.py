@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from supercochain.cochains import BlockCochain, Cochain
 from supercochain.graded import GradedSpace, wedge_basis
 from supercochain.superalgebra import LinearMap, SuperAlgebra, abelian, gl
+from supercochain.crossed import CrossedHom
+from supercochain.deformation import CrossedHomDeformation, TripleDeformation
 from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, semidirect
 from supercochain.util import zero_vec
 
@@ -24,6 +26,13 @@ __all__ = [
     "scaling_semidirect",
     "triple_axioms_ok",
     "SMALL_SPACES",
+    "RESCALINGS",
+    "draw_scales",
+    "rescale_cochain",
+    "rescale_triple",
+    "rescale_crossed",
+    "rescale_deformation",
+    "rescale_ch_deformation",
 ]
 
 
@@ -236,4 +245,79 @@ def triple_axioms_ok(g, h, rho) -> bool:
         and check_super_skew(h).ok
         and check_jacobi(h).ok
         and check_action(g, h, rho).ok
+    )
+
+
+# ---------------------------------------------------------------------------
+# diagonal rescaling e_i -> c_i e_i: an isomorphism that puts rational
+# denominators into every table
+
+RESCALINGS = tuple(F(s * n, d) for s in (1, -1) for n, d in ((1, 1), (2, 1), (1, 2), (3, 2)))
+
+
+def draw_scales(space, rng):
+    """One factor c_i in +-1, +-2, +-1/2, +-3/2 per basis vector of ``space``."""
+    return tuple(rng.choice(RESCALINGS) for _ in range(space.dim))
+
+
+def _scaled_vec(factor, vec, target):
+    return tuple(factor * x / target[k] for k, x in enumerate(vec))
+
+
+def _key_factor(key, scales):
+    out = F(1)
+    for i in key:
+        out *= scales[i]
+    return out
+
+
+def rescale_cochain(c: Cochain, s) -> Cochain:
+    """A cochain V -> V in the basis c_i e_i of V, ``s`` the factors c_i."""
+    return Cochain(c.source, c.target, c.arity, {
+        key: _scaled_vec(_key_factor(key, s), vec, s) for key, vec in c.coeffs.items()
+    })
+
+
+def _rescale_algebra(A: SuperAlgebra, s) -> SuperAlgebra:
+    return SuperAlgebra(A.space, {
+        key: _scaled_vec(_key_factor(key, s), vec, s) for key, vec in A.sc.items()
+    })
+
+
+def _rescale_action(rho: ActionMap, a, b) -> ActionMap:
+    return ActionMap(rho.g_space, rho.h_space, [
+        [_scaled_vec(a[i] * b[j], vec, b) for j, vec in enumerate(row)]
+        for i, row in enumerate(rho.table)
+    ])
+
+
+def _rescale_map(m: LinearMap, a, b) -> LinearMap:
+    return LinearMap(m.source, m.target, tuple(
+        _scaled_vec(a[j], col, b) for j, col in enumerate(m.cols)
+    ))
+
+
+def rescale_triple(t: LieSupActTriple, a, b) -> LieSupActTriple:
+    """The triple in the bases a_i g_i and b_j h_j: the same structure up to isomorphism."""
+    return LieSupActTriple(_rescale_algebra(t.g, a), _rescale_algebra(t.h, b), _rescale_action(t.rho, a, b))
+
+
+def rescale_crossed(D: CrossedHom, a, b) -> CrossedHom:
+    return CrossedHom(rescale_triple(D.triple, a, b), _rescale_map(D.linmap, a, b))
+
+
+def rescale_deformation(d: TripleDeformation, a, b) -> TripleDeformation:
+    """Every coefficient (pi_k, rho_k, mu_k) rescaled like the base triple."""
+    return TripleDeformation.build(
+        rescale_triple(d.triple, a, b),
+        [rescale_cochain(c, a) for c in d.pis[1:]],
+        [_rescale_action(r, a, b) for r in d.rhos[1:]],
+        [rescale_cochain(c, b) for c in d.mus[1:]],
+        order=d.order,
+    )
+
+
+def rescale_ch_deformation(d: CrossedHomDeformation, a, b) -> CrossedHomDeformation:
+    return CrossedHomDeformation.build(
+        rescale_crossed(d.crossed, a, b), [_rescale_map(m, a, b) for m in d.maps[1:]], order=d.order
     )

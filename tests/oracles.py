@@ -17,10 +17,11 @@ bracket and the dense deformation residual use only them.  So do the
 shuffle-sum hat extension and the whole-basis block projection, which read
 no ``block_key``.
 
-So do the dense axiom checks and deformation residuals: every term is a
-dense coordinate vector pushed through ``LinearMap`` operators and a dense
-bilinear bracket read from ``bracket_basis``, with none of the sparse
-structure-constant tables the library checks read.
+So do the dense axiom checks, the graph criterion and the deformation
+residuals: every term is a dense coordinate vector of ``Fraction``s pushed
+through ``LinearMap`` operators and a dense bilinear bracket read from
+``bracket_basis``, with none of the sparse int tables and common
+denominators the library checks read.
 
 So does the dense exact rank and kernel: every row of every matrix is read
 in full, scaled to integers and reduced by Bareiss elimination in leftmost
@@ -635,6 +636,20 @@ def _bilinear(c: Cochain, xvec, yvec):
     return tuple(out)
 
 
+def check_super_skew(A):
+    """Dense reference for ``superalgebra.check_super_skew``, on ``bracket_basis`` tuples."""
+    failures = []
+    labels = A.space.labels
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = A.bracket_basis(i, j)
+            sign = F(-1 if (A.space.parity(i) * A.space.parity(j)) % 2 == 0 else 1)
+            rhs = tuple(sign * x for x in A.bracket_basis(j, i))
+            if lhs != rhs:
+                failures.append(Failure("super_skew", (labels[i], labels[j]), lhs, rhs))
+    return CheckReport("super_skew", tuple(failures))
+
+
 def check_jacobi(A):
     """Dense reference for ``superalgebra.check_jacobi``."""
     failures = []
@@ -716,6 +731,28 @@ def check_crossed(D):
             if lhs != rhs:
                 failures.append(Failure("crossed", (labels[i], labels[j]), lhs, rhs))
     return CheckReport("crossed", tuple(failures))
+
+
+def graph_failures(D):
+    """Dense reference for ``crossed.graph_failures``: lifts (x, D x) bracketed in
+    the four-case table of ``semidirect_reference``."""
+    t = D.triple
+    g = t.g
+    sd = semidirect_reference(g, t.h, t.rho)
+    ds = direct_sum(g.space, t.h.space)
+
+    def lift(x):
+        return vec_add(ds.embed_left(x), ds.embed_right(D.linmap.apply(x)))
+
+    failures = []
+    labels = g.space.labels
+    for i in range(g.dim):
+        for j in range(g.dim):
+            got = dense_bracket(sd, lift(_basis(g.dim, i)), lift(_basis(g.dim, j)))
+            want = lift(g.bracket_basis(i, j))
+            if got != want:
+                failures.append(Failure("graph", (labels[i], labels[j]), got, want))
+    return tuple(failures)
 
 
 def mc_residual_components_reference(g, h, rho):

@@ -232,6 +232,17 @@ def test_matrix_rejects_bad_shapes():
         Matrix.from_cols([[1, 2]], 3)
 
 
+@pytest.mark.parametrize("r, c", [(-1, 0), (2, 0), (0, -1), (0, 2), (-3, 5)])
+def test_entry_and_row_refuse_indices_outside_the_shape(r, c):
+    m = mat([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match=r"outside a 2x2 matrix"):
+        m.entry(r, c)
+    if not 0 <= r < 2:
+        with pytest.raises(IndexError, match=rf"row {r} outside a 2x2 matrix"):
+            m.row(r)
+    assert m.entry(1, 0) == 3 and m.row(1) == (3, 4)
+
+
 def _mixed21_triple():
     pf = sio.parse(FIXTURES / "mixed21.json")
     return LieSupActTriple(pf.g, pf.h, pf.action)
