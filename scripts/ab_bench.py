@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """A/B benchmark: the working tree against a git revision, in alternating pairs.
 
-    python scripts/ab_bench.py REV [--pairs 10] [--workload checks ...] [--seed 1] [--seconds 36]
+    python scripts/ab_bench.py REV [--pairs 10] [--workload checks ...] [--seed 1]
 
 Extracts REV with ``git archive`` into a temporary directory, then runs
 ``perfbench/run.py --trace 0`` there and in the working tree, ``--pairs``
 times per workload, alternating which side runs first from one pair to the
-next.  For every end-to-end metric in ``BENCHMARK.json`` it prints, per
-workload and side, the median and the quartiles over the pairs, and how many
-pairs the working tree wins (strictly better in the metric's direction).
-Workloads and ``--seconds`` default to those of ``BENCHMARK.json``.
+next; each run lasts the ``run_seconds`` of ``BENCHMARK.json``.  For every
+end-to-end metric in ``BENCHMARK.json`` it prints, per workload and side, the
+median and the quartiles over the pairs, and how many pairs the working tree
+wins (strictly better in the metric's direction).
+Workloads default to those of ``BENCHMARK.json``.
 
 One benchmark process runs at a time.  Exits 1 if any run reports failed
 jobs or prints no result.  Standard library only.
@@ -18,27 +19,16 @@ jobs or prints no result.  Standard library only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import pathlib
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from cli_identity import ROOT, extract
+
 RUN_TIMEOUT_S = 600
-
-
-def extract_tree(rev: str, dest: pathlib.Path) -> pathlib.Path:
-    """Write the tree of ``rev`` under ``dest`` and return it."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
-    return dest
 
 
 def run_bench(tree: pathlib.Path, workload: str, seed: int, seconds: int):
@@ -69,18 +59,17 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", dest="workloads")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     opts = parser.parse_args(argv)
     workloads = opts.workloads or [w["name"] for w in spec["workloads"]]
-    metrics = spec["end_to_end"]
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     bad = 0
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        trees = {opts.rev: extract_tree(opts.rev, pathlib.Path(tmp)), "working tree": ROOT}
+        trees = {opts.rev: extract(opts.rev, pathlib.Path(tmp)), "working tree": ROOT}
         for workload in workloads:
             values = {side: {m["name"]: [] for m in metrics} for side in trees}
             for pair in range(opts.pairs):
                 order = list(trees) if pair % 2 == 0 else list(reversed(trees))
-                results = {side: run_bench(trees[side], workload, opts.seed, opts.seconds) for side in order}
+                results = {side: run_bench(trees[side], workload, opts.seed, seconds) for side in order}
                 failed = [side for side, r in results.items() if r is None or r["failed"]]
                 if failed:
                     # a pair counts only when both of its runs completed every job
@@ -91,7 +80,7 @@ def main(argv=None) -> int:
                     for m in metrics:
                         values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
                 print(f"{workload}: pair {pair + 1} of {opts.pairs} done", file=sys.stderr, flush=True)
-            print(f"\n{workload} ({opts.pairs} pairs, seed {opts.seed}, {opts.seconds} s)")
+            print(f"\n{workload} ({opts.pairs} pairs, seed {opts.seed}, {seconds} s)")
             print(f"  {'metric':14} {'side':14} {'q1':>10} {'median':>10} {'q3':>10}   wins")
             for m in metrics:
                 name, lower = m["name"], m["better"] == "lower"

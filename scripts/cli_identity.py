@@ -48,15 +48,15 @@ OPTION_SETS = (
 )
 
 
-def extract_src(rev: str, dest: pathlib.Path) -> pathlib.Path:
-    """Write ``src/`` of ``rev`` under ``dest`` and return its path."""
+def extract(rev: str, dest: pathlib.Path, *paths: str) -> pathlib.Path:
+    """Write ``paths`` of ``rev`` (its whole tree if none are given) under ``dest`` and return ``dest``."""
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", rev, "src"],
+        ["git", "archive", "--format=tar", rev, *paths],
         cwd=ROOT, check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
 def _limit_memory():
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     if not fixtures:
         parser.error(f"no *.json files in {opts.fixtures}")
     with tempfile.TemporaryDirectory() as tmp:
-        old_src = extract_src(opts.rev, pathlib.Path(tmp))
+        old_src = extract(opts.rev, pathlib.Path(tmp), "src") / "src"
         new_src = ROOT / "src"
         jobs = differ = 0
         for path in fixtures:

@@ -23,10 +23,7 @@ back into a block pair; neither sums shuffles.  ``Cochain`` and
 term expansion: for each unit U = (key K -> e_T) of the right operand,
 ``_unit_image`` lists the terms of [P, U] (or circ(P, U)) over the support of
 a P of any arity and parity.  Every Koszul sign comes from ``normalize_tuple``.
-The expansion runs on ints: each operand enters as ints over its own common
-denominator (``util.scaled_vectors``), a sum of brackets is accumulated over the lcm of
-the products of those denominators, and only the nonzero entries of the
-result are divided back into ``Fraction``s.
+The expansion runs on ints (see ``util``).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from math import comb, lcm
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
 from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
-from .util import over, scaled_vectors, vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import scaled_vectors, vec_add, vec_is_zero, vec_scale, zero_vec
 
 _ZERO = Fraction(0)
 
@@ -251,10 +248,8 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
 def _expand(terms, bracket: bool) -> Cochain:
     """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, over the units of each U.
 
-    Term by term, P and U enter as ints over their own denominators dP, dU and
-    c as p / q, so the term is an int sum over q dP dU; every term is put over
-    the lcm of those and added on ints, and only the nonzero entries of the
-    total are divided back.  All terms share one space V and one arity.
+    A term with c = p / q is an int sum over q den(P) den(U); all terms are
+    added on ints over the lcm of those.  They share one space V and one arity.
     """
     V = terms[0][1].source
     arity = terms[0][1].arity + terms[0][2].arity - 1
@@ -296,11 +291,7 @@ def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
 
 
 def bracket_sum(terms) -> Cochain:
-    """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``.
-
-    One integer accumulation over a common denominator: the terms may cancel,
-    and no ``Fraction`` is added on the way.
-    """
+    """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
     return _expand(tuple(terms), bracket=True)
 
 
@@ -317,7 +308,8 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
     through the same sign.  Each column is the ``_unit_image`` of its unit,
-    summed on ints over the denominator of P.
+    summed on ints over the denominator of P; ``Matrix`` divides each
+    nonzero entry back as it stores it.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:
@@ -332,7 +324,7 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
                 row, sign = hit
                 v = c if sign == s else -c
                 row[j] = row[j] + v if j in row else v
-    return Matrix(len(rows), len(cols), [over(row, den) for row in data])
+    return Matrix(len(rows), len(cols), data, den)
 
 
 def block_key(ds: DirectSum, gk, hk):

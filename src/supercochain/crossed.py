@@ -24,13 +24,10 @@ is one bracket with an even arity-2 element of the big algebra, so
 ``ChComplex.twisted`` builds P_D and returns its ``triple.BlockComplex``
 over ``ch_blocks``.  The d_D matrices and the order-1 cocycle tests go
 through it.  The Maurer-Cartan residual and the deformation residuals are
-the coefficients of one series, [pi + rho + 1/2 [mu, D(t)], D(t)], which
-``ChComplex.series_residuals`` sums as one ``bracket_sum`` per order.
+the coefficients of one series, read by ``ChComplex.series_residuals``.
 [mu, D] and ``ChComplex.bracket``, the general [[f1, f2]], are
-``nr_bracket`` products of the same expansion.
-
-The identity checks read the int tables ``SuperAlgebra.sparse`` and
-``ActionMap.sparse`` and compare on ints (see ``util``).
+``nr_bracket`` products of the same expansion.  The identity checks compare
+on ints (see ``util``).
 
 For D = 0 on the adjoint triple of A, d_D is the Chevalley-Eilenberg
 differential of A, so ``derivation_space`` reads the derivations off the
@@ -218,8 +215,12 @@ def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]].
 
     The t^0 coefficient of ``ChComplex.series_residuals`` for D(t) = D.
+    Refuses an action that is not degree 0, as d_D does.
     """
-    return ChComplex(D.triple).series_residuals([D.as_block()], (0,))[0]
+    cc = ChComplex(D.triple)
+    if cc.pr_hat.parity() != 0:
+        raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
+    return cc.series_residuals([D.as_block()], (0,))[0]
 
 
 def _require_verified(D: CrossedHom) -> CrossedHom:

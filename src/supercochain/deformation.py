@@ -23,12 +23,8 @@ two code paths are asserted to agree.
 
 A crossed homomorphism deformation D(t) is read the same way, from the t^n
 coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]; its order-1 statement
-couples to the twisted differential d_D.
-
-``triple_deformation_residuals`` and ``ch_deformation_residuals`` check every
-requested order in one pass: each coefficient is hat-extended once, and each
-order is one integer ``bracket_sum`` of its pairs.  The one-order functions
-read the same pass at a single order.
+couples to the twisted differential d_D.  The ``*_residuals`` functions
+read every order in one pass; the one-order functions read the same pass.
 """
 
 from __future__ import annotations
@@ -137,10 +133,8 @@ def _check_orders(d, orders):
 def triple_deformation_residuals(d: TripleDeformation, orders=None):
     """The four defects of each order n in ``orders`` (default 0..d.order), in one pass.
 
-    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled, summed as one
-    ``bracket_sum``: [Pi_i, Pi_j] = [Pi_j, Pi_i] for even Pi of arity 2, so
-    each pair is bracketed once.  Each Pi_k is hat-extended once for all
-    orders.
+    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled; [Pi_i, Pi_j] =
+    [Pi_j, Pi_i] for even Pi of arity 2, so each pair is bracketed once.
     """
     orders = _check_orders(d, orders)
     if not orders:

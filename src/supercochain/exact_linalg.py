@@ -69,8 +69,9 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data):
-        """``data`` holds one ``{column: value}`` mapping per row; zero values are dropped."""
+    def __init__(self, rows: int, cols: int, data, den: int = 1):
+        """``data`` holds one ``{column: value}`` mapping per row, each value over ``den``;
+        zero values are dropped."""
         data = tuple(data)
         if len(data) != rows:
             raise DimensionMismatch(f"need {rows} rows for a {rows}x{cols} matrix, got {len(data)}")
@@ -81,7 +82,7 @@ class Matrix:
                 if not 0 <= c < cols:
                     raise DimensionMismatch(f"column {c} outside a {rows}x{cols} matrix")
                 if v:
-                    out[c] = v if type(v) is Fraction else Fraction(v)
+                    out[c] = v if den == 1 and type(v) is Fraction else Fraction(v, den)
             clean.append(out)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

@@ -3,12 +3,11 @@
 A ``SuperAlgebra`` stores its bracket sparsely on pairs ``i <= j`` of basis
 positions; the ``i > j`` values are derived by super-skew-symmetry, so that
 half of the axiom surface is structural.  ``SuperAlgebra.sparse`` is the
-table over every ordered pair as ints over one common denominator, built on
-first use; the checks and the bilinear evaluation read it, and compare on
-ints (see ``util``).  The constructor enforces only the degree-0 pattern of
-the bracket; the axioms themselves are checked by ``check_super_skew`` and
-``check_jacobi``, which report violations instead of raising (candidate
-tables are first-class inputs elsewhere).
+table over every ordered pair, built on first use; the checks and the
+bilinear evaluation read it (ints, see ``util``).  The constructor enforces
+only the degree-0 pattern of the bracket; the axioms themselves are checked
+by ``check_super_skew`` and ``check_jacobi``, which report violations instead
+of raising (candidate tables are first-class inputs elsewhere).
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ report shows.
 The kernel rule: ``Fraction`` at the API and report boundary, ints inside the
 loops.  ``scaled_to_ints`` writes an operand as ints over one common
 denominator (``scaled_vectors`` applies it to a table of vectors); ``addmul``,
-``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and
-``over`` turns only the nonzero entries of a result back into ``Fraction``s.  An identity whose terms carry different denominators is
-compared after multiplying each side by the denominators it lacks, so every
-comparison is exact and made on ints.
+``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and only
+the nonzero entries of a result become ``Fraction``s again (``dense``,
+``Matrix``).
+An identity whose terms carry different denominators is compared after
+multiplying each side by the denominators it lacks, so every comparison is
+exact and made on ints.
 """
 
 from __future__ import annotations
@@ -84,27 +86,21 @@ def sparse(vec) -> dict:
 def dense(vec: dict, dim: int, den: int = 1):
     """Coordinate tuple of ``Fraction``s of a sparse vector of ints over ``den``."""
     out = [_ZERO] * dim
-    for k, x in over(vec, den).items():
-        out[k] = x
+    for k, x in vec.items():
+        if x:
+            out[k] = Fraction(x, den)
     return tuple(out)
 
 
 def scaled_to_ints(values: dict):
-    """(s, {key: int}) with values == ints / s entry by entry, s the lcm of the denominators.
-
-    The one way an operand enters the integer kernels; ``values`` holds
-    ``Fraction``s or ints (denominator 1).
-    """
+    """(s, {key: int}) with values == ints / s entry by entry, s the lcm of the denominators."""
     s = lcm(*(v.denominator for v in values.values()))
     return s, {k: v.numerator * (s // v.denominator) for k, v in values.items()}
 
 
 def scaled_vectors(vectors: dict):
-    """(den, {name: {k: int}}): ``scaled_to_ints`` over every entry of a dict of coordinate vectors.
-
-    Each vector becomes the sparse int vector of its nonzero entries; an
-    all-zero vector is left out.
-    """
+    """(den, {name: {k: int}}): ``scaled_to_ints`` over every entry of a dict of coordinate
+    vectors; an all-zero vector is left out."""
     den, ints = scaled_to_ints(
         {(name, k): x for name, vec in vectors.items() for k, x in enumerate(vec) if x}
     )
@@ -112,11 +108,6 @@ def scaled_vectors(vectors: dict):
     for (name, k), v in ints.items():
         out.setdefault(name, {})[k] = v
     return den, out
-
-
-def over(acc: dict, den: int) -> dict:
-    """The nonzero entries of ``acc``, ints over ``den``, as ``Fraction``s."""
-    return {k: Fraction(x, den) for k, x in acc.items() if x}
 
 
 def addmul(acc: dict, vec: dict, c):

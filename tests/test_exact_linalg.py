@@ -243,6 +243,13 @@ def test_entry_and_row_refuse_indices_outside_the_shape(r, c):
     assert m.entry(1, 0) == 3 and m.row(1) == (3, 4)
 
 
+def test_int_rows_over_a_denominator_are_stored_as_fractions():
+    m = Matrix(2, 3, [{0: 3, 2: 0}, {1: -4}], den=6)
+    assert m.data == ({0: F(1, 2)}, {1: F(-2, 3)})
+    assert all(type(v) is F for row in m.data for v in row.values())
+    assert m == mat([[F(1, 2), 0, 0], [0, F(-2, 3), 0]])
+
+
 def _mixed21_triple():
     pf = sio.parse(FIXTURES / "mixed21.json")
     return LieSupActTriple(pf.g, pf.h, pf.action)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supercochain.crossed import CrossedHom, ch_mc_residual
+from supercochain.crossed import ChComplex, CrossedHom, ch_mc_residual
 from supercochain.deformation import (
     CrossedHomDeformation,
     TripleDeformation,
@@ -39,6 +39,12 @@ FACTORS = {"ggg": F(1), "ggh": F(-1, 2), "ghh": F(1, 2), "hhh": F(1)}
 
 def _pi_table(t):
     return SuperAlgebra(direct_sum(t.g.space, t.h.space).space, mc_element(t).coeffs)
+
+
+def _twisted_reading(D):
+    """[P, D] for P = pi + rho + [mu, D/2]: the crossed residual read off ``ChComplex.twisted``."""
+    block = D.as_block()
+    return ChComplex(D.triple).twisted(block.scale(F(1, 2))).d((block,))[0]
 
 
 def _scaled_mc_residual(t):
@@ -67,7 +73,7 @@ def test_order_zero_triple_residual_is_the_scaled_mc_residual(name):
 def test_order_zero_crossed_residual_is_the_mc_residual(name):
     D = CROSSED[name]
     got = ch_deformation_residual(CrossedHomDeformation.build(D), 0)
-    assert got == ch_mc_residual(D)
+    assert got == ch_mc_residual(D) == _twisted_reading(D)
     assert got.is_zero() == (name != "crossed_bad")
 
 
@@ -101,4 +107,20 @@ def test_perturbed_order_zero_crossed_residual_is_the_mc_residual(name, rng):
         D = CrossedHom(D.triple, _perturb_map(D.linmap, rng))
     else:
         D = CrossedHom(_perturb_triple(D.triple, rng, rng.randrange(3)), D.linmap)
-    assert ch_deformation_residual(CrossedHomDeformation.build(D), 0) == ch_mc_residual(D)
+    got = ch_deformation_residual(CrossedHomDeformation.build(D), 0)
+    assert got == ch_mc_residual(D) == _twisted_reading(D)
+
+
+@EXAMPLES
+@given(st.sampled_from(sorted(n for n in CROSSED if n != "gl21_adjoint")),
+       st.randoms(use_true_random=False))
+def test_crossed_mc_residual_refuses_an_action_off_its_degree(name, rng):
+    D = CROSSED[name]
+    D = CrossedHom(_perturb_triple(D.triple, rng, 3), D.linmap)
+    if D.triple.rho.as_block().parity() == 0:
+        assert ch_mc_residual(D) == _twisted_reading(D)
+        return
+    with pytest.raises(ShapeMismatch):
+        ch_mc_residual(D)
+    with pytest.raises(ShapeMismatch):
+        _twisted_reading(D)
