@@ -9,7 +9,11 @@ times per workload, alternating which side runs first from one pair to the
 next; each run lasts the ``run_seconds`` of ``BENCHMARK.json``.  For every
 end-to-end metric in ``BENCHMARK.json`` it prints, per workload and side, the
 median and the quartiles over the pairs, and how many pairs the working tree
-wins (strictly better in the metric's direction).
+wins (strictly better in the metric's direction).  After each run it reads
+the median time of every job (``detail.jobs[*].median_ref_s``) from the result
+file that run wrote under ``.perfbench_work/results/`` and prints the same
+quartiles and wins per job, so that a change in ``slowest_job_s`` or
+``wall_s`` can be traced to the jobs that moved.
 Workloads default to those of ``BENCHMARK.json``.
 
 One benchmark process runs at a time.  Exits 1 if any run reports failed
@@ -45,11 +49,32 @@ def run_bench(tree: pathlib.Path, workload: str, seed: int, seconds: int):
         return None
 
 
+def job_medians(tree: pathlib.Path, workload: str, seed: int) -> dict:
+    """{job id: median_ref_s} from the result file of the last run, {} if it has none."""
+    path = tree / ".perfbench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
+    try:
+        jobs = json.loads(path.read_text(encoding="utf-8"))["detail"]["jobs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    return {job: entry["median_ref_s"] for job, entry in jobs.items()}
+
+
 def quartiles(values):
     """(first quartile, median, third quartile)."""
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def print_rows(name: str, width: int, rev: str, old, new, lower: bool):
+    """q1, median and q3 per side, and the working tree's wins over the pairs."""
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+    for side, vals in ((rev, old), ("working tree", new)):
+        if not vals:
+            continue
+        q1, med, q3 = quartiles(vals)
+        tail = f"   {wins} of {min(len(old), len(new))}" if side == "working tree" else ""
+        print(f"  {name:{width}} {side[:14]:14} {q1:10.4f} {med:10.4f} {q3:10.4f}{tail}")
 
 
 def main(argv=None) -> int:
@@ -67,31 +92,38 @@ def main(argv=None) -> int:
         trees = {opts.rev: extract(opts.rev, pathlib.Path(tmp)), "working tree": ROOT}
         for workload in workloads:
             values = {side: {m["name"]: [] for m in metrics} for side in trees}
+            jobs = {side: {} for side in trees}
             for pair in range(opts.pairs):
                 order = list(trees) if pair % 2 == 0 else list(reversed(trees))
-                results = {side: run_bench(trees[side], workload, opts.seed, seconds) for side in order}
+                results, medians = {}, {}
+                for side in order:
+                    results[side] = run_bench(trees[side], workload, opts.seed, seconds)
+                    medians[side] = job_medians(trees[side], workload, opts.seed)
                 failed = [side for side, r in results.items() if r is None or r["failed"]]
                 if failed:
                     # a pair counts only when both of its runs completed every job
                     bad += 1
                     print(f"{workload} pair {pair + 1}: failed run on {', '.join(failed)}", flush=True)
                     continue
+                shared = medians[opts.rev].keys() & medians["working tree"].keys()
                 for side, result in results.items():
                     for m in metrics:
                         values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+                    for job in shared:
+                        jobs[side].setdefault(job, []).append(medians[side][job])
                 print(f"{workload}: pair {pair + 1} of {opts.pairs} done", file=sys.stderr, flush=True)
             print(f"\n{workload} ({opts.pairs} pairs, seed {opts.seed}, {seconds} s)")
             print(f"  {'metric':14} {'side':14} {'q1':>10} {'median':>10} {'q3':>10}   wins")
             for m in metrics:
-                name, lower = m["name"], m["better"] == "lower"
-                old, new = values[opts.rev][name], values["working tree"][name]
-                wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
-                for side, vals in ((opts.rev, old), ("working tree", new)):
-                    if not vals:
-                        continue
-                    q1, med, q3 = quartiles(vals)
-                    tail = f"   {wins} of {min(len(old), len(new))}" if side == "working tree" else ""
-                    print(f"  {name:14} {side[:14]:14} {q1:10.4f} {med:10.4f} {q3:10.4f}{tail}")
+                name = m["name"]
+                print_rows(name, 14, opts.rev, values[opts.rev][name],
+                           values["working tree"][name], m["better"] == "lower")
+            names = sorted(jobs[opts.rev])
+            if names:
+                width = max(len(n) for n in names)
+                print(f"\n  {'job median_ref_s':{width}} {'side':14} {'q1':>10} {'median':>10} {'q3':>10}   wins")
+                for name in names:
+                    print_rows(name, width, opts.rev, jobs[opts.rev][name], jobs["working tree"][name], True)
             sys.stdout.flush()
     return 1 if bad else 0
 

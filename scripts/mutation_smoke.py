@@ -16,10 +16,16 @@ it replaces the anchor text in the copy, runs ``python -m pytest -q -x
 
 Exits 1 unless every mutation is killed.  One pytest process runs at a time
 and no bytecode is written into the copy.  Standard library only.
+
+    python scripts/mutation_smoke.py --selection tests/test_classical.py
+
+runs every mutation against the given selection instead of its own, to see
+which mutations one group of tests kills on its own.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -103,8 +109,8 @@ MUTATIONS = (
     # denominators: each int kernel divides by exactly the denominators its terms carry
     (
         "superalgebra.py",
-        "dense(lhs, A.dim, den * den), dense(rhs, A.dim, den * den)",
-        "dense(lhs, A.dim, den), dense(rhs, A.dim, den)",
+        "lhs, rhs, A.dim, den * den)",
+        "lhs, rhs, A.dim, den)",
         ("tests/test_rescaled.py::test_rescaled_gl21_matches_references",),
     ),
     (
@@ -121,8 +127,8 @@ MUTATIONS = (
     ),
     (
         "triple.py",
-        "lhs = lincomb((dr, bilinear(R, G[i][j], eh[u])))",
-        "lhs = lincomb((1, bilinear(R, G[i][j], eh[u])))",
+        "contract_rows(lhs, G[i], rrows, dr)",
+        "contract_rows(lhs, G[i], rrows, 1)",
         ("tests/test_rescaled.py::test_rescaled_triple_checks_match_references",),
     ),
     (
@@ -130,6 +136,37 @@ MUTATIONS = (
         "if lincomb((dg, got)) != lincomb((s * dd, want)):",
         "if lincomb((dg, got)) != lincomb((s, want)):",
         ("tests/test_rescaled.py::test_rescaled_crossed_checks_match_references",),
+    ),
+    # signs and slots of the trilinear contractions
+    (
+        "superalgebra.py",
+        "cols, pars, (1, -1 if pars[i] else 1))",
+        "cols, pars, (1, 1))",
+        ("tests/test_classical.py",),
+    ),
+    (
+        "triple.py",
+        "hcols, hpar, (1, -1 if gpar[i] else 1))",
+        "hcols, hpar, (1, 1))",
+        ("tests/test_classical.py",),
+    ),
+    (
+        "triple.py",
+        "(-dg, dg if gpar[i] else -dg)",
+        "(-dg, -dg)",
+        ("tests/test_classical.py",),
+    ),
+    (
+        "util.py",
+        "addmul(acc.setdefault((p, q), {}), v, signs[pars[p]] * x)",
+        "addmul(acc.setdefault((q, p), {}), v, signs[pars[p]] * x)",
+        ("tests/test_sparse_checks.py::test_non_super_skew_checks_match_dense",),
+    ),
+    (
+        "util.py",
+        "cols[q].append((p, vec))",
+        "cols[p].append((q, vec))",
+        ("tests/test_sparse_checks.py::test_non_super_skew_checks_match_dense",),
     ),
     (
         "exact_linalg.py",
@@ -171,7 +208,15 @@ def mutate_and_run(tmp: Path, mutation, env) -> str:
     return "killed" if code == PYTEST_TESTS_FAILED else f"error (exit {code})"
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--selection", action="append", help="pytest selection to run for every mutation"
+    )
+    opts = parser.parse_args(argv)
+    mutations = MUTATIONS
+    if opts.selection:
+        mutations = tuple((*m[:3], tuple(opts.selection)) for m in MUTATIONS)
     with tempfile.TemporaryDirectory(prefix="mutation_smoke_") as tmpdir:
         tmp = Path(tmpdir)
         for name in COPIED:
@@ -180,17 +225,17 @@ def main() -> int:
                 ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"),
             )
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        selections = sorted({s for m in MUTATIONS for s in m[3]})
+        selections = sorted({s for m in mutations for s in m[3]})
         code = pytest_exit(tmp, selections, env)
         if code != 0:
             print(f"unmutated copy fails its selections (pytest exit {code}); nothing to test")
             return 1
         bad = 0
-        for mutation in MUTATIONS:
+        for mutation in mutations:
             outcome = mutate_and_run(tmp, mutation, env)
             bad += outcome != "killed"
             print(f"{outcome:15} {mutation[0]}: {mutation[1]!r} -> {mutation[2]!r}", flush=True)
-    print(f"{len(MUTATIONS) - bad} of {len(MUTATIONS)} mutations killed")
+    print(f"{len(mutations) - bad} of {len(mutations)} mutations killed")
     return 1 if bad else 0
 
 

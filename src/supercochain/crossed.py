@@ -46,7 +46,7 @@ from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_s
 from .superalgebra import is_homomorphism
 from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
 from .triple import mu_block, pi_block, semidirect_algebra
-from .util import Frozen, bilinear, combine, dense, lincomb, scaled_vectors, units, vec_is_zero, zero_vec
+from .util import Frozen, bilinear, combine, dense, lincomb, scaled_vectors, vec_is_zero, zero_vec
 
 
 class CrossedHom(Frozen):
@@ -92,7 +92,6 @@ def check_crossed(D: CrossedHom) -> CheckReport:
     g, h = t.g, t.h
     (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, t.rho.sparse
     dd, Dc = _scaled_columns(D.linmap)
-    e = units(g.dim)
     m_lhs, m_rho, m_cubic = dd * dr * dh, dd * dg * dh, dg * dr
     den = dd * dd * dg * dr * dh
     pars = g.space.parities
@@ -104,8 +103,8 @@ def check_crossed(D: CrossedHom) -> CheckReport:
             # rho(x) D(y) - (-1)^{|x||y|} rho(y) D(x) + [D(x), D(y)]
             sign = m_rho if pars[i] * pars[j] else -m_rho
             rhs = lincomb(
-                (m_rho, bilinear(R, e[i], Dc[j])),
-                (sign, bilinear(R, e[j], Dc[i])),
+                (m_rho, combine(Dc[j], R[i])),
+                (sign, combine(Dc[i], R[j])),
                 (m_cubic, bilinear(H, Dc[i], Dc[j])),
             )
             if lhs != rhs:
@@ -135,7 +134,7 @@ def graph_failures(D: CrossedHom):
         out.update((ds.right_pos[k], c) for k, c in combine(x, Dc).items())
         return out
 
-    lifted = [lift(x) for x in units(t.g.dim)]
+    lifted = [lift({i: 1}) for i in range(t.g.dim)]
     dim = ds.space.dim
     failures = []
     labels = t.g.space.labels

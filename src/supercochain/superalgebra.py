@@ -17,8 +17,9 @@ from fractions import Fraction
 from .cochains import Cochain
 from .errors import DimensionMismatch, ValidationError
 from .graded import GradedSpace, wedge_basis
-from .util import Frozen, bilinear, dense, lincomb, scaled_to_ints, scaled_vectors, sparse, units
-from .util import vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import Frozen, bilinear, contract_cols, contract_pairs, contract_rows, dense, nonzero
+from .util import scaled_to_ints, scaled_vectors, sparse, support, vec_add, vec_is_zero, vec_scale
+from .util import zero_vec
 
 
 class Failure(Frozen):
@@ -168,25 +169,34 @@ def check_jacobi(A: SuperAlgebra) -> CheckReport:
 
     Degree 2 in the table: with T = ints / den every term is an int vector
     over den^2, so both sides are compared on ints and divided by den^2 only
-    for a failure.
+    for a failure.  For each first index a both sides are tables on the pairs
+    (b, c), contracted over the support of T: [a,[b,c]] from its nonzero
+    entries, [[a,b],c] through its rows and [b,[a,c]] through its columns.
     """
     failures = []
-    labels = A.space.labels
-    pars = A.space.parities
+    labels, pars = A.space.labels, A.space.parities
     den, T = A.sparse
-    e = units(A.dim)
+    rows, cols = support(T)
     for i in range(A.dim):
-        for j in range(A.dim):
-            sign = -1 if pars[i] * pars[j] else 1
-            for k in range(A.dim):
-                lhs = bilinear(T, e[i], T[j][k])
-                rhs = lincomb((1, bilinear(T, T[i][j], e[k])), (sign, bilinear(T, e[j], T[i][k])))
-                if lhs != rhs:
-                    failures.append(Failure(
-                        "jacobi", (labels[i], labels[j], labels[k]),
-                        dense(lhs, A.dim, den * den), dense(rhs, A.dim, den * den),
-                    ))
+        lhs, rhs = {}, {}
+        contract_pairs(lhs, rows, T[i])
+        contract_rows(rhs, T[i], rows)
+        contract_cols(rhs, T[i], cols, pars, (1, -1 if pars[i] else 1))
+        failures += identity_failures("jacobi", labels[i], labels, labels, lhs, rhs, A.dim, den * den)
     return CheckReport("jacobi", tuple(failures))
+
+
+def identity_failures(axiom, label, plabels, qlabels, lhs, rhs, dim, den):
+    """A ``Failure`` at (label, p, q) for each key (p, q), in order, where two tables of
+    int vectors over ``den`` differ."""
+    failures = []
+    for p, q in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get((p, q), {}), rhs.get((p, q), {})
+        if left != right and nonzero(left) != nonzero(right):  # stored zeros do not count
+            failures.append(Failure(
+                axiom, (label, plabels[p], qlabels[q]), dense(left, dim, den), dense(right, dim, den)
+            ))
+    return failures
 
 
 def gl(m: int, n: int) -> SuperAlgebra:
@@ -281,19 +291,6 @@ class LinearMap(Frozen):
             raise DimensionMismatch("composition spaces do not match")
         return LinearMap(other.source, self.target, tuple(self.apply(c) for c in other.cols))
 
-    def parity_component(self, s: int) -> "LinearMap":
-        """Keep only entries shifting parity by s, zero the rest."""
-        cols = []
-        for j, col in enumerate(self.cols):
-            pj = self.source.parity(j)
-            cols.append(
-                tuple(
-                    v if (self.target.parity(k) - pj) % 2 == s % 2 else Fraction(0)
-                    for k, v in enumerate(col)
-                )
-            )
-        return LinearMap(self.source, self.target, tuple(cols))
-
     def parity(self):
         """0 or 1 for homogeneous maps, None for mixed, 0 for the zero map."""
         seen = set()
@@ -322,14 +319,6 @@ class LinearMap(Frozen):
         c = Fraction(c)
         return LinearMap(self.source, self.target, tuple(vec_scale(col, c) for col in self.cols))
 
-    def super_commutator(self, other: "LinearMap") -> "LinearMap":
-        """[f, g] = f g - (-1)^{|f||g|} g f; requires homogeneous factors."""
-        pf, pg = self.parity(), other.parity()
-        if pf is None or pg is None:
-            raise ValidationError("super commutator needs homogeneous maps")
-        sign = Fraction(-1 if (pf * pg) % 2 == 0 else 1)
-        return self.compose(other).add(other.compose(self).scale(sign))
-
 
 def is_homomorphism(f: LinearMap, A: SuperAlgebra, B: SuperAlgebra) -> bool:
     """f([a,b]) == [f(a), f(b)] on all basis pairs."""
@@ -342,10 +331,3 @@ def is_homomorphism(f: LinearMap, A: SuperAlgebra, B: SuperAlgebra) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def ad(A: SuperAlgebra, i: int) -> LinearMap:
-    """Adjoint map of the i-th basis vector."""
-    return LinearMap(
-        A.space, A.space, tuple(A.bracket_basis(i, j) for j in range(A.dim))
-    )

@@ -33,9 +33,9 @@ from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
-from .superalgebra import check_super_skew
-from .util import Frozen, bilinear, dense, lincomb, scaled_to_ints, scaled_vectors, sparse, units
-from .util import vec_is_zero, zero_vec
+from .superalgebra import check_super_skew, identity_failures
+from .util import Frozen, bilinear, contract_cols, contract_pairs, contract_rows, dense
+from .util import scaled_to_ints, scaled_vectors, sparse, support, vec_is_zero, zero_vec
 
 
 class ActionMap:
@@ -152,6 +152,11 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
         degree (1, 1) in (rho, g) on the left and 2 in rho on the right, so
         the left side is multiplied by den(rho) and the right by den(g), and
         both are ints over den(rho)^2 den(g).
+
+    (a) walks the support of R.  (b) and (c) take one x at a time: each side
+    is a table on the remaining pairs, and each term contracts the row R[x]
+    (G[x] for rho([x,y])) with the nonzero entries, rows or columns of H in
+    (b), of R in (c).
     """
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("action table does not match the algebra spaces")
@@ -159,7 +164,6 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
     glab, hlab = g.space.labels, h.space.labels
     gpar, hpar = g.space.parities, h.space.parities
     (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, rho.sparse
-    eg, eh = units(g.dim), units(h.dim)
     for i in range(g.dim):
         for j in range(h.dim):
             want = (gpar[i] + hpar[j]) % 2
@@ -168,33 +172,22 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
                     failures.append(Failure(
                         "action_degree", (glab[i], hlab[j], hlab[k]), (Fraction(x, dr),), (Fraction(0),)
                     ))
+    hrows, hcols = support(H)
     for i in range(g.dim):
-        sgn = -1 if gpar[i] else 1
-        for a in range(h.dim):
-            for b in range(h.dim):
-                lhs = bilinear(R, eg[i], H[a][b])
-                rhs = lincomb(
-                    (1, bilinear(H, R[i][a], eh[b])),
-                    (sgn if hpar[a] else 1, bilinear(H, eh[a], R[i][b])),
-                )
-                if lhs != rhs:
-                    failures.append(Failure(
-                        "action_derivation", (glab[i], hlab[a], hlab[b]),
-                        dense(lhs, h.dim, dr * dh), dense(rhs, h.dim, dr * dh),
-                    ))
-    den = dr * dr * dg
+        # rho(x)[a,b] = [rho(x)a, b] + (-1)^{|x||a|} [a, rho(x)b]
+        lhs, rhs = {}, {}
+        contract_pairs(lhs, hrows, R[i])
+        contract_rows(rhs, R[i], hrows)
+        contract_cols(rhs, R[i], hcols, hpar, (1, -1 if gpar[i] else 1))
+        failures += identity_failures("action_derivation", glab[i], hlab, hlab, lhs, rhs, h.dim, dr * dh)
+    rrows, rcols = support(R)
     for i in range(g.dim):
-        for j in range(g.dim):
-            # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x), column by column
-            sign = dg if gpar[i] * gpar[j] else -dg
-            for u in range(h.dim):
-                lhs = lincomb((dr, bilinear(R, G[i][j], eh[u])))
-                rhs = lincomb((dg, bilinear(R, eg[i], R[j][u])), (sign, bilinear(R, eg[j], R[i][u])))
-                if lhs != rhs:
-                    failures.append(Failure(
-                        "action_morphism", (glab[i], glab[j], hlab[u]),
-                        dense(lhs, h.dim, den), dense(rhs, h.dim, den),
-                    ))
+        # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x), column by column
+        lhs, rhs = {}, {}
+        contract_rows(lhs, G[i], rrows, dr)
+        contract_pairs(rhs, rrows, R[i], dg)
+        contract_cols(rhs, R[i], rcols, gpar, (-dg, dg if gpar[i] else -dg))
+        failures += identity_failures("action_morphism", glab[i], glab, hlab, lhs, rhs, h.dim, dr * dr * dg)
     return CheckReport("action", tuple(failures))
 
 

@@ -10,7 +10,8 @@ loops.  ``scaled_to_ints`` writes an operand as ints over one common
 denominator (``scaled_vectors`` applies it to a table of vectors); ``addmul``,
 ``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and only
 the nonzero entries of a result become ``Fraction``s again (``dense``,
-``Matrix``).
+``Matrix``).  The trilinear axiom checks contract two such tables at a time
+over their support (``support``, ``contract_*``).
 An identity whose terms carry different denominators is compared after
 multiplying each side by the denominators it lacks, so every comparison is
 exact and made on ints.
@@ -148,6 +149,43 @@ def bilinear(table, x: dict, y: dict) -> dict:
     return nonzero(acc)
 
 
-def units(n: int):
-    """The basis vectors e_0..e_{n-1} as sparse vectors."""
-    return [{i: 1} for i in range(n)]
+def support(table):
+    """(rows, cols) of a table of sparse vectors on index pairs: rows[m] lists the nonzero
+    (q, table[m][q]) and cols[m] the nonzero (p, table[p][m])."""
+    rows = [[(q, vec) for q, vec in enumerate(row) if vec] for row in table]
+    cols = [[] for _ in (table[0] if table else ())]
+    for p, entries in enumerate(rows):
+        for q, vec in entries:
+            cols[q].append((p, vec))
+    return rows, cols
+
+
+# One side of a trilinear identity at a fixed first index, as a table {(p, q): int vector}:
+# each term contracts ``row``, the vectors of that index in one table, with the support of a
+# table Y, pairing every nonzero entry with only the nonzero entries listed under its
+# index (a row-by-row sparse product, Gustavson 1978).
+
+def contract_pairs(acc: dict, rows, row, c=1):
+    """acc[(p, q)] += c * sum_m Y[p][q][m] row[m] over the nonzero Y[p][q], ``rows`` of Y."""
+    for p, entries in enumerate(rows):
+        for q, vec in entries:
+            out = acc.setdefault((p, q), {})
+            for m, x in vec.items():
+                addmul(out, row[m], c * x)
+
+
+def contract_rows(acc: dict, row, rows, c=1):
+    """acc[(p, q)] += c * sum_m row[p][m] Y[m][q], ``rows`` of Y."""
+    for p, vec in enumerate(row):
+        for m, x in vec.items():
+            for q, v in rows[m]:
+                addmul(acc.setdefault((p, q), {}), v, c * x)
+
+
+def contract_cols(acc: dict, row, cols, pars, signs):
+    """acc[(p, q)] += signs[pars[p]] * sum_m row[q][m] Y[p][m], ``cols`` of Y: the factor
+    goes by the parity of the first slot."""
+    for q, vec in enumerate(row):
+        for m, x in vec.items():
+            for p, v in cols[m]:
+                addmul(acc.setdefault((p, q), {}), v, signs[pars[p]] * x)

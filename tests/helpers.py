@@ -11,7 +11,13 @@ from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, semi
 from supercochain.util import zero_vec
 
 __all__ = [
+    "ad",
+    "parity_component",
+    "super_commutator",
     "aff11",
+    "sl2",
+    "osp12",
+    "heisenberg3",
     "adjoint_action",
     "adjoint_triple",
     "solvable_triple",
@@ -40,6 +46,64 @@ def aff11(labels=("e", "f")) -> SuperAlgebra:
     """One even, one odd generator with [e, f] = f."""
     space = GradedSpace((labels[0],), (labels[1],))
     return SuperAlgebra(space, {(0, 1): (F(0), F(1))})
+
+
+def ad(A: SuperAlgebra, i: int) -> LinearMap:
+    """Adjoint map of the i-th basis vector."""
+    return LinearMap(A.space, A.space, tuple(A.bracket_basis(i, j) for j in range(A.dim)))
+
+
+def parity_component(m: LinearMap, s: int) -> LinearMap:
+    """The entries of m shifting parity by s; the rest zeroed."""
+    cols = tuple(
+        tuple(
+            v if (m.target.parity(k) - m.source.parity(j)) % 2 == s % 2 else F(0)
+            for k, v in enumerate(col)
+        )
+        for j, col in enumerate(m.cols)
+    )
+    return LinearMap(m.source, m.target, cols)
+
+
+def super_commutator(f: LinearMap, g: LinearMap) -> LinearMap:
+    """[f, g] = f g - (-1)^{|f||g|} g f of homogeneous maps."""
+    pf, pg = f.parity(), g.parity()
+    assert pf is not None and pg is not None, "super commutator needs homogeneous maps"
+    return f.compose(g).add(g.compose(f).scale(1 if pf * pg % 2 else -1))
+
+
+def _algebra(even, odd, brackets) -> SuperAlgebra:
+    """A table from {(left, right): {label: coefficient}} on labels, left before right."""
+    space = GradedSpace(even, odd)
+    sc = {}
+    for (a, b), value in brackets.items():
+        vec = [F(0)] * space.dim
+        for label, c in value.items():
+            vec[space.index(label)] = F(c)
+        sc[(space.index(a), space.index(b))] = tuple(vec)
+    return SuperAlgebra(space, sc)
+
+
+def sl2() -> SuperAlgebra:
+    """sl(2): [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    return _algebra(("h", "e", "f"), (), {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+    })
+
+
+def osp12() -> SuperAlgebra:
+    """osp(1|2): sl(2) on h, e, f acting on the odd x, y as on its defining module,
+    with [x, x] = 2e, [y, y] = -2f and [x, y] = h."""
+    return _algebra(("h", "e", "f"), ("x", "y"), {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("h", "x"): {"x": 1}, ("h", "y"): {"y": -1}, ("e", "y"): {"x": -1}, ("f", "x"): {"y": -1},
+        ("x", "x"): {"e": 2}, ("y", "y"): {"f": -2}, ("x", "y"): {"h": 1},
+    })
+
+
+def heisenberg3() -> SuperAlgebra:
+    """The Heisenberg algebra h_3: [x, y] = z, z central."""
+    return _algebra(("x", "y", "z"), (), {("x", "y"): {"z": 1}})
 
 
 def adjoint_triple(A: SuperAlgebra) -> LieSupActTriple:

@@ -5,10 +5,12 @@ residuals read sparse structure-constant tables.  Their reports must equal
 the dense computations exactly: the same failures in the same order, with the
 same labels and the same ``lhs``/``rhs`` vectors, and the same residual blocks.
 Valid inputs cover the passing paths; copies with one entry perturbed cover
-the failure paths.
+the failure paths, and copies with an even [x, x] != 0 cover tables that are
+not super-skew, on which every ordered triple counts.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +27,7 @@ from supercochain.deformation import (
     ch_deformation_residual,
     triple_deformation_residual,
 )
-from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, gl
+from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, check_super_skew, gl
 from supercochain.triple import ActionMap, LieSupActTriple, check_action
 
 import oracles
@@ -216,6 +218,61 @@ def test_perturbed_deformation_residual_matches_dense(name, rng):
     d = TripleDeformation.build(d.triple, pis, rhos, mus, order=d.order)
     for n in range(d.order + 1):
         assert triple_deformation_residual(d, n) == oracles.triple_deformation_residual(d, n)
+
+
+def _non_skew_algebra(A: SuperAlgebra, rng):
+    """A parity-legal [x, x] != 0 for an even x: the table then fails super-skew."""
+    evens = [i for i in range(A.dim) if A.space.parity(i) == 0]
+    if not evens:
+        return A
+    i = rng.choice(evens)
+    coeffs = dict(A.sc)
+    coeffs[(i, i)] = _bump(rng, coeffs.get((i, i), (F(0),) * A.dim), evens)
+    return SuperAlgebra(A.space, coeffs)
+
+
+def _non_skew_triple(t: LieSupActTriple, rng, which):
+    """A triple whose g (``which`` 0) or h (``which`` 1) has one even diagonal bracket."""
+    if which == 0:
+        return LieSupActTriple(_non_skew_algebra(t.g, rng), t.h, t.rho)
+    return LieSupActTriple(t.g, _non_skew_algebra(t.h, rng), t.rho)
+
+
+def _non_skew_checks_match_dense(t, rng, which):
+    p = _non_skew_triple(t, rng, which)
+    A = (p.g, p.h)[which]
+    if A is (t.g, t.h)[which]:
+        return
+    assert not check_super_skew(A).ok
+    for B in (p.g, p.h):
+        _same_report(check_jacobi(B), oracles.check_jacobi(B))
+    _same_report(check_action(p.g, p.h, p.rho), oracles.check_action(p.g, p.h, p.rho))
+
+
+@EXAMPLES
+@given(st.sampled_from(SMALL), st.sampled_from((0, 1)), st.randoms(use_true_random=False))
+def test_non_super_skew_checks_match_dense(name, which, rng):
+    _non_skew_checks_match_dense(TRIPLES[name], rng, which)
+
+
+def test_gl21_non_super_skew_matches_dense():
+    rng = random.Random(12)
+    for which in (0, 1):
+        _non_skew_checks_match_dense(TRIPLES["gl21_adjoint"], rng, which)
+
+
+def test_axiom_checks_stay_in_quadratic_memory():
+    """One first index at a time: the peak stays O(dim^2), far below d^3 tables (~0.5 MB)."""
+    t = adjoint_triple(gl(2, 1))
+    tracemalloc.start()
+    try:
+        check_jacobi(t.g)
+        check_jacobi(t.h)
+        check_action(t.g, t.h, t.rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 1024
 
 
 def test_gl21_perturbed_once_matches_dense():

@@ -9,7 +9,6 @@ from supercochain.superalgebra import (
     LinearMap,
     SuperAlgebra,
     abelian,
-    ad,
     check_jacobi,
     check_super_skew,
     gl,
@@ -19,7 +18,7 @@ from supercochain.crossed import derivation_space
 from supercochain.triple import ActionMap, semidirect
 from supercochain.exact_linalg import Matrix, rank
 
-from helpers import aff11
+from helpers import ad, aff11, parity_component, super_commutator
 
 
 def basis_vec(dim, i):
@@ -137,7 +136,7 @@ def test_derivations_contain_ad_and_close_under_bracket():
     all_maps = [(m, 0) for m in even] + [(m, 1) for m in odd]
     for _ in range(10):
         (m1, p1), (m2, p2) = rng.sample(all_maps, 2)
-        br = m1.super_commutator(m2)
+        br = super_commutator(m1, m2)
         assert in_span(by_parity[(p1 + p2) % 2], br)
 
 
@@ -208,8 +207,8 @@ def test_linear_map_parity_and_parts():
     sp = GradedSpace(("a",), ("b",))
     m = LinearMap(sp, sp, ((F(1), F(2)), (F(3), F(4))))
     assert m.parity() is None
-    even = m.parity_component(0)
-    odd = m.parity_component(1)
+    even = parity_component(m, 0)
+    odd = parity_component(m, 1)
     assert even.cols == ((F(1), F(0)), (F(0), F(4)))
     assert odd.cols == ((F(0), F(2)), (F(3), F(0)))
     assert even.add(odd).cols == m.cols
