@@ -174,6 +174,19 @@ MUTATIONS = (
         "new[k] = b * v",
         ("tests/test_exact_linalg.py",),
     ),
+    # the int storage of Matrix: one denominator per product, canonical (den, ints)
+    (
+        "exact_linalg.py",
+        "self.den * other.den)",
+        "self.den)",
+        ("tests/test_exact_linalg.py",),
+    ),
+    (
+        "exact_linalg.py",
+        "g = gcd(g, *row.values())",
+        "g = 1",
+        ("tests/test_exact_linalg.py",),
+    ),
     (
         "util.py",
         "return self._fields == other._fields",

@@ -35,7 +35,7 @@ from math import comb, lcm
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
 from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
-from .util import scaled_vectors, vec_add, vec_is_zero, vec_scale, zero_vec
+from .util import dense, lincomb, scaled_vectors, vec_is_zero, vec_scale, zero_vec
 
 _ZERO = Fraction(0)
 
@@ -115,12 +115,18 @@ class _CoefficientMap:
         return None
 
     def add(self, other):
+        """Entrywise sum; the values at the keys both hold are added on ints over one
+        common denominator."""
         if type(other) is not type(self) or other.shape != self.shape:
             raise ShapeMismatch(f"{self._kind} shapes differ")
-        coeffs = dict(self.coeffs)
-        for key, vec in other.coeffs.items():
-            cur = coeffs.get(key)
-            coeffs[key] = vec_add(cur, vec) if cur is not None else vec
+        coeffs = {**self.coeffs, **other.coeffs}
+        both = [key for key in self.coeffs if key in other.coeffs]
+        if both:
+            sides = {(key, s): m.coeffs[key] for s, m in enumerate((self, other)) for key in both}
+            den, ints = scaled_vectors(sides)
+            tdim = self.target_space.dim
+            for key in both:
+                coeffs[key] = dense(lincomb((1, ints[key, 0]), (1, ints[key, 1])), tdim, den)
         return self._like(coeffs)
 
     def scale(self, c):
@@ -308,8 +314,8 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
     through the same sign.  Each column is the ``_unit_image`` of its unit,
-    summed on ints over the denominator of P; ``Matrix`` divides each
-    nonzero entry back as it stores it.
+    summed on ints over the denominator of P; ``Matrix`` keeps those int
+    rows over that denominator.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:

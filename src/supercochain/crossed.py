@@ -272,11 +272,12 @@ def derivation_space(A: SuperAlgebra):
     zero = zero_vec(A.dim)
     # the zero map is crossed for every action
     D0 = CrossedHom(LieSupActTriple(A, A, adjoint_action(A)), LinearMap.zero(A.space, A.space), True)
+    cx = ChComplex(D0.triple).twisted(D0.as_block())
     out = []
     for s in (0, 1):
         basis = ch_units(A.space, A.space, 1, s)
         maps = []
-        for vec in kernel_basis(d_D_matrix(D0, 1, s)):
+        for vec in kernel_basis(d_D_matrix(D0, 1, s, cx)):
             (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
             cols = [block.coeffs.get(((j,), ()), zero) for j in range(A.dim)]
             maps.append(LinearMap(A.space, A.space, cols))

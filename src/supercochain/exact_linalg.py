@@ -1,13 +1,17 @@
 """Exact rational linear algebra: sparse matrices, rank, kernels.
 
-A ``Matrix`` stores, per row, a dict from column to nonzero ``Fraction``; the
-differentials of the cohomology pipeline are only a few percent dense.  All
-arithmetic is over ``fractions.Fraction`` and ``int``, never rounded, with no
-modular or randomized shortcut.  Elimination is fraction-free, as in
-Bareiss (1968), but on sparse rows: rows are scaled to coprime integers and
-each update is ``a * row - b * pivot_row`` divided by the new row's content
-gcd (not by the previous pivot), so entries stay integral and small, and every
-division is exact.  ``rank`` picks Markowitz pivots
+A ``Matrix`` stores, per row, a dict from column to nonzero int, all over one
+positive denominator for the whole matrix; the differentials of the
+cohomology pipeline are only a few percent dense.  Assembly hands its int
+rows over as they are, ``mul`` multiplies on ints, and ``rank`` and
+``kernel_basis`` start from the int rows; the ``Fraction`` views (``data``,
+``entries``, ...) are built only when read.  All arithmetic is over ``int``
+and ``fractions.Fraction``, never rounded, with no modular or randomized
+shortcut.  Elimination is fraction-free, as in Bareiss (1968), but on sparse
+rows: each row is divided by its content gcd and each update is
+``a * row - b * pivot_row`` divided by the new row's content gcd (not by the
+previous pivot), so entries stay integral and small, and every division is
+exact.  ``rank`` picks Markowitz pivots
 (sparsest column, then its shortest row); ``kernel_basis`` eliminates left to
 right so that its basis is the canonical one of the pivot columns.
 """
@@ -20,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import CompositionNonzero, DimensionMismatch, InternalInvariantError, ValidationError
-from .util import scaled_to_ints
+from .util import addmul
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -59,34 +63,54 @@ def format_scalar(value: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable sparse matrix of exact rationals.
+    """Immutable sparse matrix of exact rationals, stored as int rows over one denominator.
 
-    ``data[r]`` maps each column of row r that holds a nonzero entry to that
-    entry, a ``Fraction``; no zero is stored, so equal matrices have equal
-    ``data``.  ``data`` exposes the stored dicts themselves: treat them as
-    read-only.
+    ``ints[r]`` maps each column of row r that holds a nonzero entry to an
+    int; every entry is that int over ``den``, a positive int.  No zero is
+    stored and ``den`` shares no factor with all the entries at once, so
+    equal matrices have equal ``(den, ints)``.  Treat the dicts as read-only.
+    ``data``, ``entries``, ``entry``, ``row`` and ``apply`` are ``Fraction``
+    views, built on demand for inspection.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "den", "ints")
 
     def __init__(self, rows: int, cols: int, data, den: int = 1):
-        """``data`` holds one ``{column: value}`` mapping per row, each value over ``den``;
-        zero values are dropped."""
+        """``data`` holds one ``{column: value}`` mapping per row, each value an int or a
+        ``Fraction`` over ``den``; zero values are dropped and ``Fraction``s scaled to ints."""
+        if type(den) is not int or den < 1:
+            raise ValidationError(f"matrix denominator must be a positive int, got {den!r}")
         data = tuple(data)
         if len(data) != rows:
             raise DimensionMismatch(f"need {rows} rows for a {rows}x{cols} matrix, got {len(data)}")
         clean = []
+        exact = True
         for row in data:
             out = {}
             for c, v in row.items():
                 if not 0 <= c < cols:
                     raise DimensionMismatch(f"column {c} outside a {rows}x{cols} matrix")
                 if v:
-                    out[c] = v if den == 1 and type(v) is Fraction else Fraction(v, den)
+                    out[c] = v
+                    if type(v) is not int:
+                        exact = False
             clean.append(out)
+        if not exact:
+            s = lcm(*(v.denominator for row in clean for v in row.values()))
+            clean = [{c: v.numerator * (s // v.denominator) for c, v in row.items()} for row in clean]
+            den *= s
+        g = den
+        for row in clean:
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            clean = [{c: v // g for c, v in row.items()} for row in clean]
+            den //= g
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(clean))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -120,79 +144,70 @@ class Matrix:
         return cls(rows, len(cols_data), data)
 
     @property
+    def data(self):
+        """Per row, ``{column: Fraction}`` of its nonzero entries: a view, never for work."""
+        den = self.den
+        return tuple({c: Fraction(v, den) for c, v in row.items()} for row in self.ints)
+
+    @property
     def entries(self):
-        """All rows*cols entries, row-major: a dense copy for inspection, never for work."""
+        """All rows*cols entries, row-major: a dense view, never for work."""
         out = [_ZERO] * (self.rows * self.cols)
-        for r, row in enumerate(self.data):
+        for r, row in enumerate(self.ints):
             base = r * self.cols
             for c, v in row.items():
-                out[base + c] = v
+                out[base + c] = Fraction(v, self.den)
         return tuple(out)
 
     def _row(self, r: int) -> dict:
         """The stored row r; an index outside 0..rows-1, negative ones included, is refused."""
         if not 0 <= r < self.rows:
             raise IndexError(f"row {r} outside a {self.rows}x{self.cols} matrix")
-        return self.data[r]
+        return self.ints[r]
 
     def entry(self, r: int, c: int) -> Fraction:
         row = self._row(r)
         if not 0 <= c < self.cols:
             raise IndexError(f"column {c} outside a {self.rows}x{self.cols} matrix")
-        return row.get(c, _ZERO)
+        return Fraction(row.get(c, 0), self.den)
 
     def row(self, r: int):
         """Row r as a dense tuple."""
         row = self._row(r)
-        return tuple(row.get(c, _ZERO) for c in range(self.cols))
+        return tuple(Fraction(row.get(c, 0), self.den) for c in range(self.cols))
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self.ints)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """Sparse product, summed over ints.
-
-        Row k of ``other`` is t_k / s_k with t_k integral, so row i of the
-        product is the sum over the nonzero a_ik of (a_ik / s_k) t_k; with
-        those coefficients over one common denominator the sum runs on ints
-        and only its nonzero results become Fractions.
-        """
+        """Sparse product on ints: (a / dA)(b / dB) = ab / (dA dB), row by row."""
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        scaled = [scaled_to_ints(row) for row in other.data]
+        rhs = other.ints
         out = []
-        for row in self.data:
-            terms = [(a.numerator, a.denominator * scaled[k][0], scaled[k][1]) for k, a in row.items()]
-            den = lcm(*(d for _, d, _ in terms))
+        for row in self.ints:
             acc = {}
-            for n, d, t in terms:
-                m = n * (den // d)
-                for j, v in t.items():
-                    acc[j] = acc.get(j, 0) + m * v
-            out.append({j: Fraction(v, den) for j, v in acc.items() if v})
-        return Matrix(self.rows, other.cols, out)
+            for k, a in row.items():
+                addmul(acc, rhs[k], a)
+            out.append(acc)
+        return Matrix(self.rows, other.cols, out, self.den * other.den)
 
     def apply(self, vec):
         """Matrix-vector product, vec indexed over columns."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length != cols")
-        out = []
-        for row in self.data:
-            s = _ZERO
-            for j, e in row.items():
-                v = vec[j]
-                if v:
-                    s += e * v
-            out.append(s)
-        return tuple(out)
+        return tuple(
+            Fraction(sum(e * vec[j] for j, e in row.items() if vec[j]), self.den) for row in self.ints
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
@@ -200,17 +215,15 @@ class Matrix:
 
 
 def _integer_rows(m: Matrix):
-    """The nonzero rows as {column: int}, each scaled to coprime integers.
+    """The nonzero int rows of ``m``, each divided by its content gcd.
 
     Scaling a row by a nonzero rational changes neither the rank nor the kernel.
     """
     out = []
-    for row in m.data:
-        if not row:
-            continue
-        ints = scaled_to_ints(row)[1]
-        g = gcd(*ints.values())
-        out.append({c: v // g for c, v in ints.items()} if g > 1 else ints)
+    for row in m.ints:
+        if row:
+            g = gcd(*row.values())
+            out.append({c: v // g for c, v in row.items()} if g > 1 else row)
     return out
 
 

@@ -24,7 +24,6 @@ P = Pi over ``triple_blocks``; the crossed-homomorphism complex is another.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_sum, nr_bracket
 from .cochains import project_block
@@ -373,11 +372,19 @@ class BlockComplex:
         self.h_space = h_space
         self.P = P
         self.sigs = sigs
+        self._units = {}
+
+    def units(self, n: int, parity=None):
+        """``sum_units`` of C^n, built once per (degree, parity): the rows of d_(n-1)
+        and the columns of d_n."""
+        key = (n, parity)
+        if key not in self._units:
+            self._units[key] = sum_units(self.g_space, self.h_space, self.sigs(n), parity)
+        return self._units[key]
 
     def matrix(self, n: int, parity=None) -> Matrix:
         """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""
-        units = partial(sum_units, self.g_space, self.h_space, parity=parity)
-        return bracket_matrix(self.P, units(self.sigs(n)), units(self.sigs(n + 1)))
+        return bracket_matrix(self.P, self.units(n, parity), self.units(n + 1, parity))
 
     def d(self, blocks):
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""

@@ -486,6 +486,25 @@ def test_bracket_with_matches_nr_bracket_on_fixtures(name, arity, keys, parity, 
     assert circ(U, P) == oracles.shuffle_circ(U, P)
 
 
+def test_add_matches_the_entrywise_fraction_sum():
+    """``add`` sums the values at shared keys on ints over one denominator; a cancelled
+    key is dropped."""
+    rng = random.Random(11)
+    for _ in range(40):
+        V = rng.choice(SMALL_SPACES)
+        arity = rng.randint(1, 3)
+        A = random_cochain(V, arity, rng, max_keys=4).scale(F(rng.choice([1, -2, 3]), rng.randint(1, 4)))
+        B = random_cochain(V, arity, rng, max_keys=4).scale(F(rng.choice([1, -1, 5]), rng.randint(1, 6)))
+        zero = zero_vec(V.dim)
+        want = {
+            key: tuple(x + y for x, y in zip(A.coeffs.get(key, zero), B.coeffs.get(key, zero)))
+            for key in {**A.coeffs, **B.coeffs}
+        }
+        assert A.add(B) == Cochain(V, V, arity, want)
+        assert A.add(A.scale(F(-1, 3))) == A.scale(F(2, 3))
+        assert A.add(A.scale(-1)).is_zero()
+
+
 def test_bracket_with_matches_nr_bracket_on_random_even_P():
     rng = random.Random(5)
     for _ in range(30):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from conftest import FIXTURES
 from supercochain import cli
 from supercochain import exact_linalg
 from supercochain import io as sio
+from supercochain import triple
+from supercochain.crossed import CrossedHom, ch_cohomology_table
 from supercochain.errors import (
     CompositionNonzero,
     DimensionMismatch,
@@ -243,11 +246,79 @@ def test_entry_and_row_refuse_indices_outside_the_shape(r, c):
     assert m.entry(1, 0) == 3 and m.row(1) == (3, 4)
 
 
-def test_int_rows_over_a_denominator_are_stored_as_fractions():
+def test_int_rows_over_a_denominator_are_stored_as_ints():
     m = Matrix(2, 3, [{0: 3, 2: 0}, {1: -4}], den=6)
+    assert (m.den, m.ints) == (6, ({0: 3}, {1: -4}))
     assert m.data == ({0: F(1, 2)}, {1: F(-2, 3)})
     assert all(type(v) is F for row in m.data for v in row.values())
     assert m == mat([[F(1, 2), 0, 0], [0, F(-2, 3), 0]])
+    # Fraction input is scaled to ints once, and a common factor of den and entries cancels
+    stored = lambda m: (m.den, m.ints)
+    assert stored(mat([[F(1, 2), F(-1, 3)]])) == (6, ({0: 3, 1: -2},))
+    assert stored(Matrix(1, 2, [{0: 4, 1: 6}], den=8)) == (4, ({0: 2, 1: 3},))
+    assert stored(Matrix(2, 2, [{}, {}], den=7)) == (1, ({}, {}))
+
+
+@pytest.mark.parametrize("den", [0, -3, 2.0, F(3), True, "2"])
+def test_matrix_refuses_a_denominator_that_is_not_a_positive_int(den):
+    with pytest.raises(ValidationError, match="denominator"):
+        Matrix(1, 1, [{0: 1}], den=den)
+
+
+@st.composite
+def int_rows(draw, nrows=None, ncols=None):
+    """(nrows, ncols, rows): 0..8 x 0..8 ints, mostly zero, with small common factors."""
+    nrows = draw(st.integers(0, 8)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 8)) if ncols is None else ncols
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
+    return nrows, ncols, [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _sparse(rows, k=1):
+    return [{c: k * v for c, v in enumerate(row) if v} for row in rows]
+
+
+@given(int_rows(), st.integers(1, 12), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_int_storage_is_canonical_for_every_common_factor(shape_rows, den, k):
+    nrows, ncols, rows = shape_rows
+    m = Matrix(nrows, ncols, _sparse(rows), den)
+    assert Matrix(nrows, ncols, _sparse(rows, k), k * den) == m
+    assert _matrix(nrows, ncols, [[F(v, den) for v in row] for row in rows]) == m
+    assert m.entries == tuple(F(v, den) for row in rows for v in row)
+    stored = [v for row in m.ints for v in row.values()]
+    assert all(type(v) is int and v for v in stored) and type(m.den) is int
+    assert math.gcd(m.den, *stored) == 1
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_product_over_denominators_matches_dense_product(n, m, p, data):
+    da, db = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
+    _, _, a = data.draw(int_rows(n, m))
+    _, _, b = data.draw(int_rows(m, p))
+    product = Matrix(n, m, _sparse(a), da).mul(Matrix(m, p, _sparse(b), db))
+    dense = [
+        [sum((F(a[i][k], da) * F(b[k][j], db) for k in range(m)), F(0)) for j in range(p)]
+        for i in range(n)
+    ]
+    assert product == Matrix.from_rows(dense)
+    assert all(v for row in product.ints for v in row.values())
+
+
+def test_product_cancellation_over_denominators_stores_no_zero():
+    product = Matrix(1, 2, [{0: 1, 1: 1}], 3).mul(Matrix(2, 1, [{0: 1}, {0: -1}], 5))
+    assert (product.den, product.ints) == (1, ({},))
+    assert product.is_zero()
+
+
+@given(int_rows(), st.integers(2, 30))
+@settings(max_examples=100, deadline=None)
+def test_rank_and_kernel_over_a_denominator_match_dense_reference(shape_rows, den):
+    nrows, ncols, rows = shape_rows
+    m = Matrix(nrows, ncols, _sparse(rows), den)
+    assert rank(m) == oracles.dense_rank(m)
+    assert kernel_basis(m) == oracles.dense_kernel_basis(m)
 
 
 def _mixed21_triple():
@@ -270,6 +341,33 @@ def test_cohomology_table_multiplies_once_per_adjacent_pair(monkeypatch):
         (110, 46, 46, 13), (206, 110, 110, 46),
         (110, 46, 46, 12), (206, 110, 110, 46),
     ]
+
+
+def _mixed21_crossed():
+    pf = sio.parse(FIXTURES / "mixed21.json")
+    return CrossedHom(LieSupActTriple(pf.g, pf.h, pf.action), pf.crossed)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: triple_cohomology_table(_mixed21_triple(), range(1, 4)),
+        lambda: ch_cohomology_table(_mixed21_crossed(), range(1, 4)),
+    ],
+    ids=["triple", "crossed"],
+)
+def test_cohomology_table_builds_each_unit_list_once(monkeypatch, table):
+    calls, ranked = [], []
+    real_units, real_rank = triple.sum_units, exact_linalg.rank
+    monkeypatch.setattr(triple, "sum_units", lambda *a, **k: calls.append(a) or real_units(*a, **k))
+    monkeypatch.setattr(exact_linalg, "rank", lambda m: ranked.append(m) or real_rank(m))
+    table()
+    # C^1..C^4 per parity: each list gives the rows of d_(n-1) and the columns of d_n
+    assert len(calls) == 8
+    # d1, d2, d3 per parity, each handed to rank as int rows over an int denominator
+    assert len(ranked) == 6
+    assert all(type(m.den) is int for m in ranked)
+    assert all(type(v) is int for m in ranked for row in m.ints for v in row.values())
 
 
 @pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
