@@ -32,7 +32,7 @@ from .graded import (
     normalize_tuple,
     wedge_basis,
 )
-from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_sum, circ, f_membership
+from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_sum, circ, circ_sum, f_membership
 from .cochains import hat_extend, nr_bracket, project_block
 from .superalgebra import (
     CheckReport,

@@ -56,8 +56,9 @@ def _block_witnesses(block, limit=10):
     gs, hs = block.g_space, block.h_space
     tspace = block.target_space
     out = []
-    for (gk, hk) in sorted(block.coeffs):
-        vec = block.coeffs[(gk, hk)]
+    coeffs = block.coeffs
+    for (gk, hk) in sorted(coeffs):
+        vec = coeffs[(gk, hk)]
         out.append(
             {
                 "g_slots": [gs.labels[i] for i in gk],

@@ -19,25 +19,34 @@ times the sign, and ``project_block`` splits each key of a cochain on g + h
 back into a block pair; neither sums shuffles.  ``Cochain`` and
 ``BlockCochain`` share their linear operations and parity split.
 
-``circ``, ``nr_bracket``, ``bracket_sum`` and ``bracket_matrix`` share one
-term expansion: for each unit U = (key K -> e_T) of the right operand,
-``_unit_image`` lists the terms of [P, U] (or circ(P, U)) over the support of
-a P of any arity and parity.  Every Koszul sign comes from ``normalize_tuple``.
-The expansion runs on ints (see ``util``).
+Both kinds store their values as int rows over one denominator, in the
+canonical form ``exact_linalg.Matrix`` uses, from the parsed input to the
+report; ``coeffs``, the ``Fraction`` tuples a report shows, is a view built
+when read (see ``_CoefficientMap``).
+
+``circ``, ``nr_bracket``, ``circ_sum``, ``bracket_sum`` and ``bracket_matrix``
+share one term expansion on those ints: for each unit U = (key K -> e_T) of
+the right operand, ``_unit_image`` lists the terms of [P, U] (or circ(P, U))
+over the support of a P of any arity and parity, built once per operand.
+Every Koszul sign comes from ``normalize_tuple``.  For an even arity-2 P,
+[P, P] = 2 circ(P, P), so a self-bracket is one insertion product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
 from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
-from .util import dense, lincomb, scaled_vectors, vec_is_zero, vec_scale, zero_vec
+from .util import dense, lincomb, nonzero, scaled_vectors
 
-_ZERO = Fraction(0)
+
+def _require_exact(x, what):
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
 def _require_normal_key(space, key, what):
@@ -52,57 +61,90 @@ class _CoefficientMap:
     A subclass fixes its ``shape`` (the constructor's leading arguments),
     ``key_parity``, ``target_space``, ``eval``, ``_check_key`` and the
     ``_kind`` its error messages name; the linear operations and the parity
-    split live here once.  Values are cleaned to Fraction tuples of the
-    target length and zero values are dropped.
+    split live here once.
+
+    Storage is ``ints``, {key: {target position: int}}, over one positive
+    ``den``: every value entry is that int over ``den``.  No zero is stored
+    (no zero entry, no empty value) and ``den`` shares no factor with all the
+    entries at once, so equal maps have equal ``(den, ints)``; treat the
+    dicts as read-only.  The constructor takes dense values of ints and
+    ``Fraction``s and scales them once; ``_from_ints`` takes int rows as they
+    are.  ``coeffs``, {key: ``Fraction`` tuple}, is a view built on each read,
+    for reports and tests.
     """
 
-    __slots__ = ("coeffs", "_parts")
+    __slots__ = ("den", "ints", "_parts")
 
     def _set_coeffs(self, coeffs):
         clean = {}
         tdim = self.target_space.dim
         for key, vec in coeffs.items():
-            vec = tuple(x if type(x) is Fraction else Fraction(x) for x in vec)
+            vec = tuple(vec)
             if len(vec) != tdim:
                 raise DimensionMismatch(f"{self._kind} value has wrong length")
-            key = self._check_key(key)
-            if not vec_is_zero(vec):
-                clean[key] = vec
-        self.coeffs = clean
+            for x in vec:
+                _require_exact(x, f"a {self._kind} value entry")
+            clean[self._check_key(key)] = vec
+        self._store(*scaled_vectors(clean))
+
+    def _store(self, den, ints):
+        """Keep ``ints`` over ``den`` in canonical form: zeros dropped, common factor cancelled."""
+        rows = {}
+        g = den
+        for key, row in ints.items():
+            if not all(row.values()):
+                row = nonzero(row)
+            if row:
+                rows[key] = row
+                if g != 1:
+                    g = gcd(g, *row.values())
+        if g > 1:
+            rows = {key: {k: x // g for k, x in row.items()} for key, row in rows.items()}
+            den //= g
+        self.den = den
+        self.ints = rows
         self._parts = None
 
-    def _like(self, coeffs):
-        return type(self)(*self.shape, coeffs)
+    @classmethod
+    def _from_ints(cls, shape, den, ints):
+        """The map of ``shape`` with values ``ints`` over ``den``; keys must be in normal form."""
+        out = cls(*shape, {})
+        out._store(den, ints)
+        return out
+
+    def _like(self, den, ints):
+        return self._from_ints(self.shape, den, ints)
 
     @classmethod
     def zero(cls, *shape):
         return cls(*shape, {})
 
+    @property
+    def coeffs(self):
+        """{key: value as a ``Fraction`` tuple}: a view built on each read, never for work."""
+        tdim, den = self.target_space.dim, self.den
+        return {key: dense(row, tdim, den) for key, row in self.ints.items()}
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def _value_at(self, key, sign):
-        """The stored value at ``key`` times ``sign`` (zero when absent or sign is 0)."""
-        vec = self.coeffs.get(key) if sign else None
-        if vec is None:
-            return zero_vec(self.target_space.dim)
-        return vec if sign == 1 else vec_scale(vec, sign)
+        """The int row at ``key`` times ``sign`` (empty when absent or sign is 0)."""
+        row = self.ints.get(key) if sign else None
+        if row is None:
+            return {}
+        return row if sign == 1 else {k: -x for k, x in row.items()}
 
     def parity_parts(self):
         """[(component, parity)] with mixed coefficients split by map parity."""
         if self._parts is None:
             tpars = self.target_space.parities
-            split = {0: {}, 1: {}}
-            for key, vec in self.coeffs.items():
+            split = ({}, {})
+            for key, row in self.ints.items():
                 kp = self.key_parity(key)
-                buckets = {0: [_ZERO] * len(vec), 1: [_ZERO] * len(vec)}
-                for k, x in enumerate(vec):
-                    if x != 0:
-                        buckets[(tpars[k] + kp) % 2][k] = x
-                for par, bucket in buckets.items():
-                    if any(bucket):
-                        split[par][key] = tuple(bucket)
-            self._parts = tuple((self._like(split[par]), par) for par in (0, 1) if split[par])
+                for k, x in row.items():
+                    split[(tpars[k] + kp) % 2].setdefault(key, {})[k] = x
+            self._parts = tuple((self._like(self.den, split[par]), par) for par in (0, 1) if split[par])
         return self._parts
 
     def parity(self):
@@ -115,26 +157,30 @@ class _CoefficientMap:
         return None
 
     def add(self, other):
-        """Entrywise sum; the values at the keys both hold are added on ints over one
-        common denominator."""
+        """Entrywise sum, on ints over the lcm of the two denominators."""
         if type(other) is not type(self) or other.shape != self.shape:
             raise ShapeMismatch(f"{self._kind} shapes differ")
-        coeffs = {**self.coeffs, **other.coeffs}
-        both = [key for key in self.coeffs if key in other.coeffs]
-        if both:
-            sides = {(key, s): m.coeffs[key] for s, m in enumerate((self, other)) for key in both}
-            den, ints = scaled_vectors(sides)
-            tdim = self.target_space.dim
-            for key in both:
-                coeffs[key] = dense(lincomb((1, ints[key, 0]), (1, ints[key, 1])), tdim, den)
-        return self._like(coeffs)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {key: lincomb((a, row)) for key, row in self.ints.items()}
+        for key, row in other.ints.items():
+            out[key] = lincomb((1, out.get(key, {})), (b, row))
+        return self._like(den, out)
 
     def scale(self, c):
-        c = Fraction(c)
-        return self._like({} if c == 0 else {k: vec_scale(v, c) for k, v in self.coeffs.items()})
+        """c times the map, c an int or a ``Fraction``."""
+        _require_exact(c, f"a {self._kind} scalar")
+        p = c.numerator
+        ints = {key: {k: p * x for k, x in row.items()} for key, row in self.ints.items()} if p else {}
+        return self._like(self.den * c.denominator, ints)
 
     def __eq__(self, other):
-        return type(other) is type(self) and other.shape == self.shape and other.coeffs == self.coeffs
+        return (
+            type(other) is type(self)
+            and other.shape == self.shape
+            and other.den == self.den
+            and other.ints == self.ints
+        )
 
 
 class Cochain(_CoefficientMap):
@@ -172,14 +218,14 @@ class Cochain(_CoefficientMap):
         """Value at an arbitrary tuple of basis positions."""
         if len(slots) != self.arity:
             raise ArityMismatch(f"expected {self.arity} slots, got {len(slots)}")
-        return self._value_at(*normalize_tuple(self.source, slots))
+        return dense(self._value_at(*normalize_tuple(self.source, slots)), self.target.dim, self.den)
 
     def __repr__(self):
-        return f"Cochain(arity={self.arity}, keys={len(self.coeffs)})"
+        return f"Cochain(arity={self.arity}, keys={len(self.ints)})"
 
 
 def _bracket_support(P: Cochain):
-    """(den, support): P as ints over ``den``, indexed by each entry of its keys and by output.
+    """The int rows of P (over ``P.den``), indexed by each entry of their keys and by output.
 
     ``by_entry[k]``: (H, |H|, counts(H), {t: P(H, k)_t}) for H a key minus one k;
     ``by_comp[t]``: (key, parity of the term, counts(key), P(key)_t).  Only odd
@@ -191,9 +237,8 @@ def _bracket_support(P: Cochain):
     def counts(part):
         return tuple((e, part.count(e)) for e in set(part) if pars[e])
 
-    den, rows = scaled_vectors(P.coeffs)
     by_entry, by_comp = {}, {}
-    for key, vals in rows.items():
+    for key, vals in P.ints.items():
         kp = sum(pars[i] for i in key)
         for k in sorted(set(key)):
             i = key.index(k)
@@ -204,7 +249,16 @@ def _bracket_support(P: Cochain):
         kc = counts(key)
         for t, x in vals.items():
             by_comp.setdefault(t, []).append((key, (kp + pars[t]) % 2, kc, x))
-    return den, (P.arity - 1, by_entry, by_comp)
+    return P.arity - 1, by_entry, by_comp
+
+
+def _support(P: Cochain, supports: dict):
+    """``_bracket_support(P)``, built once per memo ``supports`` {id(P): (P, support)};
+    the memo holds P, so no other operand takes its id while the entry lives."""
+    hit = supports.get(id(P))
+    if hit is None:
+        hit = supports[id(P)] = (P, _bracket_support(P))
+    return hit[1]
 
 
 def _multiplicity(X, counts):
@@ -224,7 +278,7 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
     k of K, read as U(head, k), takes P(key)_k to sort(head + key) with
     (-1)^(f |head|).  Each term also carries the sign ``normalize_tuple``
     gives its unsorted key and the multiplicity of P's part in the new key.
-    Coefficients are ints over the denominator of P's ``_bracket_support``.
+    Coefficients are ints over ``P.den``.
     Terms may repeat a (key, target); callers add them up.
     """
     nP, by_entry, by_comp = support
@@ -251,23 +305,27 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
                 yield X, T, (-c if f and flip else c) * v
 
 
-def _expand(terms, bracket: bool) -> Cochain:
+def _expand(terms, bracket: bool, supports=None) -> Cochain:
     """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, over the units of each U.
 
     A term with c = p / q is an int sum over q den(P) den(U); all terms are
     added on ints over the lcm of those.  They share one space V and one arity.
+    A term with c = 0 or a zero operand adds nothing and is skipped.  The
+    support of each P is built once per memo ``supports`` (see ``_support``):
+    once per call unless the caller holds a memo for longer.
     """
     V = terms[0][1].source
     arity = terms[0][1].arity + terms[0][2].arity - 1
+    supports = {} if supports is None else supports
     prepared = []
     for c, P, U in terms:
         if V != P.target or P.source != V or U.source != V or U.target != V:
             raise SpaceMismatch("insertion product needs cochains on one space V -> V")
         if P.arity + U.arity - 1 != arity:
             raise ArityMismatch("the terms of a bracket sum have different arities")
-        dP, support = _bracket_support(P)
-        dU, rows = scaled_vectors(U.coeffs)
-        prepared.append((c.numerator, c.denominator * dP * dU, support, rows))
+        if not c or not P.ints or not U.ints:
+            continue
+        prepared.append((c.numerator, c.denominator * P.den * U.den, _support(P, supports), U.ints))
     den = lcm(*(d for _, d, _, _ in prepared))
     out = {}
     for m, d, support, rows in prepared:
@@ -278,27 +336,30 @@ def _expand(terms, bracket: bool) -> Cochain:
                 for X, tgt, c in _unit_image(V, support, K, T, bracket):
                     row = out.get(X)
                     if row is None:
-                        row = out[X] = [0] * V.dim
-                    row[tgt] += v * c
-    coeffs = {
-        X: tuple(Fraction(x, den) if x else _ZERO for x in row) for X, row in out.items() if any(row)
-    }
-    return Cochain(V, V, arity, coeffs)
+                        out[X] = {tgt: v * c}
+                    else:
+                        row[tgt] = row.get(tgt, 0) + v * c
+    return Cochain._from_ints((V, V, arity), den, out)
 
 
 def circ(F: Cochain, G: Cochain) -> Cochain:
     """Insertion product F o G, G plugged into the last slot of F, over the units of G."""
-    return _expand(((1, F, G),), bracket=False)
+    return _expand(((1, F, G),), False)
 
 
-def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
+def nr_bracket(F: Cochain, G: Cochain, supports=None) -> Cochain:
     """Graded commutator [F, G] of the insertion product, over the units of G."""
-    return _expand(((1, F, G),), bracket=True)
+    return _expand(((1, F, G),), True, supports)
 
 
-def bracket_sum(terms) -> Cochain:
+def circ_sum(terms, supports=None) -> Cochain:
+    """sum c P o U over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
+    return _expand(tuple(terms), False, supports)
+
+
+def bracket_sum(terms, supports=None) -> Cochain:
     """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
-    return _expand(tuple(terms), bracket=True)
+    return _expand(tuple(terms), True, supports)
 
 
 def order_pairs(n: int):
@@ -308,19 +369,19 @@ def order_pairs(n: int):
     return [(i, n - i, 1 if 2 * i == n else 2) for i in range(n // 2 + 1)]
 
 
-def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
+def bracket_matrix(P: Cochain, cols, rows, supports=None) -> Matrix:
     """Matrix of U -> [P, U] for an even arity-2 cochain P on V.
 
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
     through the same sign.  Each column is the ``_unit_image`` of its unit,
     summed on ints over the denominator of P; ``Matrix`` keeps those int
-    rows over that denominator.
+    rows over that denominator.  ``supports`` is a memo as in ``_expand``.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    den, support = _bracket_support(P)
+    support = _support(P, {} if supports is None else supports)
     data = [{} for _ in rows]
     row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
     for j, (K, T, s) in enumerate(cols):
@@ -330,7 +391,7 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
                 row, sign = hit
                 v = c if sign == s else -c
                 row[j] = row[j] + v if j in row else v
-    return Matrix(len(rows), len(cols), data, den)
+    return Matrix(len(rows), len(cols), data, P.den)
 
 
 def block_key(ds: DirectSum, gk, hk):
@@ -389,14 +450,19 @@ class BlockCochain(_CoefficientMap):
         return (sum(self.g_space.parities_of(gk)) + sum(self.h_space.parities_of(hk))) % 2
 
     def eval(self, g_slots, h_slots):
+        """Value at arbitrary tuples of g and h basis positions."""
+        if len(g_slots) != self.g_arity or len(h_slots) != self.h_arity:
+            raise ArityMismatch(
+                f"expected ({self.g_arity}, {self.h_arity}) slots, got ({len(g_slots)}, {len(h_slots)})"
+            )
         gk, gs = normalize_tuple(self.g_space, tuple(g_slots))
         hk, hs = normalize_tuple(self.h_space, tuple(h_slots))
-        return self._value_at((gk, hk), gs * hs)
+        return dense(self._value_at((gk, hk), gs * hs), self.target_space.dim, self.den)
 
     def __repr__(self):
         return (
             f"BlockCochain(({self.g_arity},{self.h_arity})->{self.target_side}, "
-            f"keys={len(self.coeffs)})"
+            f"keys={len(self.ints)})"
         )
 
 
@@ -405,16 +471,16 @@ def hat_extend(block: BlockCochain) -> Cochain:
 
     The extension is zero on every key without exactly (g_arity, h_arity)
     entries from the two sides.  At the ``block_key`` of a block pair it is
-    the block value times the key's sign, so that reading the g entries
-    first gives the block value back.
+    the block value, re-keyed to the target side's positions, times the key's
+    sign, so that reading the g entries first gives the block value back.
     """
     ds = direct_sum(block.g_space, block.h_space)
-    embed = ds.embed_left if block.target_side == "g" else ds.embed_right
+    pos = ds.left_pos if block.target_side == "g" else ds.right_pos
     out = {}
-    for (gk, hk), vec in block.coeffs.items():
+    for (gk, hk), row in block.ints.items():
         key, sign = block_key(ds, gk, hk)
-        out[key] = embed(vec_scale(vec, sign))
-    return Cochain(ds.space, ds.space, block.g_arity + block.h_arity, out)
+        out[key] = {pos[k]: sign * x for k, x in row.items()}
+    return Cochain._from_ints((ds.space, ds.space, block.g_arity + block.h_arity), block.den, out)
 
 
 def hat_sum(blocks) -> Cochain:
@@ -433,18 +499,24 @@ def project_block(F: Cochain, ds: DirectSum, g_arity: int, h_arity: int, target_
         raise SpaceMismatch("cochain does not live on the given direct sum")
     if g_arity + h_arity != F.arity:
         raise ArityMismatch("block arities do not sum to the cochain arity")
-    part = 0 if target_side == "g" else 1
+    side_of = ds.side_of
     coeffs = {}
-    for key, vec in F.coeffs.items():
-        sides = [ds.side_of[pos] for pos in key]
+    for key, row in F.ints.items():
+        sides = [side_of[pos] for pos in key]
         gk = tuple(i for side, i in sides if side == "g")
         if len(gk) != g_arity:
             continue
-        value = ds.split(vec)[part]
-        if not vec_is_zero(value):
+        value = {}
+        for t, x in row.items():
+            side, k = side_of[t]
+            if side == target_side:
+                value[k] = x
+        if value:
             hk = tuple(j for side, j in sides if side == "h")
-            coeffs[(gk, hk)] = vec_scale(value, block_key(ds, gk, hk)[1])
-    return BlockCochain(ds.left, ds.right, g_arity, h_arity, target_side, coeffs)
+            if block_key(ds, gk, hk)[1] < 0:
+                value = {k: -x for k, x in value.items()}
+            coeffs[(gk, hk)] = value
+    return BlockCochain._from_ints((ds.left, ds.right, g_arity, h_arity, target_side), F.den, coeffs)
 
 
 def f_membership(F: Cochain, ds: DirectSum) -> bool:
@@ -455,13 +527,9 @@ def f_membership(F: Cochain, ds: DirectSum) -> bool:
     """
     if F.source != ds.space or F.target != ds.space:
         raise SpaceMismatch("cochain does not live on the given direct sum")
-    for key, vec in F.coeffs.items():
-        n_h = sum(1 for pos in key if ds.side_of[pos][0] == "h")
-        gpart, hpart = ds.split(vec)
-        if n_h == 0:
-            if not vec_is_zero(hpart):
-                return False
-        else:
-            if not vec_is_zero(gpart):
-                return False
+    side_of = ds.side_of
+    for key, row in F.ints.items():
+        side = "h" if any(side_of[pos][0] == "h" for pos in key) else "g"
+        if any(side_of[t][0] != side for t in row):
+            return False
     return True

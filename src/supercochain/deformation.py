@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, bracket_sum, hat_sum, order_pairs
+from .cochains import BlockCochain, Cochain, circ_sum, hat_sum
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
 from .graded import direct_sum
@@ -133,8 +133,10 @@ def _check_orders(d, orders):
 def triple_deformation_residuals(d: TripleDeformation, orders=None):
     """The four defects of each order n in ``orders`` (default 0..d.order), in one pass.
 
-    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled; [Pi_i, Pi_j] =
-    [Pi_j, Pi_i] for even Pi of arity 2, so each pair is bracketed once.
+    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled.  For even Pi_i of
+    arity 2, [Pi_i, Pi_j] = Pi_i o Pi_j + Pi_j o Pi_i, so the sum is
+    2 sum_{i+j=n} Pi_i o Pi_j over ordered pairs: one insertion product per
+    pair, none for a zero Pi_i, and the support of each Pi_i built once.
     """
     orders = _check_orders(d, orders)
     if not orders:
@@ -142,10 +144,10 @@ def triple_deformation_residuals(d: TripleDeformation, orders=None):
     t = d.triple
     ds = direct_sum(t.g.space, t.h.space)
     pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(max(orders) + 1)]
+    factors = tuple(2 * f for f in _EQUATION_FACTORS)
+    supports = {}
     return tuple(
-        McResidual.project(
-            bracket_sum((w, pis[i], pis[j]) for i, j, w in order_pairs(n)), ds, _EQUATION_FACTORS
-        )
+        McResidual.project(circ_sum(((1, pis[i], pis[n - i]) for i in range(n + 1)), supports), ds, factors)
         for n in orders
     )
 
@@ -186,8 +188,9 @@ def _coefficient_cochain(d: TripleDeformation, k: int):
     """(pi_k, rho_k, mu_k) as the blocks of a degree-2 cochain."""
     t = d.triple
     gs, hs = t.g.space, t.h.space
-    pi_b = BlockCochain(gs, hs, 2, 0, "g", {(key, ()): v for key, v in d.pis[k].coeffs.items()})
-    mu_b = BlockCochain(gs, hs, 0, 2, "h", {((), key): v for key, v in d.mus[k].coeffs.items()})
+    pi, mu = d.pis[k], d.mus[k]
+    pi_b = BlockCochain._from_ints((gs, hs, 2, 0, "g"), pi.den, {(key, ()): v for key, v in pi.ints.items()})
+    mu_b = BlockCochain._from_ints((gs, hs, 0, 2, "h"), mu.den, {((), key): v for key, v in mu.ints.items()})
     return pi_b, mu_b, d.rhos[k].as_block()  # the order of triple_blocks(2)
 
 
@@ -213,8 +216,8 @@ def triple_cocycle_deformations(t: LieSupActTriple):
     for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
         # the blocks of triple_blocks(2): pi, then mu, then rho
         pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
-        pi1 = Cochain(gs, gs, 2, {gk: v for (gk, _), v in pi_b.coeffs.items()})
-        mu1 = Cochain(hs, hs, 2, {hk: v for (_, hk), v in mu_b.coeffs.items()})
+        pi1 = Cochain._from_ints((gs, gs, 2), pi_b.den, {gk: v for (gk, _), v in pi_b.ints.items()})
+        mu1 = Cochain._from_ints((hs, hs, 2), mu_b.den, {hk: v for (_, hk), v in mu_b.ints.items()})
         table = [[rho_b.eval((i,), (j,)) for j in range(hs.dim)] for i in range(gs.dim)]
         out.append(TripleDeformation.build(t, [pi1], [ActionMap(gs, hs, table)], [mu1], order=1))
     return out

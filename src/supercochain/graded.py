@@ -21,14 +21,11 @@ increasing on the odd block.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import ArityMismatch, ValidationError
 from .util import Frozen
-
-_ZERO = Fraction(0)
 
 Perm = tuple  # tuple[int, ...], 0-based images
 WedgeKey = tuple  # tuple[int, ...], normal-form basis positions
@@ -251,23 +248,6 @@ class DirectSum:
         self.left_pos = left_pos
         self.right_pos = right_pos
         self.side_of = tuple(side_of)
-
-    def embed_left(self, vec):
-        out = [_ZERO] * self.space.dim
-        for i, pos in enumerate(self.left_pos):
-            out[pos] = vec[i]
-        return tuple(out)
-
-    def embed_right(self, vec):
-        out = [_ZERO] * self.space.dim
-        for i, pos in enumerate(self.right_pos):
-            out[pos] = vec[i]
-        return tuple(out)
-
-    def split(self, vec):
-        lvec = tuple(vec[pos] for pos in self.left_pos)
-        rvec = tuple(vec[pos] for pos in self.right_pos)
-        return lvec, rvec
 
 
 @lru_cache(maxsize=None)

@@ -338,11 +338,12 @@ def cochain_to_obj(c):
     Slots are emitted in wedge normal form; only nonzero values appear.
     """
     out = []
-    for key in sorted(c.coeffs):
+    coeffs = c.coeffs
+    for key in sorted(coeffs):
         out.append(
             {
                 "slots": [c.source.labels[i] for i in key],
-                "value": value_to_obj(c.coeffs[key], c.target),
+                "value": value_to_obj(coeffs[key], c.target),
             }
         )
     return out

@@ -125,12 +125,9 @@ class SuperAlgebra:
 
     def as_cochain(self) -> Cochain:
         """The bracket as an arity-2 cochain on the underlying space."""
-        coeffs = {}
-        for key in wedge_basis(self.space, 2):
-            v = self.bracket_basis(key[0], key[1])
-            if not vec_is_zero(v):
-                coeffs[key] = v
-        return Cochain(self.space, self.space, 2, coeffs)
+        den, T = self.sparse
+        ints = {(i, j): T[i][j] for i, j in wedge_basis(self.space, 2) if T[i][j]}
+        return Cochain._from_ints((self.space, self.space, 2), den, ints)
 
     def __eq__(self, other):
         return (

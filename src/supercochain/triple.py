@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, hat_sum, nr_bracket
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, circ, hat_sum, nr_bracket
 from .cochains import project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
@@ -35,6 +35,8 @@ from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_j
 from .superalgebra import check_super_skew, identity_failures
 from .util import Frozen, bilinear, contract_cols, contract_pairs, contract_rows, dense
 from .util import scaled_to_ints, scaled_vectors, sparse, support, vec_is_zero, zero_vec
+
+_ZERO = Fraction(0)
 
 
 class ActionMap:
@@ -88,13 +90,9 @@ class ActionMap:
         return dense(bilinear(R, xs, us), self.h_space.dim, den * dx * du)
 
     def as_block(self) -> BlockCochain:
-        coeffs = {}
-        for i in range(self.g_space.dim):
-            for j in range(self.h_space.dim):
-                vec = self.table[i][j]
-                if not vec_is_zero(vec):
-                    coeffs[((i,), (j,))] = vec
-        return BlockCochain(self.g_space, self.h_space, 1, 1, "h", coeffs)
+        den, R = self.sparse
+        ints = {((i,), (j,)): vec for i, row in enumerate(R) for j, vec in enumerate(row) if vec}
+        return BlockCochain._from_ints((self.g_space, self.h_space, 1, 1, "h"), den, ints)
 
     def __eq__(self, other):
         return (
@@ -192,14 +190,14 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
 
 def pi_block(g: SuperAlgebra, h_space: GradedSpace) -> BlockCochain:
     """The g bracket as a (2,0) block targeting g."""
-    coeffs = {(key, ()): v for key, v in g.as_cochain().coeffs.items()}
-    return BlockCochain(g.space, h_space, 2, 0, "g", coeffs)
+    c = g.as_cochain()
+    return BlockCochain._from_ints((g.space, h_space, 2, 0, "g"), c.den, {(k, ()): v for k, v in c.ints.items()})
 
 
 def mu_block(g_space: GradedSpace, h: SuperAlgebra) -> BlockCochain:
     """The h bracket as a (0,2) block targeting h."""
-    coeffs = {((), key): v for key, v in h.as_cochain().coeffs.items()}
-    return BlockCochain(g_space, h.space, 0, 2, "h", coeffs)
+    c = h.as_cochain()
+    return BlockCochain._from_ints((g_space, h.space, 0, 2, "h"), c.den, {((), k): v for k, v in c.ints.items()})
 
 
 def _blocks_of(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap):
@@ -282,7 +280,8 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
 
     Its blocks are [pi, pi], 2 rho.pi + [rho, rho], 2 [rho, mu] and [mu, mu]:
     on super-skew tables they measure Jacobi of g, the action morphism, the
-    action derivation and Jacobi of h.  The action must be degree 0.
+    action derivation and Jacobi of h.  The action must be degree 0.  For
+    an even Pi of arity 2, [Pi, Pi] = 2 Pi o Pi: one insertion product.
     """
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("candidate data shapes do not match")
@@ -290,7 +289,7 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     if blocks[1].parity() != 0:
         raise ShapeMismatch("the action is not degree 0")
     Pi = hat_sum(blocks)
-    return McResidual.project(nr_bracket(Pi, Pi), direct_sum(g.space, h.space))
+    return McResidual.project(circ(Pi, Pi), direct_sum(g.space, h.space), (2, 2, 2, 2))
 
 
 def triple_blocks(n: int):
@@ -338,23 +337,20 @@ def blocks_vector(blocks, units):
     """Coordinates of a tuple of blocks on ``block_units`` of their signatures."""
     out = []
     for b, gk, hk, t, _ in units:
-        vec = blocks[b].coeffs.get((gk, hk))
-        out.append(vec[t] if vec is not None else Fraction(0))
+        x = blocks[b].ints.get((gk, hk), {}).get(t, 0)
+        out.append(Fraction(x, blocks[b].den) if x else _ZERO)
     return tuple(out)
 
 
 def blocks_from_vector(g_space, h_space, sigs, units, vec):
     """The tuple of blocks, one per signature in ``sigs``, with coordinates ``vec``."""
+    den, ints = scaled_to_ints(sparse(vec))
     tables = [{} for _ in sigs]
-    for (b, gk, hk, t, _), x in zip(units, vec):
-        if x == 0:
-            continue
-        tdim = (g_space if sigs[b][2] == "g" else h_space).dim
-        cur = tables[b].setdefault((gk, hk), [Fraction(0)] * tdim)
-        cur[t] += Fraction(x)
+    for u, x in ints.items():
+        b, gk, hk, t, _ = units[u]
+        tables[b].setdefault((gk, hk), {})[t] = x
     return tuple(
-        BlockCochain(g_space, h_space, *sig, {k: tuple(v) for k, v in table.items()})
-        for sig, table in zip(sigs, tables)
+        BlockCochain._from_ints((g_space, h_space, *sig), den, table) for sig, table in zip(sigs, tables)
     )
 
 
@@ -373,6 +369,7 @@ class BlockComplex:
         self.P = P
         self.sigs = sigs
         self._units = {}
+        self._supports = {}  # the support of P, built on first use
 
     def units(self, n: int, parity=None):
         """``sum_units`` of C^n, built once per (degree, parity): the rows of d_(n-1)
@@ -384,14 +381,14 @@ class BlockComplex:
 
     def matrix(self, n: int, parity=None) -> Matrix:
         """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""
-        return bracket_matrix(self.P, self.units(n, parity), self.units(n + 1, parity))
+        return bracket_matrix(self.P, self.units(n, parity), self.units(n + 1, parity), self._supports)
 
     def d(self, blocks):
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
         if self.P.parity() != 0:
             raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
         total = hat_sum(blocks)
-        image = nr_bracket(self.P, total)
+        image = nr_bracket(self.P, total, self._supports)
         ds = direct_sum(self.g_space, self.h_space)
         return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
 

@@ -10,8 +10,9 @@ loops.  ``scaled_to_ints`` writes an operand as ints over one common
 denominator (``scaled_vectors`` applies it to a table of vectors); ``addmul``,
 ``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and only
 the nonzero entries of a result become ``Fraction``s again (``dense``).  A
-``Matrix`` keeps its int rows over one denominator from assembly to rank and
-builds ``Fraction``s only when read.  The trilinear axiom checks contract two
+``Matrix`` keeps its int rows over one denominator from assembly to rank, and
+a cochain (``Cochain``, ``BlockCochain``) keeps its values the same way from
+parse to report; both build ``Fraction``s only when read.  The trilinear axiom checks contract two
 such tables at a time over their support (``support``, ``contract_*``).
 An identity whose terms carry different denominators is compared after
 multiplying each side by the denominators it lacks, so every comparison is

@@ -11,6 +11,9 @@ from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, semi
 from supercochain.util import zero_vec
 
 __all__ = [
+    "embed_left",
+    "embed_right",
+    "split",
     "ad",
     "parity_component",
     "super_commutator",
@@ -40,6 +43,27 @@ __all__ = [
     "rescale_deformation",
     "rescale_ch_deformation",
 ]
+
+
+def embed_left(ds, vec):
+    """A coordinate vector on the left summand of ``ds`` as one on the direct sum."""
+    out = [F(0)] * ds.space.dim
+    for i, pos in enumerate(ds.left_pos):
+        out[pos] = vec[i]
+    return tuple(out)
+
+
+def embed_right(ds, vec):
+    """A coordinate vector on the right summand of ``ds`` as one on the direct sum."""
+    out = [F(0)] * ds.space.dim
+    for i, pos in enumerate(ds.right_pos):
+        out[pos] = vec[i]
+    return tuple(out)
+
+
+def split(ds, vec):
+    """(left part, right part) of a coordinate vector on the direct sum ``ds``."""
+    return tuple(vec[pos] for pos in ds.left_pos), tuple(vec[pos] for pos in ds.right_pos)
 
 
 def aff11(labels=("e", "f")) -> SuperAlgebra:

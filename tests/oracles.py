@@ -43,7 +43,7 @@ from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_blo
 from supercochain.errors import InternalInvariantError, InvalidAction, SpaceMismatch
 from supercochain.errors import ValidationError
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, koszul_sign, wedge_basis
+from supercochain.graded import direct_sum, koszul_sign, normalize_tuple, wedge_basis
 from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
@@ -59,6 +59,8 @@ from supercochain.crossed import ch_blocks, ch_units
 from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
 from supercochain.superalgebra import check_jacobi as superalgebra_check_jacobi
 from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
+
+from helpers import embed_left, embed_right, split
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,6 +94,19 @@ def _require_endo_pair(Fc, Gc):
         raise SpaceMismatch("insertion product needs cochains on one space V -> V")
 
 
+def evaluator(c: Cochain):
+    """slots -> value of ``c``, read from one ``coeffs`` view (``Cochain.eval`` builds the
+    ``Fraction`` tuple on every call)."""
+    coeffs, zero = c.coeffs, zero_vec(c.target.dim)
+
+    def value(slots):
+        key, sign = normalize_tuple(c.source, slots)
+        vec = coeffs.get(key) if sign else None
+        return zero if vec is None else vec if sign == 1 else vec_scale(vec, -1)
+
+    return value
+
+
 def shuffle_circ(Fc, Gc):
     """Insertion product: shuffle-sum over G plugged into the last slot of F.
 
@@ -110,7 +125,9 @@ def shuffle_circ(Fc, Gc):
     shs = shuffles((nF, Gc.arity))
     pars = V.parities
     keys = wedge_basis(V, N)
+    f_at = evaluator(Fc)
     for Gpart, gpar in Gc.parity_parts():
+        g_at = evaluator(Gpart)
         for X in keys:
             px = tuple(pars[i] for i in X)
             acc = None
@@ -119,12 +136,12 @@ def shuffle_circ(Fc, Gc):
                 Y = tuple(X[sigma[i]] for i in range(N))
                 if gpar and sum(px[sigma[i]] for i in range(nF)) % 2:
                     sign = -sign
-                inner = Gpart.eval(Y[nF:])
+                inner = g_at(Y[nF:])
                 head = Y[:nF]
                 for k, c in enumerate(inner):
                     if c == 0:
                         continue
-                    fv = Fc.eval(head + (k,))
+                    fv = f_at(head + (k,))
                     if vec_is_zero(fv):
                         continue
                     term = vec_scale(fv, sign * c)
@@ -160,7 +177,8 @@ def hat_extend_reference(block):
     V = ds.space
     N = block.g_arity + block.h_arity
     pars = V.parities
-    embed = ds.embed_left if block.target_side == "g" else ds.embed_right
+    embed = functools.partial(embed_left if block.target_side == "g" else embed_right, ds)
+    coeffs = block.coeffs
     out = {}
     for X in wedge_basis(V, N):
         g_sub, h_sub, g_idx, h_idx = [], [], [], []
@@ -174,7 +192,7 @@ def hat_extend_reference(block):
                 h_idx.append(idx)
         if len(g_sub) != block.g_arity:
             continue
-        vec = block.coeffs.get((tuple(g_sub), tuple(h_sub)))
+        vec = coeffs.get((tuple(g_sub), tuple(h_sub)))
         if vec is None:
             continue
         sigma = tuple(g_idx + h_idx)
@@ -190,7 +208,7 @@ def project_block_reference(Fc, ds, g_arity, h_arity, target_side):
         g_slots = tuple(ds.left_pos[i] for i in gk)
         for hk in wedge_basis(ds.right, h_arity):
             slots = g_slots + tuple(ds.right_pos[j] for j in hk)
-            part = ds.split(Fc.eval(slots))[0 if target_side == "g" else 1]
+            part = split(ds, Fc.eval(slots))[0 if target_side == "g" else 1]
             if not vec_is_zero(part):
                 coeffs[(gk, hk)] = part
     return BlockCochain(ds.left, ds.right, g_arity, h_arity, target_side, coeffs)
@@ -281,14 +299,14 @@ def raw_structure_table(t):
         for j in range(dim):
             side_j, lj = ds.side_of[j]
             if side_i == "g" and side_j == "g":
-                vec = ds.embed_left(t.g.bracket_basis(li, lj))
+                vec = embed_left(ds, t.g.bracket_basis(li, lj))
             elif side_i == "h" and side_j == "h":
-                vec = ds.embed_right(t.h.bracket_basis(li, lj))
+                vec = embed_right(ds, t.h.bracket_basis(li, lj))
             elif side_i == "g":
-                vec = ds.embed_right(t.rho.value(li, lj))
+                vec = embed_right(ds, t.rho.value(li, lj))
             else:
                 sign = F(-1 if (ds.space.parity(i) * ds.space.parity(j)) % 2 == 0 else 1)
-                vec = ds.embed_right(vec_scale(t.rho.value(lj, li), sign))
+                vec = embed_right(ds, vec_scale(t.rho.value(lj, li), sign))
             if not vec_is_zero(vec):
                 out[(i, j)] = vec
     return out
@@ -379,7 +397,7 @@ def ch_oracle_matrix(D, n, parity):
     PR = pi_rho_table(t)
     MU = mu_table(t)
     Dtab = {
-        (ds.left_pos[i],): ds.embed_right(col)
+        (ds.left_pos[i],): embed_right(ds, col)
         for i, col in enumerate(D.linmap.cols)
         if not vec_is_zero(col)
     }
@@ -742,7 +760,7 @@ def graph_failures(D):
     ds = direct_sum(g.space, t.h.space)
 
     def lift(x):
-        return vec_add(ds.embed_left(x), ds.embed_right(D.linmap.apply(x)))
+        return vec_add(embed_left(ds, x), embed_right(ds, D.linmap.apply(x)))
 
     failures = []
     labels = g.space.labels
@@ -1030,14 +1048,14 @@ def semidirect_reference(g, h, rho):
         for j in range(i, dim):
             side_j, lj = ds.side_of[j]
             if side_i == "g" and side_j == "g":
-                vec = ds.embed_left(g.bracket_basis(li, lj))
+                vec = embed_left(ds, g.bracket_basis(li, lj))
             elif side_i == "h" and side_j == "h":
-                vec = ds.embed_right(h.bracket_basis(li, lj))
+                vec = embed_right(ds, h.bracket_basis(li, lj))
             elif side_i == "g" and side_j == "h":
-                vec = ds.embed_right(rho.value(li, lj))
+                vec = embed_right(ds, rho.value(li, lj))
             else:
                 sign = -1 if (ds.space.parity(i) * ds.space.parity(j)) % 2 == 0 else 1
-                vec = ds.embed_right(vec_scale(rho.value(lj, li), F(sign)))
+                vec = embed_right(ds, vec_scale(rho.value(lj, li), F(sign)))
             if not vec_is_zero(vec):
                 sc[(i, j)] = vec
     result = SuperAlgebra(ds.space, sc)

@@ -25,7 +25,7 @@ from supercochain.triple import triple_blocks, triple_complex
 from supercochain.util import vec_is_zero, vec_scale, zero_vec
 
 import oracles
-from helpers import SMALL_SPACES, aff11, random_block, random_cochain, random_homogeneous_cochain
+from helpers import SMALL_SPACES, aff11, random_block, random_cochain, random_homogeneous_cochain, split
 
 V11 = GradedSpace(("e",), ("f",))
 V21 = GradedSpace(("e", "g"), ("f",))
@@ -203,7 +203,7 @@ def test_hat_pure_g_block_acts_like_inclusion():
     ds = make_sum(gsp, hsp)
     for gk in wedge_basis(gsp, 2):
         slots = tuple(ds.left_pos[i] for i in gk)
-        assert ds.split(F_hat.eval(slots))[0] == blk.eval(gk, ())
+        assert split(ds, F_hat.eval(slots))[0] == blk.eval(gk, ())
     # zero on any tuple containing an h element
     assert vec_is_zero(F_hat.eval((ds.left_pos[0], ds.right_pos[0])))
 
@@ -218,9 +218,9 @@ def test_hat_action_block_signs():
         for j in range(hsp.dim):
             x = ds.left_pos[i]
             u = ds.right_pos[j]
-            direct = ds.split(H.eval((x, u)))[1]
+            direct = split(ds, H.eval((x, u)))[1]
             assert direct == blk.eval((i,), (j,))
-            swapped = ds.split(H.eval((u, x)))[1]
+            swapped = split(ds, H.eval((u, x)))[1]
             sign = F(-1 if (gsp.parity(i) * hsp.parity(j)) % 2 == 0 else 1)
             assert swapped == vec_scale(direct, sign)
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from supercochain import cli
+from supercochain import cochains
 from supercochain import exact_linalg
 from supercochain import io as sio
 from supercochain import triple
-from supercochain.crossed import CrossedHom, ch_cohomology_table
+from supercochain.crossed import ChComplex, CrossedHom, ch_cohomology_table
+from supercochain.deformation import CrossedHomDeformation, ch_deformation_residuals, ch_infinitesimal
 from supercochain.errors import (
     CompositionNonzero,
     DimensionMismatch,
@@ -26,9 +28,11 @@ from supercochain.exact_linalg import (
     parse_scalar,
     rank,
 )
+from supercochain.superalgebra import LinearMap, gl
 from supercochain.triple import LieSupActTriple, triple_cohomology_table
 
 import oracles
+from helpers import adjoint_triple
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -369,6 +373,21 @@ def test_cohomology_table_builds_each_unit_list_once(monkeypatch, table):
     assert all(type(m.den) is int for m in ranked)
     assert all(type(v) is int for m in ranked for row in m.ints for v in row.values())
 
+
+def test_residual_pass_builds_each_support_once(monkeypatch):
+    # the residuals of orders 0..2 and the cocycle test of D_1 on the gl(2|1) adjoint triple
+    built = []
+    real = cochains._bracket_support
+    monkeypatch.setattr(cochains, "_bracket_support", lambda P: built.append(P) or real(P))
+    t = adjoint_triple(gl(2, 1))
+    D = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
+    one = LinearMap.identity(t.g.space)
+    d = CrossedHomDeformation.build(D, [one, one.scale(F(1, 2))], order=2)
+    cc = ChComplex(D.triple)
+    ch_deformation_residuals(d, cc=cc)
+    ch_infinitesimal(d, cc)
+    # pi + rho, mu, [mu, D_0], [mu, D_1] and P_D: one support each
+    assert len(built) == len({id(P) for P in built}) == 5
 
 @pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
 def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):

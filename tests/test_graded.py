@@ -22,6 +22,7 @@ from supercochain.graded import (
 )
 
 import oracles
+from helpers import embed_left, split
 from oracles import shuffles
 
 
@@ -186,9 +187,9 @@ def test_direct_sum_layout_and_collision():
     assert ds.side_of == (("g", 0), ("h", 0), ("g", 1), ("h", 1))
     same = direct_sum(a, a)
     assert same.space.labels == ("g.x", "h.x", "g.y", "h.y")
-    vec = same.embed_left((F(1), F(2)))
+    vec = embed_left(same, (F(1), F(2)))
     assert vec == (F(1), F(0), F(2), F(0))
-    left, right = same.split((F(1), F(3), F(2), F(4)))
+    left, right = split(same, (F(1), F(3), F(2), F(4)))
     assert left == (F(1), F(2)) and right == (F(3), F(4))
 
 

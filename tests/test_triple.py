@@ -22,6 +22,7 @@ from supercochain.triple import (
 import oracles
 from helpers import (
     adjoint_triple,
+    embed_right,
     aff11,
     defining_triple,
     mixed21_triple,
@@ -69,7 +70,7 @@ def test_mc_element_structure():
     Pi = mc_element(t)
     ds = direct_sum(t.g.space, t.h.space)
     assert f_membership(Pi, ds)
-    assert Pi.eval((ds.left_pos[0], ds.right_pos[0])) == ds.embed_right((F(1),))
+    assert Pi.eval((ds.left_pos[0], ds.right_pos[0])) == embed_right(ds, (F(1),))
 
 
 def test_mc_residual_zero_iff_axioms():
