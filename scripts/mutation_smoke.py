@@ -174,25 +174,26 @@ MUTATIONS = (
         "new[k] = b * v",
         ("tests/test_exact_linalg.py",),
     ),
-    # the int storage of Matrix: one denominator per product, canonical (den, ints)
+    # the int storage of Matrix: one denominator per product
     (
         "exact_linalg.py",
         "self.den * other.den)",
         "self.den)",
         ("tests/test_exact_linalg.py",),
     ),
+    # the one canonical form of Matrix, cochains and structure tables, and the
+    # super-skew half of the SuperAlgebra table; then [P, P] = 2 P o P
     (
-        "exact_linalg.py",
+        "util.py",
         "g = gcd(g, *row.values())",
         "g = 1",
-        ("tests/test_exact_linalg.py",),
+        ("tests/test_exact_linalg.py", "tests/test_cochain_storage.py"),
     ),
-    # the int storage of cochains: canonical (den, ints), and [P, P] = 2 P o P
     (
-        "cochains.py",
-        "                    g = gcd(g, *row.values())",
-        "                    g = 1",
-        ("tests/test_cochain_storage.py",),
+        "superalgebra.py",
+        "T[j][i] = vec if pars[i] and pars[j] else {k: -v for k, v in vec.items()}",
+        "T[j][i] = {k: -v for k, v in vec.items()} if pars[i] and pars[j] else vec",
+        ("tests/test_superalgebra.py",),
     ),
     (
         "triple.py",

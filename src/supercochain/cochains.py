@@ -20,7 +20,7 @@ back into a block pair; neither sums shuffles.  ``Cochain`` and
 ``BlockCochain`` share their linear operations and parity split.
 
 Both kinds store their values as int rows over one denominator, in the
-canonical form ``exact_linalg.Matrix`` uses, from the parsed input to the
+canonical form of ``util.canonical``, from the parsed input to the
 report; ``coeffs``, the ``Fraction`` tuples a report shows, is a view built
 when read (see ``_CoefficientMap``).
 
@@ -34,19 +34,13 @@ Every Koszul sign comes from ``normalize_tuple``.  For an even arity-2 P,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm
+from math import comb, lcm
 
-from .errors import ArityMismatch, DimensionMismatch, ShapeMismatch, SpaceMismatch, ValidationError
+from .errors import ArityMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
 from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
-from .util import dense, lincomb, nonzero, scaled_vectors
-
-
-def _require_exact(x, what):
-    if type(x) is not int and not isinstance(x, Fraction):
-        raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
+from .util import canonical, dense, exact_rows, lincomb, require_exact, scaled_rows
 
 
 def _require_normal_key(space, key, what):
@@ -76,33 +70,12 @@ class _CoefficientMap:
     __slots__ = ("den", "ints", "_parts")
 
     def _set_coeffs(self, coeffs):
-        clean = {}
-        tdim = self.target_space.dim
-        for key, vec in coeffs.items():
-            vec = tuple(vec)
-            if len(vec) != tdim:
-                raise DimensionMismatch(f"{self._kind} value has wrong length")
-            for x in vec:
-                _require_exact(x, f"a {self._kind} value entry")
-            clean[self._check_key(key)] = vec
-        self._store(*scaled_vectors(clean))
+        rows = {self._check_key(key): vec for key, vec in coeffs.items()}
+        self._store(*scaled_rows(exact_rows(rows, self.target_space.dim, f"{self._kind} value")))
 
     def _store(self, den, ints):
-        """Keep ``ints`` over ``den`` in canonical form: zeros dropped, common factor cancelled."""
-        rows = {}
-        g = den
-        for key, row in ints.items():
-            if not all(row.values()):
-                row = nonzero(row)
-            if row:
-                rows[key] = row
-                if g != 1:
-                    g = gcd(g, *row.values())
-        if g > 1:
-            rows = {key: {k: x // g for k, x in row.items()} for key, row in rows.items()}
-            den //= g
-        self.den = den
-        self.ints = rows
+        """Keep ``ints`` over ``den`` in canonical form (``util.canonical``)."""
+        self.den, self.ints = canonical(den, ints)
         self._parts = None
 
     @classmethod
@@ -169,7 +142,7 @@ class _CoefficientMap:
 
     def scale(self, c):
         """c times the map, c an int or a ``Fraction``."""
-        _require_exact(c, f"a {self._kind} scalar")
+        require_exact(c, f"a {self._kind} scalar")
         p = c.numerator
         ints = {key: {k: p * x for k, x in row.items()} for key, row in self.ints.items()} if p else {}
         return self._like(self.den * c.denominator, ints)

@@ -47,7 +47,7 @@ from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_s
 from .superalgebra import is_homomorphism
 from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
 from .triple import mu_block, pi_block, semidirect_algebra
-from .util import Frozen, bilinear, combine, dense, lincomb, scaled_vectors, zero_vec
+from .util import Frozen, bilinear, combine, dense, lincomb, scaled_rows, sparse
 
 
 class CrossedHom(Frozen):
@@ -64,7 +64,7 @@ class CrossedHom(Frozen):
 
     def as_block(self) -> BlockCochain:
         den, cols = _scaled_columns(self.linmap)
-        ints = {((i,), ()): col for i, col in enumerate(cols) if col}
+        ints = {((i,), ()): col for i, col in cols.items() if col}
         return BlockCochain._from_ints((self.triple.g.space, self.triple.h.space, 1, 0, "h"), den, ints)
 
 
@@ -73,9 +73,8 @@ def verify(D: CrossedHom) -> CrossedHom:
 
 
 def _scaled_columns(m: LinearMap):
-    """(den, [{k: int}]) with column j of m equal to the ints of entry j over den."""
-    den, cols = scaled_vectors(dict(enumerate(m.cols)))
-    return den, [cols.get(j, {}) for j in range(len(m.cols))]
+    """(den, {j: {k: int}}) with column j of m equal to the ints of entry j over den."""
+    return scaled_rows(dict(enumerate(map(sparse, m.cols))))
 
 
 def check_crossed(D: CrossedHom) -> CheckReport:
@@ -87,7 +86,7 @@ def check_crossed(D: CrossedHom) -> CheckReport:
     """
     t = D.triple
     g, h = t.g, t.h
-    (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, t.rho.sparse
+    (dg, G), (dh, H), (dr, R) = ((A.den, A.ints) for A in (g, h, t.rho))
     dd, Dc = _scaled_columns(D.linmap)
     m_lhs, m_rho, m_cubic = dd * dr * dh, dd * dg * dh, dg * dr
     den = dd * dd * dg * dr * dh
@@ -121,8 +120,7 @@ def graph_failures(D: CrossedHom):
     """
     t = D.triple
     ds = direct_sum(t.g.space, t.h.space)
-    s, S = semidirect_algebra(t).sparse
-    dg, G = t.g.sparse
+    (s, S), (dg, G) = ((A.den, A.ints) for A in (semidirect_algebra(t), t.g))
     dd, Dc = _scaled_columns(D.linmap)
 
     def lift(x: dict) -> dict:
@@ -274,7 +272,6 @@ def derivation_space(A: SuperAlgebra):
         raise ValidationError(
             f"derivations need a super-skew bracket: it fails at {skew.failures[0].where}"
         )
-    zero = zero_vec(A.dim)
     # the zero map is crossed for every action
     D0 = CrossedHom(LieSupActTriple(A, A, adjoint_action(A)), LinearMap.zero(A.space, A.space), True)
     cx = ChComplex(D0.triple).twisted(D0.as_block())
@@ -284,7 +281,7 @@ def derivation_space(A: SuperAlgebra):
         maps = []
         for vec in kernel_basis(d_D_matrix(D0, 1, s, cx)):
             (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
-            cols = [block.coeffs.get(((j,), ()), zero) for j in range(A.dim)]
+            cols = [dense(block.ints.get(((j,), ()), {}), A.dim, block.den) for j in range(A.dim)]
             maps.append(LinearMap(A.space, A.space, cols))
         out.append(maps)
     return out[0], out[1]

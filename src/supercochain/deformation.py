@@ -218,8 +218,8 @@ def triple_cocycle_deformations(t: LieSupActTriple):
         pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
         pi1 = Cochain._from_ints((gs, gs, 2), pi_b.den, {gk: v for (gk, _), v in pi_b.ints.items()})
         mu1 = Cochain._from_ints((hs, hs, 2), mu_b.den, {hk: v for (_, hk), v in mu_b.ints.items()})
-        table = [[rho_b.eval((i,), (j,)) for j in range(hs.dim)] for i in range(gs.dim)]
-        out.append(TripleDeformation.build(t, [pi1], [ActionMap(gs, hs, table)], [mu1], order=1))
+        rho1 = ActionMap._from_ints(gs, hs, rho_b.den, {(i, j): v for ((i,), (j,)), v in rho_b.ints.items()})
+        out.append(TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1))
     return out
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, InternalInvariantError, ValidationError
-from .util import addmul
+from .util import addmul, canonical, scaled_rows
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -80,37 +80,21 @@ class Matrix:
         ``Fraction`` over ``den``; zero values are dropped and ``Fraction``s scaled to ints."""
         if type(den) is not int or den < 1:
             raise ValidationError(f"matrix denominator must be a positive int, got {den!r}")
-        data = tuple(data)
+        data = dict(enumerate(data))
         if len(data) != rows:
             raise DimensionMismatch(f"need {rows} rows for a {rows}x{cols} matrix, got {len(data)}")
-        clean = []
-        exact = True
-        for row in data:
-            out = {}
-            for c, v in row.items():
-                if not 0 <= c < cols:
-                    raise DimensionMismatch(f"column {c} outside a {rows}x{cols} matrix")
-                if v:
-                    out[c] = v
-                    if type(v) is not int:
-                        exact = False
-            clean.append(out)
-        if not exact:
-            s = lcm(*(v.denominator for row in clean for v in row.values()))
-            clean = [{c: v.numerator * (s // v.denominator) for c, v in row.items()} for row in clean]
+        for row in data.values():
+            if row and (min(row) < 0 or max(row) >= cols):
+                c = min(row) if min(row) < 0 else max(row)
+                raise DimensionMismatch(f"column {c} outside a {rows}x{cols} matrix")
+        if any(type(v) is not int for row in data.values() for v in row.values()):
+            s, data = scaled_rows(data)
             den *= s
-        g = den
-        for row in clean:
-            if g == 1:
-                break
-            g = gcd(g, *row.values())
-        if g > 1:
-            clean = [{c: v // g for c, v in row.items()} for row in clean]
-            den //= g
+        den, data = canonical(den, data)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ints", tuple(clean))
+        object.__setattr__(self, "ints", tuple(data.get(r, {}) for r in range(rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -129,7 +113,7 @@ class Matrix:
         ncols = len(rows_data[0]) if rows_data else 0
         if any(len(r) != ncols for r in rows_data):
             raise DimensionMismatch("ragged rows")
-        return cls(len(rows_data), ncols, [{c: v for c, v in enumerate(r) if v} for r in rows_data])
+        return cls(len(rows_data), ncols, [dict(enumerate(r)) for r in rows_data])
 
     @classmethod
     def from_cols(cls, cols_data, rows: int) -> "Matrix":
@@ -139,8 +123,7 @@ class Matrix:
         data = [{} for _ in range(rows)]
         for c, col in enumerate(cols_data):
             for r, v in enumerate(col):
-                if v:
-                    data[r][c] = v
+                data[r][c] = v
         return cls(rows, len(cols_data), data)
 
     @property

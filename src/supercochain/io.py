@@ -29,12 +29,12 @@ import json
 from .cochains import Cochain
 from .crossed import CHMorphism
 from .deformation import check_order
-from .errors import ParseError, ValidationError
+from .errors import ArityMismatch, ParseError, ValidationError
 from .exact_linalg import format_scalar, parse_scalar
 from .graded import GradedSpace, normalize_tuple
 from .superalgebra import LinearMap, SuperAlgebra
 from .triple import ActionMap
-from .util import vec_scale, zero_vec
+from .util import dense, scaled_rows
 
 COMMANDS = (
     "check-algebra",
@@ -88,18 +88,17 @@ def _expect(cond, message):
 
 
 def _parse_value(value, space: GradedSpace, where: str):
+    """{basis position: Fraction} of one value list."""
     _expect(isinstance(value, list), f"{where}: value must be a list")
-    vec = list(zero_vec(space.dim))
-    seen = set()
+    vec = {}
     for item in value:
         _expect(isinstance(item, dict), f"{where}: value items must be objects")
         _expect("basis" in item and "coeff" in item, f"{where}: value item needs basis and coeff")
         k = space.index(item["basis"])
-        if k in seen:
+        if k in vec:
             raise ValidationError(f"{where}: duplicate basis label {item['basis']!r}")
-        seen.add(k)
         vec[k] = parse_scalar(item["coeff"])
-    return tuple(vec)
+    return vec
 
 
 def _parse_space(obj, section: str) -> GradedSpace:
@@ -112,7 +111,7 @@ def _parse_space(obj, section: str) -> GradedSpace:
     return GradedSpace(tuple(even), tuple(odd))
 
 
-def _parse_bracket_entries(entries, space: GradedSpace, section: str):
+def _parse_bracket(entries, space: GradedSpace, section: str) -> SuperAlgebra:
     _expect(isinstance(entries, list), f"{section}: bracket must be a list")
     sc = {}
     for ent in entries:
@@ -127,58 +126,55 @@ def _parse_bracket_entries(entries, space: GradedSpace, section: str):
         if i > j:
             # store the i <= j representative via super-skew-symmetry
             i, j = j, i
-            vec = vec_scale(vec, -1 if (space.parity(i) * space.parity(j)) % 2 == 0 else 1)
+            if (space.parity(i) * space.parity(j)) % 2 == 0:
+                vec = {k: -x for k, x in vec.items()}
         if (i, j) in sc:
             raise ValidationError(
                 f"{section}: duplicate bracket entry for ({ent['left']},{ent['right']})"
             )
         sc[(i, j)] = vec
-    return sc
+    return SuperAlgebra._from_ints(space, *scaled_rows(sc))
 
 
 def _parse_algebra(obj, section: str) -> SuperAlgebra:
     space = _parse_space(obj, section)
-    sc = _parse_bracket_entries(obj.get("bracket", []), space, section)
-    return SuperAlgebra(space, sc)
+    return _parse_bracket(obj.get("bracket", []), space, section)
 
 
 def _parse_action(entries, g: SuperAlgebra, h: SuperAlgebra) -> ActionMap:
     _expect(isinstance(entries, list), "action: must be a list")
-    table = [[zero_vec(h.dim) for _ in range(h.dim)] for _ in range(g.dim)]
-    seen = set()
+    table = {}
     for ent in entries:
         _expect(isinstance(ent, dict), "action: entries must be objects")
         _expect("g" in ent and "h" in ent and "value" in ent, "action: entry needs g, h, value")
         i = g.space.index(ent["g"])
         j = h.space.index(ent["h"])
-        if (i, j) in seen:
+        if (i, j) in table:
             raise ValidationError(f"action: duplicate entry for ({ent['g']},{ent['h']})")
-        seen.add((i, j))
         vec = _parse_value(ent["value"], h.space, "action")
         want = (g.space.parity(i) + h.space.parity(j)) % 2
-        for k, x in enumerate(vec):
-            if x != 0 and h.space.parity(k) != want:
-                raise ValidationError(
-                    f"action of {ent['g']} on {ent['h']} has a component on "
-                    f"{h.space.labels[k]} of the wrong parity"
-                )
-        table[i][j] = vec
-    return ActionMap(g.space, h.space, table)
+        wrong = [k for k, x in vec.items() if x != 0 and h.space.parity(k) != want]
+        if wrong:
+            raise ValidationError(
+                f"action of {ent['g']} on {ent['h']} has a component on "
+                f"{h.space.labels[min(wrong)]} of the wrong parity"
+            )
+        table[(i, j)] = vec
+    return ActionMap._from_ints(g.space, h.space, *scaled_rows(table))
 
 
 def _parse_crossed(entries, g: SuperAlgebra, h: SuperAlgebra) -> LinearMap:
     _expect(isinstance(entries, list), "D: must be a list")
-    cols = [zero_vec(h.dim) for _ in range(g.dim)]
-    seen = set()
+    cols = {}
     for ent in entries:
         _expect(isinstance(ent, dict), "D: entries must be objects")
         _expect("g" in ent and "value" in ent, "D: entry needs g and value")
         i = g.space.index(ent["g"])
-        if i in seen:
+        if i in cols:
             raise ValidationError(f"D: duplicate entry for {ent['g']!r}")
-        seen.add(i)
         cols[i] = _parse_value(ent["value"], h.space, "D")
-    return LinearMap(g.space, h.space, tuple(cols))
+    den, ints = scaled_rows(cols)
+    return LinearMap(g.space, h.space, tuple(dense(ints.get(i, {}), h.dim, den) for i in range(g.dim)))
 
 
 def _is_order(value) -> bool:
@@ -262,10 +258,8 @@ def deformation_terms(pf: ProblemFile):
     g, h = pf.g, pf.h
     pis, rhos, mus = [], [], []
     for k in range(1, raw.order + 1):
-        sc = _parse_bracket_entries(raw.pi.get(k, []), g.space, f"deformation.pi[{k}]")
-        pis.append(SuperAlgebra(g.space, sc).as_cochain())
-        sc = _parse_bracket_entries(raw.mu.get(k, []), h.space, f"deformation.mu[{k}]")
-        mus.append(SuperAlgebra(h.space, sc).as_cochain())
+        pis.append(_parse_bracket(raw.pi.get(k, []), g.space, f"deformation.pi[{k}]").as_cochain())
+        mus.append(_parse_bracket(raw.mu.get(k, []), h.space, f"deformation.mu[{k}]").as_cochain())
         rhos.append(_parse_action(raw.rho.get(k, []), g, h))
     return pis, rhos, mus
 
@@ -296,12 +290,13 @@ def value_to_obj(vec, space: GradedSpace):
 def algebra_to_obj(A: SuperAlgebra):
     obj = space_to_obj(A.space)
     entries = []
-    for (i, j) in sorted(A.sc):
+    sc = A.sc
+    for (i, j) in sorted(sc):
         entries.append(
             {
                 "left": A.space.labels[i],
                 "right": A.space.labels[j],
-                "value": value_to_obj(A.sc[(i, j)], A.space),
+                "value": value_to_obj(sc[(i, j)], A.space),
             }
         )
     obj["bracket"] = entries
@@ -361,10 +356,12 @@ def cochain_from_obj(entries, source: GradedSpace, target: GradedSpace, arity: i
             raise ValidationError("cochain: slots contain a repeated even label")
         if sign != 1 or key != slots:
             raise ValidationError("cochain: slots must be in normal form")
+        if len(key) != arity:
+            raise ArityMismatch(f"cochain: slots {ent['slots']} do not have arity {arity}")
         if key in coeffs:
             raise ValidationError(f"cochain: duplicate entry for slots {ent['slots']}")
         coeffs[key] = _parse_value(ent["value"], target, "cochain")
-    return Cochain(source, target, arity, coeffs)
+    return Cochain._from_ints((source, target, arity), *scaled_rows(coeffs))
 
 
 def morphism_to_obj(m):

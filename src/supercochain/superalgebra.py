@@ -1,13 +1,14 @@
 """Lie superalgebras given by structure constants, and maps between them.
 
-A ``SuperAlgebra`` stores its bracket sparsely on pairs ``i <= j`` of basis
-positions; the ``i > j`` values are derived by super-skew-symmetry, so that
-half of the axiom surface is structural.  ``SuperAlgebra.sparse`` is the
-table over every ordered pair, built on first use; the checks and the
-bilinear evaluation read it (ints, see ``util``).  The constructor enforces
-only the degree-0 pattern of the bracket; the axioms themselves are checked
-by ``check_super_skew`` and ``check_jacobi``, which report violations instead
-of raising (candidate tables are first-class inputs elsewhere).
+A ``SuperAlgebra`` stores its bracket once, as int rows over one ``den`` for
+every ordered pair (``ints``, in the form of ``util.canonical``).  Only the
+pairs ``i <= j`` are given; the ``i > j`` rows are derived by
+super-skew-symmetry, so that half of the axiom surface is structural.  The
+checks read the ints; ``sc`` and ``bracket_basis`` are ``Fraction`` views.
+The constructor enforces only the degree-0 pattern of the bracket; the
+axioms themselves are checked by ``check_super_skew`` and ``check_jacobi``,
+which report violations instead of raising (candidate tables are
+first-class inputs elsewhere).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from fractions import Fraction
 from .cochains import Cochain
 from .errors import DimensionMismatch, ValidationError
 from .graded import GradedSpace, wedge_basis
-from .util import Frozen, bilinear, contract_cols, contract_pairs, contract_rows, dense, nonzero
-from .util import scaled_to_ints, scaled_vectors, sparse, support, vec_add, vec_is_zero, vec_scale
-from .util import zero_vec
+from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
+from .util import exact_rows, nonzero, require_exact, scaled_rows, sparse, support, vec_add
+from .util import vec_is_zero, vec_scale, zero_vec
 
 
 class Failure(Frozen):
@@ -51,65 +52,57 @@ class CheckReport(Frozen):
 
 
 class SuperAlgebra:
-    """Structure-constant table for a degree-0 bracket on a graded space."""
+    """Structure-constant table for a degree-0 bracket on a graded space.
 
-    __slots__ = ("space", "sc", "_sparse")
+    ``sc`` maps pairs i <= j to coordinate vectors of ints and ``Fraction``s;
+    ``_from_ints`` takes int rows {(i, j): {k: int}} over ``den`` instead.
+    """
+
+    __slots__ = ("space", "den", "ints")
 
     def __init__(self, space: GradedSpace, sc):
-        table = {}
-        dim = space.dim
-        for (i, j), vec in sc.items():
+        self._store(space, *scaled_rows(exact_rows(sc, space.dim, "bracket value")))
+
+    @classmethod
+    def _from_ints(cls, space: GradedSpace, den: int, rows) -> "SuperAlgebra":
+        out = cls.__new__(cls)
+        out._store(space, den, rows)
+        return out
+
+    def _store(self, space, den, rows):
+        dim, pars, labels = space.dim, space.parities, space.labels
+        for i, j in rows:
             if not (0 <= i <= j < dim):
                 raise ValidationError(f"bracket key ({i},{j}) out of order or range")
-            vec = tuple(Fraction(x) for x in vec)
-            if len(vec) != dim:
-                raise DimensionMismatch("bracket value has wrong length")
-            if vec_is_zero(vec):
-                continue
-            want = (space.parity(i) + space.parity(j)) % 2
-            for k, x in enumerate(vec):
-                if x != 0 and space.parity(k) != want:
-                    raise ValidationError(
-                        f"bracket [{space.labels[i]},{space.labels[j]}] has a component on "
-                        f"{space.labels[k]} of the wrong parity"
-                    )
-            table[(i, j)] = vec
-        self.space = space
-        self.sc = table
-        self._sparse = None
+        den, rows = canonical(den, rows)
+        T = [[{} for _ in range(dim)] for _ in range(dim)]
+        for (i, j), vec in rows.items():
+            want = (pars[i] + pars[j]) % 2
+            wrong = [k for k in vec if pars[k] != want]
+            if wrong:
+                raise ValidationError(
+                    f"bracket [{labels[i]},{labels[j]}] has a component on "
+                    f"{labels[min(wrong)]} of the wrong parity"
+                )
+            T[i][j] = vec
+            if i != j:
+                # [b_j,b_i] = -(-1)^{p_i p_j} [b_i,b_j]
+                T[j][i] = vec if pars[i] and pars[j] else {k: -v for k, v in vec.items()}
+        self.space, self.den, self.ints = space, den, tuple(map(tuple, T))
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def bracket_basis(self, i: int, j: int):
-        """[b_i, b_j], with i > j derived by super-skew-symmetry."""
-        dim = self.space.dim
-        if i <= j:
-            return self.sc.get((i, j), zero_vec(dim))
-        base = self.sc.get((j, i))
-        if base is None:
-            return zero_vec(dim)
-        # [b_i,b_j] = -(-1)^{p_i p_j} [b_j,b_i]
-        return vec_scale(base, -1 if (self.space.parity(i) * self.space.parity(j)) % 2 == 0 else 1)
-
     @property
-    def sparse(self):
-        """(den, T): [b_i, b_j] = sum_k T[i][j][k] / den b_k for every ordered pair, T of ints.
+    def sc(self):
+        """{(i, j): [b_i, b_j] as a ``Fraction`` tuple} on the nonzero pairs i <= j: a view."""
+        dim, den, T = self.space.dim, self.den, self.ints
+        return {(i, j): dense(T[i][j], dim, den) for i in range(dim) for j in range(i, dim) if T[i][j]}
 
-        Built on first use from the stored pairs i <= j, the rest by super-skew-symmetry.
-        """
-        if self._sparse is None:
-            dim = self.space.dim
-            pars = self.space.parities
-            den, vecs = scaled_vectors(self.sc)
-            T = [[{} for _ in range(dim)] for _ in range(dim)]
-            for (i, j), vec in vecs.items():
-                T[i][j] = vec
-                if i != j:
-                    T[j][i] = vec if pars[i] and pars[j] else {k: -v for k, v in vec.items()}
-            self._sparse = den, tuple(map(tuple, T))
-        return self._sparse
+    def bracket_basis(self, i: int, j: int):
+        """[b_i, b_j] as a ``Fraction`` tuple, for any ordered pair."""
+        return dense(self.ints[i][j], self.space.dim, self.den)
 
     def bracket_eval(self, x, y):
         """Bilinear extension of the table to coordinate vectors."""
@@ -118,27 +111,27 @@ class SuperAlgebra:
         y = tuple(y)
         if len(x) != dim or len(y) != dim:
             raise DimensionMismatch("vector length != algebra dimension")
-        den, T = self.sparse
-        dx, xs = scaled_to_ints(sparse(x))
-        dy, ys = scaled_to_ints(sparse(y))
-        return dense(bilinear(T, xs, ys), dim, den * dx * dy)
+        d, xy = scaled_rows({0: sparse(x), 1: sparse(y)})
+        return dense(bilinear(self.ints, xy[0], xy[1]), dim, self.den * d * d)
 
     def as_cochain(self) -> Cochain:
         """The bracket as an arity-2 cochain on the underlying space."""
-        den, T = self.sparse
+        T = self.ints
         ints = {(i, j): T[i][j] for i, j in wedge_basis(self.space, 2) if T[i][j]}
-        return Cochain._from_ints((self.space, self.space, 2), den, ints)
+        return Cochain._from_ints((self.space, self.space, 2), self.den, ints)
 
     def __eq__(self, other):
         return (
             isinstance(other, SuperAlgebra)
             and self.space == other.space
-            and self.sc == other.sc
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
         p, q = self.space.dims
-        return f"SuperAlgebra(dims=({p}|{q}), entries={len(self.sc)})"
+        entries = sum(1 for i, row in enumerate(self.ints) for vec in row[i:] if vec)
+        return f"SuperAlgebra(dims=({p}|{q}), entries={entries})"
 
 
 def check_super_skew(A: SuperAlgebra) -> CheckReport:
@@ -149,7 +142,7 @@ def check_super_skew(A: SuperAlgebra) -> CheckReport:
     """
     failures = []
     labels, pars = A.space.labels, A.space.parities
-    den, T = A.sparse
+    den, T = A.den, A.ints
     for i in range(A.dim):
         for j in range(A.dim):
             lhs = T[i][j]
@@ -172,7 +165,7 @@ def check_jacobi(A: SuperAlgebra) -> CheckReport:
     """
     failures = []
     labels, pars = A.space.labels, A.space.parities
-    den, T = A.sparse
+    den, T = A.den, A.ints
     rows, cols = support(T)
     for i in range(A.dim):
         lhs, rhs = {}, {}
@@ -224,21 +217,17 @@ def gl(m: int, n: int) -> SuperAlgebra:
     )
     order = even + odd
     pos = {pq: idx for idx, pq in enumerate(order)}
-    sc = {}
+    rows = {}
     for i, (p, q) in enumerate(order):
-        for j, (r, s) in enumerate(order):
-            if i > j:
-                continue
-            vec = [Fraction(0)] * (d * d)
+        for j in range(i, len(order)):
+            r, s = order[j]
+            row = rows[(i, j)] = {}
             if q == r:
-                vec[pos[(p, s)]] += 1
-            par = (side(p) ^ side(q)) * (side(r) ^ side(s))
-            sgn = -1 if par % 2 == 0 else 1
+                row[pos[(p, s)]] = 1
             if s == p:
-                vec[pos[(r, q)]] += sgn
-            if any(vec):
-                sc[(i, j)] = tuple(vec)
-    return SuperAlgebra(space, sc)
+                sgn = -1 if (side(p) ^ side(q)) * (side(r) ^ side(s)) % 2 == 0 else 1
+                row[pos[(r, q)]] = row.get(pos[(r, q)], 0) + sgn
+    return SuperAlgebra._from_ints(space, 1, rows)
 
 
 def abelian(p: int, q: int, even_prefix: str = "x", odd_prefix: str = "y") -> SuperAlgebra:
@@ -255,10 +244,11 @@ class LinearMap(Frozen):
     __slots__ = ("source", "target", "cols")
 
     def __init__(self, source: GradedSpace, target: GradedSpace, cols: tuple):
-        cols = tuple(tuple(Fraction(x) for x in c) for c in cols)
-        if len(cols) != source.dim or any(len(c) != target.dim for c in cols):
+        cols = tuple(map(tuple, cols))
+        if len(cols) != source.dim:
             raise DimensionMismatch("column shape does not match spaces")
-        super().__init__(source, target, cols)
+        exact_rows(dict(enumerate(cols)), target.dim, "map column")
+        super().__init__(source, target, tuple(tuple(map(Fraction, col)) for col in cols))
 
     @classmethod
     def zero(cls, source: GradedSpace, target: GradedSpace) -> "LinearMap":
@@ -313,7 +303,7 @@ class LinearMap(Frozen):
         )
 
     def scale(self, c) -> "LinearMap":
-        c = Fraction(c)
+        require_exact(c, "a map scalar")
         return LinearMap(self.source, self.target, tuple(vec_scale(col, c) for col in self.cols))
 
 

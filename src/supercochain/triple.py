@@ -33,77 +33,81 @@ from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
 from .superalgebra import check_super_skew, identity_failures
-from .util import Frozen, bilinear, contract_cols, contract_pairs, contract_rows, dense
-from .util import scaled_to_ints, scaled_vectors, sparse, support, vec_is_zero, zero_vec
+from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
+from .util import exact_rows, scaled_rows, sparse, support
 
 _ZERO = Fraction(0)
 
 
 class ActionMap:
-    """Bilinear degree-0 table rho: value(i, j) = rho(g_i)(h_j) in h coordinates."""
+    """Bilinear degree-0 table rho: rho(g_i) h_j = sum_k ints[i][j][k] / den h_k, in the
+    canonical form of ``util.canonical``.
 
-    __slots__ = ("g_space", "h_space", "table", "_sparse")
+    ``table`` has one row of coordinate vectors of ints and ``Fraction``s per
+    basis vector of g; ``_from_ints`` takes int rows {(i, j): {k: int}} over
+    ``den``.  ``table``, ``value`` and ``operator`` are ``Fraction`` views.
+    """
+
+    __slots__ = ("g_space", "h_space", "den", "ints")
 
     def __init__(self, g_space: GradedSpace, h_space: GradedSpace, table):
-        rows = []
-        for i in range(g_space.dim):
-            row = []
-            for j in range(h_space.dim):
-                vec = tuple(Fraction(x) for x in table[i][j])
-                if len(vec) != h_space.dim:
-                    raise DimensionMismatch("action value has wrong length")
-                row.append(vec)
-            rows.append(tuple(row))
-        self.g_space = g_space
-        self.h_space = h_space
-        self.table = tuple(rows)
-        self._sparse = None
+        table = tuple(map(tuple, table))
+        if len(table) != g_space.dim or any(len(row) != h_space.dim for row in table):
+            raise DimensionMismatch("action table shape does not match the spaces")
+        vecs = {(i, j): vec for i, row in enumerate(table) for j, vec in enumerate(row)}
+        self._store(g_space, h_space, *scaled_rows(exact_rows(vecs, h_space.dim, "action value")))
+
+    @classmethod
+    def _from_ints(cls, g_space: GradedSpace, h_space: GradedSpace, den: int, rows) -> "ActionMap":
+        out = cls.__new__(cls)
+        out._store(g_space, h_space, den, rows)
+        return out
+
+    def _store(self, g_space, h_space, den, rows):
+        den, rows = canonical(den, rows)
+        R = tuple(tuple(rows.get((i, j), {}) for j in range(h_space.dim)) for i in range(g_space.dim))
+        self.g_space, self.h_space, self.den, self.ints = g_space, h_space, den, R
 
     @classmethod
     def zero(cls, g_space: GradedSpace, h_space: GradedSpace) -> "ActionMap":
-        z = zero_vec(h_space.dim)
-        return cls(g_space, h_space, [[z] * h_space.dim for _ in range(g_space.dim)])
+        return cls._from_ints(g_space, h_space, 1, {})
 
     @property
-    def sparse(self):
-        """(den, R): rho(g_i) h_j = sum_k R[i][j][k] / den h_k, R of ints, built on first use."""
-        if self._sparse is None:
-            den, vecs = scaled_vectors(
-                {(i, j): vec for i, row in enumerate(self.table) for j, vec in enumerate(row)}
-            )
-            self._sparse = den, tuple(
-                tuple(vecs.get((i, j), {}) for j in range(len(row))) for i, row in enumerate(self.table)
-            )
-        return self._sparse
+    def table(self):
+        """value(i, j) for every pair: a view built on each read."""
+        dim, den = self.h_space.dim, self.den
+        return tuple(tuple(dense(vec, dim, den) for vec in row) for row in self.ints)
 
     def value(self, i: int, j: int):
-        return self.table[i][j]
+        return dense(self.ints[i][j], self.h_space.dim, self.den)
 
     def operator(self, i: int) -> LinearMap:
         return LinearMap(self.h_space, self.h_space, self.table[i])
 
     def apply(self, xvec, uvec):
         """rho(x) u for coordinate vectors x in g and u in h."""
-        den, R = self.sparse
-        dx, xs = scaled_to_ints(sparse(xvec))
-        du, us = scaled_to_ints(sparse(uvec))
-        return dense(bilinear(R, xs, us), self.h_space.dim, den * dx * du)
+        xvec, uvec = tuple(xvec), tuple(uvec)
+        if len(xvec) != self.g_space.dim or len(uvec) != self.h_space.dim:
+            raise DimensionMismatch("vector length != g or h dimension")
+        d, xu = scaled_rows({0: sparse(xvec), 1: sparse(uvec)})
+        return dense(bilinear(self.ints, xu[0], xu[1]), self.h_space.dim, self.den * d * d)
 
     def as_block(self) -> BlockCochain:
-        den, R = self.sparse
+        R = self.ints
         ints = {((i,), (j,)): vec for i, row in enumerate(R) for j, vec in enumerate(row) if vec}
-        return BlockCochain._from_ints((self.g_space, self.h_space, 1, 1, "h"), den, ints)
+        return BlockCochain._from_ints((self.g_space, self.h_space, 1, 1, "h"), self.den, ints)
 
     def __eq__(self, other):
         return (
             isinstance(other, ActionMap)
             and self.g_space == other.g_space
             and self.h_space == other.h_space
-            and self.table == other.table
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __repr__(self):
-        entries = sum(not vec_is_zero(vec) for row in self.table for vec in row)
+        entries = sum(1 for row in self.ints for vec in row if vec)
         (p, q), (r, s) = self.g_space.dims, self.h_space.dims
         return f"ActionMap(dims=({p}|{q})->({r}|{s}), entries={entries})"
 
@@ -160,7 +164,7 @@ def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckRepor
     failures = []
     glab, hlab = g.space.labels, h.space.labels
     gpar, hpar = g.space.parities, h.space.parities
-    (dg, G), (dh, H), (dr, R) = g.sparse, h.sparse, rho.sparse
+    (dg, G), (dh, H), (dr, R) = ((A.den, A.ints) for A in (g, h, rho))
     for i in range(g.dim):
         for j in range(h.dim):
             want = (gpar[i] + hpar[j]) % 2
@@ -210,9 +214,9 @@ def mc_element(t: LieSupActTriple) -> Cochain:
 
 
 def adjoint_action(A: SuperAlgebra) -> ActionMap:
-    """A acting on itself: rho(x) y = [x, y]."""
-    dim = A.dim
-    return ActionMap(A.space, A.space, [[A.bracket_basis(i, j) for j in range(dim)] for i in range(dim)])
+    """A acting on itself: rho(x) y = [x, y], read from the table of A."""
+    rows = {(i, j): vec for i, row in enumerate(A.ints) for j, vec in enumerate(row) if vec}
+    return ActionMap._from_ints(A.space, A.space, A.den, rows)
 
 
 def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> SuperAlgebra:
@@ -238,7 +242,8 @@ def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> SuperAlgebra
 def semidirect_algebra(t: LieSupActTriple) -> SuperAlgebra:
     """The table of Pi as a ``SuperAlgebra`` on g + h; it is super-skew by
     construction, so it is re-verified as super Jacobi through [Pi, Pi] = 0."""
-    result = SuperAlgebra(direct_sum(t.g.space, t.h.space).space, mc_element(t).coeffs)
+    Pi = mc_element(t)
+    result = SuperAlgebra._from_ints(Pi.source, Pi.den, Pi.ints)
     if not mc_residual(t.g, t.h, t.rho).is_zero:
         raise InternalInvariantError("semidirect product violates the super Jacobi identity")
     return result
@@ -344,9 +349,9 @@ def blocks_vector(blocks, units):
 
 def blocks_from_vector(g_space, h_space, sigs, units, vec):
     """The tuple of blocks, one per signature in ``sigs``, with coordinates ``vec``."""
-    den, ints = scaled_to_ints(sparse(vec))
+    den, rows = scaled_rows({0: sparse(vec)})
     tables = [{} for _ in sigs]
-    for u, x in ints.items():
+    for u, x in rows[0].items():
         b, gk, hk, t, _ = units[u]
         tables[b].setdefault((gk, hk), {})[t] = x
     return tuple(

@@ -1,4 +1,4 @@
-"""Shared helpers: an immutable record base, coordinate vectors and the integer kernels.
+"""Shared helpers: an immutable record base, coordinate vectors, exact storage and the integer kernels.
 
 A sparse vector is a dict {position: nonzero coefficient}; structure-constant
 tables store one per basis pair, so a check touches only the support of the
@@ -6,24 +6,28 @@ constants.  ``dense`` turns a sparse result back into the coordinate tuple a
 report shows.
 
 The kernel rule: ``Fraction`` at the API and report boundary, ints inside the
-loops.  ``scaled_to_ints`` writes an operand as ints over one common
-denominator (``scaled_vectors`` applies it to a table of vectors); ``addmul``,
-``lincomb``, ``combine`` and ``bilinear`` then run on those ints, and only
-the nonzero entries of a result become ``Fraction``s again (``dense``).  A
-``Matrix`` keeps its int rows over one denominator from assembly to rank, and
-a cochain (``Cochain``, ``BlockCochain``) keeps its values the same way from
-parse to report; both build ``Fraction``s only when read.  The trilinear axiom checks contract two
-such tables at a time over their support (``support``, ``contract_*``).
-An identity whose terms carry different denominators is compared after
-multiplying each side by the denominators it lacks, so every comparison is
-exact and made on ints.
+loops.  Every exact object (``Matrix``, ``Cochain``, ``BlockCochain``,
+``SuperAlgebra``, ``ActionMap``) stores int rows over one positive
+denominator in the canonical form ``canonical`` gives: no zero stored and no
+factor common to the denominator and every entry, so equal objects store
+equal ints.  Their ``Fraction`` views are built only when read.  Input
+entries are ints or ``Fraction``s and nothing else (``require_exact``,
+``exact_rows``); ``scaled_rows`` writes rows of them as ints over one common
+denominator.  ``addmul``, ``lincomb``, ``combine`` and ``bilinear`` then run
+on those ints, and only the nonzero entries of a result become ``Fraction``s
+again (``dense``).  The trilinear axiom checks contract two int tables at a
+time over their support (``support``, ``contract_*``).  An identity whose
+terms carry different denominators is compared after multiplying each side
+by the denominators it lacks, so every comparison is exact and made on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
+
+from .errors import DimensionMismatch, ValidationError
 
 _ZERO = Fraction(0)
 
@@ -95,21 +99,51 @@ def dense(vec: dict, dim: int, den: int = 1):
     return tuple(out)
 
 
-def scaled_to_ints(values: dict):
-    """(s, {key: int}) with values == ints / s entry by entry, s the lcm of the denominators."""
-    s = lcm(*(v.denominator for v in values.values()))
-    return s, {k: v.numerator * (s // v.denominator) for k, v in values.items()}
+def require_exact(x, what):
+    """Refuse ``x`` with ``ValidationError`` unless it is an int (not a bool) or a ``Fraction``."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
-def scaled_vectors(vectors: dict):
-    """(den, {name: {k: int}}): ``scaled_to_ints`` over every entry of a dict of coordinate
-    vectors; an all-zero vector is left out."""
-    den, ints = scaled_to_ints(
-        {(name, k): x for name, vec in vectors.items() for k, x in enumerate(vec) if x}
-    )
+def exact_rows(vectors: dict, dim: int, what: str) -> dict:
+    """{key: sparse vector} of a dict of coordinate vectors of length ``dim`` whose entries
+    are ints or ``Fraction``s; ``what`` names one vector in the errors."""
     out = {}
-    for (name, k), v in ints.items():
-        out.setdefault(name, {})[k] = v
+    for key, vec in vectors.items():
+        vec = tuple(vec)
+        if len(vec) != dim:
+            raise DimensionMismatch(f"{what} has wrong length")
+        for x in vec:
+            require_exact(x, f"a {what} entry")
+        out[key] = sparse(vec)
+    return out
+
+
+def scaled_rows(rows: dict):
+    """(den, {key: {k: int}}) with rows[key][k] == ints[key][k] / den, for sparse rows of ints
+    and ``Fraction``s; den is the lcm of their denominators."""
+    den = lcm(*(x.denominator for row in rows.values() for x in row.values()))
+    return den, {
+        key: {k: x.numerator * (den // x.denominator) for k, x in row.items()} for key, row in rows.items()
+    }
+
+
+def canonical(den: int, rows: dict):
+    """(den, rows) for int rows {key: {position: int}} over ``den``, in canonical form: zero
+    entries and empty rows dropped, the factor common to ``den`` and every entry cancelled.
+    A row with nothing to drop or cancel is kept, not copied."""
+    out = {}
+    g = den
+    for key, row in rows.items():
+        if not all(row.values()):
+            row = nonzero(row)
+        if row:
+            out[key] = row
+            if g != 1:
+                g = gcd(g, *row.values())
+    if g > 1:
+        out = {key: {k: x // g for k, x in row.items()} for key, row in out.items()}
+        den //= g
     return den, out
 
 

@@ -1,17 +1,20 @@
-"""Cochains store int rows over one denominator; every self-bracket is one insertion product.
+"""Cochains and structure tables store int rows over one denominator; every self-bracket is
+one insertion product.
 
 A ``Cochain`` or ``BlockCochain`` holds ``ints``, {key: {position: int}},
 over one positive ``den`` in canonical form (no zero stored, no factor
 common to ``den`` and every entry), so equal maps have equal ``(den, ints)``
 whatever denominator they were built over.  ``coeffs`` is a ``Fraction`` view.
-Values are ints or ``Fraction``s and nothing else.  For an even arity-2 P,
-[P, P] = 2 P o P.
+A ``SuperAlgebra`` or ``ActionMap`` holds its table over every ordered pair
+the same way, with ``sc`` / ``table`` as views.  Values are ints or
+``Fraction``s and nothing else.  For an even arity-2 P, [P, P] = 2 P o P.
 """
 
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +36,7 @@ from supercochain.deformation import (
 )
 from supercochain.errors import ArityMismatch, ValidationError
 from supercochain.graded import GradedSpace, direct_sum, wedge_basis
-from supercochain.superalgebra import LinearMap
+from supercochain.superalgebra import LinearMap, SuperAlgebra
 from supercochain.triple import ActionMap
 
 import oracles
@@ -47,15 +50,22 @@ KEYS = list(wedge_basis(V, 2))
 
 
 def _stored(c):
-    return [x for row in c.ints.values() for x in row.values()]
+    """Every stored int: of each value of a cochain, of each pair of a table."""
+    rows = c.ints.values() if isinstance(c.ints, dict) else [vec for row in c.ints for vec in row]
+    return [x for row in rows for x in row.values()]
 
 
 def _assert_canonical(c):
     entries = _stored(c)
     assert type(c.den) is int and c.den >= 1
     assert all(type(x) is int and x for x in entries)
-    assert all(c.ints.values())
+    if isinstance(c.ints, dict):
+        assert all(c.ints.values())
     assert math.gcd(c.den, *entries) == 1
+
+
+def _times(rows, k):
+    return {key: {t: k * x for t, x in row.items()} for key, row in rows.items()}
 
 
 int_rows = st.dictionaries(
@@ -70,7 +80,7 @@ int_rows = st.dictionaries(
 def test_int_storage_is_canonical_for_every_common_factor(rows, den, k):
     shape = (V, V, 2)
     base = Cochain._from_ints(shape, den, rows)
-    scaled = Cochain._from_ints(shape, k * den, {key: {t: k * x for t, x in row.items()} for key, row in rows.items()})
+    scaled = Cochain._from_ints(shape, k * den, _times(rows, k))
     given_fractions = {
         key: tuple(F(row.get(t, 0), den) for t in range(V.dim)) for key, row in rows.items() if any(row.values())
     }
@@ -80,6 +90,72 @@ def test_int_storage_is_canonical_for_every_common_factor(rows, den, k):
     _assert_canonical(base)
     if not given_fractions:
         assert base.den == 1 and base.is_zero()
+
+
+PAIRS = [(i, j) for i in range(V.dim) for j in range(i, V.dim)]
+pair_rows = st.dictionaries(
+    st.sampled_from(PAIRS),
+    st.dictionaries(st.integers(0, V.dim - 1), st.integers(-6, 6), max_size=V.dim),
+    max_size=len(PAIRS),
+)
+
+
+def _graded(rows):
+    """``rows`` cut to the components of the parity of each bracket [b_i, b_j]."""
+    pars = V.parities
+    return {
+        (i, j): {t: x for t, x in row.items() if pars[t] == (pars[i] + pars[j]) % 2}
+        for (i, j), row in rows.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=pair_rows, other=pair_rows, den=st.integers(1, 12), k=st.integers(1, 30))
+def test_algebra_storage_is_canonical_for_every_common_factor(rows, other, den, k):
+    rows = _graded(rows)
+    base = SuperAlgebra._from_ints(V, den, rows)
+    scaled = SuperAlgebra._from_ints(V, k * den, _times(rows, k))
+    given_fractions = {
+        key: tuple(F(row.get(t, 0), den) for t in range(V.dim)) for key, row in rows.items() if any(row.values())
+    }
+    assert scaled == base == SuperAlgebra(V, given_fractions)
+    assert (scaled.den, scaled.ints) == (base.den, base.ints)
+    assert base.sc == given_fractions
+    _assert_canonical(base)
+    pars = V.parities
+    for i, j in combinations(range(V.dim), 2):
+        # the i > j half: [b_j, b_i] = -(-1)^{|b_i||b_j|} [b_i, b_j]
+        sign = 1 if pars[i] and pars[j] else -1
+        assert base.bracket_basis(j, i) == tuple(sign * x for x in base.bracket_basis(i, j))
+    assert repr(base) == f"SuperAlgebra(dims=(2|1), entries={len(given_fractions)})"
+    for B in (SuperAlgebra._from_ints(V, den, _graded(other)), SuperAlgebra._from_ints(V, k * den, rows)):
+        assert (B == base) == (B.sc == base.sc)
+
+
+action_rows = st.dictionaries(
+    st.tuples(st.integers(0, G.dim - 1), st.integers(0, H.dim - 1)),
+    st.dictionaries(st.integers(0, H.dim - 1), st.integers(-6, 6), max_size=H.dim),
+    max_size=G.dim * H.dim,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=action_rows, other=action_rows, den=st.integers(1, 12), k=st.integers(1, 30))
+def test_action_storage_is_canonical_for_every_common_factor(rows, other, den, k):
+    base = ActionMap._from_ints(G, H, den, rows)
+    scaled = ActionMap._from_ints(G, H, k * den, _times(rows, k))
+    table = tuple(
+        tuple(tuple(F(rows.get((i, j), {}).get(t, 0), den) for t in range(H.dim)) for j in range(H.dim))
+        for i in range(G.dim)
+    )
+    assert scaled == base == ActionMap(G, H, table)
+    assert (scaled.den, scaled.ints) == (base.den, base.ints)
+    assert base.table == table
+    _assert_canonical(base)
+    entries = sum(any(vec) for row in table for vec in row)
+    assert repr(base) == f"ActionMap(dims=(1|1)->(1|2), entries={entries})"
+    for B in (ActionMap._from_ints(G, H, den, other), ActionMap._from_ints(G, H, k * den, rows)):
+        assert (B == base) == (B.table == base.table)
 
 
 def test_block_storage_is_canonical():
@@ -139,6 +215,17 @@ def test_values_and_scalars_are_ints_or_fractions(bad):
         Cochain(V, V, 2, {(0, 1): (bad, 0, 0)})
     with pytest.raises(ValidationError):
         BlockCochain(G, H, 1, 0, "h", {((0,), ()): (0, bad, 0)})
+    with pytest.raises(ValidationError):
+        SuperAlgebra(V, {(0, 1): (0, bad, 0)})
+    z = (0,) * H.dim
+    with pytest.raises(ValidationError):
+        ActionMap(G, H, [[z, (0, 0, bad), z], [z, z, z]])
+    with pytest.raises(ValidationError):
+        LinearMap(G, H, [z, (bad, 0, 0)])
+    m = LinearMap(G, H, [z, (1, F(1, 2), 0)])
+    with pytest.raises(ValidationError):
+        m.scale(bad)
+    assert m.scale(-2) == m.scale(F(-2)) == LinearMap(G, H, [z, (-2, -1, 0)])
     c = Cochain(V, V, 2, {(0, 1): (1, F(1, 2), 0)})
     with pytest.raises(ValidationError):
         c.scale(bad)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from supercochain.cochains import f_membership, nr_bracket
-from supercochain.errors import ShapeMismatch
+from supercochain.errors import DimensionMismatch, ShapeMismatch
 from supercochain.graded import direct_sum
 from supercochain.superalgebra import SuperAlgebra, abelian, check_jacobi, gl
 from supercochain.triple import (
@@ -29,6 +29,21 @@ from helpers import (
     random_block,
     solvable_triple,
 )
+
+
+def test_action_map_refuses_wrong_shapes():
+    """The table has one row per basis vector of g and one value per basis vector of h, and
+    ``apply`` takes vectors of exactly those lengths: none is padded or cut."""
+    t = adjoint_triple(aff11())
+    s, z = t.g.space, (0,) * t.h.dim
+    assert (s.dims, t.h.space.dims) == ((1, 1), (1, 1))
+    for table in ([[z, z]], [[z, z]] * 3, [[z], [z]], [[z, z, z], [z, z]], [[(0,), z], [z, z]]):
+        with pytest.raises(DimensionMismatch):
+            ActionMap(s, t.h.space, table)
+    assert t.rho.apply((1, 0), (1, 0)) == t.rho.value(0, 0)
+    for x, u in (((1,), (1,)), ((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            t.rho.apply(x, u)
 
 
 def test_check_action_zero_action():

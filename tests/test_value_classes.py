@@ -237,9 +237,11 @@ def test_graded_space_normalises_and_validates():
 
 
 def test_linear_map_normalises_and_validates():
-    m = LinearMap(space(), space(), [[1, 0], ["1/2", 0]])
+    m = LinearMap(space(), space(), [[1, 0], [F(1, 2), 0]])
     assert m.cols == ((F(1), F(0)), (F(1, 2), F(0)))
     assert all(type(x) is F for col in m.cols for x in col)
+    with pytest.raises(ValidationError):
+        LinearMap(space(), space(), [[1, 0], ["1/2", 0]])
     with pytest.raises(DimensionMismatch):
         LinearMap(space(), space(), [[1, 0]])
     with pytest.raises(DimensionMismatch):
