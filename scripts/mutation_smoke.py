@@ -172,7 +172,7 @@ MUTATIONS = (
         "exact_linalg.py",
         "new[k] = -b * v",
         "new[k] = b * v",
-        ("tests/test_exact_linalg.py",),
+        ("tests/test_exact_linalg.py::test_rank_and_kernel_with_fill_in",),
     ),
     # the int storage of Matrix: one denominator per product
     (
@@ -206,6 +206,13 @@ MUTATIONS = (
         "return self._fields == other._fields",
         "return getattr(self, self.__slots__[0]) == getattr(other, other.__slots__[0])",
         ("tests/test_value_classes.py",),
+    ),
+    # the process entry: output is flushed before the hard exit
+    (
+        "cli.py",
+        "        sys.stdout.flush()",
+        "        pass",
+        ("tests/test_cli.py::test_module_entry_point_subprocess",),
     ),
 )
 

@@ -10,6 +10,7 @@ only in text mode.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import partial
@@ -338,5 +339,25 @@ def main(argv=None) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
+def console_main() -> int:
+    """Process entry of ``python -m supercochain`` and the ``supercochain`` script.
+
+    Runs :func:`main`, flushes stdout and stderr and ends the process with
+    ``os._exit``: once a job's output is flushed, the interpreter's teardown
+    (freeing every module and object, the final collections) only costs time.
+    If a flush fails (a closed pipe), returns the exit code instead, so that
+    the interpreter's own shutdown reports the failure as it always has.  An
+    exception out of :func:`main`, argparse's ``SystemExit`` among them,
+    leaves by the normal exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -430,17 +430,66 @@ def test_morphism_serialization_round_trip():
     assert check_morphism(D0, D0, back)
 
 
-def test_module_entry_point_subprocess():
-    env = dict(os.environ)
+def _entry_env():
+    """The environment of a ``python -m supercochain`` child.
+
+    Stdout is left block-buffered (no ``PYTHONUNBUFFERED``), so output the
+    entry fails to flush before its hard exit is lost; a fixed ``COLUMNS``
+    makes argparse's usage lines the same in the child and in process.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "supercochain", "check-algebra", str(FIXTURES / "gl11.json")],
-        capture_output=True,
-        text=True,
-        env=env,
+    env["COLUMNS"] = "80"
+    return env
+
+
+def _entry(argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "supercochain", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=_entry_env(),
     )
-    assert proc.returncode == 0
-    assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["check-algebra", "gl11.json"], 0),
+        (["check-crossed", "crossed_bad.json"], 1),
+        (["check-triple", "gl11.json"], 2),
+        (["cohomology", "solvable2.json", "--max-n", "0"], 2),
+        (["no-such-command", "gl11.json"], 2),
+    ],
+    ids=["ok", "check-failed", "missing-section", "max-n-0", "bad-choice"],
+)
+def test_module_entry_point_subprocess(argv, expected, capsys, monkeypatch, tmp_path):
+    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:], "--format", "json"]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == expected
+
+    piped = _entry(argv, subprocess.PIPE)
+    with open(tmp_path / "out", "wb") as fh:
+        to_file = _entry(argv, fh)
+    for proc, stdout in ((piped, piped.stdout), (to_file, (tmp_path / "out").read_bytes())):
+        assert proc.returncode == code
+        assert stdout == out.encode()
+        assert proc.stderr == err.encode()
+
+
+def test_module_entry_point_on_a_closed_pipe_reports_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _entry(["check-algebra", str(FIXTURES / "gl11.json"), "--format", "json"], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert b"BrokenPipeError" in proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

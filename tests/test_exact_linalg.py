@@ -53,6 +53,14 @@ def test_rank_dependent_rows():
     assert rank(mat([[1, 2], [2, 4]])) == 1
 
 
+def test_rank_and_kernel_with_fill_in():
+    # eliminating either of the first two rows with the other fills in an
+    # entry the row did not hold; the third row is their difference
+    m = mat([[1, 1, 0], [1, 0, 1], [0, 1, -1]])
+    assert rank(m) == oracles.dense_rank(m) == 2
+    assert kernel_basis(m) == oracles.dense_kernel_basis(m)
+
+
 def test_kernel_identity_empty():
     assert kernel_basis(Matrix.identity(2)) == []
 
