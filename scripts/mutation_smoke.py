@@ -207,12 +207,50 @@ MUTATIONS = (
         "return getattr(self, self.__slots__[0]) == getattr(other, other.__slots__[0])",
         ("tests/test_value_classes.py",),
     ),
+    # Koszul signs: the inversion count of normalize_tuple and the merge of
+    # two sorted keys in shuffle, and the pieces the bracket terms join
+    (
+        "graded.py",
+        "if i < n_even and b[i] == x:",
+        "if False:",
+        ("tests/test_graded.py",),
+    ),
+    (
+        "graded.py",
+        "flips = (len(a) - m) * n_even",
+        "flips = sum(bisect_left(b, x) for x in a[m:])",
+        ("tests/test_graded.py",),
+    ),
+    (
+        "graded.py",
+        "if y <= x and y < even_dim:",
+        "if y <= x and y <= even_dim:",
+        ("tests/test_graded.py",),
+    ),
+    (
+        "cochains.py",
+        "return shuffle(g_slots, tuple(map(ds.right_pos.__getitem__, hk)),",
+        "return shuffle(tuple(map(ds.right_pos.__getitem__, hk)), g_slots,",
+        ("tests/test_graded.py",),
+    ),
+    (
+        "cochains.py",
+        "X, s = shuffle(H, K, p)",
+        "X, s = shuffle(K, H, p)",
+        ("tests/test_cochains.py::test_circ_matches_shuffle_reference",),
+    ),
     # the process entry: output is flushed before the hard exit
     (
         "cli.py",
         "        sys.stdout.flush()",
         "        pass",
         ("tests/test_cli.py::test_module_entry_point_subprocess",),
+    ),
+    (
+        "cli.py",
+        "        code = EXIT_LOST_OUTPUT",
+        "        code = EXIT_CHECK_FAILED",
+        ("tests/test_cli.py::test_module_entry_point_on_a_closed_pipe_reports_without_traceback",),
     ),
 )
 

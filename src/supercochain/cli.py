@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_LOST_OUTPUT = 120
 
 
 def _failures_to_list(failures, limit=25):
@@ -339,23 +340,30 @@ def main(argv=None) -> int:
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def console_main() -> int:
+def console_main():
     """Process entry of ``python -m supercochain`` and the ``supercochain`` script.
 
     Runs :func:`main`, flushes stdout and stderr and ends the process with
     ``os._exit``: once a job's output is flushed, the interpreter's teardown
     (freeing every module and object, the final collections) only costs time.
-    If a flush fails (a closed pipe), returns the exit code instead, so that
-    the interpreter's own shutdown reports the failure as it always has.  An
+    If the output cannot be written (a closed pipe), the job ends the same
+    way whether the write inside :func:`main` failed (unbuffered stdout) or
+    the flush here did: one line naming the error on stderr and exit code
+    120, the code the interpreter gives a failed final flush.  Any other
     exception out of :func:`main`, argparse's ``SystemExit`` among them,
     leaves by the normal exit.
     """
-    code = main()
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        return code
+    except OSError as exc:  # main() reads its input through io, which turns OSError into UsageError
+        try:
+            sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+            sys.stderr.flush()
+        except OSError:
+            pass
+        code = EXIT_LOST_OUTPUT
     os._exit(code)
 
 

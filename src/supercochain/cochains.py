@@ -28,8 +28,10 @@ when read (see ``_CoefficientMap``).
 share one term expansion on those ints: for each unit U = (key K -> e_T) of
 the right operand, ``_unit_image`` lists the terms of [P, U] (or circ(P, U))
 over the support of a P of any arity and parity, built once per operand.
-Every Koszul sign comes from ``normalize_tuple``.  For an even arity-2 P,
-[P, P] = 2 circ(P, P), so a self-bracket is one insertion product.
+Every Koszul sign of a term comes from ``shuffle``, on the two sorted pieces
+the term joins (``normalize_tuple`` sorts an arbitrary tuple for ``eval``).
+For an even arity-2 P, [P, P] = 2 circ(P, P), so a self-bracket is one
+insertion product.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from math import comb, lcm
 
 from .errors import ArityMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
-from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple
+from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple, shuffle
 from .util import canonical, dense, exact_rows, lincomb, require_exact, scaled_rows
 
 
@@ -200,12 +202,14 @@ class Cochain(_CoefficientMap):
 def _bracket_support(P: Cochain):
     """The int rows of P (over ``P.den``), indexed by each entry of their keys and by output.
 
-    ``by_entry[k]``: (H, |H|, counts(H), {t: P(H, k)_t}) for H a key minus one k;
+    ``by_entry[k]``: (H, |H|, counts(H), {t: P(H, k)_t}) for H a key minus one k,
+    with the ``shuffle`` sign of H + (k,);
     ``by_comp[t]``: (key, parity of the term, counts(key), P(key)_t).  Only odd
     entries can repeat, so counts(part) lists (e, count) for those alone.
     """
     V = P.source
     pars = V.parities
+    p = len(V.even_basis)
 
     def counts(part):
         return tuple((e, part.count(e)) for e in set(part) if pars[e])
@@ -216,7 +220,7 @@ def _bracket_support(P: Cochain):
         for k in sorted(set(key)):
             i = key.index(k)
             H = key[:i] + key[i + 1 :]
-            s = normalize_tuple(V, H + (k,))[1]
+            s = shuffle(H, (k,), p)[1]
             signed = vals if s > 0 else {t: -x for t, x in vals.items()}
             by_entry.setdefault(k, []).append((H, (kp + pars[k]) % 2, counts(H), signed))
         kc = counts(key)
@@ -249,16 +253,18 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
     and parity u, P of arity nP + 1 and term parities f.  In circ(P, U),
     P(H, T) lands on sort(H + K) with (-1)^(u |H|); in circ(U, P), each entry
     k of K, read as U(head, k), takes P(key)_k to sort(head + key) with
-    (-1)^(f |head|).  Each term also carries the sign ``normalize_tuple``
-    gives its unsorted key and the multiplicity of P's part in the new key.
+    (-1)^(f |head|).  Each term also carries the ``shuffle`` sign of the two
+    sorted pieces it joins (H and K; head and (k,); head and P's key) and
+    the multiplicity of P's part in the new key.
     Coefficients are ints over ``P.den``.
     Terms may repeat a (key, target); callers add them up.
     """
     nP, by_entry, by_comp = support
     pars = V.parities
+    p = len(V.even_basis)
     u = (sum(pars[i] for i in K) + pars[T]) % 2
     for H, hpar, counts, vals in by_entry.get(T, ()):
-        X, s = normalize_tuple(V, H + K)
+        X, s = shuffle(H, K, p)
         if s:
             c = s * _multiplicity(X, counts) * (-1 if u and hpar else 1)
             for tgt, v in vals.items():
@@ -269,10 +275,10 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
     for k in set(K):
         i = K.index(k)
         head = K[:i] + K[i + 1 :]
-        s2 = outer * normalize_tuple(V, head + (k,))[1]
+        s2 = outer * shuffle(head, (k,), p)[1]
         flip = (sum(pars[j] for j in head) + u) % 2  # (-1)^(f |head|) (-1)^(f u)
         for key, f, counts, v in by_comp.get(k, ()):
-            X, s3 = normalize_tuple(V, head + key)
+            X, s3 = shuffle(head, key, p)
             if s3:
                 c = s2 * s3 * _multiplicity(X, counts)
                 yield X, T, (-c if f and flip else c) * v
@@ -373,11 +379,12 @@ def block_key(ds: DirectSum, gk, hk):
     The one map between block coordinates and the direct sum: a block value
     at (gk, hk) is the value of its extension at ``key`` times ``sign``, the
     Koszul sign of sorting the g entries and the h entries together.  Block
-    keys are normal forms on disjoint sides, so the sign is never 0 and the
-    map is injective.
+    keys are normal forms on disjoint sides, and each side's positions keep
+    their order on g + h, so the sign is the ``shuffle`` of the two sides; it
+    is never 0 and the map is injective.
     """
-    slots = tuple(ds.left_pos[i] for i in gk) + tuple(ds.right_pos[j] for j in hk)
-    return normalize_tuple(ds.space, slots)
+    g_slots = tuple(map(ds.left_pos.__getitem__, gk))
+    return shuffle(g_slots, tuple(map(ds.right_pos.__getitem__, hk)), len(ds.space.even_basis))
 
 
 class BlockCochain(_CoefficientMap):

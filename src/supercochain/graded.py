@@ -17,10 +17,21 @@ The canonical total order on a basis puts every even vector before every odd
 one.  A wedge key is then a weakly increasing tuple of basis positions with no
 even position repeated: strictly increasing on the even block, weakly
 increasing on the odd block.
+
+Sorting a tuple of positions into its key has the Koszul sign of the stable
+sort, and under this order that sign is an inversion count: it is (-1) to
+the number of pairs i < j with ``slots[j] < slots[i]`` and ``slots[j]``
+even, and 0 if an even position repeats.  An inversion whose smaller entry
+is even swaps that entry with some other entry (signature -1, no odd pair);
+one whose smaller entry is odd swaps two odd entries (signature -1 times
+(-1) for the odd pair).  ``normalize_tuple`` counts these pairs directly and
+``shuffle`` counts them for two keys already in normal form; neither keeps a
+cache.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 
@@ -99,7 +110,6 @@ def inverse_act(sigma: Perm, values):
     return tuple(values[sigma[i]] for i in range(len(sigma)))
 
 
-@lru_cache(maxsize=None)
 def perm_signature(sigma: Perm) -> int:
     n = len(sigma)
     inv = 0
@@ -129,17 +139,10 @@ def koszul_K(sigma: Perm, parities) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _koszul_sign_cached(sigma: Perm, parities: tuple) -> int:
+def koszul_sign(sigma: Perm, parities) -> int:
+    """The signature of sigma times (-1) to ``koszul_K(sigma, parities)``."""
     k = koszul_K(sigma, parities)
     return perm_signature(sigma) * (-1 if k & 1 else 1)
-
-
-def koszul_sign(sigma: Perm, parities) -> int:
-    parities = tuple(parities)
-    if len(sigma) != len(parities):
-        raise ArityMismatch(f"permutation degree {len(sigma)} != parity vector length {len(parities)}")
-    return _koszul_sign_cached(tuple(sigma), parities)
 
 
 def _multiset_count(q: int, j: int) -> int:
@@ -188,28 +191,47 @@ def wedge_basis(space: GradedSpace, n: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _normalize_cached(slots: tuple, even_dim: int):
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    key = tuple(slots[i] for i in order)
-    # a repeated even position kills the wedge
-    for idx in range(len(key) - 1):
-        if key[idx] == key[idx + 1] and key[idx] < even_dim:
-            return key, 0
-    sign = _koszul_sign_cached(tuple(order), tuple(0 if s < even_dim else 1 for s in slots))
-    return key, sign
-
-
 def normalize_tuple(space: GradedSpace, slots):
     """Sort ``slots`` into wedge normal form with its Koszul sign.
 
     Returns ``(key, sign)``; ``sign == 0`` marks a repeated even position (the
     zero element of the wedge power).  Evaluation of a super-antisymmetric map
     at an arbitrary tuple is the stored normal-form value times ``sign``.
-    The cache is keyed on the slots and the even dimension, which fix every
-    parity, so a hit builds no parity tuple.
+    The sign counts the inversions whose smaller entry is even (see the
+    module docstring).
     """
-    return _normalize_cached(tuple(slots), len(space.even_basis))
+    slots = tuple(slots)
+    even_dim = len(space.even_basis)
+    key = tuple(sorted(slots))
+    flips = 0
+    for i, x in enumerate(slots):
+        for y in slots[i + 1 :]:
+            if y <= x and y < even_dim:
+                if y == x:
+                    return key, 0
+                flips += 1
+    return key, -1 if flips & 1 else 1
+
+
+def shuffle(a: WedgeKey, b: WedgeKey, even_dim: int):
+    """``normalize_tuple`` of ``a + b`` for two keys ``a`` and ``b`` in normal form.
+
+    Returns ``(key, sign)``.  Each entry x of ``a`` passes the entries of ``b``
+    below x, and each even one it passes flips the sign: an odd x passes
+    every even entry of ``b``, an even x the even entries that bisecting
+    ``b`` puts below it.  An even entry in both keys gives 0.  ``even_dim``
+    is the even dimension of the space: position p is even when p < even_dim.
+    """
+    key = tuple(sorted(a + b))
+    m = bisect_left(a, even_dim)
+    n_even = bisect_left(b, even_dim)
+    flips = (len(a) - m) * n_even
+    for x in a[:m]:
+        i = bisect_left(b, x, 0, n_even)
+        if i < n_even and b[i] == x:
+            return key, 0
+        flips += i
+    return key, -1 if flips & 1 else 1
 
 
 class DirectSum:

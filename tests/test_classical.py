@@ -6,10 +6,16 @@ super Jacobi.  The crossed cohomology of D = 0 with values in a trivial
 one-dimensional h is the cohomology of g with trivial coefficients, whose
 dimensions are known: H^1..H^5 = 0, 0, 1, 0, 0 for the simple sl(2) and
 osp(1|2) (H^*(osp(1|2)) = H^*(sp(2)), Fuks 1986); 2, 2, 1, 0, 0 for h_3 (its
-Betti numbers; C^n = 0 for n > 3); and 1, 0, 0, 0, 0 for gl(1|1), whose H^1 =
-(g/[g, g])^* is spanned by the supertrace (H^*(gl(1|1)) = H^*(gl(1)), Fuks).
-sl(2) and h_3 have no odd cochains and those of osp(1|2) and gl(1|1) have no
-cohomology, so every odd part is 0.
+Betti numbers; C^n = 0 for n > 3); 1, 0, 0, 0, 0 for gl(1|1), whose H^1 =
+(g/[g, g])^* is spanned by the supertrace (H^*(gl(1|1)) = H^*(gl(1)), Fuks);
+and 1, 0, 1, 1, 0 for gl(2|1) and gl(1|2), those of gl(2) = sl(2) + gl(1)
+(H^*(gl(m|n)) = H^*(gl(max(m, n))), Fuks).  sl(2) and h_3 have no odd
+cochains and those of osp(1|2) and the gl(m|n) have no cohomology, so every
+odd part is 0.
+
+The adjoint triples of the simple sl(2) and osp(1|2) have H^1 = 3|0 and 3|2
+(the dimensions of g) and H^2 = H^3 = 0, as Whitehead's lemmas lead one to
+expect; the triple complex and the crossed complex of D = 0 agree on this.
 """
 
 import json
@@ -19,8 +25,9 @@ import pytest
 from conftest import FIXTURES
 from supercochain import cli
 from supercochain import io as sio
-from supercochain.superalgebra import SuperAlgebra, check_jacobi, check_super_skew
-from supercochain.triple import check_action
+from supercochain.crossed import CrossedHom, ch_cohomology_table, verify
+from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, check_super_skew, gl
+from supercochain.triple import check_action, triple_cohomology_table
 
 from helpers import adjoint_triple, heisenberg3, osp12, sl2
 
@@ -49,15 +56,20 @@ def gl11():
     return sio.parse(FIXTURES / "gl11.json").algebra
 
 
+TRIVIAL_COEFFICIENTS = {**CLASSICAL, "gl11": gl11, "gl21": lambda: gl(2, 1), "gl12": lambda: gl(1, 2)}
+
+
 @pytest.mark.parametrize("name, even", [
     ("sl2", [0, 0, 1, 0, 0]),
     ("osp12", [0, 0, 1, 0, 0]),
     ("heisenberg3", [2, 2, 1, 0, 0]),
     ("gl11", [1, 0, 0, 0, 0]),
+    ("gl21", [1, 0, 1, 1, 0]),
+    ("gl12", [1, 0, 1, 1, 0]),
 ])
 def test_trivial_coefficient_cohomology(name, even, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
-    algebra = gl11() if name == "gl11" else CLASSICAL[name]()
+    algebra = TRIVIAL_COEFFICIENTS[name]()
     path.write_text(json.dumps({
         "g": sio.algebra_to_obj(algebra),
         "h": {"even_basis": ["u"], "odd_basis": []},
@@ -70,3 +82,12 @@ def test_trivial_coefficient_cohomology(name, even, tmp_path, capsys):
     assert report["cohomology"] == {
         str(n): {"even": dim, "odd": 0} for n, dim in enumerate(even, start=1)
     }
+
+
+@pytest.mark.parametrize("name, odd_h1", [("sl2", 0), ("osp12", 2)])
+def test_adjoint_triples_of_simple_algebras(name, odd_h1):
+    t = adjoint_triple(CLASSICAL[name]())
+    D = verify(CrossedHom(t, LinearMap.zero(t.g.space, t.h.space)))
+    expected = {1: {0: 3, 1: odd_h1}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}
+    assert triple_cohomology_table(t, range(1, 4)) == expected
+    assert ch_cohomology_table(D, range(1, 4)) == expected

@@ -443,10 +443,10 @@ def _entry_env():
     return env
 
 
-def _entry(argv, stdout):
+def _entry(argv, stdout, env=None):
     return subprocess.run(
         [sys.executable, "-m", "supercochain", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, env=_entry_env(),
+        stdout=stdout, stderr=subprocess.PIPE, env=_entry_env() if env is None else env,
     )
 
 
@@ -480,11 +480,17 @@ def test_module_entry_point_subprocess(argv, expected, capsys, monkeypatch, tmp_
         assert proc.stderr == err.encode()
 
 
-def test_module_entry_point_on_a_closed_pipe_reports_without_traceback():
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_module_entry_point_on_a_closed_pipe_reports_without_traceback(unbuffered):
+    """Block-buffered stdout fails at the flush after ``main()``, unbuffered
+    stdout at the write inside it; both end the same way."""
+    env = _entry_env()
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _entry(["check-algebra", str(FIXTURES / "gl11.json"), "--format", "json"], write_end)
+        proc = _entry(["check-algebra", str(FIXTURES / "gl11.json"), "--format", "json"], write_end, env)
     finally:
         os.close(write_end)
     assert proc.returncode == 120

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercochain import graded
+from supercochain.cochains import block_key
 from supercochain.errors import ArityMismatch, ValidationError
 from supercochain.graded import (
     GradedSpace,
@@ -17,6 +19,7 @@ from supercochain.graded import (
     koszul_sign,
     normalize_tuple,
     perm_signature,
+    shuffle,
     wedge_basis,
     wedge_dim,
 )
@@ -151,6 +154,47 @@ def test_normalize_is_the_koszul_sign_of_the_stable_sort(p, q):
             repeated_even = any(a == b and pars[a] == 0 for a, b in zip(key, key[1:]))
             sign = 0 if repeated_even else koszul_sign(order, [pars[s] for s in slots])
             assert normalize_tuple(sp, slots) == (key, sign)
+
+
+def _space(p, q):
+    return GradedSpace(tuple(f"e{i}" for i in range(p)), tuple(f"f{i}" for i in range(q)))
+
+
+@pytest.mark.parametrize("p", range(3))
+@pytest.mark.parametrize("q", range(3))
+def test_shuffle_is_normalize_of_the_concatenation(p, q):
+    sp = _space(p, q)
+    keys = [key for n in range(4) for key in wedge_basis(sp, n)]
+    seen = set()
+    for a in keys:
+        for b in keys:
+            got = shuffle(a, b, p)
+            assert got == normalize_tuple(sp, a + b)
+            shared = set(a) & set(b)
+            seen.add((got[1], bool(shared) and max(shared) >= p))
+    # every sign occurs where the space allows it, and so does a shared odd entry
+    assert (1, False) in seen
+    assert ((-1, False) in seen) == (p > 0 and p + q > 1)
+    assert ((0, False) in seen) == (p > 0)
+    assert ((1, True) in seen) == (q > 0)
+
+
+def test_block_key_sign_is_normalize_of_the_concatenated_positions():
+    g, h = _space(2, 1), _space(1, 2)
+    ds = direct_sum(g, h)
+    for i in range(4):
+        for j in range(4 - i):
+            for gk in wedge_basis(g, i):
+                for hk in wedge_basis(h, j):
+                    slots = tuple(ds.left_pos[x] for x in gk) + tuple(ds.right_pos[y] for y in hk)
+                    key, sign = block_key(ds, gk, hk)
+                    assert (key, sign) == normalize_tuple(ds.space, slots)
+                    assert sign != 0
+
+
+def test_graded_keeps_no_sign_cache():
+    cached = {name for name, value in vars(graded).items() if hasattr(value, "cache_info")}
+    assert cached == {"wedge_basis", "direct_sum"}
 
 
 def test_shuffles_counts():
