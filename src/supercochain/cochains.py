@@ -16,8 +16,9 @@ space g + h.  ``block_key`` is the one signed map between the two: it sends a
 block pair (g key, h key) to its normal-form key on g + h with the Koszul
 sign of that sort.  ``hat_extend`` moves each stored block value to its key
 times the sign, and ``project_block`` splits each key of a cochain on g + h
-back into a block pair; neither sums shuffles.  ``Cochain`` and
-``BlockCochain`` share their linear operations and parity split.
+back into a block pair; neither sums shuffles.  ``Cochain``,
+``BlockCochain`` and ``superalgebra.LinearMap`` share their linear
+operations and parity split.
 
 Both kinds store their values as int rows over one denominator, in the
 canonical form of ``util.canonical``, from the parsed input to the
@@ -52,7 +53,8 @@ def _require_normal_key(space, key, what):
 
 
 class _CoefficientMap:
-    """Sparse table {key: value over ``target_space``}, shared by both cochain kinds.
+    """Sparse table {key: value over ``target_space``}, shared by ``Cochain``,
+    ``BlockCochain`` and ``superalgebra.LinearMap`` (keyed by source position).
 
     A subclass fixes its ``shape`` (the constructor's leading arguments),
     ``key_parity``, ``target_space``, ``eval``, ``_check_key`` and the

@@ -47,7 +47,7 @@ from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_s
 from .superalgebra import is_homomorphism
 from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
 from .triple import mu_block, pi_block, semidirect_algebra
-from .util import Frozen, bilinear, combine, dense, lincomb, scaled_rows, sparse
+from .util import Frozen, bilinear, combine, dense, lincomb
 
 
 class CrossedHom(Frozen):
@@ -63,18 +63,13 @@ class CrossedHom(Frozen):
         super().__init__(triple, linmap, verified)
 
     def as_block(self) -> BlockCochain:
-        den, cols = _scaled_columns(self.linmap)
-        ints = {((i,), ()): col for i, col in cols.items() if col}
-        return BlockCochain._from_ints((self.triple.g.space, self.triple.h.space, 1, 0, "h"), den, ints)
+        m = self.linmap
+        ints = {((i,), ()): col for i, col in m.ints.items()}
+        return BlockCochain._from_ints((self.triple.g.space, self.triple.h.space, 1, 0, "h"), m.den, ints)
 
 
 def verify(D: CrossedHom) -> CrossedHom:
     return CrossedHom(D.triple, D.linmap, check_crossed(D).ok)
-
-
-def _scaled_columns(m: LinearMap):
-    """(den, {j: {k: int}}) with column j of m equal to the ints of entry j over den."""
-    return scaled_rows(dict(enumerate(map(sparse, m.cols))))
 
 
 def check_crossed(D: CrossedHom) -> CheckReport:
@@ -87,21 +82,24 @@ def check_crossed(D: CrossedHom) -> CheckReport:
     t = D.triple
     g, h = t.g, t.h
     (dg, G), (dh, H), (dr, R) = ((A.den, A.ints) for A in (g, h, t.rho))
-    dd, Dc = _scaled_columns(D.linmap)
+    f = D.linmap
+    dd, Dc = f.den, f.ints
     m_lhs, m_rho, m_cubic = dd * dr * dh, dd * dg * dh, dg * dr
     den = dd * dd * dg * dr * dh
     pars = g.space.parities
     failures = []
     labels = g.space.labels
     for i in range(g.dim):
+        Di = Dc.get(i, {})
         for j in range(g.dim):
-            lhs = lincomb((m_lhs, combine(G[i][j], Dc)))
+            Dj = Dc.get(j, {})
+            lhs = lincomb((m_lhs, f._image(G[i][j])))
             # rho(x) D(y) - (-1)^{|x||y|} rho(y) D(x) + [D(x), D(y)]
             sign = m_rho if pars[i] * pars[j] else -m_rho
             rhs = lincomb(
-                (m_rho, combine(Dc[j], R[i])),
-                (sign, combine(Dc[i], R[j])),
-                (m_cubic, bilinear(H, Dc[i], Dc[j])),
+                (m_rho, combine(Dj, R[i])),
+                (sign, combine(Di, R[j])),
+                (m_cubic, bilinear(H, Di, Dj)),
             )
             if lhs != rhs:
                 failures.append(Failure(
@@ -121,12 +119,13 @@ def graph_failures(D: CrossedHom):
     t = D.triple
     ds = direct_sum(t.g.space, t.h.space)
     (s, S), (dg, G) = ((A.den, A.ints) for A in (semidirect_algebra(t), t.g))
-    dd, Dc = _scaled_columns(D.linmap)
+    f = D.linmap
+    dd = f.den
 
     def lift(x: dict) -> dict:
         """(x, D x) in g + h coordinates, times dd: ints over dd times the denominator of x."""
         out = {ds.left_pos[k]: dd * c for k, c in x.items()}
-        out.update((ds.right_pos[k], c) for k, c in combine(x, Dc).items())
+        out.update((ds.right_pos[k], c) for k, c in f._image(x).items())
         return out
 
     lifted = [lift({i: 1}) for i in range(t.g.dim)]
@@ -281,8 +280,8 @@ def derivation_space(A: SuperAlgebra):
         maps = []
         for vec in kernel_basis(d_D_matrix(D0, 1, s, cx)):
             (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
-            cols = [dense(block.ints.get(((j,), ()), {}), A.dim, block.den) for j in range(A.dim)]
-            maps.append(LinearMap(A.space, A.space, cols))
+            cols = {gk[0]: col for (gk, _), col in block.ints.items()}
+            maps.append(LinearMap._from_ints((A.space, A.space), block.den, cols))
         out.append(maps)
     return out[0], out[1]
 
@@ -297,10 +296,13 @@ class CHMorphism(Frozen):
 
     @property
     def is_isomorphism(self) -> bool:
-        return (
-            rank(Matrix.from_cols(self.phi1.cols, self.phi1.target.dim)) == self.phi1.source.dim
-            and rank(Matrix.from_cols(self.phi2.cols, self.phi2.target.dim)) == self.phi2.source.dim
-        )
+        return all(_injective(phi) for phi in (self.phi1, self.phi2))
+
+
+def _injective(phi: LinearMap) -> bool:
+    """Full column rank, read on the int columns (as the rows of the transpose)."""
+    n = phi.source.dim
+    return rank(Matrix(n, phi.target.dim, [phi.ints.get(j, {}) for j in range(n)])) == n
 
 
 def identity_morphism(t: LieSupActTriple) -> CHMorphism:
@@ -327,13 +329,12 @@ def check_morphism(D: CrossedHom, D2: CrossedHom, m: CHMorphism) -> bool:
         return False
     lhs = D2.linmap.compose(m.phi1)
     rhs = m.phi2.compose(D.linmap)
-    if lhs.cols != rhs.cols:
+    if lhs != rhs:
         return False
+    # phi2 rho(x) u is ints over den(phi2) den(rho), rho(phi1 x)(phi2 u) over den(phi1) too
+    R, P1, P2 = t.rho.ints, m.phi1.ints, m.phi2.ints
     for i in range(t.g.dim):
-        phi_x = m.phi1.cols[i]
         for j in range(t.h.dim):
-            left = m.phi2.apply(t.rho.value(i, j))
-            right = t.rho.apply(phi_x, m.phi2.cols[j])
-            if left != right:
+            if lincomb((m.phi1.den, m.phi2._image(R[i][j]))) != bilinear(R, P1.get(i, {}), P2.get(j, {})):
                 return False
     return True

@@ -34,7 +34,7 @@ from .exact_linalg import format_scalar, parse_scalar
 from .graded import GradedSpace, normalize_tuple
 from .superalgebra import LinearMap, SuperAlgebra
 from .triple import ActionMap
-from .util import dense, scaled_rows
+from .util import scaled_rows
 
 COMMANDS = (
     "check-algebra",
@@ -173,8 +173,7 @@ def _parse_crossed(entries, g: SuperAlgebra, h: SuperAlgebra) -> LinearMap:
         if i in cols:
             raise ValidationError(f"D: duplicate entry for {ent['g']!r}")
         cols[i] = _parse_value(ent["value"], h.space, "D")
-    den, ints = scaled_rows(cols)
-    return LinearMap(g.space, h.space, tuple(dense(ints.get(i, {}), h.dim, den) for i in range(g.dim)))
+    return LinearMap._from_ints((g.space, h.space), *scaled_rows(cols))
 
 
 def _is_order(value) -> bool:
@@ -320,11 +319,8 @@ def action_to_obj(rho: ActionMap):
 
 
 def crossed_to_obj(D: LinearMap):
-    out = []
-    for i, col in enumerate(D.cols):
-        if any(x != 0 for x in col):
-            out.append({"g": D.source.labels[i], "value": value_to_obj(col, D.target)})
-    return out
+    labels = D.source.labels
+    return [{"g": labels[i], "value": value_to_obj(col, D.target)} for i, col in sorted(D.coeffs.items())]
 
 
 def cochain_to_obj(c):
@@ -368,10 +364,8 @@ def morphism_to_obj(m):
     """Two dense matrix blocks, rows over target coordinates as scalars."""
 
     def matrix_block(lin):
-        return [
-            [format_scalar(lin.cols[j][k]) for j in range(lin.source.dim)]
-            for k in range(lin.target.dim)
-        ]
+        cols = lin.cols
+        return [[format_scalar(col[k]) for col in cols] for k in range(lin.target.dim)]
 
     return {"phi1": matrix_block(m.phi1), "phi2": matrix_block(m.phi2)}
 

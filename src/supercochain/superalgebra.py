@@ -13,14 +13,11 @@ first-class inputs elsewhere).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cochains import Cochain
+from .cochains import Cochain, _CoefficientMap
 from .errors import DimensionMismatch, ValidationError
 from .graded import GradedSpace, wedge_basis
 from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
-from .util import exact_rows, nonzero, require_exact, scaled_rows, sparse, support, vec_add
-from .util import vec_is_zero, vec_scale, zero_vec
+from .util import exact_rows, lincomb, nonzero, scaled_rows, sparse, support
 
 
 class Failure(Frozen):
@@ -238,83 +235,93 @@ def abelian(p: int, q: int, even_prefix: str = "x", odd_prefix: str = "y") -> Su
     return SuperAlgebra(space, {})
 
 
-class LinearMap(Frozen):
-    """Linear map stored column-wise: cols[j] is the image of source basis j."""
+class LinearMap(_CoefficientMap):
+    """Linear map stored column-wise: the value at key j is the image of source basis j.
 
-    __slots__ = ("source", "target", "cols")
+    The keys are source positions, so the storage (int columns over one
+    ``den``, no zero column stored), ``==``, ``add``, ``scale``, ``parity``,
+    ``is_zero`` and ``zero`` are those of ``cochains._CoefficientMap``.  The
+    constructor takes the image of every source basis vector, or a dict
+    {j: image} without the zero columns; ``cols``, the ``Fraction`` tuple of
+    every column, is a view built on each read.
+    """
 
-    def __init__(self, source: GradedSpace, target: GradedSpace, cols: tuple):
-        cols = tuple(map(tuple, cols))
-        if len(cols) != source.dim:
-            raise DimensionMismatch("column shape does not match spaces")
-        exact_rows(dict(enumerate(cols)), target.dim, "map column")
-        super().__init__(source, target, tuple(tuple(map(Fraction, col)) for col in cols))
+    __slots__ = ("source", "target")
+    _kind = "map"
 
-    @classmethod
-    def zero(cls, source: GradedSpace, target: GradedSpace) -> "LinearMap":
-        return cls(source, target, tuple(zero_vec(target.dim) for _ in range(source.dim)))
+    def __init__(self, source: GradedSpace, target: GradedSpace, cols):
+        self.source = source
+        self.target = target
+        if not isinstance(cols, dict):
+            cols = tuple(map(tuple, cols))
+            if len(cols) != source.dim:
+                raise DimensionMismatch("column shape does not match spaces")
+            cols = dict(enumerate(cols))
+        self._set_coeffs(cols)
+
+    @property
+    def shape(self):
+        return (self.source, self.target)
+
+    @property
+    def target_space(self) -> GradedSpace:
+        return self.target
+
+    def _check_key(self, j):
+        if j not in range(self.source.dim):
+            raise DimensionMismatch(f"column {j!r} outside a source of dimension {self.source.dim}")
+        return j
+
+    def key_parity(self, j) -> int:
+        return self.source.parities[j]
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "LinearMap":
-        return cls(space, space, [[int(i == j) for i in range(space.dim)] for j in range(space.dim)])
+        return cls._from_ints((space, space), 1, {j: {j: 1} for j in range(space.dim)})
+
+    @property
+    def cols(self):
+        """The image of every source basis vector as a ``Fraction`` tuple: a view built on
+        each read, never for work."""
+        tdim, den, ints = self.target.dim, self.den, self.ints
+        return tuple(dense(ints.get(j, {}), tdim, den) for j in range(self.source.dim))
+
+    def _image(self, x: dict) -> dict:
+        """The image of a sparse vector x: ints over ``den`` times the denominator of x."""
+        ints = self.ints
+        return lincomb(*((c, ints[j]) for j, c in x.items() if j in ints))
 
     def apply(self, vec):
-        vec = tuple(vec)
-        if len(vec) != self.source.dim:
-            raise DimensionMismatch("vector length != source dimension")
-        out = list(zero_vec(self.target.dim))
-        for j, c in enumerate(vec):
-            if c == 0:
-                continue
-            col = self.cols[j]
-            for k, v in enumerate(col):
-                if v != 0:
-                    out[k] += c * v
-        return tuple(out)
+        """The image of a coordinate vector of ints and ``Fraction``s, as a ``Fraction`` tuple."""
+        d, x = scaled_rows(exact_rows({0: vec}, self.source.dim, "vector"))
+        return dense(self._image(x[0]), self.target.dim, self.den * d)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
+        """self after other, on ints over the product of the two denominators."""
         if other.target != self.source:
             raise DimensionMismatch("composition spaces do not match")
-        return LinearMap(other.source, self.target, tuple(self.apply(c) for c in other.cols))
+        ints = {j: self._image(col) for j, col in other.ints.items()}
+        return LinearMap._from_ints((other.source, self.target), self.den * other.den, ints)
 
-    def parity(self):
-        """0 or 1 for homogeneous maps, None for mixed, 0 for the zero map."""
-        seen = set()
-        for j, col in enumerate(self.cols):
-            pj = self.source.parity(j)
-            for k, v in enumerate(col):
-                if v != 0:
-                    seen.add((self.target.parity(k) - pj) % 2)
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def is_zero(self) -> bool:
-        return all(vec_is_zero(c) for c in self.cols)
-
-    def add(self, other: "LinearMap") -> "LinearMap":
-        if other.source != self.source or other.target != self.target:
-            raise DimensionMismatch("sum spaces do not match")
-        return LinearMap(
-            self.source, self.target, tuple(vec_add(a, b) for a, b in zip(self.cols, other.cols))
-        )
-
-    def scale(self, c) -> "LinearMap":
-        require_exact(c, "a map scalar")
-        return LinearMap(self.source, self.target, tuple(vec_scale(col, c) for col in self.cols))
+    def __repr__(self):
+        (p, q), (r, s) = self.source.dims, self.target.dims
+        return f"LinearMap(dims=({p}|{q})->({r}|{s}), entries={sum(map(len, self.ints.values()))})"
 
 
 def is_homomorphism(f: LinearMap, A: SuperAlgebra, B: SuperAlgebra) -> bool:
-    """f([a,b]) == [f(a), f(b)] on all basis pairs."""
+    """f([a,b]) == [f(a), f(b)] on all basis pairs.
+
+    f([a,b]) is ints over den(f) den(A) and [f(a), f(b)] ints over den(f)^2
+    den(B); each side is multiplied by the denominators it lacks.
+    """
     if f.source != A.space or f.target != B.space:
         raise DimensionMismatch("map does not connect the given algebras")
+    F = f.ints
+    m_lhs, m_rhs = f.den * B.den, A.den
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = f.apply(A.bracket_basis(i, j))
-            rhs = B.bracket_eval(f.cols[i], f.cols[j])
+            lhs = lincomb((m_lhs, f._image(A.ints[i][j])))
+            rhs = lincomb((m_rhs, bilinear(B.ints, F.get(i, {}), F.get(j, {}))))
             if lhs != rhs:
                 return False
     return True

@@ -82,7 +82,7 @@ class ActionMap:
         return dense(self.ints[i][j], self.h_space.dim, self.den)
 
     def operator(self, i: int) -> LinearMap:
-        return LinearMap(self.h_space, self.h_space, self.table[i])
+        return LinearMap._from_ints((self.h_space, self.h_space), self.den, dict(enumerate(self.ints[i])))
 
     def apply(self, xvec, uvec):
         """rho(x) u for coordinate vectors x in g and u in h."""

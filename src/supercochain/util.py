@@ -7,15 +7,15 @@ report shows.
 
 The kernel rule: ``Fraction`` at the API and report boundary, ints inside the
 loops.  Every exact object (``Matrix``, ``Cochain``, ``BlockCochain``,
-``SuperAlgebra``, ``ActionMap``) stores int rows over one positive
-denominator in the canonical form ``canonical`` gives: no zero stored and no
-factor common to the denominator and every entry, so equal objects store
-equal ints.  Their ``Fraction`` views are built only when read.  Input
-entries are ints or ``Fraction``s and nothing else (``require_exact``,
-``exact_rows``); ``scaled_rows`` writes rows of them as ints over one common
-denominator.  ``addmul``, ``lincomb``, ``combine`` and ``bilinear`` then run
-on those ints, and only the nonzero entries of a result become ``Fraction``s
-again (``dense``).  The trilinear axiom checks contract two int tables at a
+``LinearMap``, ``SuperAlgebra``, ``ActionMap``) stores int rows over one
+positive denominator in the canonical form ``canonical`` gives: no zero
+stored and no factor common to the denominator and every entry, so equal
+objects store equal ints.  Their ``Fraction`` views are built only when
+read.  Input entries are ints or ``Fraction``s and nothing else
+(``require_exact``, ``exact_rows``); ``scaled_rows`` writes rows of them as
+ints over one common denominator.  ``addmul``, ``lincomb``, ``combine`` and
+``bilinear`` then run on those ints, and only the nonzero entries of a
+result become ``Fraction``s again (``dense``).  The trilinear axiom checks contract two int tables at a
 time over their support (``support``, ``contract_*``).  An identity whose
 terms carry different denominators is compared after multiplying each side
 by the denominators it lacks, so every comparison is exact and made on ints.
@@ -70,19 +70,6 @@ def zero_vec(n: int):
 
 def vec_is_zero(v) -> bool:
     return not any(v)
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(v, c):
-    """c * v; a sign c = -1 negates entry by entry, with no multiplication."""
-    if c == 1:
-        return tuple(v)
-    if c == -1:
-        return tuple(-x for x in v)
-    return tuple(c * x for x in v)
 
 
 def sparse(vec) -> dict:

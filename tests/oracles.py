@@ -19,9 +19,11 @@ no ``block_key``.
 
 So do the dense axiom checks, the graph criterion and the deformation
 residuals: every term is a dense coordinate vector of ``Fraction``s pushed
-through ``LinearMap`` operators and a dense bilinear bracket read from
-``bracket_basis``, with none of the sparse int tables and common
-denominators the library checks read.
+through the ``cols`` of a ``LinearMap`` (``dense_apply``, ``dense_compose``)
+and a dense bilinear bracket read from ``bracket_basis``, with none of the
+sparse int tables and common denominators the library checks read.  The
+column-by-column map operations are references for ``LinearMap.apply``,
+``compose`` and ``superalgebra.is_homomorphism`` too.
 
 So does the dense exact rank and kernel: every row of every matrix is read
 in full, scaled to integers and reduced by Bareiss elimination in leftmost
@@ -40,7 +42,7 @@ import math
 from fractions import Fraction as F
 
 from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_block
-from supercochain.errors import InternalInvariantError, InvalidAction, SpaceMismatch
+from supercochain.errors import DimensionMismatch, InternalInvariantError, InvalidAction, SpaceMismatch
 from supercochain.errors import ValidationError
 from supercochain.exact_linalg import Matrix
 from supercochain.graded import direct_sum, koszul_sign, normalize_tuple, wedge_basis
@@ -58,7 +60,7 @@ from supercochain.triple import (
 from supercochain.crossed import ch_blocks, ch_units
 from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
 from supercochain.superalgebra import check_jacobi as superalgebra_check_jacobi
-from supercochain.util import vec_add, vec_is_zero, vec_scale, zero_vec
+from supercochain.util import vec_is_zero, zero_vec
 
 from helpers import embed_left, embed_right, split
 
@@ -599,6 +601,58 @@ def ch_bracket_closed(t, f1, f2):
 
 
 # ---------------------------------------------------------------------------
+# dense coordinate vectors and maps, column by column
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vec_scale(v, c):
+    """c * v; a sign c = -1 negates entry by entry, with no multiplication."""
+    if c == 1:
+        return tuple(v)
+    if c == -1:
+        return tuple(-x for x in v)
+    return tuple(c * x for x in v)
+
+
+def dense_apply(m, vec):
+    """m(vec): the ``Fraction`` columns of m summed with the coefficients of vec."""
+    vec = tuple(vec)
+    if len(vec) != m.source.dim:
+        raise DimensionMismatch("vector length != source dimension")
+    cols = m.cols
+    out = list(zero_vec(m.target.dim))
+    for j, c in enumerate(vec):
+        if c == 0:
+            continue
+        for k, v in enumerate(cols[j]):
+            if v != 0:
+                out[k] += c * v
+    return tuple(out)
+
+
+def dense_compose(f, g):
+    """f after g: ``dense_apply`` of f to each column of g."""
+    if g.target != f.source:
+        raise DimensionMismatch("composition spaces do not match")
+    return LinearMap(g.source, f.target, tuple(dense_apply(f, c) for c in g.cols))
+
+
+def dense_is_homomorphism(f, A, B):
+    """f([a, b]) == [f(a), f(b)] on all basis pairs, by ``dense_apply`` and ``dense_bracket``."""
+    if f.source != A.space or f.target != B.space:
+        raise DimensionMismatch("map does not connect the given algebras")
+    cols = f.cols
+    return all(
+        dense_apply(f, A.bracket_basis(i, j)) == dense_bracket(B, cols[i], cols[j])
+        for i in range(A.dim)
+        for j in range(A.dim)
+    )
+
+
+# ---------------------------------------------------------------------------
 # dense axiom checks and deformation residuals
 
 
@@ -707,9 +761,9 @@ def check_action(g, h, rho):
         sgn = F(-1 if g.space.parity(i) else 1)
         for a in range(h.dim):
             for b in range(h.dim):
-                lhs = op.apply(h.bracket_basis(a, b))
-                first = dense_bracket(h, op.apply(hbasis[a]), hbasis[b])
-                second = dense_bracket(h, hbasis[a], op.apply(hbasis[b]))
+                lhs = dense_apply(op, h.bracket_basis(a, b))
+                first = dense_bracket(h, dense_apply(op, hbasis[a]), hbasis[b])
+                second = dense_bracket(h, hbasis[a], dense_apply(op, hbasis[b]))
                 if h.space.parity(a):
                     second = vec_scale(second, sgn)
                 rhs = vec_add(first, second)
@@ -720,8 +774,8 @@ def check_action(g, h, rho):
             lhs_op = _operator_of(rho, g.bracket_basis(i, j))
             # rho([x,y]) = rho(x) rho(y) - (-1)^{|x||y|} rho(y) rho(x)
             sign = F(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
-            rhs_op = rho.operator(i).compose(rho.operator(j)).add(
-                rho.operator(j).compose(rho.operator(i)).scale(sign)
+            rhs_op = dense_compose(rho.operator(i), rho.operator(j)).add(
+                dense_compose(rho.operator(j), rho.operator(i)).scale(sign)
             )
             for j2 in range(h.dim):
                 if lhs_op.cols[j2] != rhs_op.cols[j2]:
@@ -740,10 +794,10 @@ def check_crossed(D):
     labels = g.space.labels
     for i in range(g.dim):
         for j in range(g.dim):
-            lhs = D.linmap.apply(g.bracket_basis(i, j))
+            lhs = dense_apply(D.linmap, g.bracket_basis(i, j))
             di, dj = D.linmap.cols[i], D.linmap.cols[j]
-            term1 = rho.operator(i).apply(dj)
-            term2 = rho.operator(j).apply(di)
+            term1 = dense_apply(rho.operator(i), dj)
+            term2 = dense_apply(rho.operator(j), di)
             sign = F(1 if (g.space.parity(i) * g.space.parity(j)) % 2 else -1)
             rhs = vec_add(vec_add(term1, vec_scale(term2, sign)), dense_bracket(h, di, dj))
             if lhs != rhs:
@@ -760,7 +814,7 @@ def graph_failures(D):
     ds = direct_sum(g.space, t.h.space)
 
     def lift(x):
-        return vec_add(embed_left(ds, x), embed_right(ds, D.linmap.apply(x)))
+        return vec_add(embed_left(ds, x), embed_right(ds, dense_apply(D.linmap, x)))
 
     failures = []
     labels = g.space.labels
@@ -828,9 +882,9 @@ def triple_deformation_residual(d, n):
             acc = zero_vec(hs.dim)
             for i, j in pairs:
                 rho_i, rho_j = d.rhos[i], d.rhos[j]
-                lhs = _operator_of(rho_i, d.pis[j].eval((u, v))).apply(xvec)
-                r1 = rho_i.operator(u).apply(rho_j.operator(v).apply(xvec))
-                r2 = rho_i.operator(v).apply(rho_j.operator(u).apply(xvec))
+                lhs = dense_apply(_operator_of(rho_i, d.pis[j].eval((u, v))), xvec)
+                r1 = dense_apply(rho_i.operator(u), dense_apply(rho_j.operator(v), xvec))
+                r2 = dense_apply(rho_i.operator(v), dense_apply(rho_j.operator(u), xvec))
                 acc = vec_add(acc, lhs)
                 acc = vec_add(acc, vec_scale(r1, F(-1)))
                 acc = vec_add(acc, vec_scale(r2, swap_sign))
@@ -848,9 +902,9 @@ def triple_deformation_residual(d, n):
             for i, j in pairs:
                 rho_i = d.rhos[i]
                 mu_i, mu_j = d.mus[i], d.mus[j]
-                lhs = rho_i.operator(u).apply(mu_j.eval((x, y)))
-                r1 = _bilinear(mu_i, d.rhos[j].operator(u).apply(_basis(hs.dim, x)), _basis(hs.dim, y))
-                r2 = _bilinear(mu_i, _basis(hs.dim, x), d.rhos[j].operator(u).apply(_basis(hs.dim, y)))
+                lhs = dense_apply(rho_i.operator(u), mu_j.eval((x, y)))
+                r1 = _bilinear(mu_i, dense_apply(d.rhos[j].operator(u), _basis(hs.dim, x)), _basis(hs.dim, y))
+                r2 = _bilinear(mu_i, _basis(hs.dim, x), dense_apply(d.rhos[j].operator(u), _basis(hs.dim, y)))
                 acc = vec_add(acc, lhs)
                 acc = vec_add(acc, vec_scale(r1, F(-1)))
                 acc = vec_add(acc, vec_scale(r2, -leib_sign))
@@ -871,9 +925,9 @@ def ch_deformation_residual(d, n):
     for gk in wedge_basis(gs, 2):
         x, y = gk
         sgn = F(1 if (gs.parity(x) * gs.parity(y)) % 2 else -1)
-        acc = vec_scale(Dn.apply(g.bracket_basis(x, y)), F(-1))
-        acc = vec_add(acc, rho.operator(x).apply(Dn.cols[y]))
-        acc = vec_add(acc, vec_scale(rho.operator(y).apply(Dn.cols[x]), sgn))
+        acc = vec_scale(dense_apply(Dn, g.bracket_basis(x, y)), F(-1))
+        acc = vec_add(acc, dense_apply(rho.operator(x), Dn.cols[y]))
+        acc = vec_add(acc, vec_scale(dense_apply(rho.operator(y), Dn.cols[x]), sgn))
         for i in range(n + 1):
             acc = vec_add(acc, dense_bracket(h, d.maps[i].cols[x], d.maps[n - i].cols[y]))
         if not vec_is_zero(acc):

@@ -16,6 +16,11 @@ odd part is 0.
 The adjoint triples of the simple sl(2) and osp(1|2) have H^1 = 3|0 and 3|2
 (the dimensions of g) and H^2 = H^3 = 0, as Whitehead's lemmas lead one to
 expect; the triple complex and the crossed complex of D = 0 agree on this.
+
+Every derivation of sl(2) or osp(1|2) is inner and their centres are 0, so
+Der = ad(g) has dimension 3|0 and 3|2.  A derivation of h_3 is any
+gl(2) action on span(x, y), acting on z by its trace, plus the two maps
+x, y -> z: Der(h_3) = 6|0.
 """
 
 import json
@@ -25,11 +30,12 @@ import pytest
 from conftest import FIXTURES
 from supercochain import cli
 from supercochain import io as sio
-from supercochain.crossed import CrossedHom, ch_cohomology_table, verify
+from supercochain.crossed import CrossedHom, ch_cohomology_table, derivation_space, verify
+from supercochain.exact_linalg import Matrix, rank
 from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, check_super_skew, gl
 from supercochain.triple import check_action, triple_cohomology_table
 
-from helpers import adjoint_triple, heisenberg3, osp12, sl2
+from helpers import ad, adjoint_triple, heisenberg3, osp12, sl2
 
 CLASSICAL = {"sl2": sl2, "osp12": osp12, "heisenberg3": heisenberg3}
 
@@ -91,3 +97,51 @@ def test_adjoint_triples_of_simple_algebras(name, odd_h1):
     expected = {1: {0: 3, 1: odd_h1}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}
     assert triple_cohomology_table(t, range(1, 4)) == expected
     assert ch_cohomology_table(D, range(1, 4)) == expected
+
+
+def _h3_derivations():
+    """gl(2) on span(x, y) with z -> trace times z, then x -> z and y -> z: columns x, y, z."""
+    return [
+        ((1, 0, 0), (0, 0, 0), (0, 0, 1)),
+        ((0, 0, 0), (1, 0, 0), (0, 0, 0)),
+        ((0, 1, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 0, 1), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+    ]
+
+
+def _rank_of(maps):
+    """The rank of a list of maps, each flattened to one column."""
+    if not maps:
+        return 0
+    flat = [[x for col in m.cols for x in col] for m in maps]
+    return rank(Matrix.from_cols(flat, len(flat[0])))
+
+
+@pytest.mark.parametrize("name, dims", [("sl2", (3, 0)), ("osp12", (3, 2)), ("heisenberg3", (6, 0))])
+def test_derivation_space_of_classical_algebras(name, dims):
+    A = CLASSICAL[name]()
+    found = derivation_space(A)
+    assert tuple(map(len, found)) == dims
+    basis = [tuple(int(k == i) for k in range(A.dim)) for i in range(A.dim)]
+    pars = A.space.parities
+    for s, maps in enumerate(found):
+        assert _rank_of(maps) == len(maps)
+        for D in maps:
+            assert D.parity() == s
+            for a in range(A.dim):
+                sign = -1 if s and pars[a] else 1
+                for b in range(A.dim):
+                    # D[a, b] = [D a, b] + (-1)^(s|a|) [a, D b]
+                    left = A.bracket_eval(D.cols[a], basis[b])
+                    right = A.bracket_eval(basis[a], D.cols[b])
+                    want = tuple(x + sign * y for x, y in zip(left, right))
+                    assert D.apply(A.bracket_basis(a, b)) == want
+    # each ad x (of parity |x|), or each h_3 derivation above, lies in the span found
+    if name == "heisenberg3":
+        known = {0: [LinearMap(A.space, A.space, cols) for cols in _h3_derivations()], 1: []}
+    else:
+        known = {s: [ad(A, i) for i in range(A.dim) if pars[i] == s] for s in (0, 1)}
+    for s, maps in enumerate(found):
+        assert _rank_of(known[s]) == len(maps) == _rank_of(maps + known[s])

@@ -158,6 +158,38 @@ def test_action_storage_is_canonical_for_every_common_factor(rows, other, den, k
         assert (B == base) == (B.table == base.table)
 
 
+map_cols = st.dictionaries(
+    st.integers(0, G.dim - 1),
+    st.dictionaries(st.integers(0, H.dim - 1), st.integers(-6, 6), max_size=H.dim),
+    max_size=G.dim,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=map_cols, other=map_cols, den=st.integers(1, 12), k=st.integers(1, 30))
+def test_linear_map_storage_is_canonical_for_every_common_factor(cols, other, den, k):
+    base = LinearMap._from_ints((G, H), den, cols)
+    scaled = LinearMap._from_ints((G, H), k * den, _times(cols, k))
+    dense_cols = tuple(tuple(F(cols.get(j, {}).get(t, 0), den) for t in range(H.dim)) for j in range(G.dim))
+    assert scaled == base == LinearMap(G, H, dense_cols)
+    assert (scaled.den, scaled.ints) == (base.den, base.ints)
+    assert base.cols == dense_cols
+    assert all(type(x) is F for col in base.cols for x in col)
+    _assert_canonical(base)
+    entries = sum(x != 0 for col in dense_cols for x in col)
+    assert repr(base) == repr(scaled) == f"LinearMap(dims=(1|1)->(1|2), entries={entries})"
+    for B in (LinearMap._from_ints((G, H), den, other), LinearMap._from_ints((G, H), k * den, cols)):
+        assert (B == base) == (B.cols == base.cols)
+    # another source or target space alone gives an unequal map; a map has no hash
+    relabelled = GradedSpace(("p",), ("q",))
+    assert base != LinearMap._from_ints((relabelled, H), den, cols)
+    assert base != LinearMap._from_ints((G, GradedSpace(("r",), ("s", "t"))), den, cols)
+    with pytest.raises(TypeError):
+        hash(base)
+    with pytest.raises(ValidationError):
+        base.apply((F(1, 2), 0.5))
+
+
 def test_block_storage_is_canonical():
     shape = (G, H, 1, 1, "h")
     half = BlockCochain(*shape, {((0,), (0,)): (F(1, 2), 0, 0), ((1,), (1,)): (F(3, 2), 0, 0)})

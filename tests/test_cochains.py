@@ -22,9 +22,10 @@ from supercochain.graded import GradedSpace, direct_sum, wedge_basis
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, gl
 from supercochain.triple import ActionMap, LieSupActTriple, check_action, mc_residual
 from supercochain.triple import triple_blocks, triple_complex
-from supercochain.util import vec_is_zero, vec_scale, zero_vec
+from supercochain.util import vec_is_zero, zero_vec
 
 import oracles
+from oracles import vec_scale
 from helpers import SMALL_SPACES, aff11, random_block, random_cochain, random_homogeneous_cochain, split
 
 V11 = GradedSpace(("e",), ("f",))

@@ -231,7 +231,7 @@ def test_del_pi_rho_explicit_formula(aff_triple):
     t = aff_triple
     rng = random.Random(8)
     from supercochain.graded import wedge_basis
-    from supercochain.util import vec_add, vec_scale
+    from oracles import vec_add, vec_scale
 
     for _ in range(20):
         m = random_parity_zero_map(t.g.space, t.h.space, rng)
@@ -285,7 +285,7 @@ def test_mc_residual_matches_closed_expression(aff_triple):
     t = aff_triple
     rng = random.Random(11)
     from supercochain.graded import wedge_basis
-    from supercochain.util import vec_add, vec_scale
+    from oracles import vec_add, vec_scale
 
     for _ in range(20):
         m = random_parity_zero_map(t.g.space, t.h.space, rng)
@@ -399,6 +399,20 @@ def test_composition_of_morphisms(aff_triple):
     comp = compose_morphisms(m1, m2)
     assert comp.phi1.cols == scaling(6).cols
     assert check_morphism(D0, D0, comp)
+
+
+def test_morphisms_with_denominators(aff_triple):
+    t = aff_triple
+    D0 = verify(CrossedHom(t, lmap(t, 0, 0)))
+
+    def scaling(c):
+        return LinearMap(t.g.space, t.g.space, ((F(1), F(0)), (F(0), F(c))))
+
+    # phi2 rho(x) u = rho(phi1 x)(phi2 u) needs phi1 = phi2 on the adjoint triple
+    assert check_morphism(D0, D0, CHMorphism(scaling(F(1, 2)), scaling(F(1, 2))))
+    assert not check_morphism(D0, D0, CHMorphism(scaling(F(1, 2)), scaling(F(3, 2))))
+    assert CHMorphism(scaling(F(1, 2)), scaling(F(3, 2))).is_isomorphism
+    assert not CHMorphism(scaling(F(1, 2)), scaling(0)).is_isomorphism
 
 
 def test_zero_phi2_fails_when_D_nonzero(aff_triple):

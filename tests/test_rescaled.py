@@ -9,7 +9,8 @@ up denominators 2, 3, 4, 9, ...  Each result must equal its ``Fraction``
 reference in ``oracles`` exactly, on the rescaled inputs and on copies with
 one entry perturbed: every verdict with its failure ``lhs``/``rhs``, both
 Maurer-Cartan residuals, both deformation residuals, ``nr_bracket``,
-``circ``, ``bracket_sum`` and the differentials ``bracket_matrix`` builds.
+``circ``, ``bracket_sum``, the differentials ``bracket_matrix`` builds and
+the map operations ``apply``, ``compose`` and ``is_homomorphism``.
 """
 
 import random
@@ -28,12 +29,13 @@ from supercochain.deformation import (
     triple_deformation_residual,
     triple_deformation_residuals,
 )
-from supercochain.superalgebra import check_jacobi, check_super_skew
+from supercochain.superalgebra import LinearMap, check_jacobi, check_super_skew, is_homomorphism
 from supercochain.triple import check_action, mc_residual, triple_coboundary_matrix
 
 import oracles
 from helpers import (
     SMALL_SPACES,
+    adjoint_triple,
     draw_scales,
     random_cochain,
     random_homogeneous_cochain,
@@ -128,6 +130,30 @@ def test_rescaled_crossed_checks_match_references(name, perturb, rng):
     want = tuple(oracles.ch_deformation_residual(d, n) for n in range(3))
     assert ch_deformation_residuals(d) == want
     assert tuple(ch_deformation_residual(d, n) for n in range(3)) == want
+
+
+@EXAMPLES
+@given(st.sampled_from(sorted(n for n in CROSSED if n != "gl21_adjoint")), st.randoms(use_true_random=False))
+def test_rescaled_map_operations_match_references(name, rng):
+    """``apply``, ``compose`` and ``is_homomorphism`` on int columns against the dense
+    column-by-column references, with denominators in every map and algebra."""
+    D = rescale_crossed(CROSSED[name], *_scales(CROSSED[name].triple, rng))
+    t = D.triple
+    gs = t.g.space
+    # the identity of g from one rescaled basis to another: an isomorphism with denominators
+    iso = CrossedHom(adjoint_triple(t.g), LinearMap.identity(gs))
+    iso = rescale_crossed(iso, draw_scales(gs, rng), draw_scales(gs, rng))
+    A, B = iso.triple.g, iso.triple.h
+    maps = [D.linmap, _perturb_map(D.linmap, rng), iso.linmap, _perturb_map(iso.linmap, rng)]
+    for m in maps:
+        for _ in range(3):
+            vec = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m.source.dim))
+            assert m.apply(vec) == oracles.dense_apply(m, vec)
+    for f, g in [(D.linmap, iso.linmap), (maps[1], maps[3]), (t.rho.operator(0), D.linmap), (iso.linmap, maps[3])]:
+        assert f.compose(g) == oracles.dense_compose(f, g)
+    assert is_homomorphism(iso.linmap, A, B)
+    for f in (iso.linmap, maps[3], iso.linmap.scale(F(3, 2)), LinearMap.zero(gs, gs)):
+        assert is_homomorphism(f, A, B) == oracles.dense_is_homomorphism(f, A, B)
 
 
 @EXAMPLES

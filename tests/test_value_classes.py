@@ -76,11 +76,6 @@ CASES = {
         lambda: dict(name="triple", failures=()),
         lambda: dict(name="crossed", failures=(Failure("jacobi", (), (), ()),)),
     ),
-    "LinearMap": (
-        LinearMap,
-        lambda: dict(source=space(), target=space(), cols=((F(1), F(0)), (F(0), F(1)))),
-        lambda: dict(source=other_space(), target=other_space(), cols=((F(0), F(0)), (F(0), F(1)))),
-    ),
     "LieSupActTriple": (
         LieSupActTriple,
         lambda: dict(g=triple().g, h=triple().h, rho=triple().rho),
@@ -140,10 +135,23 @@ CASES = {
     ),
 }
 
-# the other classes hold an algebra or a cochain, which defines == but no hash
-HASHABLE = {GradedSpace, Failure, CheckReport, LinearMap, CHMorphism, ChInfinitesimalReport}
+# the other classes hold an algebra, a cochain or a map, which defines == but no hash
+HASHABLE = {GradedSpace, Failure, CheckReport}
 
 PARAMS = pytest.mark.parametrize("name", sorted(CASES))
+
+# a LinearMap is built from keyword fields but keeps int columns, not those fields, so it
+# joins only the checks of equality and repr
+WITH_MAP = dict(
+    CASES,
+    LinearMap=(
+        LinearMap,
+        lambda: dict(source=space(), target=space(), cols=((F(1), F(0)), (F(0), F(1)))),
+        lambda: dict(source=other_space(), target=other_space(), cols=((F(0), F(0)), (F(0), F(1)))),
+    ),
+)
+
+WITH_MAP_PARAMS = pytest.mark.parametrize("name", sorted(WITH_MAP))
 
 
 @PARAMS
@@ -170,9 +178,9 @@ def test_keyword_construction_stores_each_field(name):
         assert getattr(obj, field) == value
 
 
-@PARAMS
+@WITH_MAP_PARAMS
 def test_any_one_field_changed_gives_unequal_object(name):
-    cls, fields, alternatives = CASES[name]
+    cls, fields, alternatives = WITH_MAP[name]
     base = cls(**fields())
     for field, value in alternatives().items():
         other = cls(**dict(fields(), **{field: value}))
@@ -215,9 +223,9 @@ def test_repr_names_the_fields(name):
         assert f"{field}={value!r}" in text
 
 
-@PARAMS
+@WITH_MAP_PARAMS
 def test_equal_objects_built_separately_have_equal_reprs(name):
-    cls, fields, _ = CASES[name]
+    cls, fields, _ = WITH_MAP[name]
     text = repr(cls(**fields()))
     assert text == repr(cls(**fields()))
     assert "object at" not in text
