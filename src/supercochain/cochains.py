@@ -28,7 +28,8 @@ when read (see ``_CoefficientMap``).
 ``circ``, ``nr_bracket``, ``circ_sum``, ``bracket_sum`` and ``bracket_matrix``
 share one term expansion on those ints: for each unit U = (key K -> e_T) of
 the right operand, ``_unit_image`` lists the terms of [P, U] (or circ(P, U))
-over the support of a P of any arity and parity, built once per operand.
+over the support of a P of any arity and parity, which P keeps once built
+(``Cochain.bracket_support``).
 Every Koszul sign of a term comes from ``shuffle``, on the two sorted pieces
 the term joins (``normalize_tuple`` sorts an arbitrary tuple for ``eval``).
 For an even arity-2 P, [P, P] = 2 circ(P, P), so a self-bracket is one
@@ -163,7 +164,7 @@ class _CoefficientMap:
 class Cochain(_CoefficientMap):
     """n-linear super-antisymmetric map, coefficients on wedge normal forms."""
 
-    __slots__ = ("source", "target", "arity")
+    __slots__ = ("source", "target", "arity", "_support")
     _kind = "cochain"
 
     def __init__(self, source: GradedSpace, target: GradedSpace, arity: int, coeffs):
@@ -172,6 +173,7 @@ class Cochain(_CoefficientMap):
         self.source = source
         self.target = target
         self.arity = arity
+        self._support = None
         self._set_coeffs(coeffs)
 
     @property
@@ -190,6 +192,16 @@ class Cochain(_CoefficientMap):
 
     def key_parity(self, key) -> int:
         return sum(self.source.parities_of(key)) % 2
+
+    def bracket_support(self):
+        """``_bracket_support(self)``, built on first use and kept on the cochain.
+
+        Like ``parity_parts``, it stays valid because stored int rows are never
+        mutated.
+        """
+        if self._support is None:
+            self._support = _bracket_support(self)
+        return self._support
 
     def eval(self, slots):
         """Value at an arbitrary tuple of basis positions."""
@@ -229,15 +241,6 @@ def _bracket_support(P: Cochain):
         for t, x in vals.items():
             by_comp.setdefault(t, []).append((key, (kp + pars[t]) % 2, kc, x))
     return P.arity - 1, by_entry, by_comp
-
-
-def _support(P: Cochain, supports: dict):
-    """``_bracket_support(P)``, built once per memo ``supports`` {id(P): (P, support)};
-    the memo holds P, so no other operand takes its id while the entry lives."""
-    hit = supports.get(id(P))
-    if hit is None:
-        hit = supports[id(P)] = (P, _bracket_support(P))
-    return hit[1]
 
 
 def _multiplicity(X, counts):
@@ -286,18 +289,15 @@ def _unit_image(V: GradedSpace, support, K, T, bracket=True):
                 yield X, T, (-c if f and flip else c) * v
 
 
-def _expand(terms, bracket: bool, supports=None) -> Cochain:
+def _expand(terms, bracket: bool) -> Cochain:
     """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, over the units of each U.
 
     A term with c = p / q is an int sum over q den(P) den(U); all terms are
     added on ints over the lcm of those.  They share one space V and one arity.
-    A term with c = 0 or a zero operand adds nothing and is skipped.  The
-    support of each P is built once per memo ``supports`` (see ``_support``):
-    once per call unless the caller holds a memo for longer.
+    A term with c = 0 or a zero operand adds nothing and is skipped.
     """
     V = terms[0][1].source
     arity = terms[0][1].arity + terms[0][2].arity - 1
-    supports = {} if supports is None else supports
     prepared = []
     for c, P, U in terms:
         if V != P.target or P.source != V or U.source != V or U.target != V:
@@ -306,7 +306,7 @@ def _expand(terms, bracket: bool, supports=None) -> Cochain:
             raise ArityMismatch("the terms of a bracket sum have different arities")
         if not c or not P.ints or not U.ints:
             continue
-        prepared.append((c.numerator, c.denominator * P.den * U.den, _support(P, supports), U.ints))
+        prepared.append((c.numerator, c.denominator * P.den * U.den, P.bracket_support(), U.ints))
     den = lcm(*(d for _, d, _, _ in prepared))
     out = {}
     for m, d, support, rows in prepared:
@@ -328,19 +328,19 @@ def circ(F: Cochain, G: Cochain) -> Cochain:
     return _expand(((1, F, G),), False)
 
 
-def nr_bracket(F: Cochain, G: Cochain, supports=None) -> Cochain:
+def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
     """Graded commutator [F, G] of the insertion product, over the units of G."""
-    return _expand(((1, F, G),), True, supports)
+    return _expand(((1, F, G),), True)
 
 
-def circ_sum(terms, supports=None) -> Cochain:
+def circ_sum(terms) -> Cochain:
     """sum c P o U over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
-    return _expand(tuple(terms), False, supports)
+    return _expand(tuple(terms), False)
 
 
-def bracket_sum(terms, supports=None) -> Cochain:
+def bracket_sum(terms) -> Cochain:
     """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
-    return _expand(tuple(terms), True, supports)
+    return _expand(tuple(terms), True)
 
 
 def order_pairs(n: int):
@@ -350,19 +350,19 @@ def order_pairs(n: int):
     return [(i, n - i, 1 if 2 * i == n else 2) for i in range(n // 2 + 1)]
 
 
-def bracket_matrix(P: Cochain, cols, rows, supports=None) -> Matrix:
+def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     """Matrix of U -> [P, U] for an even arity-2 cochain P on V.
 
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
     through the same sign.  Each column is the ``_unit_image`` of its unit,
     summed on ints over the denominator of P; ``Matrix`` keeps those int
-    rows over that denominator.  ``supports`` is a memo as in ``_expand``.
+    rows over that denominator.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    support = _support(P, {} if supports is None else supports)
+    support = P.bracket_support()
     data = [{} for _ in rows]
     row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
     for j, (K, T, s) in enumerate(cols):

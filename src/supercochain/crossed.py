@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, _support, bracket_sum, hat_extend, nr_bracket, order_pairs
+from .cochains import BlockCochain, bracket_sum, hat_extend, nr_bracket, order_pairs
 from .cochains import project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis, rank
@@ -159,11 +159,11 @@ def ch_units(g_space, h_space, n: int, parity=None):
 
 
 class ChComplex:
-    """Cached hat embeddings for one triple's crossed-homomorphism complex.
+    """The hat embeddings pi + rho and mu of one triple's crossed-homomorphism complex.
 
-    The bracket supports of pi + rho and of mu are built on first use and
-    kept for the complex's lifetime (``_supports``, a memo as in
-    ``cochains._expand``).
+    Both are built once; each keeps its bracket support once built
+    (``Cochain.bracket_support``), so every bracket, residual and twisted
+    complex of this object shares it.
     """
 
     def __init__(self, t: LieSupActTriple):
@@ -171,13 +171,12 @@ class ChComplex:
         self.ds = direct_sum(t.g.space, t.h.space)
         self.mu_hat = hat_extend(mu_block(t.g.space, t.h))
         self.pr_hat = hat_extend(pi_block(t.g, t.h.space)).add(hat_extend(t.rho.as_block()))
-        self._supports = {}
         self._untwisted = BlockComplex(t.g.space, t.h.space, self.pr_hat, ch_blocks)
 
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""
         m = f1.g_arity
-        inner = nr_bracket(self.mu_hat, hat_extend(f1), self._supports)
+        inner = nr_bracket(self.mu_hat, hat_extend(f1))
         outer = nr_bracket(inner, hat_extend(f2))
         return project_block(outer.scale(1 if (m - 1) % 2 == 0 else -1), self.ds, m + f2.g_arity, 0, "h")
 
@@ -187,7 +186,7 @@ class ChComplex:
 
     def twisted(self, D_block: BlockCochain) -> BlockComplex:
         """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``."""
-        P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block), self._supports))
+        P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))
         return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
 
     def series_residuals(self, blocks, orders):
@@ -197,18 +196,15 @@ class ChComplex:
         That is [pi + rho, D_n] + 1/2 sum_{i+j=n} [[mu, D_i], D_j], one
         ``bracket_sum``; the double bracket is symmetric in D_i, D_j, as
         [D_i, D_j] = 0 for maps g -> h.  Each D_k is hat-extended, and
-        bracketed with mu, once for all orders, and the support of each
-        [mu, D_i] is built once in the pass.
+        bracketed with mu, once for all orders.
         """
         hats = [hat_extend(b) for b in blocks[: max(orders) + 1]]
-        inner = [nr_bracket(self.mu_hat, f, self._supports) for f in hats[: max(orders) // 2 + 1]]
-        _support(self.pr_hat, self._supports)
-        supports = dict(self._supports)
+        inner = [nr_bracket(self.mu_hat, f) for f in hats[: max(orders) // 2 + 1]]
         out = []
         for n in orders:
             terms = [(1, self.pr_hat, hats[n])]
             terms += [(Fraction(w, 2), inner[i], hats[j]) for i, j, w in order_pairs(n)]
-            out.append(project_block(bracket_sum(terms, supports), self.ds, 2, 0, "h"))
+            out.append(project_block(bracket_sum(terms), self.ds, 2, 0, "h"))
         return out
 
 

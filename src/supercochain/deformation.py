@@ -145,9 +145,8 @@ def triple_deformation_residuals(d: TripleDeformation, orders=None):
     ds = direct_sum(t.g.space, t.h.space)
     pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(max(orders) + 1)]
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
-    supports = {}
     return tuple(
-        McResidual.project(circ_sum(((1, pis[i], pis[n - i]) for i in range(n + 1)), supports), ds, factors)
+        McResidual.project(circ_sum(((1, pis[i], pis[n - i]) for i in range(n + 1))), ds, factors)
         for n in orders
     )
 

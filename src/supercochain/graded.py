@@ -25,14 +25,17 @@ even, and 0 if an even position repeats.  An inversion whose smaller entry
 is even swaps that entry with some other entry (signature -1, no odd pair);
 one whose smaller entry is odd swaps two odd entries (signature -1 times
 (-1) for the odd pair).  ``normalize_tuple`` counts these pairs directly and
-``shuffle`` counts them for two keys already in normal form; neither keeps a
-cache.
+``shuffle`` counts them for two keys already in normal form.
+
+Nothing here keeps a cache: ``wedge_basis`` lists its keys and
+``direct_sum`` builds its tables on each call, so a long-lived process holds
+no table it is not using.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import ArityMismatch, ValidationError
@@ -158,37 +161,23 @@ def wedge_dim(space: GradedSpace, n: int) -> int:
     return sum(comb(p, k) * _multiset_count(q, n - k) for k in range(min(p, n) + 1))
 
 
-@lru_cache(maxsize=None)
 def wedge_basis(space: GradedSpace, n: int):
     """Normal-form keys of the n-th super-wedge power, lexicographic.
 
     Even positions appear at most once, odd positions may repeat; entries are
     weakly increasing, which under the canonical order lists the even block
-    before the odd block.
+    before the odd block.  A key joins k distinct even positions and n - k odd
+    ones with repetition.
     """
     if n < 0:
         raise ValidationError("wedge arity must be >= 0")
-    if n == 0:
-        return ((),)
-    p = len(space.even_basis)
-    dim = space.dim
-    out = []
-
-    def extend(prefix, last):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        start = last if last >= p else last + 1
-        if last < 0:
-            start = 0
-        for nxt in range(start, dim):
-            prefix.append(nxt)
-            extend(prefix, nxt)
-            prefix.pop()
-
-    extend([], -1)
-    assert len(out) == wedge_dim(space, n)
-    return tuple(out)
+    p, dim = len(space.even_basis), space.dim
+    return tuple(sorted(
+        evens + odds
+        for k in range(min(p, n) + 1)
+        for evens in combinations(range(p), k)
+        for odds in combinations_with_replacement(range(p, dim), n - k)
+    ))
 
 
 def normalize_tuple(space: GradedSpace, slots):
@@ -272,6 +261,5 @@ class DirectSum:
         self.side_of = tuple(side_of)
 
 
-@lru_cache(maxsize=None)
 def direct_sum(left: GradedSpace, right: GradedSpace) -> DirectSum:
     return DirectSum(left, right)

@@ -17,7 +17,7 @@ from .cochains import Cochain, _CoefficientMap
 from .errors import DimensionMismatch, ValidationError
 from .graded import GradedSpace, wedge_basis
 from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
-from .util import exact_rows, lincomb, nonzero, scaled_rows, sparse, support
+from .util import exact_rows, lincomb, nonzero, scaled_rows, support
 
 
 class Failure(Frozen):
@@ -104,11 +104,7 @@ class SuperAlgebra:
     def bracket_eval(self, x, y):
         """Bilinear extension of the table to coordinate vectors."""
         dim = self.space.dim
-        x = tuple(x)
-        y = tuple(y)
-        if len(x) != dim or len(y) != dim:
-            raise DimensionMismatch("vector length != algebra dimension")
-        d, xy = scaled_rows({0: sparse(x), 1: sparse(y)})
+        d, xy = scaled_rows(exact_rows({0: x, 1: y}, dim, "vector"))
         return dense(bilinear(self.ints, xy[0], xy[1]), dim, self.den * d * d)
 
     def as_cochain(self) -> Cochain:

@@ -86,10 +86,9 @@ class ActionMap:
 
     def apply(self, xvec, uvec):
         """rho(x) u for coordinate vectors x in g and u in h."""
-        xvec, uvec = tuple(xvec), tuple(uvec)
-        if len(xvec) != self.g_space.dim or len(uvec) != self.h_space.dim:
-            raise DimensionMismatch("vector length != g or h dimension")
-        d, xu = scaled_rows({0: sparse(xvec), 1: sparse(uvec)})
+        rows = exact_rows({0: xvec}, self.g_space.dim, "g vector")
+        rows.update(exact_rows({1: uvec}, self.h_space.dim, "h vector"))
+        d, xu = scaled_rows(rows)
         return dense(bilinear(self.ints, xu[0], xu[1]), self.h_space.dim, self.den * d * d)
 
     def as_block(self) -> BlockCochain:
@@ -317,9 +316,10 @@ def block_units(g_space, h_space, sigs, parity=None):
     units = []
     for b, (ga, ha, side) in enumerate(sigs):
         tspace = g_space if side == "g" else h_space
+        hkeys = wedge_basis(h_space, ha)
         for gk in wedge_basis(g_space, ga):
             gp = sum(g_space.parities_of(gk))
-            for hk in wedge_basis(h_space, ha):
+            for hk in hkeys:
                 kp = gp + sum(h_space.parities_of(hk))
                 for t in range(tspace.dim):
                     up = (kp + tspace.parity(t)) % 2
@@ -374,7 +374,6 @@ class BlockComplex:
         self.P = P
         self.sigs = sigs
         self._units = {}
-        self._supports = {}  # the support of P, built on first use
 
     def units(self, n: int, parity=None):
         """``sum_units`` of C^n, built once per (degree, parity): the rows of d_(n-1)
@@ -386,14 +385,14 @@ class BlockComplex:
 
     def matrix(self, n: int, parity=None) -> Matrix:
         """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""
-        return bracket_matrix(self.P, self.units(n, parity), self.units(n + 1, parity), self._supports)
+        return bracket_matrix(self.P, self.units(n, parity), self.units(n + 1, parity))
 
     def d(self, blocks):
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
         if self.P.parity() != 0:
             raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
         total = hat_sum(blocks)
-        image = nr_bracket(self.P, total, self._supports)
+        image = nr_bracket(self.P, total)
         ds = direct_sum(self.g_space, self.h_space)
         return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
 

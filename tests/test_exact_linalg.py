@@ -397,6 +397,24 @@ def test_residual_pass_builds_each_support_once(monkeypatch):
     # pi + rho, mu, [mu, D_0], [mu, D_1] and P_D: one support each
     assert len(built) == len({id(P) for P in built}) == 5
 
+
+def test_cohomology_tables_build_each_support_once(monkeypatch):
+    # every d_n of both parities, in degrees 1..3 of the gl(1|1) adjoint triple
+    built = []
+    real = cochains._bracket_support
+    monkeypatch.setattr(cochains, "_bracket_support", lambda P: built.append(P) or real(P))
+    t = adjoint_triple(gl(1, 1))
+    triple_cohomology_table(t, range(1, 4))
+    # Pi alone
+    assert built == [triple.mc_element(t)]
+    built.clear()
+    D = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
+    ch_cohomology_table(D, range(1, 4))
+    # mu, for [mu, D], then P_D = pi + rho + [mu, D]
+    mu, P_D = built
+    cc = ChComplex(t)
+    assert mu == cc.mu_hat and P_D == cc.twisted(D.as_block()).P
+
 @pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
 def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):
     # over-large in the first case; in the second, rank d_1 = 2 leaves ker d_2 = 0 < rank d_1

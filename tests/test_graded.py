@@ -1,11 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercochain import graded
+import supercochain
 from supercochain.cochains import block_key
 from supercochain.errors import ArityMismatch, ValidationError
 from supercochain.graded import (
@@ -193,8 +195,16 @@ def test_block_key_sign_is_normalize_of_the_concatenated_positions():
 
 
 def test_graded_keeps_no_sign_cache():
-    cached = {name for name, value in vars(graded).items() if hasattr(value, "cache_info")}
-    assert cached == {"wedge_basis", "direct_sum"}
+    # no module of the package holds a memo table such as an lru_cache
+    names = [m.name for m in pkgutil.iter_modules(supercochain.__path__) if m.name != "__main__"]
+    assert {"graded", "cochains", "triple", "crossed", "deformation"} <= set(names)
+    cached = [
+        (name, attr)
+        for name in names
+        for attr, value in vars(importlib.import_module(f"supercochain.{name}")).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
 
 
 def test_shuffles_counts():

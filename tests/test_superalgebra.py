@@ -70,6 +70,15 @@ def test_bracket_eval_dimension_mismatch():
     A = abelian(2, 1)
     with pytest.raises(DimensionMismatch):
         A.bracket_eval((F(1), F(2)), (F(1), F(2), F(3)))
+    # entries that are not ints or Fractions are refused on either side, as everywhere else
+    for B, x, y in (
+        (A, (0.5, 0, 0), (1, 0, 0)),
+        (A, (1, 0, 0), (0, "1", 0)),
+        (gl(1, 1), (0.5, 0, 0, 0), (1, 0, 0, 0)),
+        (gl(1, 1), (1, 0, 0, 0), ("1/2", 0, 0, 0)),
+    ):
+        with pytest.raises(ValidationError):
+            B.bracket_eval(x, y)
 
 
 def test_even_self_bracket_fails_skew():

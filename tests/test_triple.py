@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from supercochain.cochains import f_membership, nr_bracket
-from supercochain.errors import DimensionMismatch, ShapeMismatch
+from supercochain.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from supercochain.graded import direct_sum
 from supercochain.superalgebra import SuperAlgebra, abelian, check_jacobi, gl
 from supercochain.triple import (
@@ -43,6 +43,10 @@ def test_action_map_refuses_wrong_shapes():
     assert t.rho.apply((1, 0), (1, 0)) == t.rho.value(0, 0)
     for x, u in (((1,), (1,)), ((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0))):
         with pytest.raises(DimensionMismatch):
+            t.rho.apply(x, u)
+    # entries that are not ints or Fractions are refused on either side, as everywhere else
+    for x, u in (((0.5, 0), (1, 0)), ((1, 0), (0, 0.5)), (("1", 0), (1, 0)), ((1, 0), ("1/2", 0))):
+        with pytest.raises(ValidationError):
             t.rho.apply(x, u)
 
 
