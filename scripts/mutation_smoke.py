@@ -283,6 +283,20 @@ MUTATIONS = (
         "        if True:",
         ("tests/test_exact_linalg.py::test_cohomology_tables_build_each_support_once",),
     ),
+    # one list of triple checks, read by check(), semidirect and the CLI; and the
+    # infinitesimal cocycle test asserted against the residual at its order
+    (
+        "triple.py",
+        'algebra_reports("h", h) + [("action", check_action(g, h, rho))]',
+        'algebra_reports("h", h)',
+        ("tests/test_triple.py::test_check_lists_the_failures_of_triple_reports_in_order",),
+    ),
+    (
+        "cli.py",
+        'if inf.order is not None and inf.is_cocycle != residuals[inf.order]["ok"]:',
+        "if False:",
+        ("tests/test_cli.py::test_infinitesimal_that_disagrees_with_its_residual_is_exit_3",),
+    ),
     # the process entry: output is flushed before the hard exit
     (
         "cli.py",

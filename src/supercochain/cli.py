@@ -28,8 +28,8 @@ from .deformation import (
 )
 from .errors import InternalInvariantError, SupercochainError, UsageError, ValidationError
 from .exact_linalg import format_scalar
-from .superalgebra import check_jacobi, check_super_skew
-from .triple import LieSupActTriple, check_action, mc_residual, triple_cohomology_table
+from .superalgebra import algebra_reports
+from .triple import LieSupActTriple, mc_residual, triple_cohomology_table, triple_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -80,17 +80,12 @@ def _triple_of(pf: sio.ProblemFile) -> LieSupActTriple:
     return LieSupActTriple(pf.g, pf.h, pf.action)
 
 
-def _algebra_verdicts(tag, alg):
-    """The ``tag.super_skew`` and ``tag.jacobi`` verdicts of one algebra."""
-    reports = (check_super_skew(alg), check_jacobi(alg))
-    return [_verdict(f"{tag}.{r.name}", r.ok, r.failures) for r in reports]
+def _verdicts(reports):
+    return [_verdict(name, r.ok, r.failures) for name, r in reports]
 
 
 def _triple_verdicts(t: LieSupActTriple):
-    verdicts = _algebra_verdicts("g", t.g) + _algebra_verdicts("h", t.h)
-    act = check_action(t.g, t.h, t.rho)
-    verdicts.append(_verdict("action", act.ok, act.failures))
-    return verdicts
+    return _verdicts(triple_reports(t.g, t.h, t.rho))
 
 
 def _crossed_of(pf: sio.ProblemFile) -> CrossedHom:
@@ -108,7 +103,7 @@ def cmd_check_algebra(pf, flags):
     algs = pf.algebras()
     if not algs:
         raise ValidationError("file has no algebra section")
-    return {"verdicts": [v for name, alg in algs for v in _algebra_verdicts(name, alg)]}
+    return {"verdicts": [v for name, alg in algs for v in _verdicts(algebra_reports(name, alg))]}
 
 
 def cmd_check_triple(pf, flags):
@@ -183,6 +178,14 @@ def cmd_ch_cohomology(pf, flags):
     return {"verdicts": verdicts, "cohomology": rows}
 
 
+def _infinitesimal(inf, residuals):
+    """The ``infinitesimal`` entry.  Its cocycle verdict at order k is the order-k residual's:
+    with coefficients 1..k-1 zero, that residual is 2 [Pi_0, Pi_k], or d_D D_k."""
+    if inf.order is not None and inf.is_cocycle != residuals[inf.order]["ok"]:
+        raise InternalInvariantError("the infinitesimal cocycle test disagrees with its residual")
+    return {"order": inf.order, "is_cocycle": inf.is_cocycle}
+
+
 def cmd_deform(pf, flags):
     t = _triple_of(pf)
     pf.require("deformation")
@@ -203,11 +206,7 @@ def cmd_deform(pf, flags):
             }
         residuals.append(entry)
         verdicts.append({"name": f"residual.order{n}", "ok": r.is_zero})
-    inf = triple_infinitesimal(d)
-    info = {
-        "order": inf.order,
-        "is_cocycle": inf.is_cocycle,
-    }
+    info = _infinitesimal(triple_infinitesimal(d), residuals)
     return {"verdicts": verdicts, "residuals": residuals, "infinitesimal": info}
 
 
@@ -230,8 +229,7 @@ def cmd_ch_deform(pf, flags):
             entry["witnesses"] = _block_witnesses(r)
         residuals.append(entry)
         verdicts.append({"name": f"residual.order{n}", "ok": r.is_zero()})
-    inf = ch_infinitesimal(d, cc)
-    info = {"order": inf.order, "is_cocycle": inf.is_cocycle}
+    info = _infinitesimal(ch_infinitesimal(d, cc), residuals)
     return {"verdicts": verdicts, "residuals": residuals, "infinitesimal": info}
 
 

@@ -90,22 +90,11 @@ class GradedSpace(Frozen):
         return tuple(0 if s < p else 1 for s in slots)
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def compose(outer: Perm, inner: Perm) -> Perm:
     """Composite permutation applying ``inner`` first, then ``outer``."""
     if len(outer) != len(inner):
         raise ArityMismatch("permutation degrees differ")
     return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
-def invert(sigma: Perm) -> Perm:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(inv)
 
 
 def inverse_act(sigma: Perm, values):

@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import json
 
-from .cochains import Cochain
-from .crossed import CHMorphism
 from .deformation import check_order
-from .errors import ArityMismatch, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .exact_linalg import format_scalar, parse_scalar
-from .graded import GradedSpace, normalize_tuple
+from .graded import GradedSpace
 from .superalgebra import LinearMap, SuperAlgebra
 from .triple import ActionMap
 from .util import scaled_rows
@@ -321,71 +319,6 @@ def action_to_obj(rho: ActionMap):
 def crossed_to_obj(D: LinearMap):
     labels = D.source.labels
     return [{"g": labels[i], "value": value_to_obj(col, D.target)} for i, col in sorted(D.coeffs.items())]
-
-
-def cochain_to_obj(c):
-    """Serialize a cochain as entries {"slots": [labels], "value": [...]}.
-
-    Slots are emitted in wedge normal form; only nonzero values appear.
-    """
-    out = []
-    coeffs = c.coeffs
-    for key in sorted(coeffs):
-        out.append(
-            {
-                "slots": [c.source.labels[i] for i in key],
-                "value": value_to_obj(coeffs[key], c.target),
-            }
-        )
-    return out
-
-
-def cochain_from_obj(entries, source: GradedSpace, target: GradedSpace, arity: int):
-    _expect(isinstance(entries, list), "cochain: must be a list")
-    coeffs = {}
-    for ent in entries:
-        _expect(isinstance(ent, dict), "cochain: entries must be objects")
-        _expect("slots" in ent and "value" in ent, "cochain: entry needs slots and value")
-        slots = tuple(source.index(lab) for lab in ent["slots"])
-        key, sign = normalize_tuple(source, slots)
-        if sign == 0:
-            raise ValidationError("cochain: slots contain a repeated even label")
-        if sign != 1 or key != slots:
-            raise ValidationError("cochain: slots must be in normal form")
-        if len(key) != arity:
-            raise ArityMismatch(f"cochain: slots {ent['slots']} do not have arity {arity}")
-        if key in coeffs:
-            raise ValidationError(f"cochain: duplicate entry for slots {ent['slots']}")
-        coeffs[key] = _parse_value(ent["value"], target, "cochain")
-    return Cochain._from_ints((source, target, arity), *scaled_rows(coeffs))
-
-
-def morphism_to_obj(m):
-    """Two dense matrix blocks, rows over target coordinates as scalars."""
-
-    def matrix_block(lin):
-        cols = lin.cols
-        return [[format_scalar(col[k]) for col in cols] for k in range(lin.target.dim)]
-
-    return {"phi1": matrix_block(m.phi1), "phi2": matrix_block(m.phi2)}
-
-
-def morphism_from_obj(obj, g_space: GradedSpace, h_space: GradedSpace):
-    _expect(isinstance(obj, dict), "morphism: must be an object")
-    _expect("phi1" in obj and "phi2" in obj, "morphism: needs phi1 and phi2")
-
-    def block_to_map(rows, space):
-        _expect(isinstance(rows, list) and len(rows) == space.dim, "morphism: bad matrix height")
-        parsed = [[parse_scalar(x) for x in row] for row in rows]
-        for row in parsed:
-            if len(row) != space.dim:
-                raise ParseError("morphism: bad matrix width")
-        cols = tuple(
-            tuple(parsed[k][j] for k in range(space.dim)) for j in range(space.dim)
-        )
-        return LinearMap(space, space, cols)
-
-    return CHMorphism(block_to_map(obj["phi1"], g_space), block_to_map(obj["phi2"], h_space))
 
 
 def report_to_json(report_dict) -> str:

@@ -169,6 +169,11 @@ def check_jacobi(A: SuperAlgebra) -> CheckReport:
     return CheckReport("jacobi", tuple(failures))
 
 
+def algebra_reports(tag: str, A: SuperAlgebra):
+    """The axiom checks of one algebra, each named ``tag.check``: super-skew, then Jacobi."""
+    return [(f"{tag}.super_skew", check_super_skew(A)), (f"{tag}.jacobi", check_jacobi(A))]
+
+
 def identity_failures(axiom, label, plabels, qlabels, lhs, rhs, dim, den):
     """A ``Failure`` at (label, p, q) for each key (p, q), in order, where two tables of
     int vectors over ``den`` differ."""

@@ -31,12 +31,10 @@ from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, Sh
 from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
 from .graded import GradedSpace, direct_sum, wedge_basis
-from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_jacobi
-from .superalgebra import check_super_skew, identity_failures
+from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, algebra_reports
+from .superalgebra import identity_failures
 from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
 from .util import exact_rows, scaled_rows, sparse, support
-
-_ZERO = Fraction(0)
 
 
 class ActionMap:
@@ -122,24 +120,13 @@ class LieSupActTriple(Frozen):
         super().__init__(g, h, rho)
 
     def check(self) -> CheckReport:
-        failures = []
-        for rep in (
-            _prefixed(self.g, "g"),
-            _prefixed(self.h, "h"),
-            (check_action(self.g, self.h, self.rho),),
-        ):
-            for r in rep:
-                failures.extend(r.failures)
-        return CheckReport("triple", tuple(failures))
+        reports = triple_reports(self.g, self.h, self.rho)
+        return CheckReport("triple", tuple(f for _, r in reports for f in r.failures))
 
 
-def _prefixed(A: SuperAlgebra, tag: str):
-    return tuple(
-        CheckReport(f"{tag}_{r.name}", tuple(
-            Failure(f"{tag}_{f.axiom}", f.where, f.lhs, f.rhs) for f in r.failures
-        ))
-        for r in (check_super_skew(A), check_jacobi(A))
-    )
+def triple_reports(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap):
+    """The axiom checks of a triple, each with its name: those of g, then of h, then the action."""
+    return algebra_reports("g", g) + algebra_reports("h", h) + [("action", check_action(g, h, rho))]
 
 
 def check_action(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> CheckReport:
@@ -221,20 +208,17 @@ def adjoint_action(A: SuperAlgebra) -> ActionMap:
 def semidirect(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> SuperAlgebra:
     """The semidirect product g x| h: the algebra on g + h whose bracket is Pi.
 
-    g and h must pass ``check_super_skew`` and ``check_jacobi`` (Pi is stored
-    on wedge keys, so it holds no [x, x] of an even x), else ``ValidationError``;
-    the action must pass ``check_action``, else ``InvalidAction``.
+    g and h must pass their ``triple_reports`` checks (Pi is stored on wedge
+    keys, so it holds no [x, x] of an even x), else ``ValidationError`` naming
+    the check; the action must pass ``check_action``, else ``InvalidAction``.
     """
     t = LieSupActTriple(g, h, rho)
-    for report in _prefixed(g, "g") + _prefixed(h, "h"):
+    for name, report in triple_reports(g, h, rho):
+        if name == "action" and not report.ok:
+            raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
         if not report.ok:
-            raise ValidationError(
-                f"the semidirect product needs Lie superalgebras: {report.name} fails "
-                f"at {report.failures[0].where}"
-            )
-    report = check_action(g, h, rho)
-    if not report.ok:
-        raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
+            raise ValidationError(f"the semidirect product needs Lie superalgebras: {name} fails at "
+                                  f"{report.failures[0].where}")
     return semidirect_algebra(t)
 
 
@@ -336,15 +320,6 @@ def sum_units(g_space, h_space, sigs, parity=None):
         key, sign = block_key(ds, gk, hk)
         out.append((key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign))
     return out
-
-
-def blocks_vector(blocks, units):
-    """Coordinates of a tuple of blocks on ``block_units`` of their signatures."""
-    out = []
-    for b, gk, hk, t, _ in units:
-        x = blocks[b].ints.get((gk, hk), {}).get(t, 0)
-        out.append(Fraction(x, blocks[b].den) if x else _ZERO)
-    return tuple(out)
 
 
 def blocks_from_vector(g_space, h_space, sigs, units, vec):

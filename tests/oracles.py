@@ -50,7 +50,6 @@ from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
     block_units,
-    blocks_vector,
     mc_element,
     mu_block,
     pi_block,
@@ -548,6 +547,15 @@ def _reference_matrix(g_space, h_space, P, sigs, n, parity):
         blocks = tuple(project_block(image, ds, *sig) for sig in sigs(n + 1))
         columns.append(blocks_vector(blocks, rows))
     return Matrix.from_cols(columns, len(rows))
+
+
+def blocks_vector(blocks, units):
+    """Coordinates of a tuple of blocks on ``block_units`` of their signatures."""
+    out = []
+    for b, gk, hk, t, _ in units:
+        x = blocks[b].ints.get((gk, hk), {}).get(t, 0)
+        out.append(F(x, blocks[b].den) if x else F(0))
+    return tuple(out)
 
 
 def triple_reference_matrix(t, n, parity):

@@ -280,6 +280,40 @@ def test_internal_error_maps_to_exit_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "command,fixture,infinitesimal",
+    [("deform", "solvable2", "triple_infinitesimal"), ("ch-deform", "aff11_adjoint", "ch_infinitesimal")],
+)
+def test_infinitesimal_that_disagrees_with_its_residual_is_exit_3(
+    capsys, monkeypatch, command, fixture, infinitesimal
+):
+    real = getattr(cli, infinitesimal)
+
+    def flipped(*args):
+        inf = real(*args)
+        assert inf.order is not None
+        return type(inf)(inf.order, inf._fields[1], not inf.is_cocycle)
+
+    monkeypatch.setattr(cli, infinitesimal, flipped)
+    code, err = _exit_and_stderr([command, str(FIXTURES / f"{fixture}.json"), "--format", "json"], capsys)
+    assert code == 3
+    assert err.startswith("internal invariant violated: ")
+    assert "Traceback" not in err
+
+
+def test_check_triple_lists_the_triple_checks_before_the_residual(capsys):
+    code, out = run_cli(["check-triple", str(FIXTURES / "aff11_adjoint.json"), "--format", "json"], capsys)
+    assert code == 0
+    assert [v["name"] for v in json.loads(out)["verdicts"]] == [
+        "g.super_skew", "g.jacobi", "h.super_skew", "h.jacobi", "action",
+        "mc_residual.ggg", "mc_residual.ggh", "mc_residual.ghh", "mc_residual.hhh",
+    ]
+
+
+def test_the_parser_and_the_cli_know_the_same_commands():
+    assert set(cli._HANDLERS) == set(sio.COMMANDS)
+
+
+@pytest.mark.parametrize(
     "fixture", ["solvable2", "abelian_mixed", "aff11_adjoint", "mixed21"]
 )
 def test_check_triple_fixtures_pass(capsys, fixture):
@@ -378,56 +412,6 @@ def test_json_reports_are_deterministic(capsys):
     _, second = run_cli(args, capsys)
     assert first == second
     assert json.loads(first)["parameters"]["seed"] == 7
-
-
-def test_cochain_serialization_round_trip():
-    from fractions import Fraction as F
-
-    from supercochain.cochains import Cochain
-    from supercochain.graded import GradedSpace
-
-    sp = GradedSpace(("e",), ("f",))
-    c = Cochain(sp, sp, 2, {(0, 1): (F(1, 2), F(0)), (1, 1): (F(0), F(-3))})
-    obj = sio.cochain_to_obj(c)
-    assert obj == [
-        {"slots": ["e", "f"], "value": [{"basis": "e", "coeff": "1/2"}]},
-        {"slots": ["f", "f"], "value": [{"basis": "f", "coeff": "-3"}]},
-    ]
-    back = sio.cochain_from_obj(obj, sp, sp, 2)
-    assert back == c
-
-
-def test_cochain_from_obj_rejects_non_normal_slots():
-    from supercochain.graded import GradedSpace
-
-    sp = GradedSpace(("e",), ("f",))
-    with pytest.raises(ValidationError):
-        sio.cochain_from_obj(
-            [{"slots": ["f", "e"], "value": [{"basis": "e", "coeff": "1"}]}], sp, sp, 2
-        )
-    with pytest.raises(ValidationError):
-        sio.cochain_from_obj(
-            [{"slots": ["e", "e"], "value": [{"basis": "e", "coeff": "1"}]}], sp, sp, 2
-        )
-
-
-def test_morphism_serialization_round_trip():
-    from supercochain.crossed import CHMorphism, check_morphism, verify, CrossedHom
-    from supercochain.superalgebra import LinearMap
-    from helpers import adjoint_triple, aff11
-    from fractions import Fraction as F
-
-    t = adjoint_triple(aff11())
-    m = CHMorphism(
-        LinearMap(t.g.space, t.g.space, ((F(1), F(0)), (F(0), F(2)))),
-        LinearMap(t.h.space, t.h.space, ((F(1), F(0)), (F(0), F(2)))),
-    )
-    obj = sio.morphism_to_obj(m)
-    assert obj == {"phi1": [["1", "0"], ["0", "2"]], "phi2": [["1", "0"], ["0", "2"]]}
-    back = sio.morphism_from_obj(obj, t.g.space, t.h.space)
-    assert back.phi1.cols == m.phi1.cols and back.phi2.cols == m.phi2.cols
-    D0 = verify(CrossedHom(t, LinearMap.zero(t.g.space, t.h.space)))
-    assert check_morphism(D0, D0, back)
 
 
 def _entry_env():

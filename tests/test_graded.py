@@ -14,9 +14,7 @@ from supercochain.graded import (
     GradedSpace,
     compose,
     direct_sum,
-    identity_perm,
     inverse_act,
-    invert,
     koszul_K,
     koszul_sign,
     normalize_tuple,
@@ -64,6 +62,17 @@ def test_sign_composition_law(sp, data):
     shifted = inverse_act(sigma, parities)
     assert (koszul_K(st_comp, parities) - koszul_K(sigma, parities) - koszul_K(tau, shifted)) % 2 == 0
     assert koszul_sign(st_comp, parities) == koszul_sign(sigma, parities) * koszul_sign(tau, shifted)
+
+
+def identity_perm(n: int):
+    return tuple(range(n))
+
+
+def invert(sigma):
+    inv = [0] * len(sigma)
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    return tuple(inv)
 
 
 @given(perm_and_parities(max_n=5))

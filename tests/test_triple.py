@@ -16,6 +16,7 @@ from supercochain.triple import (
     triple_coboundary_matrix,
     triple_cochain_dim,
     triple_cohomology,
+    triple_reports,
     triple_units,
 )
 
@@ -90,6 +91,19 @@ def test_mc_element_structure():
     ds = direct_sum(t.g.space, t.h.space)
     assert f_membership(Pi, ds)
     assert Pi.eval((ds.left_pos[0], ds.right_pos[0])) == embed_right(ds, (F(1),))
+
+
+def test_check_lists_the_failures_of_triple_reports_in_order():
+    t = adjoint_triple(aff11())
+    table = [list(row) for row in t.rho.table]
+    i, j = next((i, j) for i, row in enumerate(table) for j, vec in enumerate(row) if any(vec))
+    table[i][j] = tuple(2 * x for x in table[i][j])
+    bad = LieSupActTriple(t.g, t.h, ActionMap(t.g.space, t.h.space, table))
+    reports = triple_reports(bad.g, bad.h, bad.rho)
+    assert [name for name, _ in reports] == ["g.super_skew", "g.jacobi", "h.super_skew", "h.jacobi", "action"]
+    failures = bad.check().failures
+    assert failures and failures == tuple(f for _, r in reports for f in r.failures)
+    assert {f.axiom for f in failures} <= {"action_degree", "action_derivation", "action_morphism"}
 
 
 def test_mc_residual_zero_iff_axioms():
@@ -245,9 +259,7 @@ def test_cohomology_matches_raw_table_oracle(make):
 def test_unit_cochain_round_trip():
     t = adjoint_triple(aff11())
     units = triple_units(t.g.space, t.h.space, 2)
-    from supercochain.triple import blocks_vector
-
     for idx, u in enumerate(units):
         c = oracles.unit_triple_cochain(t.g.space, t.h.space, 2, u)
-        vec = blocks_vector(c, units)
+        vec = oracles.blocks_vector(c, units)
         assert vec[idx] == 1 and sum(1 for x in vec if x != 0) == 1
