@@ -41,10 +41,14 @@ COMMANDS = (
     "ch-deform",
 )
 
+# --order 3 reads each deformation past its file's order (1 or 2), the
+# coefficients the file leaves out as zeros, up to an order whose pairs of
+# coefficients (0 + 3, 1 + 2) are all off-diagonal.
 OPTION_SETS = (
     ("--max-n", "3"),
     ("--parity", "even"),
     ("--parity", "odd"),
+    ("--order", "3"),
 )
 
 

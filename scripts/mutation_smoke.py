@@ -101,10 +101,17 @@ MUTATIONS = (
         "_EQUATION_FACTORS = (1, Fraction(1, 2), Fraction(1, 2), 1)",
         ("tests/test_sparse_checks.py::test_gl21_perturbed_once_matches_dense",),
     ),
+    # the one Maurer-Cartan series: the weight 1/2 of b and the delta term
     (
-        "crossed.py",
-        "(Fraction(w, 2), inner[i], hats[j])",
-        "(w, inner[i], hats[j])",
+        "triple.py",
+        "(Fraction(w, 2), lefts[i], hats[j])",
+        "(w, lefts[i], hats[j])",
+        ("tests/test_sparse_checks.py::test_crossed_residual_matches_dense",),
+    ),
+    (
+        "triple.py",
+        "summands = [(1, self.delta, hats[n])]",
+        "summands = []",
         ("tests/test_sparse_checks.py::test_crossed_residual_matches_dense",),
     ),
     # denominators: each int kernel divides by exactly the denominators its terms carry
@@ -292,8 +299,8 @@ MUTATIONS = (
         ("tests/test_triple.py::test_check_lists_the_failures_of_triple_reports_in_order",),
     ),
     (
-        "cli.py",
-        'if inf.order is not None and inf.is_cocycle != residuals[inf.order]["ok"]:',
+        "deformation.py",
+        "if is_cocycle != problem.is_zero(reports[k]):",
         "if False:",
         ("tests/test_cli.py::test_infinitesimal_that_disagrees_with_its_residual_is_exit_3",),
     ),

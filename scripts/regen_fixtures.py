@@ -148,6 +148,35 @@ def main():
     }
     dump("crossed_bad.json", obj)
 
+    # 7. valid structure, failing deformations: g = <x | y> abelian acting by zero
+    #    on aff(1|1), D = 0.  rho_1(x) = id_h is no derivation of h, so deform fails
+    #    at order 1; D_1 = (x -> e, y -> f) is a cocycle that [D_1 x, D_1 y] = f
+    #    obstructs at order 2.
+    g = SuperAlgebra(GradedSpace(("x",), ("y",)), {})
+    h = aff11()
+    obj = {
+        "g": sio.algebra_to_obj(g),
+        "h": sio.algebra_to_obj(h),
+        "action": sio.action_to_obj(ActionMap.zero(g.space, h.space)),
+        "D": [],
+        "deformation": {
+            "order": 2,
+            "coefficients": [
+                {
+                    "order": 1,
+                    "rho": [
+                        {"g": "x", "h": u, "value": [{"basis": u, "coeff": "1"}]} for u in ("e", "f")
+                    ],
+                    "D": [
+                        {"g": "x", "value": [{"basis": "e", "coeff": "1"}]},
+                        {"g": "y", "value": [{"basis": "f", "coeff": "1"}]},
+                    ],
+                }
+            ],
+        },
+    }
+    dump("deform_bad.json", obj)
+
 
 if __name__ == "__main__":
     main()

@@ -70,17 +70,6 @@ from .crossed import (
     identity_morphism,
     verify,
 )
-from .deformation import (
-    CrossedHomDeformation,
-    TripleDeformation,
-    ch_deformation_residual,
-    ch_deformation_residuals,
-    ch_infinitesimal,
-    linear_ch_check,
-    linear_triple_check,
-    triple_deformation_residual,
-    triple_deformation_residuals,
-    triple_infinitesimal,
-)
+from .deformation import CrossedHomDeformation, TripleDeformation, linear_check
 
 __version__ = "0.1.0"

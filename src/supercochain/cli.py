@@ -16,16 +16,8 @@ import time
 from functools import partial
 
 from . import io as sio
-from .crossed import ChComplex, CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed
-from .crossed import graph_check
-from .deformation import (
-    CrossedHomDeformation,
-    TripleDeformation,
-    ch_deformation_residuals,
-    ch_infinitesimal,
-    triple_deformation_residuals,
-    triple_infinitesimal,
-)
+from .crossed import CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed, graph_check
+from .deformation import CrossedHomDeformation, TripleDeformation
 from .errors import InternalInvariantError, SupercochainError, UsageError, ValidationError
 from .exact_linalg import format_scalar
 from .superalgebra import algebra_reports
@@ -178,59 +170,60 @@ def cmd_ch_cohomology(pf, flags):
     return {"verdicts": verdicts, "cohomology": rows}
 
 
-def _infinitesimal(inf, residuals):
-    """The ``infinitesimal`` entry.  Its cocycle verdict at order k is the order-k residual's:
-    with coefficients 1..k-1 zero, that residual is 2 [Pi_0, Pi_k], or d_D D_k."""
-    if inf.order is not None and inf.is_cocycle != residuals[inf.order]["ok"]:
-        raise InternalInvariantError("the infinitesimal cocycle test disagrees with its residual")
-    return {"order": inf.order, "is_cocycle": inf.is_cocycle}
+def _deformation_order(pf, flags):
+    return flags.order if flags.order is not None else pf.deformation.order
 
 
-def cmd_deform(pf, flags):
+def _triple_deformation(pf, flags):
+    """The triple verdicts, and the file's triple deformation if they all pass (else None)."""
     t = _triple_of(pf)
     pf.require("deformation")
     verdicts = _triple_verdicts(t)
     if not all(v["ok"] for v in verdicts):
-        return {"verdicts": verdicts}
+        return verdicts, None
     pis, rhos, mus = sio.deformation_terms(pf)
-    order = flags.order if flags.order is not None else pf.deformation.order
-    d = TripleDeformation.build(t, pis, rhos, mus, order=order)
-    residuals = []
-    for n, r in enumerate(triple_deformation_residuals(d)):
-        entry = {"order": n, "ok": r.is_zero}
-        if not r.is_zero:
-            entry["witnesses"] = {
-                name: _block_witnesses(comp)
-                for name, comp in r.components().items()
-                if not comp.is_zero()
-            }
-        residuals.append(entry)
-        verdicts.append({"name": f"residual.order{n}", "ok": r.is_zero})
-    info = _infinitesimal(triple_infinitesimal(d), residuals)
-    return {"verdicts": verdicts, "residuals": residuals, "infinitesimal": info}
+    return verdicts, TripleDeformation.build(t, pis, rhos, mus, order=_deformation_order(pf, flags))
 
 
-def cmd_ch_deform(pf, flags):
+def _crossed_deformation(pf, flags):
+    """The triple and crossed-identity verdicts, and the file's deformation of D if they all pass."""
     D = _crossed_of(pf)
     pf.require("deformation")
     verdicts = _triple_verdicts(D.triple)
     identity, D = _crossed_identity(D)
     verdicts.append(identity)
     if not all(v["ok"] for v in verdicts):
-        return {"verdicts": verdicts}
+        return verdicts, None
     terms = sio.crossed_deformation_terms(pf)
-    order = flags.order if flags.order is not None else pf.deformation.order
-    d = CrossedHomDeformation.build(D, terms, order=order)
-    cc = ChComplex(D.triple)
+    return verdicts, CrossedHomDeformation.build(D, terms, order=_deformation_order(pf, flags))
+
+
+def cmd_deform(read, pf, flags):
+    """``deform`` and ``ch-deform``: ``read`` gives the verdicts and the deformation of the file.
+
+    A report of named blocks (a triple's) lists the witnesses of each
+    nonzero block by name, a report of one block (key None) lists its own.
+    """
+    verdicts, d = read(pf, flags)
+    if d is None:
+        return {"verdicts": verdicts}
+    series = d.series()
+    reports = series.residuals()
     residuals = []
-    for n, r in enumerate(ch_deformation_residuals(d, cc=cc)):
-        entry = {"order": n, "ok": r.is_zero()}
-        if not r.is_zero():
-            entry["witnesses"] = _block_witnesses(r)
+    for n, r in enumerate(reports):
+        parts = series.problem.parts(r)
+        witnesses = {name: _block_witnesses(b) for name, b in parts.items() if not b.is_zero()}
+        entry = {"order": n, "ok": not witnesses}
+        if witnesses:
+            entry["witnesses"] = witnesses[None] if None in witnesses else witnesses
         residuals.append(entry)
-        verdicts.append({"name": f"residual.order{n}", "ok": r.is_zero()})
-    info = _infinitesimal(ch_infinitesimal(d, cc), residuals)
-    return {"verdicts": verdicts, "residuals": residuals, "infinitesimal": info}
+        verdicts.append({"name": f"residual.order{n}", "ok": entry["ok"]})
+    inf = series.infinitesimal(reports)
+    return {
+        "verdicts": verdicts,
+        "residuals": residuals,
+        "infinitesimal": {"order": inf.order, "is_cocycle": inf.is_cocycle},
+    }
 
 
 _HANDLERS = {
@@ -239,8 +232,8 @@ _HANDLERS = {
     "check-crossed": cmd_check_crossed,
     "cohomology": cmd_cohomology,
     "ch-cohomology": cmd_ch_cohomology,
-    "deform": cmd_deform,
-    "ch-deform": cmd_ch_deform,
+    "deform": partial(cmd_deform, _triple_deformation),
+    "ch-deform": partial(cmd_deform, _crossed_deformation),
 }
 
 

@@ -23,10 +23,12 @@ the one signature ``ch_blocks(m)``.  The twisted differential of D,
 is one bracket with an even arity-2 element of the big algebra, so
 ``ChComplex.twisted`` builds P_D and returns its ``triple.BlockComplex``
 over ``ch_blocks``.  The d_D matrices and the order-1 cocycle tests go
-through it.  The Maurer-Cartan residual and the deformation residuals are
-the coefficients of one series, read by ``ChComplex.series_residuals``.
-[mu, D] and ``ChComplex.bracket``, the general [[f1, f2]], are
-``nr_bracket`` products of the same expansion.  The identity checks compare
+through it.  ``ChComplex.problem`` makes D the X_0 of a Maurer-Cartan
+series problem (``triple.McProblem``): delta = [pi + rho, .] and
+b(f, g) = [[mu, f], g] on C^1.  The Maurer-Cartan residual is its order-0
+coefficient and the deformation residuals its higher ones.  [mu, D] and
+``ChComplex.bracket``, the general [[f1, f2]], are ``nr_bracket`` products
+of the same expansion.  The identity checks compare
 on ints (see ``util``).
 
 For D = 0 on the adjoint triple of A, d_D is the Chevalley-Eilenberg
@@ -36,17 +38,16 @@ kernel of its d_1.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
 
-from .cochains import BlockCochain, bracket_sum, hat_extend, nr_bracket, order_pairs
-from .cochains import project_block
+from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis, rank
 from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_super_skew
 from .superalgebra import is_homomorphism
-from .triple import BlockComplex, LieSupActTriple, adjoint_action, block_units, blocks_from_vector
-from .triple import mu_block, pi_block, semidirect_algebra
+from .triple import BlockComplex, LieSupActTriple, McProblem, adjoint_action, block_units
+from .triple import blocks_from_vector, mu_block, pi_block, semidirect_algebra
 from .util import Frozen, bilinear, combine, dense, lincomb
 
 
@@ -162,13 +163,12 @@ class ChComplex:
     """The hat embeddings pi + rho and mu of one triple's crossed-homomorphism complex.
 
     Both are built once; each keeps its bracket support once built
-    (``Cochain.bracket_support``), so every bracket, residual and twisted
+    (``Cochain.bracket_support``), so every bracket, problem and twisted
     complex of this object shares it.
     """
 
     def __init__(self, t: LieSupActTriple):
         self.triple = t
-        self.ds = direct_sum(t.g.space, t.h.space)
         self.mu_hat = hat_extend(mu_block(t.g.space, t.h))
         self.pr_hat = hat_extend(pi_block(t.g, t.h.space)).add(hat_extend(t.rho.as_block()))
         self._untwisted = BlockComplex(t.g.space, t.h.space, self.pr_hat, ch_blocks)
@@ -178,7 +178,8 @@ class ChComplex:
         m = f1.g_arity
         inner = nr_bracket(self.mu_hat, hat_extend(f1))
         outer = nr_bracket(inner, hat_extend(f2))
-        return project_block(outer.scale(1 if (m - 1) % 2 == 0 else -1), self.ds, m + f2.g_arity, 0, "h")
+        sign = 1 if (m - 1) % 2 == 0 else -1
+        return project_block(outer.scale(sign), self._untwisted.ds, m + f2.g_arity, 0, "h")
 
     def coboundary(self, f: BlockCochain) -> BlockCochain:
         """f -> [pi + rho, f], one degree up."""
@@ -189,35 +190,35 @@ class ChComplex:
         P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))
         return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
 
-    def series_residuals(self, blocks, orders):
-        """For D(t) = sum_k blocks[k] t^k, the t^n coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]
-        for each n in ``orders``.
+    def problem(self, D_block: BlockCochain) -> McProblem:
+        """D as the X_0 of the crossed problem, with its t^n coefficients read on Hom(wedge^2 g, h).
 
-        That is [pi + rho, D_n] + 1/2 sum_{i+j=n} [[mu, D_i], D_j], one
-        ``bracket_sum``; the double bracket is symmetric in D_i, D_j, as
-        [D_i, D_j] = 0 for maps g -> h.  Each D_k is hat-extended, and
-        bracketed with mu, once for all orders.
+        delta = [pi + rho, .] and b(f, g) = [[mu, f], g], so the t^n
+        coefficient of D(t) is that of [pi + rho + 1/2 [mu, D(t)], D(t)];
+        b is symmetric, as [f, g] = 0 for maps g -> h.  The complex at D is
+        ``twisted(D)``.
         """
-        hats = [hat_extend(b) for b in blocks[: max(orders) + 1]]
-        inner = [nr_bracket(self.mu_hat, f) for f in hats[: max(orders) // 2 + 1]]
-        out = []
-        for n in orders:
-            terms = [(1, self.pr_hat, hats[n])]
-            terms += [(Fraction(w, 2), inner[i], hats[j]) for i, j, w in order_pairs(n)]
-            out.append(project_block(bracket_sum(terms), self.ds, 2, 0, "h"))
-        return out
+        project = partial(project_block, ds=self._untwisted.ds, g_arity=2, h_arity=0, target_side="h")
+        return McProblem(
+            self.twisted(D_block), self.pr_hat, partial(nr_bracket, self.mu_hat), 1, project, _one_part
+        )
+
+
+def _one_part(block: BlockCochain):
+    return {None: block}
 
 
 def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]].
 
-    The t^0 coefficient of ``ChComplex.series_residuals`` for D(t) = D.
-    Refuses an action that is not degree 0, as d_D does.
+    The order-0 coefficient of the crossed problem at D.  Refuses an action
+    that is not degree 0, as d_D does.
     """
     cc = ChComplex(D.triple)
     if cc.pr_hat.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    return cc.series_residuals([D.as_block()], (0,))[0]
+    D_block = D.as_block()
+    return cc.problem(D_block).residuals(((D_block,),), (0,))[0]
 
 
 def _require_verified(D: CrossedHom) -> CrossedHom:

@@ -1,12 +1,23 @@
 """Truncated formal deformations and their order-by-order obstructions.
 
-A deformation of a triple replaces each structure map by a polynomial in a
-formal parameter, truncated at a chosen order N (series mod t^{N+1}); the
-zeroth coefficients are the base structure by construction.  The deformed
-Pi(t) = sum_k (pi_k + rho_k + mu_k) t^k is a Maurer-Cartan element over Q[t]
-iff every t^n coefficient sum_{i+j=n} [Pi_i, Pi_j] of its self-bracket
-vanishes (Nijenhuis-Richardson).  Up to the fixed ``_EQUATION_FACTORS``, the
-four blocks of that coefficient are the order-n equations over basis tuples:
+A deformation replaces a Maurer-Cartan element X_0 by a polynomial
+X(t) = sum_k t^k X_k in a formal parameter, truncated at a chosen order N
+(series mod t^{N+1}); X_0 is the base structure by construction.  Both
+deformation problems are one computation in a dgLa (delta, b): X(t) is a
+Maurer-Cartan element over Q[t] iff every t^n coefficient
+
+    delta X_n + 1/2 sum_{i+j=n} b(X_i, X_j)
+
+vanishes (Nijenhuis-Richardson 1967; Goldman-Millson 1988).  One
+``triple.McProblem`` holds (delta, b), the complex at X_0 and the reading
+of a coefficient, and reads every order in one pass; a ``Series`` is X(t)
+in one problem, built by the input classes ``TripleDeformation`` and
+``CrossedHomDeformation``.
+
+For a triple, X_k = pi_k + rho_k + mu_k in C^2, delta = 0 and b is the
+Nijenhuis-Richardson bracket (``triple_problem``), so the coefficient is
+1/2 sum_{i+j=n} [Pi_i, Pi_j].  Up to the fixed ``_EQUATION_FACTORS``, its
+four blocks are the order-n equations over basis tuples:
 
   (1) sum_{i+j=n} [pi_i, pi_j] = 0                       on wedge^3 g
   (2) sum_{i+j=n} [mu_i, mu_j] = 0                       on wedge^3 h
@@ -15,37 +26,38 @@ four blocks of that coefficient are the order-n equations over basis tuples:
   (4) sum_{i+j=n} rho_i(u) mu_j(x,y)
         = sum_{i+j=n} mu_i(rho_j(u) x, y) + (-1)^{|u||x|} mu_i(x, rho_j(u) y)
 
-The residual of one order is returned as the four defect blocks (left minus
-right); a deformation is valid through its order iff all of them vanish.  The
-order-1 coefficients of a valid deformation form a cocycle of the triple
-complex, and conversely every such cocycle gives a linear deformation, so the
-two code paths are asserted to agree.
+and the residual of one order is the four defect blocks (left minus right).
+For a crossed homomorphism, X_k = D_k in C^1, delta = [pi + rho, .] and
+b(f, g) = [[mu, f], g] (``crossed.ChComplex.problem``); the residual is the
+one block of [pi + rho + 1/2 [mu, D(t)], D(t)] at t^n.
 
-A crossed homomorphism deformation D(t) is read the same way, from the t^n
-coefficient of [pi + rho + 1/2 [mu, D(t)], D(t)]; its order-1 statement
-couples to the twisted differential d_D.  The ``*_residuals`` functions
-read every order in one pass; the one-order functions read the same pass.
+A deformation is valid through its order iff every residual vanishes.  Its
+first nonzero X_k, the infinitesimal, is then a cocycle of the complex at
+X_0, and conversely every such cocycle gives a linear deformation
+(``linear_check``): with X_1..X_(k-1) zero, the order-k coefficient is
+[P, X_k] = d X_k, which ``Series.infinitesimal`` asserts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from .cochains import BlockCochain, Cochain, circ_sum, hat_sum
+from .cochains import BlockCochain, Cochain
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
-from .graded import direct_sum
 from .superalgebra import LinearMap
 from .triple import (
     ActionMap,
     LieSupActTriple,
+    McProblem,
     McResidual,
     blocks_from_vector,
     triple_blocks,
     triple_complex,
     triple_units,
 )
-from .crossed import ChComplex, CrossedHom, _require_verified
+from .crossed import ChComplex, CrossedHom
 from .util import Frozen
 
 
@@ -65,6 +77,55 @@ def check_order(order: int):
 def _require_even(c, what: str):
     if c.parity() not in (0,):
         raise ValidationError(f"{what} coefficient must have degree 0")
+
+
+class InfinitesimalReport(Frozen):
+    """``order`` is None when all higher coefficients vanish; ``cochain`` holds
+    the blocks of that coefficient (zero when ``order`` is None), an element
+    of C^degree of the problem's complex."""
+
+    __slots__ = ("order", "cochain", "is_cocycle")
+
+    def __init__(self, order: int, cochain: tuple, is_cocycle: bool):
+        super().__init__(order, cochain, is_cocycle)
+
+
+class Series(Frozen):
+    """X(t) = sum_k t^k X_k in one ``McProblem``: ``terms[k]`` holds the blocks of X_k, k = 0..order."""
+
+    __slots__ = ("problem", "terms")
+
+    def __init__(self, problem: McProblem, terms: tuple):
+        super().__init__(problem, terms)
+
+    def residuals(self, orders=None):
+        """The report of each order n in ``orders`` (default 0..order), each refused outside 0..order."""
+        top = len(self.terms) - 1
+        orders = range(top + 1) if orders is None else tuple(orders)
+        for n in orders:
+            if not 0 <= n <= top:
+                raise ValidationError(f"order {n} outside 0..{top}")
+        return self.problem.residuals(self.terms, orders)
+
+    def infinitesimal(self, reports) -> InfinitesimalReport:
+        """The first nonzero X_k, and whether d X_k = 0 in the complex at X_0.
+
+        ``reports`` are the ``residuals`` of every order.  With X_1..X_(k-1)
+        zero, the order-k coefficient is delta X_k + b(X_0, X_k) = d X_k, so
+        the verdict must be that report's; ``InternalInvariantError`` is
+        raised otherwise.
+        """
+        problem = self.problem
+        for k in range(1, len(self.terms)):
+            X = self.terms[k]
+            if not all(b.is_zero() for b in X):
+                is_cocycle = all(b.is_zero() for b in problem.complex.d(X))
+                if is_cocycle != problem.is_zero(reports[k]):
+                    raise InternalInvariantError("the infinitesimal cocycle test disagrees with its residual")
+                return InfinitesimalReport(k, X, is_cocycle)
+        cx = problem.complex
+        zero = tuple(BlockCochain.zero(cx.g_space, cx.h_space, *sig) for sig in cx.sigs(problem.degree))
+        return InfinitesimalReport(None, zero, True)
 
 
 class TripleDeformation(Frozen):
@@ -110,6 +171,19 @@ class TripleDeformation(Frozen):
             (triple.h.as_cochain(),) + tuple(mu_terms[:order]),
         )
 
+    def series(self) -> Series:
+        """X_k = pi_k + rho_k + mu_k, as the blocks of C^2 in ``triple_blocks(2)`` order."""
+        gs, hs = self.triple.g.space, self.triple.h.space
+        terms = tuple(
+            (
+                BlockCochain._from_ints((gs, hs, 2, 0, "g"), pi.den, {(k, ()): v for k, v in pi.ints.items()}),
+                BlockCochain._from_ints((gs, hs, 0, 2, "h"), mu.den, {((), k): v for k, v in mu.ints.items()}),
+                rho.as_block(),
+            )
+            for pi, rho, mu in zip(self.pis, self.rhos, self.mus)
+        )
+        return Series(triple_problem(self.triple), terms)
+
 
 # The factor on each block of sum_{i+j=n} [Pi_i, Pi_j] that gives the defect
 # (left minus right) of one order-n equation, in ``McResidual`` field order:
@@ -121,105 +195,18 @@ class TripleDeformation(Frozen):
 _EQUATION_FACTORS = (1, Fraction(-1, 2), Fraction(1, 2), 1)
 
 
-def _check_orders(d, orders):
-    """``orders`` (default 0..d.order), each refused outside 0..d.order."""
-    orders = tuple(range(d.order + 1)) if orders is None else tuple(orders)
-    for n in orders:
-        if not 0 <= n <= d.order:
-            raise ValidationError(f"order {n} outside 0..{d.order}")
-    return orders
+def triple_problem(t: LieSupActTriple) -> McProblem:
+    """Pi as the X_0 of the triple problem: delta = 0 and b the bracket itself, on C^2.
 
-
-def triple_deformation_residuals(d: TripleDeformation, orders=None):
-    """The four defects of each order n in ``orders`` (default 0..d.order), in one pass.
-
-    Each is the blocks of sum_{i+j=n} [Pi_i, Pi_j], scaled.  For even Pi_i of
-    arity 2, [Pi_i, Pi_j] = Pi_i o Pi_j + Pi_j o Pi_i, so the sum is
-    2 sum_{i+j=n} Pi_i o Pi_j over ordered pairs: one insertion product per
-    pair, none for a zero Pi_i, and the support of each Pi_i built once.
+    The problem's coefficient is 1/2 sum_{i+j=n} [Pi_i, Pi_j], so each block
+    is read at twice its ``_EQUATION_FACTORS`` factor.  The complex at Pi is
+    ``triple_complex``.
     """
-    orders = _check_orders(d, orders)
-    if not orders:
-        return ()
-    t = d.triple
-    ds = direct_sum(t.g.space, t.h.space)
-    pis = [hat_sum(_coefficient_cochain(d, k)) for k in range(max(orders) + 1)]
+    cx = triple_complex(t)
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
-    return tuple(
-        McResidual.project(circ_sum(((1, pis[i], pis[n - i]) for i in range(n + 1))), ds, factors)
-        for n in orders
-    )
-
-
-def triple_deformation_residual(d: TripleDeformation, n: int) -> McResidual:
-    """The four order-n defects: ``triple_deformation_residuals`` at order n alone."""
-    return triple_deformation_residuals(d, (n,))[0]
-
-
-class InfinitesimalReport(Frozen):
-    """``order`` is None when all higher coefficients vanish; ``cochain`` holds
-    the blocks of a degree-2 cochain, in ``triple_blocks(2)`` order."""
-
-    __slots__ = ("order", "cochain", "is_cocycle")
-
-    def __init__(self, order: int, cochain: tuple, is_cocycle: bool):
-        super().__init__(order, cochain, is_cocycle)
-
-
-def triple_infinitesimal(d: TripleDeformation):
-    """First nonzero coefficient triple, as a degree-2 cochain, plus its verdict.
-
-    The cochain complex of the base triple houses (pi_k, rho_k, mu_k) in
-    degree 2; for a deformation that is valid through order k the first
-    nonzero triple is closed under the differential.
-    """
-    t = d.triple
-    for k in range(1, d.order + 1):
-        c = _coefficient_cochain(d, k)
-        if not all(b.is_zero() for b in c):
-            image = triple_complex(t).d(c)
-            return InfinitesimalReport(k, c, all(b.is_zero() for b in image))
-    zero = tuple(BlockCochain.zero(t.g.space, t.h.space, *sig) for sig in triple_blocks(2))
-    return InfinitesimalReport(None, zero, True)
-
-
-def _coefficient_cochain(d: TripleDeformation, k: int):
-    """(pi_k, rho_k, mu_k) as the blocks of a degree-2 cochain."""
-    t = d.triple
-    gs, hs = t.g.space, t.h.space
-    pi, mu = d.pis[k], d.mus[k]
-    pi_b = BlockCochain._from_ints((gs, hs, 2, 0, "g"), pi.den, {(key, ()): v for key, v in pi.ints.items()})
-    mu_b = BlockCochain._from_ints((gs, hs, 0, 2, "h"), mu.den, {((), key): v for key, v in mu.ints.items()})
-    return pi_b, mu_b, d.rhos[k].as_block()  # the order of triple_blocks(2)
-
-
-def _order_one_agrees(residual_ok: bool, image) -> bool:
-    """The residual verdict, after asserting that it matches "the image d c is zero"."""
-    if residual_ok != all(b.is_zero() for b in image):
-        raise InternalInvariantError("order-1 residual disagrees with the cocycle test")
-    return residual_ok
-
-
-def linear_triple_check(t: LieSupActTriple, pi1: Cochain, rho1: ActionMap, mu1: Cochain) -> bool:
-    """Residual test for the order-1 truncation, cross-checked as a cocycle test."""
-    d = TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1)
-    residual_ok = triple_deformation_residual(d, 1).is_zero
-    return _order_one_agrees(residual_ok, triple_complex(t).d(_coefficient_cochain(d, 1)))
-
-
-def triple_cocycle_deformations(t: LieSupActTriple):
-    """One linear deformation per kernel vector of the even degree-2 differential."""
-    gs, hs = t.g.space, t.h.space
-    units = triple_units(gs, hs, 2, parity=0)
-    out = []
-    for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
-        # the blocks of triple_blocks(2): pi, then mu, then rho
-        pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
-        pi1 = Cochain._from_ints((gs, gs, 2), pi_b.den, {gk: v for (gk, _), v in pi_b.ints.items()})
-        mu1 = Cochain._from_ints((hs, hs, 2), mu_b.den, {hk: v for (_, hk), v in mu_b.ints.items()})
-        rho1 = ActionMap._from_ints(gs, hs, rho_b.den, {(i, j): v for ((i,), (j,)), v in rho_b.ints.items()})
-        out.append(TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1))
-    return out
+    zero = Cochain.zero(cx.ds.space, cx.ds.space, 2)
+    project = partial(McResidual.project, ds=cx.ds, factors=factors)
+    return McProblem(cx, zero, lambda X: X, 2, project, McResidual.components)
 
 
 class CrossedHomDeformation(Frozen):
@@ -246,57 +233,37 @@ class CrossedHomDeformation(Frozen):
                 raise ValidationError("deformation coefficients must have degree 0")
         return cls(crossed, order, (crossed.linmap,) + tuple(terms[:order]))
 
+    def series(self) -> Series:
+        """X_k = D_k, as the one block of C^1, in the crossed problem at D."""
+        t = self.crossed.triple
+        terms = tuple((CrossedHom(t, m).as_block(),) for m in self.maps)
+        return Series(ChComplex(t).problem(terms[0][0]), terms)
 
-def _ch_blocks(d: CrossedHomDeformation):
-    t = d.crossed.triple
-    return [CrossedHom(t, m).as_block() for m in d.maps]
 
+def linear_check(d) -> bool:
+    """Whether the linear deformation ``d`` (order 1) is valid: its order-1 residual verdict.
 
-def ch_deformation_residuals(d: CrossedHomDeformation, orders=None, cc: ChComplex = None):
-    """Defect (right minus left) of the deformed crossed identity at each order in ``orders``.
-
-    The t^n coefficients of [pi + rho + 1/2 [mu, D(t)], D(t)], read in one
-    pass by ``ChComplex.series_residuals``.  ``cc`` is ``ChComplex`` of the
-    triple, if the caller holds it.
+    The paper's "linear deformations are characterised by one cocycles": X_0
+    + t X_1 is a deformation iff X_1 is a cocycle of the complex at X_0 (in
+    C^1 for a crossed homomorphism, in C^2 for a triple), which
+    ``Series.infinitesimal`` asserts equal to the residual verdict.
     """
-    orders = _check_orders(d, orders)
-    if not orders:
-        return ()
-    cc = ChComplex(d.crossed.triple) if cc is None else cc
-    return tuple(cc.series_residuals(_ch_blocks(d), orders))
+    if d.order != 1:
+        raise ValidationError(f"a linear deformation has order 1, not {d.order}")
+    s = d.series()
+    return s.infinitesimal(s.residuals()).is_cocycle
 
 
-def ch_deformation_residual(d: CrossedHomDeformation, n: int) -> BlockCochain:
-    """Order-n defect: ``ch_deformation_residuals`` at order n alone."""
-    return ch_deformation_residuals(d, (n,))[0]
-
-
-class ChInfinitesimalReport(Frozen):
-    """``order`` is None when no nonzero higher coefficient exists."""
-
-    __slots__ = ("order", "map", "is_cocycle")
-
-    def __init__(self, order: int, map: LinearMap, is_cocycle: bool):
-        super().__init__(order, map, is_cocycle)
-
-
-def ch_infinitesimal(d: CrossedHomDeformation, cc: ChComplex = None):
-    """First nonzero higher coefficient D_k and whether d_D D_k = 0; ``cc`` as in
-    ``ch_deformation_residuals``."""
-    t = d.crossed.triple
-    for k in range(1, d.order + 1):
-        if not d.maps[k].is_zero():
-            cc = ChComplex(t) if cc is None else cc
-            block = CrossedHom(t, d.maps[k]).as_block()
-            image = cc.twisted(d.crossed.as_block()).d((block,))[0]
-            return ChInfinitesimalReport(k, d.maps[k], image.is_zero())
-    return ChInfinitesimalReport(None, LinearMap.zero(t.g.space, t.h.space), True)
-
-
-def linear_ch_check(D: CrossedHom, D1: LinearMap) -> bool:
-    """Residual test at order 1, cross-checked against d_D(D1) = 0."""
-    d = CrossedHomDeformation.build(D, [D1], order=1)
-    cc = ChComplex(D.triple)
-    residual_ok = ch_deformation_residuals(d, (1,), cc)[0].is_zero()
-    d_D = cc.twisted(_require_verified(D).as_block())
-    return _order_one_agrees(residual_ok, d_D.d((CrossedHom(D.triple, D1).as_block(),)))
+def triple_cocycle_deformations(t: LieSupActTriple):
+    """One linear deformation per kernel vector of the even degree-2 differential."""
+    gs, hs = t.g.space, t.h.space
+    units = triple_units(gs, hs, 2, parity=0)
+    out = []
+    for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
+        # the blocks of triple_blocks(2): pi, then mu, then rho
+        pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
+        pi1 = Cochain._from_ints((gs, gs, 2), pi_b.den, {gk: v for (gk, _), v in pi_b.ints.items()})
+        mu1 = Cochain._from_ints((hs, hs, 2), mu_b.den, {hk: v for (_, hk), v in mu_b.ints.items()})
+        rho1 = ActionMap._from_ints(gs, hs, rho_b.den, {(i, j): v for ((i,), (j,)), v in rho_b.ints.items()})
+        out.append(TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1))
+    return out

@@ -19,14 +19,17 @@ C^n is the tuple of its blocks, listed by a signature function, and both the
 differential of one element and its matrix on the unit basis are the bracket
 with one even arity-2 element P on g + h.  The triple complex is the instance
 P = Pi over ``triple_blocks``; the crossed-homomorphism complex is another.
+``McProblem`` reads a Maurer-Cartan series X(t) = sum_k t^k X_k at the X_0
+of such a complex, one residual pass for the deformations of triples and of
+crossed homomorphisms alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, circ, hat_sum, nr_bracket
-from .cochains import project_block
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, bracket_sum, circ, hat_sum
+from .cochains import nr_bracket, order_pairs, project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
@@ -237,8 +240,8 @@ class McResidual(Frozen):
 
     ``ggg`` on wedge^3 g -> g, ``ggh`` on wedge^2 g x h -> h, ``ghh`` on
     g x wedge^2 h -> h and ``hhh`` on wedge^3 h -> h.  ``mc_residual`` reads
-    them from [Pi, Pi]; ``deformation.triple_deformation_residual`` reads them,
-    times fixed factors, from the t^n coefficient of a deformed [Pi(t), Pi(t)].
+    them from [Pi, Pi]; the triple problem of ``deformation`` reads them, times
+    fixed factors, from the t^n coefficient of a deformed 1/2 [Pi(t), Pi(t)].
     """
 
     __slots__ = ("ggg", "ggh", "ghh", "hhh")
@@ -346,6 +349,7 @@ class BlockComplex:
     def __init__(self, g_space: GradedSpace, h_space: GradedSpace, P: Cochain, sigs):
         self.g_space = g_space
         self.h_space = h_space
+        self.ds = direct_sum(g_space, h_space)
         self.P = P
         self.sigs = sigs
         self._units = {}
@@ -368,8 +372,47 @@ class BlockComplex:
             raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
         total = hat_sum(blocks)
         image = nr_bracket(self.P, total)
-        ds = direct_sum(self.g_space, self.h_space)
-        return tuple(project_block(image, ds, *sig) for sig in self.sigs(total.arity + 1))
+        return tuple(project_block(image, self.ds, *sig) for sig in self.sigs(total.arity + 1))
+
+
+class McProblem(Frozen):
+    """One Maurer-Cartan series problem: X(t) = sum_k t^k X_k in a dgLa (delta, b) on g + h.
+
+    ``complex`` is the ``BlockComplex`` at X_0, whose P is delta + left(X_0).
+    ``delta`` is the element delta brackets with (zero when delta = 0), and
+    b(X, Y) = [left(X), Y] on hat extensions, symmetric in X and Y.  Each X_k
+    is an element of C^``degree`` of ``complex``.  ``project`` reads the report
+    of one t^n coefficient out of a cochain on g + h, and ``parts`` maps a
+    report to its blocks by name (the one key None for a report of one block).
+    The triple problem is ``deformation.triple_problem``, the crossed one
+    ``crossed.ChComplex.problem``.
+    """
+
+    __slots__ = ("complex", "delta", "left", "degree", "project", "parts")
+
+    def __init__(self, complex: BlockComplex, delta: Cochain, left, degree: int, project, parts):
+        super().__init__(complex, delta, left, degree, project, parts)
+
+    def residuals(self, terms, orders):
+        """The report of the t^n coefficient for each n in ``orders``; ``terms[k]`` holds the blocks of X_k.
+
+        That coefficient is delta X_n + 1/2 sum_{i+j=n} b(X_i, X_j), each
+        unordered pair taken once (``order_pairs``): one ``bracket_sum`` per
+        order, with each X_k hat-extended and each left(X_i) built once for
+        all orders.
+        """
+        top = max(orders, default=-1)
+        hats = [hat_sum(X) for X in terms[: top + 1]]
+        lefts = [self.left(X) for X in hats[: top // 2 + 1]]
+        out = []
+        for n in orders:
+            summands = [(1, self.delta, hats[n])]
+            summands += [(Fraction(w, 2), lefts[i], hats[j]) for i, j, w in order_pairs(n)]
+            out.append(self.project(bracket_sum(summands)))
+        return tuple(out)
+
+    def is_zero(self, report) -> bool:
+        return all(b.is_zero() for b in self.parts(report).values())
 
 
 def triple_complex(t: LieSupActTriple) -> BlockComplex:

@@ -409,3 +409,14 @@ def rescale_ch_deformation(d: CrossedHomDeformation, a, b) -> CrossedHomDeformat
     return CrossedHomDeformation.build(
         rescale_crossed(d.crossed, a, b), [_rescale_map(m, a, b) for m in d.maps[1:]], order=d.order
     )
+
+
+def residual(d, n):
+    """The order-n report of the deformation ``d``: its series read at order n alone."""
+    return d.series().residuals((n,))[0]
+
+
+def infinitesimal(d):
+    """The infinitesimal of the deformation ``d``, checked against its residuals."""
+    series = d.series()
+    return series.infinitesimal(series.residuals())

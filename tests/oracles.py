@@ -868,7 +868,7 @@ def mc_residual_components_reference(g, h, rho):
 
 
 def triple_deformation_residual(d, n):
-    """Dense reference for ``deformation.triple_deformation_residual``."""
+    """Dense reference for the order-n report of ``TripleDeformation.series``."""
     t = d.triple
     gs, hs = t.g.space, t.h.space
     pairs = [(i, n - i) for i in range(n + 1)]
@@ -924,7 +924,7 @@ def triple_deformation_residual(d, n):
 
 
 def ch_deformation_residual(d, n):
-    """Dense reference for ``deformation.ch_deformation_residual``."""
+    """Dense reference for the order-n report of ``CrossedHomDeformation.series``."""
     t = d.crossed.triple
     g, h, rho = t.g, t.h, t.rho
     gs, hs = g.space, h.space

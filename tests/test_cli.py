@@ -10,6 +10,7 @@ from supercochain import cli
 from supercochain import io as sio
 from supercochain.errors import ParseError, ValidationError
 from supercochain.superalgebra import check_jacobi
+from supercochain.triple import BlockComplex
 
 
 def run_cli(argv, capsys):
@@ -279,21 +280,11 @@ def test_internal_error_maps_to_exit_3(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize(
-    "command,fixture,infinitesimal",
-    [("deform", "solvable2", "triple_infinitesimal"), ("ch-deform", "aff11_adjoint", "ch_infinitesimal")],
-)
-def test_infinitesimal_that_disagrees_with_its_residual_is_exit_3(
-    capsys, monkeypatch, command, fixture, infinitesimal
-):
-    real = getattr(cli, infinitesimal)
-
-    def flipped(*args):
-        inf = real(*args)
-        assert inf.order is not None
-        return type(inf)(inf.order, inf._fields[1], not inf.is_cocycle)
-
-    monkeypatch.setattr(cli, infinitesimal, flipped)
+@pytest.mark.parametrize("command,fixture", [("deform", "solvable2"), ("ch-deform", "aff11_adjoint")])
+def test_infinitesimal_that_disagrees_with_its_residual_is_exit_3(capsys, monkeypatch, command, fixture):
+    # each file's infinitesimal is a nonzero cocycle; a differential that returns its
+    # argument makes the cocycle test fail while the residual at its order still vanishes
+    monkeypatch.setattr(BlockComplex, "d", lambda self, blocks: blocks)
     code, err = _exit_and_stderr([command, str(FIXTURES / f"{fixture}.json"), "--format", "json"], capsys)
     assert code == 3
     assert err.startswith("internal invariant violated: ")
@@ -387,6 +378,40 @@ def test_ch_deform_fixture(capsys):
     report = json.loads(out)
     assert report["infinitesimal"] == {"is_cocycle": True, "order": 1}
     assert all(entry["ok"] for entry in report["residuals"])
+
+
+def test_failing_deformations_report_the_hand_computed_defects(capsys):
+    """deform_bad.json: g = <x | y> abelian acting by zero on aff(1|1), [e, f] = f, with D = 0.
+
+    deform, rho_1(x) = id_h: at order 1 equation (4) at (x; e, f) reads
+    rho_1(x) [e, f] = f on the left and [rho_1(x) e, f] + [e, rho_1(x) f] = 2f
+    on the right, a defect of -f; every other block and order vanishes.
+    ch-deform, D_1 = (x -> e, y -> f): d D_1 = 0, as D, rho and [x, y] are 0,
+    and the order-2 coefficient of [D(t) x, D(t) y] is [D_1 x, D_1 y] = f at (x, y).
+    """
+    path = str(FIXTURES / "deform_bad.json")
+    code, out = run_cli(["check-crossed", path, "--format", "json"], capsys)
+    assert code == 0
+    code, out = run_cli(["deform", path, "--format", "json"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    defect = {"g_slots": ["x"], "h_slots": ["e", "f"], "value": {"f": "-1"}}
+    assert report["residuals"] == [
+        {"order": 0, "ok": True},
+        {"order": 1, "ok": False, "witnesses": {"ghh": [defect]}},
+        {"order": 2, "ok": True},
+    ]
+    assert report["infinitesimal"] == {"order": 1, "is_cocycle": False}
+    code, out = run_cli(["ch-deform", path, "--format", "json"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    defect = {"g_slots": ["x", "y"], "h_slots": [], "value": {"f": "1"}}
+    assert report["residuals"] == [
+        {"order": 0, "ok": True},
+        {"order": 1, "ok": True},
+        {"order": 2, "ok": False, "witnesses": [defect]},
+    ]
+    assert report["infinitesimal"] == {"order": 1, "is_cocycle": True}
 
 
 def test_deform_order_flag_truncates(capsys):

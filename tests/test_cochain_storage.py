@@ -28,12 +28,7 @@ from supercochain.cochains import (
     nr_bracket,
     project_block,
 )
-from supercochain.deformation import (
-    CrossedHomDeformation,
-    TripleDeformation,
-    ch_deformation_residual,
-    triple_deformation_residual,
-)
+from supercochain.deformation import CrossedHomDeformation, TripleDeformation
 from supercochain.errors import ArityMismatch, ValidationError
 from supercochain.graded import GradedSpace, direct_sum, wedge_basis
 from supercochain.superalgebra import LinearMap, SuperAlgebra
@@ -273,10 +268,8 @@ def test_residuals_with_zero_coefficients_match_references():
     d = TripleDeformation.build(
         t, [zero_pi, t.g.as_cochain()], [ActionMap.zero(gs, hs), t.rho], [zero_mu, t.h.as_cochain()], order=2
     )
-    for n in range(3):
-        assert triple_deformation_residual(d, n) == oracles.triple_deformation_residual(d, n)
+    assert d.series().residuals() == tuple(oracles.triple_deformation_residual(d, n) for n in range(3))
     D = CROSSED["gl11_adjoint"]
     dc = CrossedHomDeformation.build(D, [LinearMap.zero(gs, hs), D.linmap], order=2)
-    for n in range(3):
-        assert ch_deformation_residual(dc, n) == oracles.ch_deformation_residual(dc, n)
+    assert dc.series().residuals() == tuple(oracles.ch_deformation_residual(dc, n) for n in range(3))
 

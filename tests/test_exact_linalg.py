@@ -12,7 +12,7 @@ from supercochain import exact_linalg
 from supercochain import io as sio
 from supercochain import triple
 from supercochain.crossed import ChComplex, CrossedHom, ch_cohomology_table
-from supercochain.deformation import CrossedHomDeformation, ch_deformation_residuals, ch_infinitesimal
+from supercochain.deformation import CrossedHomDeformation
 from supercochain.errors import (
     CompositionNonzero,
     DimensionMismatch,
@@ -391,9 +391,8 @@ def test_residual_pass_builds_each_support_once(monkeypatch):
     D = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
     one = LinearMap.identity(t.g.space)
     d = CrossedHomDeformation.build(D, [one, one.scale(F(1, 2))], order=2)
-    cc = ChComplex(D.triple)
-    ch_deformation_residuals(d, cc=cc)
-    ch_infinitesimal(d, cc)
+    series = d.series()
+    series.infinitesimal(series.residuals())
     # pi + rho, mu, [mu, D_0], [mu, D_1] and P_D: one support each
     assert len(built) == len({id(P) for P in built}) == 5
 

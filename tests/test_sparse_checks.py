@@ -21,12 +21,7 @@ from conftest import FIXTURES
 from supercochain import io as sio
 from supercochain.cochains import Cochain
 from supercochain.crossed import CrossedHom, check_crossed
-from supercochain.deformation import (
-    CrossedHomDeformation,
-    TripleDeformation,
-    ch_deformation_residual,
-    triple_deformation_residual,
-)
+from supercochain.deformation import CrossedHomDeformation, TripleDeformation
 from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, check_super_skew, gl
 from supercochain.triple import ActionMap, LieSupActTriple, check_action
 
@@ -90,16 +85,15 @@ def test_crossed_matches_dense(name):
 @pytest.mark.parametrize("name", sorted(DEFORMATIONS))
 def test_triple_residual_matches_dense(name):
     d = DEFORMATIONS[name]
-    for n in range(d.order + 1):
-        assert triple_deformation_residual(d, n) == oracles.triple_deformation_residual(d, n)
+    want = tuple(oracles.triple_deformation_residual(d, n) for n in range(d.order + 1))
+    assert d.series().residuals() == want
 
 
 @pytest.mark.parametrize("name", sorted(CROSSED))
 def test_crossed_residual_matches_dense(name):
     D = CROSSED[name]
     d = CrossedHomDeformation.build(D, [D.linmap.scale(2), D.linmap], order=2)
-    for n in range(d.order + 1):
-        assert ch_deformation_residual(d, n) == oracles.ch_deformation_residual(d, n)
+    assert d.series().residuals() == tuple(oracles.ch_deformation_residual(d, n) for n in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +187,7 @@ def test_perturbed_crossed_checks_match_dense(name, rng):
         D = CrossedHom(_perturb_triple(D.triple, rng), D.linmap)
     _same_report(check_crossed(D), oracles.check_crossed(D))
     d = CrossedHomDeformation.build(D, [_perturb_map(D.linmap, rng)], order=2)
-    for n in range(d.order + 1):
-        assert ch_deformation_residual(d, n) == oracles.ch_deformation_residual(d, n)
+    assert d.series().residuals() == tuple(oracles.ch_deformation_residual(d, n) for n in range(3))
 
 
 def _perturb_cochain(c: Cochain, rng):
@@ -216,8 +209,8 @@ def test_perturbed_deformation_residual_matches_dense(name, rng):
     else:
         mus[k - 1] = _perturb_cochain(mus[k - 1], rng)
     d = TripleDeformation.build(d.triple, pis, rhos, mus, order=d.order)
-    for n in range(d.order + 1):
-        assert triple_deformation_residual(d, n) == oracles.triple_deformation_residual(d, n)
+    want = tuple(oracles.triple_deformation_residual(d, n) for n in range(d.order + 1))
+    assert d.series().residuals() == want
 
 
 def _non_skew_algebra(A: SuperAlgebra, rng):
@@ -292,6 +285,6 @@ def test_gl21_perturbed_once_matches_dense():
     d = DEFORMATIONS["gl21_adjoint"]
     rhos = [_perturb_action(d.rhos[1], rng), d.rhos[2]]
     d = TripleDeformation.build(d.triple, list(d.pis[1:]), rhos, list(d.mus[1:]), order=2)
-    got = triple_deformation_residual(d, 1)
+    (got,) = d.series().residuals((1,))
     assert not got.is_zero
     assert got == oracles.triple_deformation_residual(d, 1)

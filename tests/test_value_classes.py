@@ -12,12 +12,7 @@ import pytest
 
 from supercochain.cochains import BlockCochain
 from supercochain.crossed import CHMorphism, CrossedHom, _require_verified, verify
-from supercochain.deformation import (
-    ChInfinitesimalReport,
-    CrossedHomDeformation,
-    InfinitesimalReport,
-    TripleDeformation,
-)
+from supercochain.deformation import CrossedHomDeformation, InfinitesimalReport, TripleDeformation
 from supercochain.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from supercochain.graded import GradedSpace
 from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
@@ -127,11 +122,6 @@ CASES = {
         lambda: dict(
             crossed=CrossedHom(triple(), diag(0, -1)), order=2, maps=(diag(0, 1), diag(1, -1))
         ),
-    ),
-    "ChInfinitesimalReport": (
-        ChInfinitesimalReport,
-        lambda: dict(order=1, map=diag(0, 1), is_cocycle=True),
-        lambda: dict(order=None, map=diag(0, 0), is_cocycle=False),
     ),
 }
 
