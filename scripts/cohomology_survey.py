@@ -16,8 +16,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from supercochain import io as sio
-from supercochain.crossed import CrossedHom, ch_cohomology_table, ch_units, check_crossed, verify
-from supercochain.triple import LieSupActTriple, triple_cochain_dim, triple_cohomology_table
+from supercochain.crossed import ChComplex, CrossedHom, ch_cohomology_table, check_crossed
+from supercochain.triple import LieSupActTriple, triple_cohomology_table, triple_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -38,14 +38,14 @@ def main():
         print(f"== {path.name}  (g dims {t.g.space.dims}, h dims {t.h.space.dims})")
         start = time.perf_counter()
         degrees = range(1, args.max_n + 1)
+        cx = triple_complex(t)
         for n, row in triple_cohomology_table(t, degrees).items():
-            dim = triple_cochain_dim(t.g.space, t.h.space, n)
-            print(f"   triple H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {dim})")
+            print(f"   triple H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {len(cx.units(n))})")
         if pf.crossed is not None and check_crossed(CrossedHom(t, pf.crossed)).ok:
-            D = verify(CrossedHom(t, pf.crossed))
+            D = CrossedHom(t, pf.crossed, True)
+            cx = ChComplex(t).twisted(D.as_block())
             for n, row in ch_cohomology_table(D, degrees).items():
-                dim = len(ch_units(t.g.space, t.h.space, n))
-                print(f"   crossed H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {dim})")
+                print(f"   crossed H^{n}: even {row[0]}  odd {row[1]}   (dim C^{n} = {len(cx.units(n))})")
         print(f"   ({(time.perf_counter() - start) * 1000:.0f} ms)")
 
 

@@ -25,8 +25,8 @@ canonical form of ``util.canonical``, from the parsed input to the
 report; ``coeffs``, the ``Fraction`` tuples a report shows, is a view built
 when read (see ``_CoefficientMap``).
 
-``circ``, ``nr_bracket``, ``circ_sum``, ``bracket_sum`` and ``bracket_matrix``
-share one term expansion on those ints: for each unit U = (key K -> e_T) of
+``circ``, ``nr_bracket``, ``bracket_sum`` and ``bracket_matrix`` share one
+term expansion on those ints: for each unit U = (key K -> e_T) of
 the right operand, ``_unit_image`` lists the terms of [P, U] (or circ(P, U))
 over the support of a P of any arity and parity, which P keeps once built
 (``Cochain.bracket_support``).
@@ -333,11 +333,6 @@ def nr_bracket(F: Cochain, G: Cochain) -> Cochain:
     return _expand(((1, F, G),), True)
 
 
-def circ_sum(terms) -> Cochain:
-    """sum c P o U over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
-    return _expand(tuple(terms), False)
-
-
 def bracket_sum(terms) -> Cochain:
     """sum c [P, U] over (c, P, U) terms of one space and arity, c an int or ``Fraction``."""
     return _expand(tuple(terms), True)
@@ -499,19 +494,3 @@ def project_block(F: Cochain, ds: DirectSum, g_arity: int, h_arity: int, target_
                 value = {k: -x for k, x in value.items()}
             coeffs[(gk, hk)] = value
     return BlockCochain._from_ints((ds.left, ds.right, g_arity, h_arity, target_side), F.den, coeffs)
-
-
-def f_membership(F: Cochain, ds: DirectSum) -> bool:
-    """Support test for the subalgebra of structure-carrying maps on g + h.
-
-    True when every all-g tuple maps into g and every tuple containing at
-    least one h entry maps into h.
-    """
-    if F.source != ds.space or F.target != ds.space:
-        raise SpaceMismatch("cochain does not live on the given direct sum")
-    side_of = ds.side_of
-    for key, row in F.ints.items():
-        side = "h" if any(side_of[pos][0] == "h" for pos in key) else "g"
-        if any(side_of[t][0] != side for t in row):
-            return False
-    return True

@@ -42,10 +42,9 @@ from functools import partial
 
 from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
-from .exact_linalg import Matrix, cohomology_table, kernel_basis, rank
+from .exact_linalg import Matrix, cohomology_table, kernel_basis
 from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_super_skew
-from .superalgebra import is_homomorphism
 from .triple import BlockComplex, LieSupActTriple, McProblem, adjoint_action, block_units
 from .triple import blocks_from_vector, mu_block, pi_block, semidirect_algebra
 from .util import Frozen, bilinear, combine, dense, lincomb
@@ -67,10 +66,6 @@ class CrossedHom(Frozen):
         m = self.linmap
         ints = {((i,), ()): col for i, col in m.ints.items()}
         return BlockCochain._from_ints((self.triple.g.space, self.triple.h.space, 1, 0, "h"), m.den, ints)
-
-
-def verify(D: CrossedHom) -> CrossedHom:
-    return CrossedHom(D.triple, D.linmap, check_crossed(D).ok)
 
 
 def check_crossed(D: CrossedHom) -> CheckReport:
@@ -154,11 +149,6 @@ def ch_blocks(n: int):
     return [(n, 0, "h")]
 
 
-def ch_units(g_space, h_space, n: int, parity=None):
-    """Coordinate basis of Hom(wedge^n g, h): ``block_units`` over ``ch_blocks(n)``."""
-    return block_units(g_space, h_space, ch_blocks(n), parity)
-
-
 class ChComplex:
     """The hat embeddings pi + rho and mu of one triple's crossed-homomorphism complex.
 
@@ -196,11 +186,11 @@ class ChComplex:
         delta = [pi + rho, .] and b(f, g) = [[mu, f], g], so the t^n
         coefficient of D(t) is that of [pi + rho + 1/2 [mu, D(t)], D(t)];
         b is symmetric, as [f, g] = 0 for maps g -> h.  The complex at D is
-        ``twisted(D)``.
+        ``twisted(D)``, built only when the problem's ``complex()`` is called.
         """
         project = partial(project_block, ds=self._untwisted.ds, g_arity=2, h_arity=0, target_side="h")
         return McProblem(
-            self.twisted(D_block), self.pr_hat, partial(nr_bracket, self.mu_hat), 1, project, _one_part
+            partial(self.twisted, D_block), self.pr_hat, partial(nr_bracket, self.mu_hat), project, _one_part
         )
 
 
@@ -211,8 +201,9 @@ def _one_part(block: BlockCochain):
 def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     """Maurer-Cartan defect of D: [pi + rho + 1/2 [mu, D], D] = dD + 1/2 [[D, D]].
 
-    The order-0 coefficient of the crossed problem at D.  Refuses an action
-    that is not degree 0, as d_D does.
+    The order-0 coefficient of the crossed problem at D, read without
+    building the twisted complex.  Refuses an action that is not degree 0, as
+    d_D does.
     """
     cc = ChComplex(D.triple)
     if cc.pr_hat.parity() != 0:
@@ -233,7 +224,7 @@ def _require_verified(D: CrossedHom) -> CrossedHom:
 
 
 def d_D_matrix(D: CrossedHom, n: int, parity=None, cx=None) -> Matrix:
-    """Matrix of d_D = [P_D, .] from degree n to n + 1, on ``ch_units``.
+    """Matrix of d_D = [P_D, .] from degree n to n + 1, on the units of ``ch_blocks``.
 
     Refuses a D that is not a crossed homomorphism, since d_D squares to
     zero only then.  ``cx`` is the twisted complex of D, if the caller holds it.
@@ -247,12 +238,6 @@ def ch_cohomology_table(D: CrossedHom, degrees, parities=(0, 1)):
     D = _require_verified(D)
     cx = ChComplex(D.triple).twisted(D.as_block())
     return cohomology_table(lambda n, p: d_D_matrix(D, n, p, cx), degrees, parities)
-
-
-def ch_cohomology(D: CrossedHom, n: int):
-    """(even, odd) cohomology dimensions of the crossed homomorphism complex."""
-    row = ch_cohomology_table(D, range(n, n + 1))[n]
-    return row[0], row[1]
 
 
 def derivation_space(A: SuperAlgebra):
@@ -273,7 +258,7 @@ def derivation_space(A: SuperAlgebra):
     cx = ChComplex(D0.triple).twisted(D0.as_block())
     out = []
     for s in (0, 1):
-        basis = ch_units(A.space, A.space, 1, s)
+        basis = block_units(A.space, A.space, ch_blocks(1), s)
         maps = []
         for vec in kernel_basis(d_D_matrix(D0, 1, s, cx)):
             (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
@@ -281,57 +266,3 @@ def derivation_space(A: SuperAlgebra):
             maps.append(LinearMap._from_ints((A.space, A.space), block.den, cols))
         out.append(maps)
     return out[0], out[1]
-
-
-class CHMorphism(Frozen):
-    """Pair of degree-0 maps (phi1 on g, phi2 on h)."""
-
-    __slots__ = ("phi1", "phi2")
-
-    def __init__(self, phi1: LinearMap, phi2: LinearMap):
-        super().__init__(phi1, phi2)
-
-    @property
-    def is_isomorphism(self) -> bool:
-        return all(_injective(phi) for phi in (self.phi1, self.phi2))
-
-
-def _injective(phi: LinearMap) -> bool:
-    """Full column rank, read on the int columns (as the rows of the transpose)."""
-    n = phi.source.dim
-    return rank(Matrix(n, phi.target.dim, [phi.ints.get(j, {}) for j in range(n)])) == n
-
-
-def identity_morphism(t: LieSupActTriple) -> CHMorphism:
-    return CHMorphism(LinearMap.identity(t.g.space), LinearMap.identity(t.h.space))
-
-
-def compose_morphisms(m1: CHMorphism, m2: CHMorphism) -> CHMorphism:
-    """Componentwise composite (m1 after m2)."""
-    return CHMorphism(m1.phi1.compose(m2.phi1), m1.phi2.compose(m2.phi2))
-
-
-def check_morphism(D: CrossedHom, D2: CrossedHom, m: CHMorphism) -> bool:
-    """phi pair intertwining D with D2 over the shared triple.
-
-    Requires both components to be degree-0 algebra endomorphisms, the square
-    D2 . phi1 == phi2 . D to commute, and phi2 rho(x) u == rho(phi1 x)(phi2 u).
-    """
-    t = D.triple
-    if D2.triple != t:
-        raise ShapeMismatch("morphisms are defined between crossed homomorphisms of one triple")
-    if m.phi1.parity() not in (0,) or m.phi2.parity() not in (0,):
-        return False
-    if not is_homomorphism(m.phi1, t.g, t.g) or not is_homomorphism(m.phi2, t.h, t.h):
-        return False
-    lhs = D2.linmap.compose(m.phi1)
-    rhs = m.phi2.compose(D.linmap)
-    if lhs != rhs:
-        return False
-    # phi2 rho(x) u is ints over den(phi2) den(rho), rho(phi1 x)(phi2 u) over den(phi1) too
-    R, P1, P2 = t.rho.ints, m.phi1.ints, m.phi2.ints
-    for i in range(t.g.dim):
-        for j in range(t.h.dim):
-            if lincomb((m.phi1.den, m.phi2._image(R[i][j]))) != bilinear(R, P1.get(i, {}), P2.get(j, {})):
-                return False
-    return True

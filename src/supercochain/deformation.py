@@ -46,16 +46,17 @@ from functools import partial
 from .cochains import BlockCochain, Cochain
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
+from .graded import direct_sum
 from .superalgebra import LinearMap
 from .triple import (
     ActionMap,
     LieSupActTriple,
     McProblem,
     McResidual,
+    block_units,
     blocks_from_vector,
     triple_blocks,
     triple_complex,
-    triple_units,
 )
 from .crossed import ChComplex, CrossedHom
 from .util import Frozen
@@ -82,7 +83,7 @@ def _require_even(c, what: str):
 class InfinitesimalReport(Frozen):
     """``order`` is None when all higher coefficients vanish; ``cochain`` holds
     the blocks of that coefficient (zero when ``order`` is None), an element
-    of C^degree of the problem's complex."""
+    of the problem's complex in the degree of X_0."""
 
     __slots__ = ("order", "cochain", "is_cocycle")
 
@@ -119,12 +120,12 @@ class Series(Frozen):
         for k in range(1, len(self.terms)):
             X = self.terms[k]
             if not all(b.is_zero() for b in X):
-                is_cocycle = all(b.is_zero() for b in problem.complex.d(X))
+                is_cocycle = all(b.is_zero() for b in problem.complex().d(X))
                 if is_cocycle != problem.is_zero(reports[k]):
                     raise InternalInvariantError("the infinitesimal cocycle test disagrees with its residual")
                 return InfinitesimalReport(k, X, is_cocycle)
-        cx = problem.complex
-        zero = tuple(BlockCochain.zero(cx.g_space, cx.h_space, *sig) for sig in cx.sigs(problem.degree))
+        # X_0 lies in the same degree: its blocks give the signatures of the zero
+        zero = tuple(BlockCochain.zero(*b.shape) for b in self.terms[0])
         return InfinitesimalReport(None, zero, True)
 
 
@@ -202,11 +203,11 @@ def triple_problem(t: LieSupActTriple) -> McProblem:
     is read at twice its ``_EQUATION_FACTORS`` factor.  The complex at Pi is
     ``triple_complex``.
     """
-    cx = triple_complex(t)
+    ds = direct_sum(t.g.space, t.h.space)
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
-    zero = Cochain.zero(cx.ds.space, cx.ds.space, 2)
-    project = partial(McResidual.project, ds=cx.ds, factors=factors)
-    return McProblem(cx, zero, lambda X: X, 2, project, McResidual.components)
+    zero = Cochain.zero(ds.space, ds.space, 2)
+    project = partial(McResidual.project, ds=ds, factors=factors)
+    return McProblem(partial(triple_complex, t), zero, lambda X: X, project, McResidual.components)
 
 
 class CrossedHomDeformation(Frozen):
@@ -257,7 +258,7 @@ def linear_check(d) -> bool:
 def triple_cocycle_deformations(t: LieSupActTriple):
     """One linear deformation per kernel vector of the even degree-2 differential."""
     gs, hs = t.g.space, t.h.space
-    units = triple_units(gs, hs, 2, parity=0)
+    units = block_units(gs, hs, triple_blocks(2), 0)
     out = []
     for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
         # the blocks of triple_blocks(2): pi, then mu, then rho

@@ -4,8 +4,8 @@ A ``Matrix`` stores, per row, a dict from column to nonzero int, all over one
 positive denominator for the whole matrix; the differentials of the
 cohomology pipeline are only a few percent dense.  Assembly hands its int
 rows over as they are, ``mul`` multiplies on ints, and ``rank`` and
-``kernel_basis`` start from the int rows; the ``Fraction`` views (``data``,
-``entries``, ...) are built only when read.  All arithmetic is over ``int``
+``kernel_basis`` start from the int rows; the one ``Fraction`` view,
+``entries``, is built only when read.  All arithmetic is over ``int``
 and ``fractions.Fraction``, never rounded, with no modular or randomized
 shortcut.  Elimination is fraction-free, as in Bareiss (1968), but on sparse
 rows: each row is divided by its content gcd and each update is
@@ -69,8 +69,7 @@ class Matrix:
     int; every entry is that int over ``den``, a positive int.  No zero is
     stored and ``den`` shares no factor with all the entries at once, so
     equal matrices have equal ``(den, ints)``.  Treat the dicts as read-only.
-    ``data``, ``entries``, ``entry``, ``row`` and ``apply`` are ``Fraction``
-    views, built on demand for inspection.
+    ``entries`` is a dense ``Fraction`` view, built on demand for inspection.
     """
 
     __slots__ = ("rows", "cols", "den", "ints")
@@ -99,39 +98,6 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [{}] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{i: 1} for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "Matrix":
-        rows_data = [tuple(r) for r in rows_data]
-        ncols = len(rows_data[0]) if rows_data else 0
-        if any(len(r) != ncols for r in rows_data):
-            raise DimensionMismatch("ragged rows")
-        return cls(len(rows_data), ncols, [dict(enumerate(r)) for r in rows_data])
-
-    @classmethod
-    def from_cols(cls, cols_data, rows: int) -> "Matrix":
-        cols_data = [tuple(c) for c in cols_data]
-        if any(len(c) != rows for c in cols_data):
-            raise DimensionMismatch("column of wrong height")
-        data = [{} for _ in range(rows)]
-        for c, col in enumerate(cols_data):
-            for r, v in enumerate(col):
-                data[r][c] = v
-        return cls(rows, len(cols_data), data)
-
-    @property
-    def data(self):
-        """Per row, ``{column: Fraction}`` of its nonzero entries: a view, never for work."""
-        den = self.den
-        return tuple({c: Fraction(v, den) for c, v in row.items()} for row in self.ints)
-
     @property
     def entries(self):
         """All rows*cols entries, row-major: a dense view, never for work."""
@@ -141,23 +107,6 @@ class Matrix:
             for c, v in row.items():
                 out[base + c] = Fraction(v, self.den)
         return tuple(out)
-
-    def _row(self, r: int) -> dict:
-        """The stored row r; an index outside 0..rows-1, negative ones included, is refused."""
-        if not 0 <= r < self.rows:
-            raise IndexError(f"row {r} outside a {self.rows}x{self.cols} matrix")
-        return self.ints[r]
-
-    def entry(self, r: int, c: int) -> Fraction:
-        row = self._row(r)
-        if not 0 <= c < self.cols:
-            raise IndexError(f"column {c} outside a {self.rows}x{self.cols} matrix")
-        return Fraction(row.get(c, 0), self.den)
-
-    def row(self, r: int):
-        """Row r as a dense tuple."""
-        row = self._row(r)
-        return tuple(Fraction(row.get(c, 0), self.den) for c in range(self.cols))
 
     def is_zero(self) -> bool:
         return not any(self.ints)
@@ -174,15 +123,6 @@ class Matrix:
                 addmul(acc, rhs[k], a)
             out.append(acc)
         return Matrix(self.rows, other.cols, out, self.den * other.den)
-
-    def apply(self, vec):
-        """Matrix-vector product, vec indexed over columns."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length != cols")
-        return tuple(
-            Fraction(sum(e * vec[j] for j, e in row.items() if vec[j]), self.den) for row in self.ints
-        )
 
     def __eq__(self, other):
         return (
@@ -297,7 +237,7 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix):
-    """Basis of the right null space; each vector satisfies m.apply(v) == 0.
+    """Basis of the right null space: vectors v of ``Fraction``s with m v = 0.
 
     Columns are eliminated left to right, so the pivot columns are those not
     spanned by the columns before them.  The basis vector of a free column f
@@ -352,12 +292,6 @@ def _cohomology_dim(d: Matrix, r: int, prev_rank: int, n=None) -> int:
             f"incoming rank {prev_rank}"
         )
     return d.cols - r - prev_rank
-
-
-def cohomology_dims(d_in: Matrix, d_out: Matrix) -> int:
-    """dim ker(d_out) - rank(d_in) for one degree of a cochain complex."""
-    _require_composite_zero(d_in, d_out)
-    return _cohomology_dim(d_out, rank(d_out), rank(d_in))
 
 
 def cohomology_table(differential, degrees, parities=(0, 1)):

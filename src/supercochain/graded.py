@@ -1,18 +1,5 @@
 """Z2-graded spaces, Koszul signs, super-wedge bases and direct sums.
 
-Conventions, fixed once and property-tested:
-
-* A permutation ``sigma`` is a tuple of 0-based images: ``sigma[i]`` is where
-  position ``i`` is sent.  ``compose(s, t)[i] == s[t[i]]`` (apply ``t`` first).
-* A permutation acts on an argument tuple by ``(sigma . X)[i] = X[inv(sigma)[i]]``,
-  so ``inverse_act(sigma, X)[i] = X[sigma[i]]`` is the tuple the multiplicativity
-  law feeds to the second factor.
-* ``koszul_K(sigma, parities)`` counts inversions of ``sigma`` whose two moved
-  entries are both odd; ``koszul_sign`` is the signature times ``(-1)**K``.
-  The composition law ``koszul_sign(s*t, X) == koszul_sign(s, X) *
-  koszul_sign(t, inverse_act(s, X))`` is what makes the symmetric group act on
-  multilinear maps, and the test suite pins it exhaustively for small n.
-
 The canonical total order on a basis puts every even vector before every odd
 one.  A wedge key is then a weakly increasing tuple of basis positions with no
 even position repeated: strictly increasing on the even block, weakly
@@ -25,7 +12,10 @@ even, and 0 if an even position repeats.  An inversion whose smaller entry
 is even swaps that entry with some other entry (signature -1, no odd pair);
 one whose smaller entry is odd swaps two odd entries (signature -1 times
 (-1) for the odd pair).  ``normalize_tuple`` counts these pairs directly and
-``shuffle`` counts them for two keys already in normal form.
+``shuffle`` counts them for two keys already in normal form.  These two
+counts are the only Koszul signs the library computes; the test oracles
+check them against the permutation form of the sign (the signature times
+(-1) to the number of inversions between two odd entries).
 
 Nothing here keeps a cache: ``wedge_basis`` lists its keys and
 ``direct_sum`` builds its tables on each call, so a long-lived process holds
@@ -38,10 +28,9 @@ from bisect import bisect_left
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .errors import ArityMismatch, ValidationError
+from .errors import ValidationError
 from .util import Frozen
 
-Perm = tuple  # tuple[int, ...], 0-based images
 WedgeKey = tuple  # tuple[int, ...], normal-form basis positions
 
 
@@ -88,53 +77,6 @@ class GradedSpace(Frozen):
     def parities_of(self, slots):
         p = len(self.even_basis)
         return tuple(0 if s < p else 1 for s in slots)
-
-
-def compose(outer: Perm, inner: Perm) -> Perm:
-    """Composite permutation applying ``inner`` first, then ``outer``."""
-    if len(outer) != len(inner):
-        raise ArityMismatch("permutation degrees differ")
-    return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
-def inverse_act(sigma: Perm, values):
-    """inverse(sigma) . X, i.e. slot i receives X[sigma[i]]."""
-    return tuple(values[sigma[i]] for i in range(len(sigma)))
-
-
-def perm_signature(sigma: Perm) -> int:
-    n = len(sigma)
-    inv = 0
-    for i in range(n):
-        si = sigma[i]
-        for j in range(i + 1, n):
-            if sigma[j] < si:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
-def koszul_K(sigma: Perm, parities) -> int:
-    """Number of inversions of sigma moving two odd entries past each other."""
-    parities = tuple(parities)
-    if len(sigma) != len(parities):
-        raise ArityMismatch(f"permutation degree {len(sigma)} != parity vector length {len(parities)}")
-    count = 0
-    n = len(sigma)
-    for i in range(n):
-        si = sigma[i]
-        if parities[si] == 0:
-            continue
-        for j in range(i + 1, n):
-            sj = sigma[j]
-            if sj < si and parities[sj] == 1:
-                count += 1
-    return count
-
-
-def koszul_sign(sigma: Perm, parities) -> int:
-    """The signature of sigma times (-1) to ``koszul_K(sigma, parities)``."""
-    k = koszul_K(sigma, parities)
-    return perm_signature(sigma) * (-1 if k & 1 else 1)
 
 
 def _multiset_count(q: int, j: int) -> int:

@@ -276,10 +276,6 @@ class LinearMap(_CoefficientMap):
     def key_parity(self, j) -> int:
         return self.source.parities[j]
 
-    @classmethod
-    def identity(cls, space: GradedSpace) -> "LinearMap":
-        return cls._from_ints((space, space), 1, {j: {j: 1} for j in range(space.dim)})
-
     @property
     def cols(self):
         """The image of every source basis vector as a ``Fraction`` tuple: a view built on
@@ -297,32 +293,6 @@ class LinearMap(_CoefficientMap):
         d, x = scaled_rows(exact_rows({0: vec}, self.source.dim, "vector"))
         return dense(self._image(x[0]), self.target.dim, self.den * d)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other, on ints over the product of the two denominators."""
-        if other.target != self.source:
-            raise DimensionMismatch("composition spaces do not match")
-        ints = {j: self._image(col) for j, col in other.ints.items()}
-        return LinearMap._from_ints((other.source, self.target), self.den * other.den, ints)
-
     def __repr__(self):
         (p, q), (r, s) = self.source.dims, self.target.dims
         return f"LinearMap(dims=({p}|{q})->({r}|{s}), entries={sum(map(len, self.ints.values()))})"
-
-
-def is_homomorphism(f: LinearMap, A: SuperAlgebra, B: SuperAlgebra) -> bool:
-    """f([a,b]) == [f(a), f(b)] on all basis pairs.
-
-    f([a,b]) is ints over den(f) den(A) and [f(a), f(b)] ints over den(f)^2
-    den(B); each side is multiplied by the denominators it lacks.
-    """
-    if f.source != A.space or f.target != B.space:
-        raise DimensionMismatch("map does not connect the given algebras")
-    F = f.ints
-    m_lhs, m_rhs = f.den * B.den, A.den
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = lincomb((m_lhs, f._image(A.ints[i][j])))
-            rhs = lincomb((m_rhs, bilinear(B.ints, F.get(i, {}), F.get(j, {}))))
-            if lhs != rhs:
-                return False
-    return True

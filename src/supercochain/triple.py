@@ -378,20 +378,22 @@ class BlockComplex:
 class McProblem(Frozen):
     """One Maurer-Cartan series problem: X(t) = sum_k t^k X_k in a dgLa (delta, b) on g + h.
 
-    ``complex`` is the ``BlockComplex`` at X_0, whose P is delta + left(X_0).
-    ``delta`` is the element delta brackets with (zero when delta = 0), and
-    b(X, Y) = [left(X), Y] on hat extensions, symmetric in X and Y.  Each X_k
-    is an element of C^``degree`` of ``complex``.  ``project`` reads the report
-    of one t^n coefficient out of a cochain on g + h, and ``parts`` maps a
-    report to its blocks by name (the one key None for a report of one block).
-    The triple problem is ``deformation.triple_problem``, the crossed one
-    ``crossed.ChComplex.problem``.
+    ``complex()`` builds the ``BlockComplex`` at X_0, whose P is delta +
+    left(X_0); only ``deformation.Series.infinitesimal`` calls it, so a
+    residual pass builds no complex.  ``delta`` is the element delta brackets
+    with (zero when delta = 0), and b(X, Y) = [left(X), Y] on hat extensions,
+    symmetric in X and Y.  Each X_k is an element of one degree of that
+    complex, C^2 for triples and C^1 for crossed homomorphisms.  ``project``
+    reads the report of one t^n coefficient out of a cochain on g + h, and
+    ``parts`` maps a report to its blocks by name (the one key None for a
+    report of one block).  The triple problem is ``deformation.triple_problem``,
+    the crossed one ``crossed.ChComplex.problem``.
     """
 
-    __slots__ = ("complex", "delta", "left", "degree", "project", "parts")
+    __slots__ = ("complex", "delta", "left", "project", "parts")
 
-    def __init__(self, complex: BlockComplex, delta: Cochain, left, degree: int, project, parts):
-        super().__init__(complex, delta, left, degree, project, parts)
+    def __init__(self, complex, delta: Cochain, left, project, parts):
+        super().__init__(complex, delta, left, project, parts)
 
     def residuals(self, terms, orders):
         """The report of the t^n coefficient for each n in ``orders``; ``terms[k]`` holds the blocks of X_k.
@@ -420,20 +422,11 @@ def triple_complex(t: LieSupActTriple) -> BlockComplex:
     return BlockComplex(t.g.space, t.h.space, mc_element(t), triple_blocks)
 
 
-def triple_units(g_space: GradedSpace, h_space: GradedSpace, n: int, parity=None):
-    """Coordinate basis of C^n: ``block_units`` over ``triple_blocks(n)``."""
-    return block_units(g_space, h_space, triple_blocks(n), parity)
-
-
-def triple_cochain_dim(g_space, h_space, n: int, parity=None) -> int:
-    return len(triple_units(g_space, h_space, n, parity))
-
-
 def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None, cx=None) -> Matrix:
     """Matrix of the degree-n differential [Pi, .] on the deterministic unit basis.
 
-    Columns follow ``triple_units(g, h, n, parity)``, rows
-    ``triple_units(g, h, n+1, parity)``.  With ``parity=None`` both parities
+    Columns follow ``block_units`` over ``triple_blocks(n)``, rows over
+    ``triple_blocks(n + 1)``.  With ``parity=None`` both parities
     appear; the matrix is block diagonal across them because the structure
     element is even.  ``cx`` is ``triple_complex(t)``, if the caller holds it.
     """
@@ -444,10 +437,3 @@ def triple_cohomology_table(t: LieSupActTriple, degrees, parities=(0, 1)):
     """{n: {parity: dim H^n}} over consecutive ``degrees``: Pi built once, each d_n once."""
     cx = triple_complex(t)
     return cohomology_table(lambda n, p: triple_coboundary_matrix(t, n, p, cx), degrees, parities)
-
-
-def triple_cohomology(t: LieSupActTriple, n: int):
-    """(even, odd) dimensions of the degree-n cohomology; complex starts at 1."""
-    row = triple_cohomology_table(t, range(n, n + 1))[n]
-    return row[0], row[1]
-

@@ -64,14 +64,6 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def zero_vec(n: int):
-    return (_ZERO,) * n
-
-
-def vec_is_zero(v) -> bool:
-    return not any(v)
-
-
 def sparse(vec) -> dict:
     """The nonzero entries of a coordinate vector, in position order."""
     return {k: x for k, x in enumerate(vec) if x}

@@ -1,16 +1,35 @@
-"""Shared builders for the test suite: example algebras, triples, random data."""
+"""Shared builders for the test suite: example algebras, triples, random data,
+dense vectors and matrices, and the unit bases and cohomology of one degree."""
 
 from fractions import Fraction as F
 
 from supercochain.cochains import BlockCochain, Cochain
+from supercochain.errors import DimensionMismatch
+from supercochain.exact_linalg import Matrix
 from supercochain.graded import GradedSpace, wedge_basis
 from supercochain.superalgebra import LinearMap, SuperAlgebra, abelian, gl
-from supercochain.crossed import CrossedHom
+from supercochain.crossed import CrossedHom, ch_blocks, ch_cohomology_table
 from supercochain.deformation import CrossedHomDeformation, TripleDeformation
-from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, semidirect
-from supercochain.util import zero_vec
+from supercochain.triple import ActionMap, LieSupActTriple, adjoint_action, block_units, semidirect
+from supercochain.triple import triple_blocks, triple_cohomology_table
 
 __all__ = [
+    "zero_vec",
+    "vec_is_zero",
+    "zero_matrix",
+    "identity_matrix",
+    "matrix_from_rows",
+    "matrix_from_cols",
+    "matrix_data",
+    "matrix_entry",
+    "matrix_row",
+    "matrix_apply",
+    "identity_map",
+    "compose_maps",
+    "triple_units",
+    "ch_units",
+    "triple_cohomology",
+    "ch_cohomology",
     "embed_left",
     "embed_right",
     "split",
@@ -43,6 +62,113 @@ __all__ = [
     "rescale_deformation",
     "rescale_ch_deformation",
 ]
+
+
+def zero_vec(n: int):
+    return (F(0),) * n
+
+
+def vec_is_zero(v) -> bool:
+    return not any(v)
+
+
+# ---------------------------------------------------------------------------
+# dense constructors and ``Fraction`` views of a ``Matrix``
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [{}] * rows)
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix(n, n, [{i: 1} for i in range(n)])
+
+
+def matrix_from_rows(rows_data) -> Matrix:
+    rows_data = [tuple(r) for r in rows_data]
+    ncols = len(rows_data[0]) if rows_data else 0
+    if any(len(r) != ncols for r in rows_data):
+        raise DimensionMismatch("ragged rows")
+    return Matrix(len(rows_data), ncols, [dict(enumerate(r)) for r in rows_data])
+
+
+def matrix_from_cols(cols_data, rows: int) -> Matrix:
+    cols_data = [tuple(c) for c in cols_data]
+    if any(len(c) != rows for c in cols_data):
+        raise DimensionMismatch("column of wrong height")
+    data = [{} for _ in range(rows)]
+    for c, col in enumerate(cols_data):
+        for r, v in enumerate(col):
+            data[r][c] = v
+    return Matrix(rows, len(cols_data), data)
+
+
+def matrix_data(m: Matrix):
+    """Per row, ``{column: Fraction}`` of its nonzero entries."""
+    return tuple({c: F(v, m.den) for c, v in row.items()} for row in m.ints)
+
+
+def _stored_row(m: Matrix, r: int) -> dict:
+    """The stored row r; an index outside 0..rows-1, negative ones included, is refused."""
+    if not 0 <= r < m.rows:
+        raise IndexError(f"row {r} outside a {m.rows}x{m.cols} matrix")
+    return m.ints[r]
+
+
+def matrix_entry(m: Matrix, r: int, c: int) -> F:
+    row = _stored_row(m, r)
+    if not 0 <= c < m.cols:
+        raise IndexError(f"column {c} outside a {m.rows}x{m.cols} matrix")
+    return F(row.get(c, 0), m.den)
+
+
+def matrix_row(m: Matrix, r: int):
+    """Row r as a dense tuple."""
+    row = _stored_row(m, r)
+    return tuple(F(row.get(c, 0), m.den) for c in range(m.cols))
+
+
+def matrix_apply(m: Matrix, vec):
+    """Matrix-vector product, vec indexed over columns."""
+    vec = tuple(vec)
+    if len(vec) != m.cols:
+        raise DimensionMismatch("vector length != cols")
+    return tuple(F(sum(e * vec[j] for j, e in row.items() if vec[j]), m.den) for row in m.ints)
+
+
+def identity_map(space: GradedSpace) -> LinearMap:
+    return LinearMap._from_ints((space, space), 1, {j: {j: 1} for j in range(space.dim)})
+
+
+def compose_maps(f: LinearMap, g: LinearMap) -> LinearMap:
+    """f after g: f applied to each column of g."""
+    return LinearMap(g.source, f.target, tuple(f.apply(col) for col in g.cols))
+
+
+# ---------------------------------------------------------------------------
+# unit bases and cohomology of one degree
+
+
+def triple_units(g_space, h_space, n: int, parity=None):
+    """Coordinate basis of the triple C^n: ``block_units`` over ``triple_blocks(n)``."""
+    return block_units(g_space, h_space, triple_blocks(n), parity)
+
+
+def ch_units(g_space, h_space, n: int, parity=None):
+    """Coordinate basis of Hom(wedge^n g, h): ``block_units`` over ``ch_blocks(n)``."""
+    return block_units(g_space, h_space, ch_blocks(n), parity)
+
+
+def triple_cohomology(t: LieSupActTriple, n: int):
+    """(even, odd) dimensions of the degree-n triple cohomology, read from its table."""
+    row = triple_cohomology_table(t, range(n, n + 1))[n]
+    return row[0], row[1]
+
+
+def ch_cohomology(D: CrossedHom, n: int):
+    """(even, odd) dimensions of the degree-n crossed-homomorphism cohomology, read from its table."""
+    row = ch_cohomology_table(D, range(n, n + 1))[n]
+    return row[0], row[1]
 
 
 def embed_left(ds, vec):
@@ -93,7 +219,7 @@ def super_commutator(f: LinearMap, g: LinearMap) -> LinearMap:
     """[f, g] = f g - (-1)^{|f||g|} g f of homogeneous maps."""
     pf, pg = f.parity(), g.parity()
     assert pf is not None and pg is not None, "super commutator needs homogeneous maps"
-    return f.compose(g).add(g.compose(f).scale(1 if pf * pg % 2 else -1))
+    return compose_maps(f, g).add(compose_maps(g, f).scale(1 if pf * pg % 2 else -1))
 
 
 def _algebra(even, odd, brackets) -> SuperAlgebra:

@@ -21,9 +21,9 @@ So do the dense axiom checks, the graph criterion and the deformation
 residuals: every term is a dense coordinate vector of ``Fraction``s pushed
 through the ``cols`` of a ``LinearMap`` (``dense_apply``, ``dense_compose``)
 and a dense bilinear bracket read from ``bracket_basis``, with none of the
-sparse int tables and common denominators the library checks read.  The
-column-by-column map operations are references for ``LinearMap.apply``,
-``compose`` and ``superalgebra.is_homomorphism`` too.
+sparse int tables and common denominators the library checks read.
+``dense_apply`` is the reference for ``LinearMap.apply`` too, and
+``dense_is_homomorphism`` decides whether a map is an algebra homomorphism.
 
 So does the dense exact rank and kernel: every row of every matrix is read
 in full, scaled to integers and reduced by Bareiss elimination in leftmost
@@ -34,6 +34,13 @@ table, each with its own Koszul sign: the library reads both from the
 structure element Pi and its complex.  So do the four component brackets of
 the Maurer-Cartan residual (``mc_residual_components_reference``, shuffle
 sums only): the library projects the one self-bracket [Pi, Pi].
+
+The permutation form of the Koszul sign (``koszul_sign``: the signature
+times (-1) to the odd inversions) is the reference for the library's one
+sign path, the inversion counts of ``graded.normalize_tuple`` and
+``graded.shuffle``; ``f_membership`` tests the block support of a cochain on
+g + h; ``cohomology_dims`` gives one degree of a complex from its two
+differentials, for the per-degree oracle cohomology.
 """
 
 import functools
@@ -41,11 +48,12 @@ import itertools
 import math
 from fractions import Fraction as F
 
+from supercochain import exact_linalg
 from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_block
-from supercochain.errors import DimensionMismatch, InternalInvariantError, InvalidAction, SpaceMismatch
-from supercochain.errors import ValidationError
+from supercochain.errors import ArityMismatch, DimensionMismatch, InternalInvariantError, InvalidAction
+from supercochain.errors import SpaceMismatch, ValidationError
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, koszul_sign, normalize_tuple, wedge_basis
+from supercochain.graded import direct_sum, normalize_tuple, wedge_basis
 from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
@@ -54,14 +62,77 @@ from supercochain.triple import (
     mu_block,
     pi_block,
     triple_blocks,
-    triple_units,
 )
-from supercochain.crossed import ch_blocks, ch_units
+from supercochain.crossed import ch_blocks
 from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra
 from supercochain.superalgebra import check_jacobi as superalgebra_check_jacobi
-from supercochain.util import vec_is_zero, zero_vec
 
-from helpers import embed_left, embed_right, split
+from helpers import ch_units, embed_left, embed_right, matrix_from_cols, matrix_from_rows, matrix_row, split
+from helpers import triple_units, vec_is_zero, zero_matrix, zero_vec
+
+
+# ---------------------------------------------------------------------------
+# the permutation form of the Koszul sign
+#
+# A permutation ``sigma`` is a tuple of 0-based images: ``sigma[i]`` is where
+# position ``i`` is sent, and ``compose(s, t)[i] == s[t[i]]`` (apply ``t``
+# first).  It acts on an argument tuple by ``(sigma . X)[i] = X[inv(sigma)[i]]``,
+# so ``inverse_act(sigma, X)[i] = X[sigma[i]]`` is the tuple the
+# multiplicativity law feeds to the second factor.  ``koszul_K(sigma,
+# parities)`` counts the inversions of ``sigma`` whose two moved entries are
+# both odd; ``koszul_sign`` is the signature times ``(-1)**K``.  The
+# composition law ``koszul_sign(s*t, X) == koszul_sign(s, X) * koszul_sign(t,
+# inverse_act(s, X))`` is what makes the symmetric group act on multilinear
+# maps; the tests pin it exhaustively for small n, and the library's
+# inversion counts (``graded.normalize_tuple`` and ``graded.shuffle``) against
+# it.
+
+
+def compose(outer, inner):
+    """Composite permutation applying ``inner`` first, then ``outer``."""
+    if len(outer) != len(inner):
+        raise ArityMismatch("permutation degrees differ")
+    return tuple(outer[inner[i]] for i in range(len(inner)))
+
+
+def inverse_act(sigma, values):
+    """inverse(sigma) . X, i.e. slot i receives X[sigma[i]]."""
+    return tuple(values[sigma[i]] for i in range(len(sigma)))
+
+
+def perm_signature(sigma) -> int:
+    n = len(sigma)
+    inv = 0
+    for i in range(n):
+        si = sigma[i]
+        for j in range(i + 1, n):
+            if sigma[j] < si:
+                inv += 1
+    return -1 if inv & 1 else 1
+
+
+def koszul_K(sigma, parities) -> int:
+    """Number of inversions of sigma moving two odd entries past each other."""
+    parities = tuple(parities)
+    if len(sigma) != len(parities):
+        raise ArityMismatch(f"permutation degree {len(sigma)} != parity vector length {len(parities)}")
+    count = 0
+    n = len(sigma)
+    for i in range(n):
+        si = sigma[i]
+        if parities[si] == 0:
+            continue
+        for j in range(i + 1, n):
+            sj = sigma[j]
+            if sj < si and parities[sj] == 1:
+                count += 1
+    return count
+
+
+def koszul_sign(sigma, parities) -> int:
+    """The signature of sigma times (-1) to ``koszul_K(sigma, parities)``."""
+    k = koszul_K(sigma, parities)
+    return perm_signature(sigma) * (-1 if k & 1 else 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,6 +271,22 @@ def hat_extend_reference(block):
         sign = koszul_sign(sigma, tuple(pars[i] for i in X))
         out[X] = embed(vec_scale(vec, F(sign)))
     return Cochain(V, V, N, out)
+
+
+def f_membership(Fc: Cochain, ds) -> bool:
+    """Support test for the subalgebra of structure-carrying maps on g + h.
+
+    True when every all-g tuple maps into g and every tuple containing at
+    least one h entry maps into h.
+    """
+    if Fc.source != ds.space or Fc.target != ds.space:
+        raise SpaceMismatch("cochain does not live on the given direct sum")
+    side_of = ds.side_of
+    for key, row in Fc.ints.items():
+        side = "h" if any(side_of[pos][0] == "h" for pos in key) else "g"
+        if any(side_of[t][0] != side for t in row):
+            return False
+    return True
 
 
 def project_block_reference(Fc, ds, g_arity, h_arity, target_side):
@@ -362,18 +449,23 @@ def triple_oracle_matrix(t, n, parity):
             val = raw_bracket_eval(Pi, 2, 0, Ftab, n, up, space, rkey)
             col.append(val[r_t] / stabilizer_size(rkey))
         columns.append(col)
-    return Matrix.from_cols(columns, len(rows))
+    return matrix_from_cols(columns, len(rows))
+
+
+def cohomology_dims(d_in, d_out) -> int:
+    """dim ker(d_out) - rank(d_in) for one degree of a cochain complex, the per-degree
+    form of ``exact_linalg.cohomology_table``, with its d.d and rank-nullity checks."""
+    exact_linalg._require_composite_zero(d_in, d_out)
+    return exact_linalg._cohomology_dim(d_out, exact_linalg.rank(d_out), exact_linalg.rank(d_in))
 
 
 def triple_oracle_cohomology(t, n):
     """(even, odd) cohomology dims computed entirely from raw tables."""
-    from supercochain.exact_linalg import cohomology_dims
-
     dims = []
     for parity in (0, 1):
         d_out = triple_oracle_matrix(t, n, parity)
         if n == 1:
-            d_in = Matrix.zeros(len(triple_units(t.g.space, t.h.space, 1, parity)), 0)
+            d_in = zero_matrix(len(triple_units(t.g.space, t.h.space, 1, parity)), 0)
         else:
             d_in = triple_oracle_matrix(t, n - 1, parity)
         dims.append(cohomology_dims(d_in, d_out))
@@ -420,18 +512,16 @@ def ch_oracle_matrix(D, n, parity):
             )
             col.append(val[r_t] / stabilizer_size(rkey))
         columns.append(col)
-    return Matrix.from_cols(columns, len(rows))
+    return matrix_from_cols(columns, len(rows))
 
 
 def ch_oracle_cohomology(D, n):
-    from supercochain.exact_linalg import cohomology_dims
-
     t = D.triple
     dims = []
     for parity in (0, 1):
         d_out = ch_oracle_matrix(D, n, parity)
         if n == 1:
-            d_in = Matrix.zeros(len(ch_units(t.g.space, t.h.space, 1, parity)), 0)
+            d_in = zero_matrix(len(ch_units(t.g.space, t.h.space, 1, parity)), 0)
         else:
             d_in = ch_oracle_matrix(D, n - 1, parity)
         dims.append(cohomology_dims(d_in, d_out))
@@ -499,9 +589,7 @@ def invariant_form_dimension(space, n):
             rows.append(row)
     if not rows:
         return 0
-    from supercochain.exact_linalg import rank
-
-    return rank(Matrix.from_rows(rows))
+    return exact_linalg.rank(matrix_from_rows(rows))
 
 
 class GradedSpaceScalar:
@@ -546,7 +634,7 @@ def _reference_matrix(g_space, h_space, P, sigs, n, parity):
         image = shuffle_nr_bracket(P, hat_extend(unit))
         blocks = tuple(project_block(image, ds, *sig) for sig in sigs(n + 1))
         columns.append(blocks_vector(blocks, rows))
-    return Matrix.from_cols(columns, len(rows))
+    return matrix_from_cols(columns, len(rows))
 
 
 def blocks_vector(blocks, units):
@@ -943,11 +1031,11 @@ def ch_deformation_residual(d, n):
     return BlockCochain(gs, hs, 2, 0, "h", coeffs)
 
 
-def _dense_integer_rows(m: Matrix):
+def _dense_integer_rows(m):
     """Every row as a dense list of coprime integers; preserves rank and kernel."""
     out = []
     for r in range(m.rows):
-        row = m.row(r)
+        row = matrix_row(m, r)
         lcm = 1
         for e in row:
             d = e.denominator
@@ -1000,14 +1088,14 @@ def _dense_bareiss(rows):
     return piv_cols
 
 
-def dense_rank(m: Matrix) -> int:
+def dense_rank(m) -> int:
     """Exact rank by dense Bareiss elimination over every cell."""
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(_dense_bareiss(_dense_integer_rows(m)))
 
 
-def dense_kernel_basis(m: Matrix):
+def dense_kernel_basis(m):
     """Right null space by dense Bareiss elimination and back substitution.
 
     The vector of free column f has v[f] = 1 and 0 at the other free columns.

@@ -12,13 +12,14 @@ import pytest
 
 from conftest import FIXTURES
 from supercochain import io as sio
-from supercochain.crossed import CrossedHom, ch_units, check_crossed, d_D_matrix, verify
+from supercochain.crossed import CrossedHom, check_crossed, d_D_matrix
 from supercochain.exact_linalg import Matrix, kernel_basis, rank
-from supercochain.superalgebra import LinearMap, gl
-from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_units
+from supercochain.superalgebra import gl
+from supercochain.triple import LieSupActTriple, triple_coboundary_matrix
 
 import oracles
-from helpers import adjoint_triple, defining_triple
+from helpers import adjoint_triple, ch_units, defining_triple, identity_map, matrix_entry, matrix_from_rows
+from helpers import triple_units, zero_matrix
 
 TRIPLE_MAX_N = 3
 CROSSED_MAX_N = 4
@@ -33,13 +34,11 @@ def _fixture_cases():
         t = LieSupActTriple(pf.g, pf.h, pf.action)
         triples[path.stem] = t
         if pf.crossed is not None and check_crossed(CrossedHom(t, pf.crossed)).ok:
-            crossed[path.stem] = verify(CrossedHom(t, pf.crossed))
+            crossed[path.stem] = CrossedHom(t, pf.crossed, True)
     adj = adjoint_triple(gl(1, 1))
     triples["gl11_adjoint"] = adj
     triples["gl11_defining"] = defining_triple(1, 1)
-    crossed["gl11_adjoint_minus_id"] = verify(
-        CrossedHom(adj, LinearMap.identity(adj.g.space).scale(-1))
-    )
+    crossed["gl11_adjoint_minus_id"] = CrossedHom(adj, identity_map(adj.g.space).scale(-1))
     return triples, crossed
 
 
@@ -54,8 +53,8 @@ def _restrict(m: Matrix, row_parities, col_parities, parity):
     rows = [r for r, p in enumerate(row_parities) if p == parity]
     cols = [c for c, p in enumerate(col_parities) if p == parity]
     if not rows:
-        return Matrix.zeros(0, len(cols))
-    return Matrix.from_rows([[m.entry(r, c) for c in cols] for r in rows])
+        return zero_matrix(0, len(cols))
+    return matrix_from_rows([[matrix_entry(m, r, c) for c in cols] for r in rows])
 
 
 @pytest.mark.parametrize("kind,name,n", CASES, ids=[f"{k}-{nm}-d{n}" for k, nm, n in CASES])

@@ -12,7 +12,6 @@ from supercochain.cochains import (
     Cochain,
     bracket_matrix,
     circ,
-    f_membership,
     hat_extend,
     nr_bracket,
     project_block,
@@ -22,11 +21,11 @@ from supercochain.graded import GradedSpace, direct_sum, wedge_basis
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, gl
 from supercochain.triple import ActionMap, LieSupActTriple, check_action, mc_residual
 from supercochain.triple import triple_blocks, triple_complex
-from supercochain.util import vec_is_zero, zero_vec
 
 import oracles
-from oracles import vec_scale
+from oracles import f_membership, vec_scale
 from helpers import SMALL_SPACES, aff11, random_block, random_cochain, random_homogeneous_cochain, split
+from helpers import vec_is_zero, zero_vec
 
 V11 = GradedSpace(("e",), ("f",))
 V21 = GradedSpace(("e", "g"), ("f",))

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from supercochain import cli
 from supercochain import cochains
+from supercochain import crossed
+from supercochain import deformation
 from supercochain import exact_linalg
+from supercochain import graded
 from supercochain import io as sio
 from supercochain import triple
 from supercochain.crossed import ChComplex, CrossedHom, ch_cohomology_table
@@ -21,32 +25,33 @@ from supercochain.errors import (
 )
 from supercochain.exact_linalg import (
     Matrix,
-    cohomology_dims,
     cohomology_table,
     format_scalar,
     kernel_basis,
     parse_scalar,
     rank,
 )
-from supercochain.superalgebra import LinearMap, gl
+from supercochain.superalgebra import gl
 from supercochain.triple import LieSupActTriple, triple_cohomology_table
 
 import oracles
-from helpers import adjoint_triple
+from oracles import cohomology_dims
+from helpers import adjoint_triple, identity_map, identity_matrix, matrix_apply, matrix_data, matrix_entry
+from helpers import matrix_from_cols, matrix_from_rows, matrix_row, zero_matrix
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def mat(rows):
-    return Matrix.from_rows([[F(x) for x in r] for r in rows])
+    return matrix_from_rows([[F(x) for x in r] for r in rows])
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(3)) == 3
+    assert rank(identity_matrix(3)) == 3
 
 
 def test_rank_zero():
-    assert rank(Matrix.zeros(2, 2)) == 0
+    assert rank(zero_matrix(2, 2)) == 0
 
 
 def test_rank_dependent_rows():
@@ -62,7 +67,7 @@ def test_rank_and_kernel_with_fill_in():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(2)) == []
+    assert kernel_basis(identity_matrix(2)) == []
 
 
 def test_kernel_dependent_rows():
@@ -71,31 +76,31 @@ def test_kernel_dependent_rows():
     v = basis[0]
     # spans (-2, 1)
     assert v[0] * F(1) == -2 * v[1]
-    assert mat([[1, 2], [2, 4]]).apply(v) == (F(0), F(0))
+    assert matrix_apply(mat([[1, 2], [2, 4]]), v) == (F(0), F(0))
 
 
 def test_kernel_zero_row_full():
-    basis = kernel_basis(Matrix.zeros(1, 3))
+    basis = kernel_basis(zero_matrix(1, 3))
     assert len(basis) == 3
 
 
 def test_cohomology_dims_all_cocycles():
-    assert cohomology_dims(Matrix.zeros(2, 0), Matrix.zeros(2, 2)) == 2
+    assert cohomology_dims(zero_matrix(2, 0), zero_matrix(2, 2)) == 2
 
 
 def test_cohomology_dims_mixed():
     d_in = mat([[1], [0]])
-    d_out = Matrix.zeros(1, 2)
+    d_out = zero_matrix(1, 2)
     assert cohomology_dims(d_in, d_out) == 1
 
 
 def test_cohomology_dims_everything_boundary():
-    assert cohomology_dims(Matrix.identity(2), Matrix.zeros(1, 2)) == 0
+    assert cohomology_dims(identity_matrix(2), zero_matrix(1, 2)) == 0
 
 
 def test_cohomology_dims_rejects_nonzero_composite():
     with pytest.raises(CompositionNonzero):
-        cohomology_dims(Matrix.identity(2), Matrix.identity(2))
+        cohomology_dims(identity_matrix(2), identity_matrix(2))
 
 
 def test_parse_scalar():
@@ -129,24 +134,24 @@ def test_rank_nullity(nrows, ncols, data):
     entries = data.draw(
         st.lists(fractions, min_size=nrows * ncols, max_size=nrows * ncols)
     )
-    m = Matrix.from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+    m = matrix_from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
     basis = kernel_basis(m)
     assert rank(m) + len(basis) == ncols
     for v in basis:
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in matrix_apply(m, v))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_row_ops(nrows, ncols, data):
     entries = data.draw(st.lists(fractions, min_size=nrows * ncols, max_size=nrows * ncols))
-    m = Matrix.from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+    m = matrix_from_rows([entries[i * ncols : (i + 1) * ncols] for i in range(nrows)])
     r0, r1 = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, nrows - 1))
     scale = data.draw(st.sampled_from([F(2), F(-1), F(3, 2), F(1, 3)]))
-    rows = [list(m.row(i)) for i in range(nrows)]
+    rows = [list(matrix_row(m, i)) for i in range(nrows)]
     rows[r0], rows[r1] = rows[r1], rows[r0]
     rows[0] = [scale * x for x in rows[0]]
-    assert rank(Matrix.from_rows(rows)) == rank(m)
+    assert rank(matrix_from_rows(rows)) == rank(m)
 
 
 @given(fractions, fractions)
@@ -192,7 +197,7 @@ def dense_matrices(draw):
 
 
 def _matrix(nrows, ncols, rows):
-    return Matrix.from_rows(rows) if nrows else Matrix.zeros(0, ncols)
+    return matrix_from_rows(rows) if nrows else zero_matrix(0, ncols)
 
 
 @given(dense_matrices())
@@ -211,16 +216,16 @@ def test_storage_round_trips_dense_input(shape_rows, data):
     flat = tuple(x for row in rows for x in row)
     # the dense view is the input, and storage holds exactly its nonzeros
     assert m.entries == flat
-    assert all(v != 0 for row in m.data for v in row.values())
-    assert sum(len(row) for row in m.data) == sum(1 for x in flat if x != 0)
-    assert [m.row(r) for r in range(nrows)] == [tuple(row) for row in rows]
-    assert all(m.entry(r, c) == rows[r][c] for r in range(nrows) for c in range(ncols))
+    assert all(v != 0 for row in matrix_data(m) for v in row.values())
+    assert sum(len(row) for row in matrix_data(m)) == sum(1 for x in flat if x != 0)
+    assert [matrix_row(m, r) for r in range(nrows)] == [tuple(row) for row in rows]
+    assert all(matrix_entry(m, r, c) == rows[r][c] for r in range(nrows) for c in range(ncols))
     # the same matrix from columns, from sparse rows and from sparse rows with explicit zeros
-    assert Matrix.from_cols([[rows[r][c] for r in range(nrows)] for c in range(ncols)], nrows) == m
+    assert matrix_from_cols([[rows[r][c] for r in range(nrows)] for c in range(ncols)], nrows) == m
     assert Matrix(nrows, ncols, [dict(enumerate(row)) for row in rows]) == m
     assert Matrix(nrows, ncols, [{c: v for c, v in enumerate(row) if v} for row in rows]) == m
     vec = data.draw(st.lists(fractions, min_size=ncols, max_size=ncols))
-    assert m.apply(vec) == tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in rows)
+    assert matrix_apply(m, vec) == tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in rows)
     if any(flat):
         r, c = next((r, c) for r in range(nrows) for c in range(ncols) if rows[r][c])
         bumped = [list(row) for row in rows]
@@ -233,7 +238,7 @@ def test_sparse_product_matches_dense_product():
     b = mat([[0, 3], [1, 0], [F(-1, 4), 0]])
     assert a.mul(b) == mat([[F(-1, 2), 3], [0, 0], [-1, F(3, 2)]])
     # cancellation leaves no stored zero
-    assert mat([[1, 1]]).mul(mat([[1], [-1]])).data == ({},)
+    assert matrix_data(mat([[1, 1]]).mul(mat([[1], [-1]]))) == ({},)
 
 
 def test_matrix_rejects_bad_shapes():
@@ -242,27 +247,27 @@ def test_matrix_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         Matrix(1, 2, [{2: 1}])
     with pytest.raises(DimensionMismatch):
-        Matrix.from_rows([[1, 2], [3]])
+        matrix_from_rows([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
-        Matrix.from_cols([[1, 2]], 3)
+        matrix_from_cols([[1, 2]], 3)
 
 
 @pytest.mark.parametrize("r, c", [(-1, 0), (2, 0), (0, -1), (0, 2), (-3, 5)])
 def test_entry_and_row_refuse_indices_outside_the_shape(r, c):
     m = mat([[1, 2], [3, 4]])
     with pytest.raises(IndexError, match=r"outside a 2x2 matrix"):
-        m.entry(r, c)
+        matrix_entry(m, r, c)
     if not 0 <= r < 2:
         with pytest.raises(IndexError, match=rf"row {r} outside a 2x2 matrix"):
-            m.row(r)
-    assert m.entry(1, 0) == 3 and m.row(1) == (3, 4)
+            matrix_row(m, r)
+    assert matrix_entry(m, 1, 0) == 3 and matrix_row(m, 1) == (3, 4)
 
 
 def test_int_rows_over_a_denominator_are_stored_as_ints():
     m = Matrix(2, 3, [{0: 3, 2: 0}, {1: -4}], den=6)
     assert (m.den, m.ints) == (6, ({0: 3}, {1: -4}))
-    assert m.data == ({0: F(1, 2)}, {1: F(-2, 3)})
-    assert all(type(v) is F for row in m.data for v in row.values())
+    assert matrix_data(m) == ({0: F(1, 2)}, {1: F(-2, 3)})
+    assert all(type(v) is F for row in matrix_data(m) for v in row.values())
     assert m == mat([[F(1, 2), 0, 0], [0, F(-2, 3), 0]])
     # Fraction input is scaled to ints once, and a common factor of den and entries cancels
     stored = lambda m: (m.den, m.ints)
@@ -314,7 +319,7 @@ def test_product_over_denominators_matches_dense_product(n, m, p, data):
         [sum((F(a[i][k], da) * F(b[k][j], db) for k in range(m)), F(0)) for j in range(p)]
         for i in range(n)
     ]
-    assert product == Matrix.from_rows(dense)
+    assert product == matrix_from_rows(dense)
     assert all(v for row in product.ints for v in row.values())
 
 
@@ -382,19 +387,40 @@ def test_cohomology_table_builds_each_unit_list_once(monkeypatch, table):
     assert all(type(v) is int for m in ranked for row in m.ints for v in row.values())
 
 
-def test_residual_pass_builds_each_support_once(monkeypatch):
+def test_residual_pass_builds_each_support_once(monkeypatch, tmp_path, capsys):
     # the residuals of orders 0..2 and the cocycle test of D_1 on the gl(2|1) adjoint triple
     built = []
     real = cochains._bracket_support
     monkeypatch.setattr(cochains, "_bracket_support", lambda P: built.append(P) or real(P))
     t = adjoint_triple(gl(2, 1))
-    D = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
-    one = LinearMap.identity(t.g.space)
+    D = CrossedHom(t, identity_map(t.g.space).scale(-1))
+    one = identity_map(t.g.space)
     d = CrossedHomDeformation.build(D, [one, one.scale(F(1, 2))], order=2)
     series = d.series()
     series.infinitesimal(series.residuals())
     # pi + rho, mu, [mu, D_0], [mu, D_1] and P_D: one support each
     assert len(built) == len({id(P) for P in built}) == 5
+    # check-crossed on the same D reads the order-0 residual and builds no complex at D:
+    # one [mu, D], one more expansion each for the residual and for the semidirect
+    # product's [Pi, Pi], and no direct sum for P_D
+    calls = dict.fromkeys(("nr_bracket", "_expand", "direct_sum"), 0)
+    for name in calls:
+        original = getattr(graded if name == "direct_sum" else cochains, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (cochains, graded, triple, crossed, deformation):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "gl21_adjoint.json"
+    problem = {"g": sio.algebra_to_obj(t.g), "h": sio.algebra_to_obj(t.h),
+               "action": sio.action_to_obj(t.rho), "D": sio.crossed_to_obj(D.linmap)}
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    assert cli.main(["check-crossed", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"nr_bracket": 1, "_expand": 3, "direct_sum": 13}
 
 
 def test_cohomology_tables_build_each_support_once(monkeypatch):
@@ -407,7 +433,7 @@ def test_cohomology_tables_build_each_support_once(monkeypatch):
     # Pi alone
     assert built == [triple.mc_element(t)]
     built.clear()
-    D = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
+    D = CrossedHom(t, identity_map(t.g.space).scale(-1))
     ch_cohomology_table(D, range(1, 4))
     # mu, for [mu, D], then P_D = pi + rho + [mu, D]
     mu, P_D = built
@@ -419,7 +445,7 @@ def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):
     # over-large in the first case; in the second, rank d_1 = 2 leaves ker d_2 = 0 < rank d_1
     monkeypatch.setattr(exact_linalg, "rank", wrong)
     with pytest.raises(InternalInvariantError, match="rank-nullity"):
-        cohomology_table(lambda n, parity: Matrix.zeros(2, 2), range(1, 3), parities=(0,))
+        cohomology_table(lambda n, parity: zero_matrix(2, 2), range(1, 3), parities=(0,))
 
 
 @pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
@@ -427,7 +453,7 @@ def test_cohomology_dims_checks_rank_nullity(monkeypatch, wrong):
     # over-large in the first case; in the second, rank d_in = 2 leaves ker d_out = 0 < rank d_in
     monkeypatch.setattr(exact_linalg, "rank", wrong)
     with pytest.raises(InternalInvariantError, match="rank-nullity"):
-        cohomology_dims(Matrix.zeros(2, 2), Matrix.zeros(2, 2))
+        cohomology_dims(zero_matrix(2, 2), zero_matrix(2, 2))
 
 
 def test_wrong_rank_is_exit_3(monkeypatch, capsys):

@@ -10,23 +10,11 @@ from hypothesis import strategies as st
 import supercochain
 from supercochain.cochains import block_key
 from supercochain.errors import ArityMismatch, ValidationError
-from supercochain.graded import (
-    GradedSpace,
-    compose,
-    direct_sum,
-    inverse_act,
-    koszul_K,
-    koszul_sign,
-    normalize_tuple,
-    perm_signature,
-    shuffle,
-    wedge_basis,
-    wedge_dim,
-)
+from supercochain.graded import GradedSpace, direct_sum, normalize_tuple, shuffle, wedge_basis, wedge_dim
 
 import oracles
 from helpers import embed_left, split
-from oracles import shuffles
+from oracles import compose, inverse_act, koszul_K, koszul_sign, perm_signature, shuffles
 
 
 @st.composite

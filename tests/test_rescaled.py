@@ -10,7 +10,7 @@ reference in ``oracles`` exactly, on the rescaled inputs and on copies with
 one entry perturbed: every verdict with its failure ``lhs``/``rhs``, both
 Maurer-Cartan residuals, both deformation residuals, ``nr_bracket``,
 ``circ``, ``bracket_sum``, the differentials ``bracket_matrix`` builds and
-the map operations ``apply``, ``compose`` and ``is_homomorphism``.
+``LinearMap.apply``.
 """
 
 import random
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from supercochain.cochains import bracket_sum, circ, nr_bracket
 from supercochain.crossed import CrossedHom, ch_mc_residual, check_crossed, d_D_matrix, graph_failures
 from supercochain.deformation import CrossedHomDeformation
-from supercochain.superalgebra import LinearMap, check_jacobi, check_super_skew, is_homomorphism
+from supercochain.superalgebra import check_jacobi, check_super_skew
 from supercochain.triple import check_action, mc_residual, triple_coboundary_matrix
 
 import oracles
@@ -31,6 +31,7 @@ from helpers import (
     SMALL_SPACES,
     adjoint_triple,
     draw_scales,
+    identity_map,
     random_cochain,
     random_homogeneous_cochain,
     rescale_ch_deformation,
@@ -130,13 +131,13 @@ def test_rescaled_crossed_checks_match_references(name, perturb, rng):
 @EXAMPLES
 @given(st.sampled_from(sorted(n for n in CROSSED if n != "gl21_adjoint")), st.randoms(use_true_random=False))
 def test_rescaled_map_operations_match_references(name, rng):
-    """``apply``, ``compose`` and ``is_homomorphism`` on int columns against the dense
-    column-by-column references, with denominators in every map and algebra."""
+    """``apply`` on int columns against the dense column-by-column reference, with
+    denominators in every map."""
     D = rescale_crossed(CROSSED[name], *_scales(CROSSED[name].triple, rng))
     t = D.triple
     gs = t.g.space
     # the identity of g from one rescaled basis to another: an isomorphism with denominators
-    iso = CrossedHom(adjoint_triple(t.g), LinearMap.identity(gs))
+    iso = CrossedHom(adjoint_triple(t.g), identity_map(gs))
     iso = rescale_crossed(iso, draw_scales(gs, rng), draw_scales(gs, rng))
     A, B = iso.triple.g, iso.triple.h
     maps = [D.linmap, _perturb_map(D.linmap, rng), iso.linmap, _perturb_map(iso.linmap, rng)]
@@ -144,11 +145,7 @@ def test_rescaled_map_operations_match_references(name, rng):
         for _ in range(3):
             vec = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m.source.dim))
             assert m.apply(vec) == oracles.dense_apply(m, vec)
-    for f, g in [(D.linmap, iso.linmap), (maps[1], maps[3]), (t.rho.operator(0), D.linmap), (iso.linmap, maps[3])]:
-        assert f.compose(g) == oracles.dense_compose(f, g)
-    assert is_homomorphism(iso.linmap, A, B)
-    for f in (iso.linmap, maps[3], iso.linmap.scale(F(3, 2)), LinearMap.zero(gs, gs)):
-        assert is_homomorphism(f, A, B) == oracles.dense_is_homomorphism(f, A, B)
+    assert oracles.dense_is_homomorphism(iso.linmap, A, B)
 
 
 @EXAMPLES

@@ -26,7 +26,7 @@ from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, che
 from supercochain.triple import ActionMap, LieSupActTriple, check_action
 
 import oracles
-from helpers import adjoint_triple
+from helpers import adjoint_triple, identity_map
 
 
 def _cases():
@@ -49,7 +49,7 @@ def _cases():
         name = f"gl{m}{n}_adjoint"
         algebras[name] = t.g
         triples[name] = t
-        crossed[name] = CrossedHom(t, LinearMap.identity(t.g.space).scale(-1))
+        crossed[name] = CrossedHom(t, identity_map(t.g.space).scale(-1))
         # (1 + s) times each structure map: valid through every order
         deformations[name] = TripleDeformation.build(
             t, [t.g.as_cochain()], [t.rho], [t.h.as_cochain()], order=2

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from supercochain.cochains import BlockCochain
-from supercochain.crossed import CHMorphism, CrossedHom, _require_verified, verify
+from supercochain.crossed import CrossedHom, _require_verified
 from supercochain.deformation import CrossedHomDeformation, InfinitesimalReport, TripleDeformation
 from supercochain.errors import DimensionMismatch, ShapeMismatch, ValidationError
 from supercochain.graded import GradedSpace
@@ -94,11 +94,6 @@ CASES = {
         CrossedHom,
         lambda: dict(triple=triple(), linmap=diag(0, 1), verified=None),
         lambda: dict(triple=abelian_triple(), linmap=diag(1, -1), verified=True),
-    ),
-    "CHMorphism": (
-        CHMorphism,
-        lambda: dict(phi1=diag(1, 1), phi2=diag(1, 1)),
-        lambda: dict(phi1=diag(1, 2), phi2=diag(2, 1)),
     ),
     "TripleDeformation": (
         TripleDeformation,
@@ -264,17 +259,6 @@ def test_crossed_hom_rejects_wrong_shape_and_odd_maps():
         CrossedHom(triple(), odd)
     with pytest.raises(ValidationError):
         CrossedHom(triple=triple(), linmap=odd, verified=True)
-
-
-@pytest.mark.parametrize("linmap, ok", [(diag(0, 1), True), (diag(1, 1), False)])
-def test_verify_returns_a_new_object(linmap, ok):
-    D = CrossedHom(triple(), linmap)
-    checked = verify(D)
-    assert checked is not D
-    assert D.verified is None
-    assert checked.verified is ok
-    assert checked.triple is D.triple and checked.linmap is D.linmap
-    assert checked == CrossedHom(triple(), linmap, ok)
 
 
 def test_require_verified_returns_a_new_object_only_when_unchecked():
