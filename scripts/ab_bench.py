@@ -10,10 +10,12 @@ next; each run lasts the ``run_seconds`` of ``BENCHMARK.json``.  For every
 end-to-end metric in ``BENCHMARK.json`` it prints, per workload and side, the
 median and the quartiles over the pairs, and how many pairs the working tree
 wins (strictly better in the metric's direction).  After each run it reads
-the median time of every job (``detail.jobs[*].median_ref_s``) from the result
-file that run wrote under ``.perfbench_work/results/`` and prints the same
-quartiles and wins per job, so that a change in ``slowest_job_s`` or
-``wall_s`` can be traced to the jobs that moved.
+the median time of every job (``detail.jobs[*].median_ref_s``) and the median
+of its peak RSS samples (``detail.jobs[*].rss_mb``) from the result file that
+run wrote under ``.perfbench_work/results/``, and prints the same quartiles
+and wins per job, the median RSS and its wins beside the time, so that a
+change in ``slowest_job_s``, ``wall_s`` or ``peak_rss_mb`` can be traced to
+the jobs that moved.
 Workloads default to those of ``BENCHMARK.json``.
 
 One benchmark process runs at a time.  Exits 1 if any run reports failed
@@ -50,13 +52,14 @@ def run_bench(tree: pathlib.Path, workload: str, seed: int, seconds: int):
 
 
 def job_medians(tree: pathlib.Path, workload: str, seed: int) -> dict:
-    """{job id: median_ref_s} from the result file of the last run, {} if it has none."""
+    """{job id: (median_ref_s, median of rss_mb)} from the result file of the last run,
+    {} if it has none."""
     path = tree / ".perfbench_work" / "results" / f"{workload}-seed{seed}-trace0.json"
     try:
         jobs = json.loads(path.read_text(encoding="utf-8"))["detail"]["jobs"]
-    except (OSError, ValueError, KeyError, TypeError):
+        return {job: (entry["median_ref_s"], statistics.median(entry["rss_mb"])) for job, entry in jobs.items()}
+    except (OSError, ValueError, KeyError, TypeError, statistics.StatisticsError):
         return {}
-    return {job: entry["median_ref_s"] for job, entry in jobs.items()}
 
 
 def quartiles(values):
@@ -66,15 +69,26 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def print_rows(name: str, width: int, rev: str, old, new, lower: bool):
-    """q1, median and q3 per side, and the working tree's wins over the pairs."""
+def print_rows(name: str, width: int, rev: str, old, new, lower: bool, rss=None):
+    """q1, median and q3 per side, and the working tree's wins over the pairs; with ``rss``,
+    the (old, new) peak RSS of the same runs, their median per side and the wins (lower)."""
     wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+    pairs = min(len(old), len(new))
     for side, vals in ((rev, old), ("working tree", new)):
         if not vals:
             continue
         q1, med, q3 = quartiles(vals)
-        tail = f"   {wins} of {min(len(old), len(new))}" if side == "working tree" else ""
-        print(f"  {name:{width}} {side[:14]:14} {q1:10.4f} {med:10.4f} {q3:10.4f}{tail}")
+        line = f"  {name:{width}} {side[:14]:14} {q1:10.4f} {med:10.4f} {q3:10.4f}"
+        if side == "working tree":
+            line += f"   {wins:2} of {pairs}"
+        elif rss is not None:
+            line += " " * 11
+        if rss is not None:
+            mb = rss[0] if side == rev else rss[1]
+            line += f" {statistics.median(mb):10.3f}"
+            if side == "working tree":
+                line += f"   {sum(b < a for a, b in zip(*rss)):2} of {pairs}"
+        print(line)
 
 
 def main(argv=None) -> int:
@@ -121,9 +135,11 @@ def main(argv=None) -> int:
             names = sorted(jobs[opts.rev])
             if names:
                 width = max(len(n) for n in names)
-                print(f"\n  {'job median_ref_s':{width}} {'side':14} {'q1':>10} {'median':>10} {'q3':>10}   wins")
+                print(f"\n  {'job median_ref_s':{width}} {'side':14} {'q1':>10} {'median':>10} {'q3':>10}"
+                      f"   wins    {'rss_mb':>10}   wins")
                 for name in names:
-                    print_rows(name, width, opts.rev, jobs[opts.rev][name], jobs["working tree"][name], True)
+                    (old_s, old_mb), (new_s, new_mb) = (zip(*jobs[side][name]) for side in trees)
+                    print_rows(name, width, opts.rev, old_s, new_s, True, (old_mb, new_mb))
             sys.stdout.flush()
     return 1 if bad else 0
 

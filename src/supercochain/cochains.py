@@ -26,14 +26,17 @@ report; ``coeffs``, the ``Fraction`` tuples a report shows, is a view built
 when read (see ``_CoefficientMap``).
 
 ``circ``, ``nr_bracket``, ``bracket_sum`` and ``bracket_matrix`` share one
-term expansion on those ints: for each unit U = (key K -> e_T) of
-the right operand, ``_unit_image`` lists the terms of [P, U] (or circ(P, U))
-over the support of a P of any arity and parity, which P keeps once built
-(``Cochain.bracket_support``).
+term expansion on those ints: for each key K of the right operand,
+``_key_image`` streams the terms of [P, U] (or circ(P, U)) for every unit
+U = (K -> e_T) over the support of a P of any arity and parity, which P
+keeps once built (``Cochain.bracket_support``).  The units of one key share
+their work: each part of P is shuffled into K once, and the circ(U, P)
+terms, which depend on T only through a parity flip, are listed once.
 Every Koszul sign of a term comes from ``shuffle``, on the two sorted pieces
 the term joins (``normalize_tuple`` sorts an arbitrary tuple for ``eval``).
-For an even arity-2 P, [P, P] = 2 circ(P, P), so a self-bracket is one
-insertion product.
+A self-bracket of a homogeneous P of bidegree (n, f) is one insertion
+product, [P, P] = (1 - (-1)^(n + f)) circ(P, P): 2 circ(P, P) for an even
+arity-2 P.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class _CoefficientMap:
     for reports and tests.
     """
 
-    __slots__ = ("den", "ints", "_parts")
+    __slots__ = ("den", "ints")
 
     def _set_coeffs(self, coeffs):
         rows = {self._check_key(key): vec for key, vec in coeffs.items()}
@@ -81,7 +84,6 @@ class _CoefficientMap:
     def _store(self, den, ints):
         """Keep ``ints`` over ``den`` in canonical form (``util.canonical``)."""
         self.den, self.ints = canonical(den, ints)
-        self._parts = None
 
     @classmethod
     def _from_ints(cls, shape, den, ints):
@@ -114,25 +116,25 @@ class _CoefficientMap:
         return row if sign == 1 else {k: -x for k, x in row.items()}
 
     def parity_parts(self):
-        """[(component, parity)] with mixed coefficients split by map parity."""
-        if self._parts is None:
-            tpars = self.target_space.parities
-            split = ({}, {})
-            for key, row in self.ints.items():
-                kp = self.key_parity(key)
-                for k, x in row.items():
-                    split[(tpars[k] + kp) % 2].setdefault(key, {})[k] = x
-            self._parts = tuple((self._like(self.den, split[par]), par) for par in (0, 1) if split[par])
-        return self._parts
+        """[(component, parity)] with mixed coefficients split by map parity, built on each call."""
+        tpars = self.target_space.parities
+        split = ({}, {})
+        for key, row in self.ints.items():
+            kp = self.key_parity(key)
+            for k, x in row.items():
+                split[(tpars[k] + kp) % 2].setdefault(key, {})[k] = x
+        return tuple((self._like(self.den, split[par]), par) for par in (0, 1) if split[par])
 
     def parity(self):
-        """Map parity if homogeneous (zero counts as even), else None."""
-        parts = self.parity_parts()
-        if not parts:
-            return 0
-        if len(parts) == 1:
-            return parts[0][1]
-        return None
+        """Map parity if homogeneous (zero counts as even), else None; no part is built."""
+        tpars = self.target_space.parities
+        seen = set()
+        for key, row in self.ints.items():
+            kp = self.key_parity(key)
+            seen.update((tpars[k] + kp) % 2 for k in row)
+            if len(seen) > 1:
+                return None
+        return seen.pop() if seen else 0
 
     def add(self, other):
         """Entrywise sum, on ints over the lcm of the two denominators."""
@@ -196,8 +198,7 @@ class Cochain(_CoefficientMap):
     def bracket_support(self):
         """``_bracket_support(self)``, built on first use and kept on the cochain.
 
-        Like ``parity_parts``, it stays valid because stored int rows are never
-        mutated.
+        It stays valid because stored int rows are never mutated.
         """
         if self._support is None:
             self._support = _bracket_support(self)
@@ -251,50 +252,68 @@ def _multiplicity(X, counts):
     return m
 
 
-def _unit_image(V: GradedSpace, support, K, T, bracket=True):
-    """Terms (key, target, coefficient) of [P, U], or of circ(P, U), for U = (key K -> e_T).
+def _key_image(V: GradedSpace, support, K, targets, bracket=True):
+    """Terms (w, key, target, coefficient) of [P, U], or of circ(P, U), for the units
+    U = (key K -> e_T) of one key, one unit per (T, w) of ``targets``.
 
     [P, U] = circ(P, U) - (-1)^(nP nU + f u) circ(U, P) for U of arity nU + 1
     and parity u, P of arity nP + 1 and term parities f.  In circ(P, U),
     P(H, T) lands on sort(H + K) with (-1)^(u |H|); in circ(U, P), each entry
     k of K, read as U(head, k), takes P(key)_k to sort(head + key) with
-    (-1)^(f |head|).  Each term also carries the ``shuffle`` sign of the two
-    sorted pieces it joins (H and K; head and (k,); head and P's key) and
-    the multiplicity of P's part in the new key.
-    Coefficients are ints over ``P.den``.
+    (-1)^(f |head|) (-1)^(f u).  Each term also carries the ``shuffle`` sign
+    of the two sorted pieces it joins (H and K; head and (k,); head and P's
+    key) and the multiplicity of P's part in the new key.
+    Only the parity flip (-1)^(f u) and the unit's own target depend on T, so
+    each part H is shuffled into K once and the circ(U, P) terms are listed
+    once, for this key only: nothing outlives the call.
+    Coefficients are ints over ``P.den``; ``w`` tags the unit each term is for.
     Terms may repeat a (key, target); callers add them up.
     """
     nP, by_entry, by_comp = support
     pars = V.parities
     p = len(V.even_basis)
-    u = (sum(pars[i] for i in K) + pars[T]) % 2
-    for H, hpar, counts, vals in by_entry.get(T, ()):
-        X, s = shuffle(H, K, p)
-        if s:
-            c = s * _multiplicity(X, counts) * (-1 if u and hpar else 1)
-            for tgt, v in vals.items():
-                yield X, tgt, c * v
-    if not bracket:
-        return
-    outer = -1 if nP * (len(K) - 1) % 2 == 0 else 1  # -(-1)^(nP nU)
-    for k in set(K):
-        i = K.index(k)
-        head = K[:i] + K[i + 1 :]
-        s2 = outer * shuffle(head, (k,), p)[1]
-        flip = (sum(pars[j] for j in head) + u) % 2  # (-1)^(f |head|) (-1)^(f u)
-        for key, f, counts, v in by_comp.get(k, ()):
-            X, s3 = shuffle(head, key, p)
-            if s3:
-                c = s2 * s3 * _multiplicity(X, counts)
-                yield X, T, (-c if f and flip else c) * v
+    kpar = sum(pars[i] for i in K)
+    joined = {}  # H -> (sort(H + K), its shuffle sign times P's multiplicity there)
+    tail = None  # (sort(head + key), coefficient at u = 0, f) of circ(U, P)
+    for T, w in targets:
+        u = (kpar + pars[T]) % 2
+        for H, hpar, counts, vals in by_entry.get(T, ()):
+            hit = joined.get(H)
+            if hit is None:
+                X, s = shuffle(H, K, p)
+                hit = joined[H] = (X, s and s * _multiplicity(X, counts))
+            X, c = hit
+            if c:
+                c = -c if u and hpar else c
+                for tgt, v in vals.items():
+                    yield w, X, tgt, c * v
+        if not bracket:
+            continue
+        if tail is None:
+            tail = []
+            outer = -1 if nP * (len(K) - 1) % 2 == 0 else 1  # -(-1)^(nP nU)
+            for k in set(K):
+                i = K.index(k)
+                head = K[:i] + K[i + 1 :]
+                s2 = outer * shuffle(head, (k,), p)[1]
+                flip = sum(pars[j] for j in head) % 2  # (-1)^(f |head|)
+                for key, f, counts, v in by_comp.get(k, ()):
+                    X, s3 = shuffle(head, key, p)
+                    if s3:
+                        c = s2 * s3 * _multiplicity(X, counts) * v
+                        tail.append((X, -c if f and flip else c, f))
+        for X, c, f in tail:
+            yield w, X, T, -c if u and f else c
 
 
 def _expand(terms, bracket: bool) -> Cochain:
-    """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, over the units of each U.
+    """sum c [P, U] (or c circ(P, U)) over the (c, P, U) of ``terms``, key by key of each U.
 
     A term with c = p / q is an int sum over q den(P) den(U); all terms are
     added on ints over the lcm of those.  They share one space V and one arity.
-    A term with c = 0 or a zero operand adds nothing and is skipped.
+    A term with c = 0 or a zero operand adds nothing and is skipped.  A
+    self-bracket of a homogeneous P of bidegree (n, f) is one insertion
+    product, [P, P] = (1 - (-1)^(n + f)) circ(P, P): zero when n + f is even.
     """
     V = terms[0][1].source
     arity = terms[0][1].arity + terms[0][2].arity - 1
@@ -306,20 +325,24 @@ def _expand(terms, bracket: bool) -> Cochain:
             raise ArityMismatch("the terms of a bracket sum have different arities")
         if not c or not P.ints or not U.ints:
             continue
-        prepared.append((c.numerator, c.denominator * P.den * U.den, P.bracket_support(), U.ints))
-    den = lcm(*(d for _, d, _, _ in prepared))
+        full = bracket
+        if bracket and U is P and P.parity() is not None:
+            if (P.arity - 1 + P.parity()) % 2 == 0:
+                continue
+            c, full = 2 * c, False
+        prepared.append((c.numerator, c.denominator * P.den * U.den, P.bracket_support(), U.ints, full))
+    den = lcm(*(d for _, d, _, _, _ in prepared))
     out = {}
-    for m, d, support, rows in prepared:
+    for m, d, support, rows, full in prepared:
         m *= den // d
         for K, vals in rows.items():
-            for T, v in vals.items():
-                v *= m
-                for X, tgt, c in _unit_image(V, support, K, T, bracket):
-                    row = out.get(X)
-                    if row is None:
-                        out[X] = {tgt: v * c}
-                    else:
-                        row[tgt] = row.get(tgt, 0) + v * c
+            for w, X, tgt, c in _key_image(V, support, K, [(T, m * v) for T, v in vals.items()], full):
+                c *= w
+                row = out.get(X)
+                if row is None:
+                    out[X] = {tgt: c}
+                else:
+                    row[tgt] = row.get(tgt, 0) + c
     return Cochain._from_ints((V, V, arity), den, out)
 
 
@@ -350,9 +373,9 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
 
     ``cols`` and ``rows`` list units (key, target, sign), sign = +-1: the
     cochain with value sign * e_target at the normal-form key, read back
-    through the same sign.  Each column is the ``_unit_image`` of its unit,
-    summed on ints over the denominator of P; ``Matrix`` keeps those int
-    rows over that denominator.
+    through the same sign.  The columns that share a key are expanded by one
+    ``_key_image``, summed on ints over the denominator of P; ``Matrix``
+    keeps those int rows over that denominator.
     """
     V = P.source
     if P.target != V or P.arity != 2 or P.parity() != 0:
@@ -360,14 +383,17 @@ def bracket_matrix(P: Cochain, cols, rows) -> Matrix:
     support = P.bracket_support()
     data = [{} for _ in rows]
     row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
+    by_key = {}
     for j, (K, T, s) in enumerate(cols):
-        for X, tgt, c in _unit_image(V, support, K, T):
+        by_key.setdefault(K, []).append((T, (j, s)))
+    for K, targets in by_key.items():
+        for (j, s), X, tgt, c in _key_image(V, support, K, targets):
             hit = row_of.get((X, tgt))
             if hit is not None:
                 row, sign = hit
                 v = c if sign == s else -c
                 row[j] = row[j] + v if j in row else v
-    return Matrix(len(rows), len(cols), data, P.den)
+    return Matrix._from_ints(len(rows), len(cols), P.den, data)
 
 
 def block_key(ds: DirectSum, gk, hk):

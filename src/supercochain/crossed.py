@@ -176,21 +176,23 @@ class ChComplex:
         return self._untwisted.d((f,))[0]
 
     def twisted(self, D_block: BlockCochain) -> BlockComplex:
-        """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``."""
-        P = self.pr_hat.add(nr_bracket(self.mu_hat, hat_extend(D_block)))
-        return BlockComplex(self.triple.g.space, self.triple.h.space, P, ch_blocks)
+        """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``:
+        the complex of the crossed problem at D."""
+        problem = self.problem()
+        return problem.complex(problem.left(hat_extend(D_block)))
 
-    def problem(self, D_block: BlockCochain) -> McProblem:
-        """D as the X_0 of the crossed problem, with its t^n coefficients read on Hom(wedge^2 g, h).
+    def problem(self) -> McProblem:
+        """The crossed problem, with its t^n coefficients read on Hom(wedge^2 g, h).
 
         delta = [pi + rho, .] and b(f, g) = [[mu, f], g], so the t^n
         coefficient of D(t) is that of [pi + rho + 1/2 [mu, D(t)], D(t)];
         b is symmetric, as [f, g] = 0 for maps g -> h.  The complex at D is
-        ``twisted(D)``, built only when the problem's ``complex()`` is called.
+        ``twisted(D)``.
         """
+        t = self.triple
         project = partial(project_block, ds=self._untwisted.ds, g_arity=2, h_arity=0, target_side="h")
         return McProblem(
-            partial(self.twisted, D_block), self.pr_hat, partial(nr_bracket, self.mu_hat), project, _one_part
+            t.g.space, t.h.space, ch_blocks, self.pr_hat, partial(nr_bracket, self.mu_hat), project, _one_part
         )
 
 
@@ -208,8 +210,9 @@ def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     cc = ChComplex(D.triple)
     if cc.pr_hat.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    D_block = D.as_block()
-    return cc.problem(D_block).residuals(((D_block,),), (0,))[0]
+    D_hat = hat_extend(D.as_block())
+    problem = cc.problem()
+    return problem.residuals((D_hat,), (problem.left(D_hat),), (0,))[0]
 
 
 def _require_verified(D: CrossedHom) -> CrossedHom:

@@ -9,10 +9,11 @@ Maurer-Cartan element over Q[t] iff every t^n coefficient
     delta X_n + 1/2 sum_{i+j=n} b(X_i, X_j)
 
 vanishes (Nijenhuis-Richardson 1967; Goldman-Millson 1988).  One
-``triple.McProblem`` holds (delta, b), the complex at X_0 and the reading
-of a coefficient, and reads every order in one pass; a ``Series`` is X(t)
-in one problem, built by the input classes ``TripleDeformation`` and
-``CrossedHomDeformation``.
+``triple.McProblem`` holds (delta, b), the block signatures of the complex
+at X_0 and the reading of a coefficient, and reads every order in one
+pass; a ``Series`` is X(t) in one problem, with each X_k hat-extended and
+each left(X_i) built once, built by the input classes
+``TripleDeformation`` and ``CrossedHomDeformation``.
 
 For a triple, X_k = pi_k + rho_k + mu_k in C^2, delta = 0 and b is the
 Nijenhuis-Richardson bracket (``triple_problem``), so the coefficient is
@@ -43,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .cochains import BlockCochain, Cochain
+from .cochains import BlockCochain, Cochain, hat_sum
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
 from .graded import direct_sum
@@ -92,12 +93,19 @@ class InfinitesimalReport(Frozen):
 
 
 class Series(Frozen):
-    """X(t) = sum_k t^k X_k in one ``McProblem``: ``terms[k]`` holds the blocks of X_k, k = 0..order."""
+    """X(t) = sum_k t^k X_k in one ``McProblem``: ``terms[k]`` holds the blocks of X_k, k = 0..order.
 
-    __slots__ = ("problem", "terms")
+    ``hats[k]`` is the hat extension of X_k and ``lefts[i]`` is left(X_i)
+    for i <= order / 2, each built once here: the residual pass reads them
+    all, and the complex at X_0 is built from ``lefts[0]``.
+    """
+
+    __slots__ = ("problem", "terms", "hats", "lefts")
 
     def __init__(self, problem: McProblem, terms: tuple):
-        super().__init__(problem, terms)
+        hats = tuple(hat_sum(X) for X in terms)
+        lefts = tuple(map(problem.left, hats[: (len(hats) + 1) // 2]))
+        super().__init__(problem, terms, hats, lefts)
 
     def residuals(self, orders=None):
         """The report of each order n in ``orders`` (default 0..order), each refused outside 0..order."""
@@ -106,7 +114,7 @@ class Series(Frozen):
         for n in orders:
             if not 0 <= n <= top:
                 raise ValidationError(f"order {n} outside 0..{top}")
-        return self.problem.residuals(self.terms, orders)
+        return self.problem.residuals(self.hats, self.lefts, orders)
 
     def infinitesimal(self, reports) -> InfinitesimalReport:
         """The first nonzero X_k, and whether d X_k = 0 in the complex at X_0.
@@ -120,7 +128,7 @@ class Series(Frozen):
         for k in range(1, len(self.terms)):
             X = self.terms[k]
             if not all(b.is_zero() for b in X):
-                is_cocycle = all(b.is_zero() for b in problem.complex().d(X))
+                is_cocycle = all(b.is_zero() for b in problem.complex(self.lefts[0]).d(X))
                 if is_cocycle != problem.is_zero(reports[k]):
                     raise InternalInvariantError("the infinitesimal cocycle test disagrees with its residual")
                 return InfinitesimalReport(k, X, is_cocycle)
@@ -201,13 +209,14 @@ def triple_problem(t: LieSupActTriple) -> McProblem:
 
     The problem's coefficient is 1/2 sum_{i+j=n} [Pi_i, Pi_j], so each block
     is read at twice its ``_EQUATION_FACTORS`` factor.  The complex at Pi is
-    ``triple_complex``.
+    the triple complex over ``triple_blocks``, with P = Pi itself.
     """
-    ds = direct_sum(t.g.space, t.h.space)
+    gs, hs = t.g.space, t.h.space
+    ds = direct_sum(gs, hs)
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
     zero = Cochain.zero(ds.space, ds.space, 2)
     project = partial(McResidual.project, ds=ds, factors=factors)
-    return McProblem(partial(triple_complex, t), zero, lambda X: X, project, McResidual.components)
+    return McProblem(gs, hs, triple_blocks, zero, lambda X: X, project, McResidual.components)
 
 
 class CrossedHomDeformation(Frozen):
@@ -238,7 +247,7 @@ class CrossedHomDeformation(Frozen):
         """X_k = D_k, as the one block of C^1, in the crossed problem at D."""
         t = self.crossed.triple
         terms = tuple((CrossedHom(t, m).as_block(),) for m in self.maps)
-        return Series(ChComplex(t).problem(terms[0][0]), terms)
+        return Series(ChComplex(t).problem(), terms)
 
 
 def linear_check(d) -> bool:

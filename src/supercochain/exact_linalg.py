@@ -89,6 +89,18 @@ class Matrix:
         if any(type(v) is not int for row in data.values() for v in row.values()):
             s, data = scaled_rows(data)
             den *= s
+        self._store(rows, cols, den, data)
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, den: int, data) -> "Matrix":
+        """The matrix with one ``{column: int}`` row per entry of ``data`` over ``den``, taken
+        as it is: columns and value types are not checked, only the canonical form is kept."""
+        out = cls.__new__(cls)
+        out._store(rows, cols, den, dict(enumerate(data)))
+        return out
+
+    def _store(self, rows, cols, den, data):
+        """Keep the int rows {row: {column: int}} over ``den`` in canonical form (``util.canonical``)."""
         den, data = canonical(den, data)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -122,7 +134,7 @@ class Matrix:
             for k, a in row.items():
                 addmul(acc, rhs[k], a)
             out.append(acc)
-        return Matrix(self.rows, other.cols, out, self.den * other.den)
+        return Matrix._from_ints(self.rows, other.cols, self.den * other.den, out)
 
     def __eq__(self, other):
         return (

@@ -141,7 +141,19 @@ def shuffle(a: WedgeKey, b: WedgeKey, even_dim: int):
     every even entry of ``b``, an even x the even entries that bisecting
     ``b`` puts below it.  An even entry in both keys gives 0.  ``even_dim``
     is the even dimension of the space: position p is even when p < even_dim.
+    A one-entry ``a`` is one bisect insertion into ``b``.
     """
+    if len(a) == 1:
+        x = a[0]
+        i = bisect_left(b, x)
+        key = b[:i] + a + b[i:]
+        if x >= even_dim:
+            flips = bisect_left(b, even_dim, 0, i)
+        elif i < len(b) and b[i] == x:
+            return key, 0
+        else:
+            flips = i
+        return key, -1 if flips & 1 else 1
     key = tuple(sorted(a + b))
     m = bisect_left(a, even_dim)
     n_even = bisect_left(b, even_dim)

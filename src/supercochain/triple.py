@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, bracket_sum, circ, hat_sum
+from .cochains import BlockCochain, Cochain, block_key, bracket_matrix, bracket_sum, hat_sum
 from .cochains import nr_bracket, order_pairs, project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
@@ -271,8 +271,9 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
 
     Its blocks are [pi, pi], 2 rho.pi + [rho, rho], 2 [rho, mu] and [mu, mu]:
     on super-skew tables they measure Jacobi of g, the action morphism, the
-    action derivation and Jacobi of h.  The action must be degree 0.  For
-    an even Pi of arity 2, [Pi, Pi] = 2 Pi o Pi: one insertion product.
+    action derivation and Jacobi of h.  The action must be degree 0, so Pi
+    is even of arity 2 and ``nr_bracket`` reads [Pi, Pi] as 2 Pi o Pi, one
+    insertion product.
     """
     if rho.g_space != g.space or rho.h_space != h.space:
         raise ShapeMismatch("candidate data shapes do not match")
@@ -280,7 +281,7 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     if blocks[1].parity() != 0:
         raise ShapeMismatch("the action is not degree 0")
     Pi = hat_sum(blocks)
-    return McResidual.project(circ(Pi, Pi), direct_sum(g.space, h.space), (2, 2, 2, 2))
+    return McResidual.project(nr_bracket(Pi, Pi), direct_sum(g.space, h.space))
 
 
 def triple_blocks(n: int):
@@ -300,27 +301,35 @@ def block_units(g_space, h_space, sigs, parity=None):
     blocks as listed, then g key lexicographic, h key lexicographic, target
     position; optionally filtered to one map parity.
     """
+    gpars, hpars = g_space.parities, h_space.parities
     units = []
     for b, (ga, ha, side) in enumerate(sigs):
-        tspace = g_space if side == "g" else h_space
-        hkeys = wedge_basis(h_space, ha)
+        tpars = gpars if side == "g" else hpars
+        hkeys = [(hk, sum(hpars[j] for j in hk)) for hk in wedge_basis(h_space, ha)]
         for gk in wedge_basis(g_space, ga):
-            gp = sum(g_space.parities_of(gk))
-            for hk in hkeys:
-                kp = gp + sum(h_space.parities_of(hk))
-                for t in range(tspace.dim):
-                    up = (kp + tspace.parity(t)) % 2
+            gp = sum(gpars[i] for i in gk)
+            for hk, hp in hkeys:
+                kp = gp + hp
+                for t, tp in enumerate(tpars):
+                    up = (kp + tp) % 2
                     if parity is None or up == parity % 2:
                         units.append((b, gk, hk, t, up))
     return units
 
 
 def sum_units(g_space, h_space, sigs, parity=None):
-    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them."""
+    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them.
+
+    The units of one block pair (g key, h key) are consecutive and share its
+    ``block_key``, which is computed once for them.
+    """
     ds = direct_sum(g_space, h_space)
     out = []
+    pair = None
     for b, gk, hk, t, _ in block_units(g_space, h_space, sigs, parity):
-        key, sign = block_key(ds, gk, hk)
+        if pair != (gk, hk):
+            pair = (gk, hk)
+            key, sign = block_key(ds, gk, hk)
         out.append((key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign))
     return out
 
@@ -378,40 +387,43 @@ class BlockComplex:
 class McProblem(Frozen):
     """One Maurer-Cartan series problem: X(t) = sum_k t^k X_k in a dgLa (delta, b) on g + h.
 
-    ``complex()`` builds the ``BlockComplex`` at X_0, whose P is delta +
-    left(X_0); only ``deformation.Series.infinitesimal`` calls it, so a
-    residual pass builds no complex.  ``delta`` is the element delta brackets
-    with (zero when delta = 0), and b(X, Y) = [left(X), Y] on hat extensions,
-    symmetric in X and Y.  Each X_k is an element of one degree of that
-    complex, C^2 for triples and C^1 for crossed homomorphisms.  ``project``
-    reads the report of one t^n coefficient out of a cochain on g + h, and
-    ``parts`` maps a report to its blocks by name (the one key None for a
-    report of one block).  The triple problem is ``deformation.triple_problem``,
-    the crossed one ``crossed.ChComplex.problem``.
+    ``delta`` is the element delta brackets with (zero when delta = 0), and
+    b(X, Y) = [left(X), Y] on hat extensions, symmetric in X and Y.  Each X_k
+    is an element of one degree of the complex at X_0 (``complex``: P =
+    delta + left(X_0), over the block signatures ``sigs``), C^2 for triples
+    and C^1 for crossed homomorphisms.  ``project`` reads the report of one
+    t^n coefficient out of a cochain on g + h, and ``parts`` maps a report to
+    its blocks by name (the one key None for a report of one block).  The
+    triple problem is ``deformation.triple_problem``, the crossed one
+    ``crossed.ChComplex.problem``; ``deformation.Series`` holds the hat
+    extensions and left(X_i) that ``residuals`` and ``complex`` read.
     """
 
-    __slots__ = ("complex", "delta", "left", "project", "parts")
+    __slots__ = ("g_space", "h_space", "sigs", "delta", "left", "project", "parts")
 
-    def __init__(self, complex, delta: Cochain, left, project, parts):
-        super().__init__(complex, delta, left, project, parts)
+    def __init__(self, g_space: GradedSpace, h_space: GradedSpace, sigs, delta: Cochain, left, project, parts):
+        super().__init__(g_space, h_space, sigs, delta, left, project, parts)
 
-    def residuals(self, terms, orders):
-        """The report of the t^n coefficient for each n in ``orders``; ``terms[k]`` holds the blocks of X_k.
+    def residuals(self, hats, lefts, orders):
+        """The report of the t^n coefficient for each n in ``orders``.
 
-        That coefficient is delta X_n + 1/2 sum_{i+j=n} b(X_i, X_j), each
-        unordered pair taken once (``order_pairs``): one ``bracket_sum`` per
-        order, with each X_k hat-extended and each left(X_i) built once for
-        all orders.
+        ``hats[k]`` is the hat extension of X_k and ``lefts[i]`` is
+        left(hats[i]), for every k <= n and i <= n / 2.  The coefficient is
+        delta X_n + 1/2 sum_{i+j=n} b(X_i, X_j), each unordered pair taken
+        once (``order_pairs``): one ``bracket_sum`` per order.
         """
-        top = max(orders, default=-1)
-        hats = [hat_sum(X) for X in terms[: top + 1]]
-        lefts = [self.left(X) for X in hats[: top // 2 + 1]]
         out = []
         for n in orders:
             summands = [(1, self.delta, hats[n])]
             summands += [(Fraction(w, 2), lefts[i], hats[j]) for i, j, w in order_pairs(n)]
             out.append(self.project(bracket_sum(summands)))
         return tuple(out)
+
+    def complex(self, left0: Cochain) -> BlockComplex:
+        """The ``BlockComplex`` at X_0, given left(X_0): P = delta + left(X_0), left(X_0) itself
+        when delta = 0, so that P keeps the bracket support ``residuals`` built for it."""
+        P = left0 if self.delta.is_zero() else self.delta.add(left0)
+        return BlockComplex(self.g_space, self.h_space, P, self.sigs)
 
     def is_zero(self, report) -> bool:
         return all(b.is_zero() for b in self.parts(report).values())

@@ -35,6 +35,14 @@ structure element Pi and its complex.  So do the four component brackets of
 the Maurer-Cartan residual (``mc_residual_components_reference``, shuffle
 sums only): the library projects the one self-bracket [Pi, Pi].
 
+The per-unit assembly (``unit_image``, ``per_unit_matrix``) is the one
+reference here that reads the library's own pieces, ``_bracket_support``,
+``_multiplicity`` and ``shuffle``: it expands [P, U] unit by unit, every
+shuffle and every circ(U, P) term redone for each unit, as the library did
+before it expanded all units of one key at once.  So it checks the sharing
+per key of ``bracket_matrix``, entry for entry; the signs themselves are
+checked against the shuffle sums above.
+
 The permutation form of the Koszul sign (``koszul_sign``: the signature
 times (-1) to the odd inversions) is the reference for the library's one
 sign path, the inversion counts of ``graded.normalize_tuple`` and
@@ -49,11 +57,11 @@ import math
 from fractions import Fraction as F
 
 from supercochain import exact_linalg
-from supercochain.cochains import BlockCochain, Cochain, hat_extend, project_block
+from supercochain.cochains import BlockCochain, Cochain, _multiplicity, hat_extend, project_block
 from supercochain.errors import ArityMismatch, DimensionMismatch, InternalInvariantError, InvalidAction
 from supercochain.errors import SpaceMismatch, ValidationError
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, normalize_tuple, wedge_basis
+from supercochain.graded import direct_sum, normalize_tuple, shuffle, wedge_basis
 from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
@@ -601,6 +609,53 @@ class GradedSpaceScalar:
 
     def parities_of(self, slots):
         return self._space.parities_of(slots)
+
+
+def unit_image(V, support, K, T):
+    """Terms (key, target, coefficient) of [P, U] for the one unit U = (key K -> e_T).
+
+    ``support`` is ``cochains._bracket_support(P)``.  [P, U] = circ(P, U) -
+    (-1)^(nP nU + f u) circ(U, P) for U of arity nU + 1 and parity u: in
+    circ(P, U), P(H, T) lands on sort(H + K) with (-1)^(u |H|); in circ(U, P),
+    each entry k of K, read as U(head, k), takes P(key)_k to sort(head + key)
+    with (-1)^(f |head|) (-1)^(f u).  Coefficients are ints over ``P.den``.
+    """
+    nP, by_entry, by_comp = support
+    pars = V.parities
+    p = len(V.even_basis)
+    u = (sum(pars[i] for i in K) + pars[T]) % 2
+    for H, hpar, counts, vals in by_entry.get(T, ()):
+        X, s = shuffle(H, K, p)
+        if s:
+            c = s * _multiplicity(X, counts) * (-1 if u and hpar else 1)
+            for tgt, v in vals.items():
+                yield X, tgt, c * v
+    outer = -1 if nP * (len(K) - 1) % 2 == 0 else 1  # -(-1)^(nP nU)
+    for k in set(K):
+        i = K.index(k)
+        head = K[:i] + K[i + 1 :]
+        s2 = outer * shuffle(head, (k,), p)[1]
+        flip = (sum(pars[j] for j in head) + u) % 2
+        for key, f, counts, v in by_comp.get(k, ()):
+            X, s3 = shuffle(head, key, p)
+            if s3:
+                c = s2 * s3 * _multiplicity(X, counts)
+                yield X, T, (-c if f and flip else c) * v
+
+
+def per_unit_matrix(P, cols, rows):
+    """``bracket_matrix(P, cols, rows)``, one ``unit_image`` per column, through the public
+    ``Matrix`` constructor."""
+    support = P.bracket_support()
+    data = [{} for _ in rows]
+    row_of = {(key, tgt): (data[r], sign) for r, (key, tgt, sign) in enumerate(rows)}
+    for j, (K, T, s) in enumerate(cols):
+        for X, tgt, c in unit_image(P.source, support, K, T):
+            hit = row_of.get((X, tgt))
+            if hit is not None:
+                row, sign = hit
+                row[j] = row.get(j, 0) + (c if sign == s else -c)
+    return Matrix(len(rows), len(cols), data, P.den)
 
 
 def unit_blocks(g_space, h_space, sigs, unit):

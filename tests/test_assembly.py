@@ -12,10 +12,10 @@ import pytest
 
 from conftest import FIXTURES
 from supercochain import io as sio
-from supercochain.crossed import CrossedHom, check_crossed, d_D_matrix
+from supercochain.crossed import ChComplex, CrossedHom, check_crossed, d_D_matrix
 from supercochain.exact_linalg import Matrix, kernel_basis, rank
 from supercochain.superalgebra import gl
-from supercochain.triple import LieSupActTriple, triple_coboundary_matrix
+from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_complex
 
 import oracles
 from helpers import adjoint_triple, ch_units, defining_triple, identity_map, matrix_entry, matrix_from_rows
@@ -77,6 +77,24 @@ def test_assembly_matches_per_unit_reference(kind, name, n):
     assert build(data, n, None) == ref
     for parity in (0, 1):
         assert build(data, n, parity) == _restrict(ref, parities(n + 1), parities(n), parity)
+
+
+COMPLEXES = [("triple", name) for name in TRIPLES] + [("crossed", name) for name in CROSSED]
+
+
+@pytest.mark.parametrize("kind,name", COMPLEXES, ids=[f"{k}-{nm}" for k, nm in COMPLEXES])
+def test_assembly_matches_per_unit_expansion(kind, name):
+    # bracket_matrix expands the columns of one key together; the per-unit expansion
+    # redoes every shuffle for each column, so each shared term must come out the same
+    if kind == "triple":
+        cx = triple_complex(TRIPLES[name])
+    else:
+        D = CROSSED[name]
+        cx = ChComplex(D.triple).twisted(D.as_block())
+    for n in (1, 2, 3):
+        for parity in (0, 1):
+            cols, rows = cx.units(n, parity), cx.units(n + 1, parity)
+            assert cx.matrix(n, parity) == oracles.per_unit_matrix(cx.P, cols, rows)
 
 
 @pytest.mark.parametrize("kind,name,n", CASES, ids=[f"{k}-{nm}-d{n}" for k, nm, n in CASES])

@@ -11,6 +11,7 @@ from supercochain.cochains import (
     BlockCochain,
     Cochain,
     bracket_matrix,
+    bracket_sum,
     circ,
     hat_extend,
     nr_bracket,
@@ -456,6 +457,27 @@ def test_nr_bracket_matches_shuffle_reference(space, f, g, rng):
 def test_circ_matches_shuffle_reference(space, f, g, rng):
     Fc, Gc = _operand(space, *f, rng), _operand(space, *g, rng)
     assert circ(Fc, Gc) == oracles.shuffle_circ(Fc, Gc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(SMALL_SPACES),
+    arity=st.integers(1, 3),
+    parity=PARITIES,
+    keys=st.integers(1, 4),
+    c=st.fractions(-3, 3, max_denominator=4),
+    rng=st.randoms(use_true_random=False),
+)
+def test_self_bracket_is_one_insertion_product(space, arity, parity, keys, c, rng):
+    """[P, P] = (1 - (-1)^(n + f)) circ(P, P) for P of bidegree (n, f): zero when n + f is even."""
+    P = _operand(space, arity, parity, keys, rng)
+    want = oracles.shuffle_nr_bracket(P, P)
+    assert nr_bracket(P, P) == want
+    assert bracket_sum([(c, P, P)]) == want.scale(c)
+    if parity is not None and (arity - 1 + parity) % 2:
+        assert want == oracles.shuffle_circ(P, P).scale(2)
+    elif parity is not None:
+        assert want.is_zero()
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURE_ELEMENTS))

@@ -40,13 +40,16 @@ UNREACHED = {
     "cochains.Cochain.eval": _README,
     "cochains._CoefficientMap.__eq__": _EQ,
     "cochains._CoefficientMap._value_at": "read by eval",
+    "cochains._CoefficientMap.parity_parts": "the parity split; " + _README + " (parity() builds no part)",
     "cochains._require_normal_key": _KEYS,
+    "cochains.circ": "the insertion product; " + _README + " (nr_bracket reads a self-bracket as one)",
     "crossed.ChComplex.bracket": "the paper's bracket [[f1, f2]]; ROADMAP items 4, 5 and 8",
     "crossed.ChComplex.coboundary": "ROADMAP items 4, 5 and 8",
     "crossed.derivation_space": _README + "; ROADMAP items 4 and 5",
     "deformation.linear_check": "the paper's linear deformations as 1-cocycles; " + _README,
     "deformation.triple_cocycle_deformations": "the paper's linear deformations as 1-cocycles; " + _README,
     "exact_linalg.Matrix.__eq__": _EQ,
+    "exact_linalg.Matrix.__init__": _DENSE + "; assembly and products build through Matrix._from_ints",
     "exact_linalg.Matrix.__repr__": _REPR,
     "exact_linalg.Matrix.__setattr__": _IMMUTABLE,
     "exact_linalg.Matrix.entries": "read by the tracer (perfbench/traced_job.py _nnz)",
@@ -60,6 +63,7 @@ UNREACHED = {
     "io.space_to_obj": _WRITER,
     "io.value_to_obj": _WRITER,
     "superalgebra.LinearMap.__repr__": _REPR,
+    "superalgebra.LinearMap.shape": "read by the coefficient core's add, scale, == and parity split, " + _README,
     "superalgebra.LinearMap._check_key": _KEYS,
     "superalgebra.LinearMap.apply": _VIEW,
     "superalgebra.LinearMap.cols": _VIEW,
