@@ -206,6 +206,26 @@ MUTATIONS = (
         "new[k] = b * v",
         ("tests/test_exact_linalg.py::test_rank_and_kernel_with_fill_in",),
     ),
+    # clearing: d_n is ranked without the pivot rows of d_(n-1) of its own parity, and
+    # a tall matrix is ranked on its columns without the cleared ones
+    (
+        "exact_linalg.py",
+        "prev, prev_rank, cleared = d, r, [row for row, _ in pivots]",
+        "prev, prev_rank, cleared = d, r, [col for _, col in pivots]",
+        ("tests/test_assembly.py::test_cleared_ranks_match_uncleared_rank",),
+    ),
+    (
+        "exact_linalg.py",
+        "prev, prev_rank, cleared = None, 0, ()",
+        "prev, prev_rank, cleared = None, 0, cleared if parity else ()",
+        ("tests/test_assembly.py::test_cleared_ranks_match_uncleared_rank",),
+    ),
+    (
+        "exact_linalg.py",
+        "if c not in cleared:",
+        "if r not in cleared:",
+        ("tests/test_exact_linalg.py::test_cleared_rank_of_a_random_complex_matches_dense_rank",),
+    ),
     # the int storage of Matrix: one denominator per product
     (
         "exact_linalg.py",

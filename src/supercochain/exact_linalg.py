@@ -11,9 +11,12 @@ shortcut.  Elimination is fraction-free, as in Bareiss (1968), but on sparse
 rows: each row is divided by its content gcd and each update is
 ``a * row - b * pivot_row`` divided by the new row's content gcd (not by the
 previous pivot), so entries stay integral and small, and every division is
-exact.  ``rank`` picks Markowitz pivots
-(sparsest column, then its shortest row); ``kernel_basis`` eliminates left to
-right so that its basis is the canonical one of the pivot columns.
+exact.  One Markowitz reduction (sparsest key, then its shortest line)
+returns the (pivot row, pivot column) pairs behind ``rank``, which ranks a
+matrix on its rows, or on its columns when it is tall, without the columns
+the caller clears; ``cohomology_table`` clears from d_n the pivot rows of
+d_(n-1).  ``kernel_basis`` eliminates left to right so that its basis is the
+canonical one of the pivot columns.
 """
 
 from __future__ import annotations
@@ -149,17 +152,13 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _integer_rows(m: Matrix):
-    """The nonzero int rows of ``m``, each divided by its content gcd.
-
-    Scaling a row by a nonzero rational changes neither the rank nor the kernel.
-    """
-    out = []
-    for row in m.ints:
-        if row:
-            g = gcd(*row.values())
-            out.append({c: v // g for c, v in row.items()} if g > 1 else row)
-    return out
+def _content_free(line: dict) -> dict:
+    """``line`` divided by the gcd of its entries: neither the rank nor the kernel changes."""
+    if line:
+        g = gcd(*line.values())
+        if g > 1:
+            return {c: v // g for c, v in line.items()}
+    return line
 
 
 def _column_index(rows):
@@ -220,32 +219,61 @@ def _shortest(rows, holders):
     return min(holders, key=lambda i: (len(rows[i]), i))
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over the rationals.
+def _markowitz(lines):
+    """Reduce the sparse int ``lines`` in place; returns the (line, key) pivot pairs in pivot order.
 
-    Markowitz pivot choice (Markowitz 1957): eliminate the column with the
-    fewest entries next, on its shortest row, which keeps fill-in low on the
-    sparse differentials.  A lazy heap holds the column counts.
+    Markowitz pivot choice (Markowitz 1957): eliminate the key with the
+    fewest entries next, on its shortest line, which keeps fill-in low on the
+    sparse differentials.  A lazy heap holds the key counts.  The pivot lines
+    and keys index an invertible minor: each pivot line, as reduced, has its
+    pivot entry and none at the keys pivoted before it.
     """
-    rows = _integer_rows(m)
-    where = _column_index(rows)
+    where = _column_index(lines)
     heap = [(len(s), c) for c, s in where.items()]
     heapify(heap)
-    r = 0
+    pivots = []
     while heap:
         n, c = heappop(heap)
         holders = where.get(c)
         if holders is None or len(holders) != n:
             continue
         del where[c]
-        for k in _eliminate(rows, where, _shortest(rows, holders), c, holders):
+        i = _shortest(lines, holders)
+        for k in _eliminate(lines, where, i, c, holders):
             s = where[k]
             if s:
                 heappush(heap, (len(s), k))
             else:
                 del where[k]
-        r += 1
-    return r
+        pivots.append((i, c))
+    return pivots
+
+
+def rank(m: Matrix, cleared=(), pivots=None) -> int:
+    """Exact rank over the rationals of ``m`` without the columns in ``cleared``.
+
+    The caller vouches that the columns left reach the whole image of ``m``:
+    ``cohomology_table`` clears the pivot rows of the incoming differential.
+    The lines reduced are the rows of what is left, or its columns when it
+    has more rows than columns (the transpose has the same rank, and tall
+    differentials rank faster on their columns).  ``pivots``, if a list, is
+    extended by the (row, column) pairs of ``m`` that index an invertible
+    r x r minor, r the rank returned.
+    """
+    cleared = set(cleared)
+    if m.rows > m.cols - len(cleared):
+        cols = [{} for _ in range(m.cols)]
+        for r, row in enumerate(m.ints):
+            for c, v in row.items():
+                if c not in cleared:
+                    cols[c][r] = v
+        found = [(r, c) for c, r in _markowitz(list(map(_content_free, cols)))]
+    else:
+        rows = [{c: v for c, v in row.items() if c not in cleared} for row in m.ints] if cleared else m.ints
+        found = _markowitz(list(map(_content_free, rows)))
+    if pivots is not None:
+        pivots.extend(found)
+    return len(found)
 
 
 def kernel_basis(m: Matrix):
@@ -257,7 +285,7 @@ def kernel_basis(m: Matrix):
     does not depend on the pivot rows chosen.
     """
     n = m.cols
-    rows = _integer_rows(m)
+    rows = list(map(_content_free, m.ints))
     where = _column_index(rows)
     pivots = []
     for c in sorted(where):
@@ -297,6 +325,9 @@ def _cohomology_dim(d: Matrix, r: int, prev_rank: int, n=None) -> int:
     Requires r <= min(rows, cols) and prev_rank, the rank of the incoming
     differential, <= dim ker d; a failure is a rank bug, not bad data.
     """
+    # Under clearing, r is the rank of d without prev_rank of its columns, so
+    # the incoming bound holds by construction and only catches a rank that
+    # exceeds its columns; a certificate of each rank is what would test it.
     if r > min(d.rows, d.cols) or prev_rank > d.cols - r:
         where = "" if n is None else f" in degree {n}"
         raise InternalInvariantError(
@@ -312,19 +343,24 @@ def cohomology_table(differential, degrees, parities=(0, 1)):
     ``differential(n, parity)`` returns the Matrix of d_n: C^n -> C^(n+1).
     Each d_n is built and ranked once; d_0 is zero.  Every adjacent pair is
     re-checked for d_n . d_(n-1) == 0, and every degree for rank-nullity.
+    Clearing: d_n is ranked without the columns that are pivot rows of
+    d_(n-1).  Those rows index an invertible minor of d_(n-1), so C^n is
+    im d_(n-1) plus the span of the other units, and d_n vanishes on
+    im d_(n-1); the rank is unchanged.
     """
     if not degrees or degrees[0] < 1:
         raise ValidationError("cohomology degree must be >= 1")
     table = {n: {} for n in degrees}
     for parity in parities:
-        prev, prev_rank = None, 0
+        prev, prev_rank, cleared = None, 0, ()
         for n in range(max(degrees[0] - 1, 1), degrees[-1] + 1):
             d = differential(n, parity)
             if prev is not None:
                 _require_composite_zero(prev, d)
-            r = rank(d)
+            pivots = []
+            r = rank(d, cleared, pivots)
             h = _cohomology_dim(d, r, prev_rank, n)
             if n in table:
                 table[n][parity] = h
-            prev, prev_rank = d, r
+            prev, prev_rank, cleared = d, r, [row for row, _ in pivots]
     return table

@@ -317,20 +317,24 @@ def block_units(g_space, h_space, sigs, parity=None):
     return units
 
 
-def sum_units(g_space, h_space, sigs, parity=None):
-    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them.
+def sum_units(g_space, h_space, sigs):
+    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them,
+    from one walk: {None: every unit, 0: the even ones, 1: the odd ones}, each in
+    ``block_units`` order.
 
     The units of one block pair (g key, h key) are consecutive and share its
     ``block_key``, which is computed once for them.
     """
     ds = direct_sum(g_space, h_space)
-    out = []
+    out = {None: [], 0: [], 1: []}
     pair = None
-    for b, gk, hk, t, _ in block_units(g_space, h_space, sigs, parity):
+    for b, gk, hk, t, up in block_units(g_space, h_space, sigs):
         if pair != (gk, hk):
             pair = (gk, hk)
             key, sign = block_key(ds, gk, hk)
-        out.append((key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign))
+        unit = (key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign)
+        out[None].append(unit)
+        out[up].append(unit)
     return out
 
 
@@ -364,12 +368,11 @@ class BlockComplex:
         self._units = {}
 
     def units(self, n: int, parity=None):
-        """``sum_units`` of C^n, built once per (degree, parity): the rows of d_(n-1)
-        and the columns of d_n."""
-        key = (n, parity)
-        if key not in self._units:
-            self._units[key] = sum_units(self.g_space, self.h_space, self.sigs(n), parity)
-        return self._units[key]
+        """``sum_units`` of C^n of one map parity (both with ``parity=None``): the rows of
+        d_(n-1) and the columns of d_n.  Each degree is walked once, for every parity."""
+        if n not in self._units:
+            self._units[n] = sum_units(self.g_space, self.h_space, self.sigs(n))
+        return self._units[n][parity]
 
     def matrix(self, n: int, parity=None) -> Matrix:
         """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""

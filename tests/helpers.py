@@ -40,6 +40,8 @@ __all__ = [
     "sl2",
     "osp12",
     "heisenberg3",
+    "heisenberg",
+    "sl2_module",
     "adjoint_action",
     "adjoint_triple",
     "solvable_triple",
@@ -254,6 +256,30 @@ def osp12() -> SuperAlgebra:
 def heisenberg3() -> SuperAlgebra:
     """The Heisenberg algebra h_3: [x, y] = z, z central."""
     return _algebra(("x", "y", "z"), (), {("x", "y"): {"z": 1}})
+
+
+def heisenberg(n: int) -> SuperAlgebra:
+    """The Heisenberg algebra h_(2n+1): [x_i, y_i] = z for i = 1..n, z central."""
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    ys = tuple(f"y{i}" for i in range(1, n + 1))
+    return _algebra(xs + ys + ("z",), (), {(x, y): {"z": 1} for x, y in zip(xs, ys)})
+
+
+def sl2_module(k: int) -> LieSupActTriple:
+    """sl(2) on its irreducible V_k, h = V_k abelian with basis v_0..v_k:
+    h v_j = (k - 2j) v_j, e v_j = j (k - j + 1) v_(j-1) and f v_j = v_(j+1)."""
+    g = sl2()
+    V = abelian(k + 1, 0, even_prefix="v")
+    images = {
+        "h": lambda j: {j: k - 2 * j},
+        "e": lambda j: {j - 1: j * (k - j + 1)} if j > 0 else {},
+        "f": lambda j: {j + 1: 1} if j < k else {},
+    }
+    table = [
+        [tuple(F(images[x](j).get(i, 0)) for i in range(k + 1)) for j in range(k + 1)]
+        for x in g.space.labels
+    ]
+    return LieSupActTriple(g, V, ActionMap(g.space, V.space, table))
 
 
 def adjoint_triple(A: SuperAlgebra) -> LieSupActTriple:

@@ -27,7 +27,9 @@ sparse int tables and common denominators the library checks read.
 
 So does the dense exact rank and kernel: every row of every matrix is read
 in full, scaled to integers and reduced by Bareiss elimination in leftmost
-column order, with no sparse storage or pivot choice.
+column order, with no sparse storage or pivot choice.  ``uncleared_rank`` is
+the sparse rank as it was before clearing and orientation: every column
+kept, rows as the lines, on the library's own ``_eliminate``.
 
 So do the hand-assembled derivation system and the four-case semidirect
 table, each with its own Koszul sign: the library reads both from the
@@ -52,6 +54,7 @@ differentials, for the per-degree oracle cohomology.
 """
 
 import functools
+import heapq
 import itertools
 import math
 from fractions import Fraction as F
@@ -1148,6 +1151,31 @@ def dense_rank(m) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     return len(_dense_bareiss(_dense_integer_rows(m)))
+
+
+def uncleared_rank(m) -> int:
+    """The rank as ``exact_linalg.rank`` gave it before clearing: every column of ``m``
+    kept and its rows always the lines, Markowitz pivots (sparsest column, then its
+    shortest row) through the library's ``_eliminate``."""
+    rows = [exact_linalg._content_free(row) for row in m.ints if row]
+    where = exact_linalg._column_index(rows)
+    heap = [(len(s), c) for c, s in where.items()]
+    heapq.heapify(heap)
+    r = 0
+    while heap:
+        n, c = heapq.heappop(heap)
+        holders = where.get(c)
+        if holders is None or len(holders) != n:
+            continue
+        del where[c]
+        for k in exact_linalg._eliminate(rows, where, exact_linalg._shortest(rows, holders), c, holders):
+            s = where[k]
+            if s:
+                heapq.heappush(heap, (len(s), k))
+            else:
+                del where[k]
+        r += 1
+    return r
 
 
 def dense_kernel_basis(m):

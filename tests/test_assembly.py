@@ -11,11 +11,13 @@ and are compared by rank only.)
 import pytest
 
 from conftest import FIXTURES
+from supercochain import exact_linalg
 from supercochain import io as sio
-from supercochain.crossed import ChComplex, CrossedHom, check_crossed, d_D_matrix
+from supercochain.crossed import ChComplex, CrossedHom, ch_cohomology_table, check_crossed, d_D_matrix
 from supercochain.exact_linalg import Matrix, kernel_basis, rank
 from supercochain.superalgebra import gl
-from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_complex
+from supercochain.triple import LieSupActTriple, triple_coboundary_matrix, triple_cohomology_table
+from supercochain.triple import triple_complex
 
 import oracles
 from helpers import adjoint_triple, ch_units, defining_triple, identity_map, matrix_entry, matrix_from_rows
@@ -106,3 +108,36 @@ def test_rank_and_kernel_match_dense_reference(kind, name, n):
             m = d_D_matrix(CROSSED[name], n, parity)
         assert rank(m) == oracles.dense_rank(m)
         assert kernel_basis(m) == oracles.dense_kernel_basis(m)
+
+
+GL21 = adjoint_triple(gl(2, 1))
+CLEARED = {
+    **{("triple", name): t for name, t in TRIPLES.items()},
+    **{("crossed", name): D for name, D in CROSSED.items()},
+    ("triple", "gl21_adjoint"): GL21,
+    ("crossed", "gl21_adjoint_minus_id"): CrossedHom(GL21, identity_map(GL21.g.space).scale(-1)),
+}
+
+
+@pytest.mark.parametrize("kind,name", sorted(CLEARED), ids=[f"{k}-{nm}" for k, nm in sorted(CLEARED)])
+def test_cleared_ranks_match_uncleared_rank(monkeypatch, kind, name):
+    # cohomology_table ranks d_n without the pivot rows of d_(n-1), on its rows or on its
+    # columns; each rank must be the one of the whole d_n
+    ranked = []
+    real = exact_linalg.rank
+
+    def recorded(m, cleared=(), pivots=None):
+        r = real(m, cleared, pivots)
+        ranked.append((m, len(cleared), r))
+        return r
+
+    monkeypatch.setattr(exact_linalg, "rank", recorded)
+    table = triple_cohomology_table if kind == "triple" else ch_cohomology_table
+    table(CLEARED[kind, name], range(1, 4))
+    assert len(ranked) == 6
+    for m, _, r in ranked:
+        assert r == oracles.uncleared_rank(m)
+    # per parity: d_1 uncleared, then one cleared column per pivot of the degree below
+    for first in (0, 3):
+        counts = [ranked[first + i][1] for i in range(3)]
+        assert counts == [0, ranked[first][2], ranked[first + 1][2]]

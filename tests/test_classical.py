@@ -17,6 +17,18 @@ The adjoint triples of the simple sl(2) and osp(1|2) have H^1 = 3|0 and 3|2
 (the dimensions of g) and H^2 = H^3 = 0, as Whitehead's lemmas lead one to
 expect; the triple complex and the crossed complex of D = 0 agree on this.
 
+The Heisenberg algebras h_5 and h_7 with trivial coefficients have
+dim H^k = C(2n, k) - C(2n, k - 2) for k <= n and H^k = H^(2n+1-k) above
+(Santharoubane 1983): 4, 5, 5, 4, 1 and 6, 14, 14, 14, 14, 6, 1, and 0 past
+the top degree.  sl(2) on its irreducible V_k (k >= 1) has no cohomology
+(Whitehead), so the crossed complex of D = 0, which has no C^0, keeps only
+the coboundaries of C^0 = V_k in degree 1: H^1 = k + 1, H^2 = H^3 = 0.
+
+On an adjoint triple D = -id is a crossed homomorphism with rho_D(x) =
+rho(x) + [D x, .] = 0, so its complex is that of trivial coefficients
+tensored with h: H^n(g) x h, which is 0, 0, 3|0 for sl(2), 0, 0, 3|2 for
+osp(1|2) and 2|2, 0, 0 for gl(1|1).
+
 Every derivation of sl(2) or osp(1|2) is inner and their centres are 0, so
 Der = ad(g) has dimension 3|0 and 3|2.  A derivation of h_3 is any
 gl(2) action on span(x, y), acting on z by its trace, plus the two maps
@@ -32,10 +44,11 @@ from supercochain import cli
 from supercochain import io as sio
 from supercochain.crossed import CrossedHom, ch_cohomology_table, derivation_space
 from supercochain.exact_linalg import rank
-from supercochain.superalgebra import LinearMap, SuperAlgebra, check_jacobi, check_super_skew, gl
-from supercochain.triple import check_action, triple_cohomology_table
+from supercochain.superalgebra import LinearMap, SuperAlgebra, abelian, check_jacobi, check_super_skew, gl
+from supercochain.triple import ActionMap, LieSupActTriple, check_action, triple_cohomology_table
 
-from helpers import ad, adjoint_triple, heisenberg3, matrix_from_cols, osp12, sl2
+from helpers import ad, adjoint_triple, heisenberg, heisenberg3, identity_map, matrix_from_cols, osp12, sl2
+from helpers import sl2_module
 
 CLASSICAL = {"sl2": sl2, "osp12": osp12, "heisenberg3": heisenberg3}
 
@@ -97,6 +110,40 @@ def test_adjoint_triples_of_simple_algebras(name, odd_h1):
     expected = {1: {0: 3, 1: odd_h1}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}
     assert triple_cohomology_table(t, range(1, 4)) == expected
     assert ch_cohomology_table(D, range(1, 4)) == expected
+
+
+@pytest.mark.parametrize("n, even", [
+    (2, [4, 5, 5, 4, 1, 0]),
+    (3, [6, 14, 14, 14, 14, 6, 1, 0]),
+])
+def test_heisenberg_trivial_coefficient_cohomology(n, even):
+    g = heisenberg(n)
+    h = abelian(1, 0, even_prefix="u")
+    t = LieSupActTriple(g, h, ActionMap.zero(g.space, h.space))
+    D = CrossedHom(t, LinearMap.zero(g.space, h.space))
+    assert check_jacobi(g).ok
+    assert ch_cohomology_table(D, range(1, len(even) + 1)) == {
+        k: {0: dim, 1: 0} for k, dim in enumerate(even, start=1)
+    }
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_sl2_on_irreducible_module_keeps_only_degree_one_coboundaries(k):
+    t = sl2_module(k)
+    assert check_action(t.g, t.h, t.rho).ok
+    D = CrossedHom(t, LinearMap.zero(t.g.space, t.h.space))
+    assert ch_cohomology_table(D, range(1, 4)) == {1: {0: k + 1, 1: 0}, 2: {0: 0, 1: 0}, 3: {0: 0, 1: 0}}
+
+
+@pytest.mark.parametrize("name, table", [
+    ("sl2", {1: (0, 0), 2: (0, 0), 3: (3, 0)}),
+    ("osp12", {1: (0, 0), 2: (0, 0), 3: (3, 2)}),
+    ("gl11", {1: (2, 2), 2: (0, 0), 3: (0, 0)}),
+])
+def test_adjoint_minus_identity_is_cohomology_tensor_h(name, table):
+    t = adjoint_triple(TRIVIAL_COEFFICIENTS[name]())
+    D = CrossedHom(t, identity_map(t.g.space).scale(-1))
+    assert ch_cohomology_table(D, range(1, 4)) == {n: {0: e, 1: o} for n, (e, o) in table.items()}
 
 
 def _h3_derivations():

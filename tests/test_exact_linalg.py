@@ -208,6 +208,34 @@ def test_rank_and_kernel_match_dense_reference(shape_rows):
     assert kernel_basis(m) == oracles.dense_kernel_basis(m)
 
 
+def _minor(m, pivots):
+    """The square submatrix of ``m`` on the rows and columns of its (row, column) pivots."""
+    return matrix_from_rows([[matrix_entry(m, r, c) for _, c in pivots] for r, _ in pivots])
+
+
+@given(dense_matrices(), st.integers(0, 8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_cleared_rank_of_a_random_complex_matches_dense_rank(shape_rows, width, data):
+    # d_(n-1) = K R for a kernel basis K of d_n and a random R, so d_n d_(n-1) = 0;
+    # clearing ranks d_n without the pivot rows of d_(n-1)
+    d_n = _matrix(*shape_rows)
+    kernel = kernel_basis(d_n)
+    mix = [[data.draw(st.integers(-2, 2)) for _ in range(width)] for _ in kernel]
+    cols = [[sum(v[i] * mix[j][c] for j, v in enumerate(kernel)) for i in range(d_n.cols)] for c in range(width)]
+    d_prev = matrix_from_cols(cols, d_n.cols)
+    assert d_n.mul(d_prev).is_zero()
+    below = []
+    assert rank(d_prev, pivots=below) == len(below) == oracles.dense_rank(d_prev)
+    cleared = [r for r, _ in below]
+    if below:
+        assert oracles.dense_rank(_minor(d_prev, below)) == len(below)
+    pivots = []
+    assert rank(d_n, cleared=cleared, pivots=pivots) == len(pivots) == oracles.dense_rank(d_n)
+    assert not {c for _, c in pivots} & set(cleared)
+    if pivots:
+        assert oracles.dense_rank(_minor(d_n, pivots)) == len(pivots)
+
+
 @given(dense_matrices(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_storage_round_trips_dense_input(shape_rows, data):
@@ -377,10 +405,11 @@ def test_cohomology_table_builds_each_unit_list_once(monkeypatch, table):
     calls, ranked = [], []
     real_units, real_rank = triple.sum_units, exact_linalg.rank
     monkeypatch.setattr(triple, "sum_units", lambda *a, **k: calls.append(a) or real_units(*a, **k))
-    monkeypatch.setattr(exact_linalg, "rank", lambda m: ranked.append(m) or real_rank(m))
+    monkeypatch.setattr(exact_linalg, "rank", lambda m, *a: ranked.append(m) or real_rank(m, *a))
     table()
-    # C^1..C^4 per parity: each list gives the rows of d_(n-1) and the columns of d_n
-    assert len(calls) == 8
+    # C^1..C^4, one walk each for both parities: each list gives the rows of d_(n-1)
+    # and the columns of d_n
+    assert len(calls) == 4
     # d1, d2, d3 per parity, each handed to rank as int rows over an int denominator
     assert len(ranked) == 6
     assert all(type(m.den) is int for m in ranked)
@@ -450,7 +479,7 @@ def test_cohomology_tables_build_each_support_once(monkeypatch):
     cc = ChComplex(t)
     assert mu == cc.mu_hat and P_D == cc.twisted(D.as_block()).P
 
-@pytest.mark.parametrize("wrong", [lambda m: min(m.rows, m.cols) + 1, lambda m: min(m.rows, m.cols)])
+@pytest.mark.parametrize("wrong", [lambda m, *a: min(m.rows, m.cols) + 1, lambda m, *a: min(m.rows, m.cols)])
 def test_cohomology_table_checks_rank_nullity(monkeypatch, wrong):
     # over-large in the first case; in the second, rank d_1 = 2 leaves ker d_2 = 0 < rank d_1
     monkeypatch.setattr(exact_linalg, "rank", wrong)
@@ -467,6 +496,6 @@ def test_cohomology_dims_checks_rank_nullity(monkeypatch, wrong):
 
 
 def test_wrong_rank_is_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(exact_linalg, "rank", lambda m: m.cols + 1)
+    monkeypatch.setattr(exact_linalg, "rank", lambda m, *a: m.cols + 1)
     assert cli.main(["cohomology", str(FIXTURES / "mixed21.json"), "--max-n", "2"]) == 3
     assert "rank-nullity" in capsys.readouterr().err
