@@ -3,13 +3,18 @@
 
     python scripts/ab_bench.py REV [--pairs 10] [--workload checks ...] [--seed 1]
 
-Extracts REV with ``git archive`` into a temporary directory, then runs
-``perfbench/run.py --trace 0`` there and in the working tree, ``--pairs``
-times per workload, alternating which side runs first from one pair to the
-next; each run lasts the ``run_seconds`` of ``BENCHMARK.json``.  For every
-end-to-end metric in ``BENCHMARK.json`` it prints, per workload and side, the
-median and the quartiles over the pairs, and how many pairs the working tree
-wins (strictly better in the metric's direction).  After each run it reads
+Extracts REV with ``git archive`` into one temporary directory and copies
+the working tree into another beside it, under a name of the same length:
+every tracked file and every untracked file git does not ignore, as it is on
+disk, leaving out files deleted from the disk.  Both sides so run from fresh
+copies at paths of one length, and neither reads build or result files the
+other lacks.  It then runs ``perfbench/run.py --trace 0`` in each copy,
+``--pairs`` times per workload, alternating which side runs first from one
+pair to the next; each run lasts the ``run_seconds`` of ``BENCHMARK.json``.
+
+For every end-to-end metric in ``BENCHMARK.json`` it prints, per workload
+and side, the median and the quartiles over the pairs, and how many pairs
+the working tree wins (strictly better in the metric's direction).  After each run it reads
 the median time of every job (``detail.jobs[*].median_ref_s``) and the median
 of its peak RSS samples (``detail.jobs[*].rss_mb``) from the result file that
 run wrote under ``.perfbench_work/results/``, and prints the same quartiles
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +41,23 @@ import tempfile
 from cli_identity import ROOT, extract
 
 RUN_TIMEOUT_S = 600
+
+
+def copy_working_tree(dest: pathlib.Path) -> pathlib.Path:
+    """Copy the files of the working tree that git tracks or does not ignore under ``dest``,
+    as they are on disk, and return ``dest``; a file deleted from the disk is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "--cached", "--others", "--exclude-standard", "-z"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        source = ROOT / name
+        if not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+    return dest
 
 
 def run_bench(tree: pathlib.Path, workload: str, seed: int, seconds: int):
@@ -103,7 +126,11 @@ def main(argv=None) -> int:
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     bad = 0
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        trees = {opts.rev: extract(opts.rev, pathlib.Path(tmp)), "working tree": ROOT}
+        # two sibling directories with names of one length: paths of one length
+        trees = {
+            opts.rev: extract(opts.rev, pathlib.Path(tmp) / "old"),
+            "working tree": copy_working_tree(pathlib.Path(tmp) / "new"),
+        }
         for workload in workloads:
             values = {side: {m["name"]: [] for m in metrics} for side in trees}
             jobs = {side: {} for side in trees}

@@ -95,6 +95,13 @@ MUTATIONS = (
         "{k: {j: c[k] for j, c in cols.items() if k in c} for k in range(A.dim)}))",
         ("tests/test_structure_element.py::test_derivation_space_matches_reference",),
     ),
+    # the one decoder of C^n reads each unit back through its block_key sign
+    (
+        "triple.py",
+        "ints.setdefault(key, {})[t] = sign * x",
+        "ints.setdefault(key, {})[t] = x",
+        ("tests/test_assembly.py::test_element_decodes_kernel_vectors_into_cocycles",),
+    ),
     (
         "cochains.py",
         "(i, n - i, 1 if 2 * i == n else 2)",

@@ -31,9 +31,10 @@ coefficient and the deformation residuals its higher ones.  [mu, D] and
 of the same expansion.  The identity checks compare
 on ints (see ``util``).
 
-For D = 0 on the adjoint triple of A, d_D is the Chevalley-Eilenberg
-differential of A, so ``derivation_space`` reads the derivations off the
-kernel of its d_1.
+For D = 0 on the adjoint triple of A, d_D = [pi + rho, .] is the
+Chevalley-Eilenberg differential of A, so ``derivation_space`` reads the
+derivations off the kernel of d_1 of the untwisted complex, decoded by that
+complex (``BlockComplex.element``), the one owner of the coordinates of C^n.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis
 from .graded import direct_sum
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_super_skew
-from .triple import BlockComplex, LieSupActTriple, McProblem, adjoint_action, block_units
-from .triple import blocks_from_vector, mu_block, pi_block, semidirect_algebra
+from .triple import BlockComplex, LieSupActTriple, McProblem, adjoint_action, mu_block, pi_block
+from .triple import semidirect_algebra
 from .util import Frozen, bilinear, combine, dense, lincomb
 
 
@@ -247,8 +248,9 @@ def derivation_space(A: SuperAlgebra):
     """Exact bases of the even and odd derivations of A, in kernel order.
 
     A degree-s map D is a derivation when D[a,b] = [D a, b] + (-1)^(s|a|) [a, D b].
-    For D = 0 on the adjoint triple, d_D is the Chevalley-Eilenberg
-    differential, so the degree-s derivations are the parity-s kernel of d_1.
+    For D = 0 on the adjoint triple, d_D = [pi + rho, .] is the
+    Chevalley-Eilenberg differential, so the degree-s derivations are the
+    parity-s kernel of d_1 of the untwisted complex.
     The table must be super-skew: Pi holds no [x, x] of an even x.
     """
     skew = check_super_skew(A)
@@ -256,15 +258,13 @@ def derivation_space(A: SuperAlgebra):
         raise ValidationError(
             f"derivations need a super-skew bracket: it fails at {skew.failures[0].where}"
         )
-    # the zero map is crossed for every action
-    D0 = CrossedHom(LieSupActTriple(A, A, adjoint_action(A)), LinearMap.zero(A.space, A.space), True)
-    cx = ChComplex(D0.triple).twisted(D0.as_block())
+    # at D = 0, P_D = pi + rho: the untwisted complex of the adjoint triple
+    cx = ChComplex(LieSupActTriple(A, A, adjoint_action(A)))._untwisted
     out = []
     for s in (0, 1):
-        basis = block_units(A.space, A.space, ch_blocks(1), s)
         maps = []
-        for vec in kernel_basis(d_D_matrix(D0, 1, s, cx)):
-            (block,) = blocks_from_vector(A.space, A.space, ch_blocks(1), basis, vec)
+        for vec in kernel_basis(cx.matrix(1, s)):
+            (block,) = cx.element(1, s, vec)
             cols = {gk[0]: col for (gk, _), col in block.ints.items()}
             maps.append(LinearMap._from_ints((A.space, A.space), block.den, cols))
         out.append(maps)

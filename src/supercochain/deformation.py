@@ -54,8 +54,6 @@ from .triple import (
     LieSupActTriple,
     McProblem,
     McResidual,
-    block_units,
-    blocks_from_vector,
     triple_blocks,
     triple_complex,
 )
@@ -267,11 +265,11 @@ def linear_check(d) -> bool:
 def triple_cocycle_deformations(t: LieSupActTriple):
     """One linear deformation per kernel vector of the even degree-2 differential."""
     gs, hs = t.g.space, t.h.space
-    units = block_units(gs, hs, triple_blocks(2), 0)
+    cx = triple_complex(t)
     out = []
-    for vec in kernel_basis(triple_complex(t).matrix(2, parity=0)):
+    for vec in kernel_basis(cx.matrix(2, parity=0)):
         # the blocks of triple_blocks(2): pi, then mu, then rho
-        pi_b, mu_b, rho_b = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
+        pi_b, mu_b, rho_b = cx.element(2, 0, vec)
         pi1 = Cochain._from_ints((gs, gs, 2), pi_b.den, {gk: v for (gk, _), v in pi_b.ints.items()})
         mu1 = Cochain._from_ints((hs, hs, 2), mu_b.den, {hk: v for (_, hk), v in mu_b.ints.items()})
         rho1 = ActionMap._from_ints(gs, hs, rho_b.den, {(i, j): v for ((i,), (j,)), v in rho_b.ints.items()})

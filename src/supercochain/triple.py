@@ -17,7 +17,8 @@ Pi is also the bracket of the semidirect product g x| h on g + h, so
 ``BlockComplex`` is the one implementation of such a complex: an element of
 C^n is the tuple of its blocks, listed by a signature function, and both the
 differential of one element and its matrix on the unit basis are the bracket
-with one even arity-2 element P on g + h.  The triple complex is the instance
+with one even arity-2 element P on g + h.  Its units are the one coordinate
+system of C^n, which ``element`` decodes.  The triple complex is the instance
 P = Pi over ``triple_blocks``; the crossed-homomorphism complex is another.
 ``McProblem`` reads a Maurer-Cartan series X(t) = sum_k t^k X_k at the X_0
 of such a complex, one residual pass for the deformations of triples and of
@@ -294,12 +295,12 @@ def triple_blocks(n: int):
     return sigs
 
 
-def block_units(g_space, h_space, sigs, parity=None):
+def block_units(g_space, h_space, sigs):
     """Coordinate basis of a sum of blocks: (block index, g key, h key, target, map parity).
 
     ``sigs`` lists block signatures (g_arity, h_arity, target side).  Order:
     blocks as listed, then g key lexicographic, h key lexicographic, target
-    position; optionally filtered to one map parity.
+    position.
     """
     gpars, hpars = g_space.parities, h_space.parities
     units = []
@@ -311,50 +312,16 @@ def block_units(g_space, h_space, sigs, parity=None):
             for hk, hp in hkeys:
                 kp = gp + hp
                 for t, tp in enumerate(tpars):
-                    up = (kp + tp) % 2
-                    if parity is None or up == parity % 2:
-                        units.append((b, gk, hk, t, up))
+                    units.append((b, gk, hk, t, (kp + tp) % 2))
     return units
-
-
-def sum_units(g_space, h_space, sigs):
-    """``block_units`` as (key, target, sign) units on g + h, as ``bracket_matrix`` reads them,
-    from one walk: {None: every unit, 0: the even ones, 1: the odd ones}, each in
-    ``block_units`` order.
-
-    The units of one block pair (g key, h key) are consecutive and share its
-    ``block_key``, which is computed once for them.
-    """
-    ds = direct_sum(g_space, h_space)
-    out = {None: [], 0: [], 1: []}
-    pair = None
-    for b, gk, hk, t, up in block_units(g_space, h_space, sigs):
-        if pair != (gk, hk):
-            pair = (gk, hk)
-            key, sign = block_key(ds, gk, hk)
-        unit = (key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign)
-        out[None].append(unit)
-        out[up].append(unit)
-    return out
-
-
-def blocks_from_vector(g_space, h_space, sigs, units, vec):
-    """The tuple of blocks, one per signature in ``sigs``, with coordinates ``vec``."""
-    den, rows = scaled_rows({0: sparse(vec)})
-    tables = [{} for _ in sigs]
-    for u, x in rows[0].items():
-        b, gk, hk, t, _ = units[u]
-        tables[b].setdefault((gk, hk), {})[t] = x
-    return tuple(
-        BlockCochain._from_ints((g_space, h_space, *sig), den, table) for sig, table in zip(sigs, tables)
-    )
 
 
 class BlockComplex:
     """The complex (C^*, [P, .]) of block cochains for an even arity-2 P on g + h.
 
     ``sigs(n)`` lists the block signatures of C^n; an element of C^n is the
-    tuple of its ``BlockCochain``s in that order.  The triple complex has
+    tuple of its ``BlockCochain``s in that order, and ``element`` decodes one
+    from its coordinates on ``units``.  The triple complex has
     P = pi + rho + mu over ``triple_blocks``, the crossed-homomorphism
     complex P_D = pi + rho + [mu, D] over ``crossed.ch_blocks``.
     """
@@ -368,11 +335,35 @@ class BlockComplex:
         self._units = {}
 
     def units(self, n: int, parity=None):
-        """``sum_units`` of C^n of one map parity (both with ``parity=None``): the rows of
-        d_(n-1) and the columns of d_n.  Each degree is walked once, for every parity."""
+        """The coordinates of C^n of one map parity (both with ``parity=None``): the columns
+        of d_n, the rows of d_(n-1) and what ``element`` reads.  A unit is (key, target, sign)
+        on g + h as ``bracket_matrix`` reads it, in ``block_units`` order; each degree is
+        walked once, for every parity, and each block pair's ``block_key`` computed once."""
         if n not in self._units:
-            self._units[n] = sum_units(self.g_space, self.h_space, self.sigs(n))
+            ds, sigs = self.ds, self.sigs(n)
+            out = {None: [], 0: [], 1: []}
+            pair = None
+            for b, gk, hk, t, up in block_units(self.g_space, self.h_space, sigs):
+                if pair != (gk, hk):
+                    pair = (gk, hk)
+                    key, sign = block_key(ds, gk, hk)
+                unit = (key, (ds.left_pos if sigs[b][2] == "g" else ds.right_pos)[t], sign)
+                out[None].append(unit)
+                out[up].append(unit)
+            self._units[n] = out
         return self._units[n][parity]
+
+    def element(self, n: int, parity, vec):
+        """The blocks of the element of C^n with coordinates ``vec`` on ``units(n, parity)``:
+        the cochain on g + h the units name, split by ``project_block`` as ``d`` splits an image."""
+        den, rows = scaled_rows({0: sparse(vec)})
+        units = self.units(n, parity)
+        ints = {}
+        for u, x in rows[0].items():
+            key, t, sign = units[u]
+            ints.setdefault(key, {})[t] = sign * x
+        F = Cochain._from_ints((self.ds.space, self.ds.space, n), den, ints)
+        return tuple(project_block(F, self.ds, *sig) for sig in self.sigs(n))
 
     def matrix(self, n: int, parity=None) -> Matrix:
         """Matrix of d_n on ``block_units``: columns of C^n, rows of C^(n+1)."""

@@ -26,6 +26,7 @@ __all__ = [
     "matrix_apply",
     "identity_map",
     "compose_maps",
+    "parity_units",
     "triple_units",
     "ch_units",
     "triple_cohomology",
@@ -63,6 +64,10 @@ __all__ = [
     "rescale_crossed",
     "rescale_deformation",
     "rescale_ch_deformation",
+    "REBASE_DIAGONAL",
+    "rebasing",
+    "rebase_triple",
+    "rebase_crossed",
 ]
 
 
@@ -151,14 +156,19 @@ def compose_maps(f: LinearMap, g: LinearMap) -> LinearMap:
 # unit bases and cohomology of one degree
 
 
+def parity_units(g_space, h_space, sigs, parity=None):
+    """``block_units`` over ``sigs`` of one map parity (all of them with ``parity=None``)."""
+    return [u for u in block_units(g_space, h_space, sigs) if parity is None or u[4] == parity % 2]
+
+
 def triple_units(g_space, h_space, n: int, parity=None):
     """Coordinate basis of the triple C^n: ``block_units`` over ``triple_blocks(n)``."""
-    return block_units(g_space, h_space, triple_blocks(n), parity)
+    return parity_units(g_space, h_space, triple_blocks(n), parity)
 
 
 def ch_units(g_space, h_space, n: int, parity=None):
     """Coordinate basis of Hom(wedge^n g, h): ``block_units`` over ``ch_blocks(n)``."""
-    return block_units(g_space, h_space, ch_blocks(n), parity)
+    return parity_units(g_space, h_space, ch_blocks(n), parity)
 
 
 def triple_cohomology(t: LieSupActTriple, n: int):
@@ -561,6 +571,54 @@ def rescale_ch_deformation(d: CrossedHomDeformation, a, b) -> CrossedHomDeformat
     return CrossedHomDeformation.build(
         rescale_crossed(d.crossed, a, b), [_rescale_map(m, a, b) for m in d.maps[1:]], order=d.order
     )
+
+
+# ---------------------------------------------------------------------------
+# triangular change of basis mixed within each parity: an isomorphism whose new
+# basis vectors are sums of several old ones of one parity
+
+REBASE_DIAGONAL = (1, 2, 3, -2)
+
+
+def rebasing(space):
+    """Coordinate columns of a new basis of ``space``, upper triangular: column j has the
+    diagonal entry REBASE_DIAGONAL[j mod 4] and +-1 on each earlier basis vector of its parity."""
+    pars = space.parities
+    return tuple(
+        tuple(
+            F(REBASE_DIAGONAL[j % 4]) if i == j else F((-1) ** (i + j)) if i < j and pars[i] == pars[j] else F(0)
+            for i in range(space.dim)
+        )
+        for j in range(space.dim)
+    )
+
+
+def _new_coords(M, vec):
+    """Coordinates on the basis with upper-triangular columns ``M`` of a vector in the old basis."""
+    x = [F(0)] * len(vec)
+    for i in reversed(range(len(vec))):
+        x[i] = (vec[i] - sum(M[k][i] * x[k] for k in range(i + 1, len(vec)))) / M[i][i]
+    return tuple(x)
+
+
+def _rebase_algebra(A: SuperAlgebra, M) -> SuperAlgebra:
+    return SuperAlgebra(A.space, {
+        (a, b): _new_coords(M, A.bracket_eval(M[a], M[b])) for a in range(A.dim) for b in range(a, A.dim)
+    })
+
+
+def rebase_triple(t: LieSupActTriple, Mg, Mh) -> LieSupActTriple:
+    """The triple in the bases with coordinate columns ``Mg`` of g and ``Mh`` of h (see
+    ``rebasing``): the same structure up to isomorphism."""
+    rho = ActionMap(t.g.space, t.h.space, [[_new_coords(Mh, t.rho.apply(x, u)) for u in Mh] for x in Mg])
+    return LieSupActTriple(_rebase_algebra(t.g, Mg), _rebase_algebra(t.h, Mh), rho)
+
+
+def rebase_crossed(D: CrossedHom, Mg, Mh) -> CrossedHom:
+    """D in the same bases: the map M_h^-1 D M_g of the rebased triple."""
+    f = D.linmap
+    m = LinearMap(f.source, f.target, tuple(_new_coords(Mh, f.apply(x)) for x in Mg))
+    return CrossedHom(rebase_triple(D.triple, Mg, Mh), m)
 
 
 def residual(d, n):

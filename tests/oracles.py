@@ -68,7 +68,6 @@ from supercochain.graded import direct_sum, normalize_tuple, shuffle, wedge_basi
 from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
-    block_units,
     mc_element,
     mu_block,
     pi_block,
@@ -79,7 +78,7 @@ from supercochain.superalgebra import CheckReport, Failure, LinearMap, SuperAlge
 from supercochain.superalgebra import check_jacobi as superalgebra_check_jacobi
 
 from helpers import ch_units, embed_left, embed_right, matrix_from_cols, matrix_from_rows, matrix_row, split
-from helpers import triple_units, vec_is_zero, zero_matrix, zero_vec
+from helpers import parity_units, triple_units, vec_is_zero, zero_matrix, zero_vec
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +683,8 @@ def _reference_matrix(g_space, h_space, P, sigs, n, parity):
     product and projected back onto every block signature of degree n + 1.
     """
     ds = direct_sum(g_space, h_space)
-    cols = block_units(g_space, h_space, sigs(n), parity)
-    rows = block_units(g_space, h_space, sigs(n + 1), parity)
+    cols = parity_units(g_space, h_space, sigs(n), parity)
+    rows = parity_units(g_space, h_space, sigs(n + 1), parity)
     columns = []
     for u in cols:
         unit = unit_blocks(g_space, h_space, sigs(n), u)[u[0]]

@@ -16,7 +16,6 @@ from supercochain.cochains import circ, hat_extend, nr_bracket
 from supercochain.crossed import (
     ChComplex,
     CrossedHom,
-    ch_blocks,
     ch_mc_residual,
     check_crossed,
     d_D_matrix,
@@ -33,12 +32,11 @@ from supercochain.graded import GradedSpace, direct_sum
 from supercochain.superalgebra import LinearMap
 from supercochain.triple import (
     LieSupActTriple,
-    blocks_from_vector,
     mc_element,
     mc_residual,
     mu_block,
-    triple_blocks,
     triple_coboundary_matrix,
+    triple_complex,
 )
 
 import oracles
@@ -338,6 +336,7 @@ def test_criterion_8_deformation_iff():
         # non-cocycle directions fail exactly when the differential says so
         units = triple_units(t.g.space, t.h.space, 2, parity=0)
         mat = triple_coboundary_matrix(t, 2, parity=0)
+        cx = triple_complex(t)
         if rank(mat) > 0:
             tries = 0
             found = 0
@@ -346,7 +345,7 @@ def test_criterion_8_deformation_iff():
                 vec = tuple(F(rng.randint(-2, 2)) for _ in units)
                 if vec_is_zero(matrix_apply(mat, vec)):
                     continue
-                c = blocks_from_vector(t.g.space, t.h.space, triple_blocks(2), units, vec)
+                c = cx.element(2, 0, vec)
                 from test_deformation import unpack_degree2
 
                 pi1, rho1, mu1 = unpack_degree2(t, c)
@@ -359,8 +358,9 @@ def test_criterion_8_deformation_iff():
         D = CrossedHom(t, pf.crossed)
         units1 = ch_units(t.g.space, t.h.space, 1, parity=0)
         dmat = d_D_matrix(D, 1, parity=0)
+        cx = ChComplex(t).twisted(D.as_block())
         for vec in kernel_basis(dmat):
-            blk = blocks_from_vector(t.g.space, t.h.space, ch_blocks(1), units1, vec)[0]
+            blk = cx.element(1, 0, vec)[0]
             cols = tuple(
                 tuple(blk.coeffs.get(((i,), ()), zero_vec(t.h.dim)))
                 for i in range(t.g.dim)
@@ -375,7 +375,7 @@ def test_criterion_8_deformation_iff():
                 vec = tuple(F(rng.randint(-2, 2)) for _ in units1)
                 if vec_is_zero(matrix_apply(dmat, vec)):
                     continue
-                blk = blocks_from_vector(t.g.space, t.h.space, ch_blocks(1), units1, vec)[0]
+                blk = cx.element(1, 0, vec)[0]
                 cols = tuple(
                     tuple(blk.coeffs.get(((i,), ()), zero_vec(t.h.dim)))
                     for i in range(t.g.dim)

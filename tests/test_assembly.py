@@ -141,3 +141,26 @@ def test_cleared_ranks_match_uncleared_rank(monkeypatch, kind, name):
     for first in (0, 3):
         counts = [ranked[first + i][1] for i in range(3)]
         assert counts == [0, ranked[first][2], ranked[first + 1][2]]
+
+
+@pytest.mark.parametrize("kind,name", COMPLEXES, ids=[f"{k}-{nm}" for k, nm in COMPLEXES])
+def test_element_decodes_kernel_vectors_into_cocycles(kind, name):
+    # element is the one decoder of C^n: each kernel vector of d_n names a cocycle, and the
+    # block coordinates, read off without block_key or project_block, give the vector back
+    if kind == "triple":
+        t = TRIPLES[name]
+        cx, units = triple_complex(t), triple_units
+    else:
+        D = CROSSED[name]
+        t = D.triple
+        cx, units = ChComplex(t).twisted(D.as_block()), ch_units
+    decoded = 0
+    for n in (1, 2, 3):
+        for parity in (0, 1):
+            basis = units(t.g.space, t.h.space, n, parity)
+            for vec in kernel_basis(cx.matrix(n, parity)):
+                c = cx.element(n, parity, vec)
+                assert all(b.is_zero() for b in cx.d(c)), (n, parity)
+                assert oracles.blocks_vector(c, basis) == tuple(vec), (n, parity)
+                decoded += 1
+    assert decoded

@@ -7,7 +7,6 @@ from supercochain.cochains import BlockCochain, Cochain
 from supercochain.crossed import (
     ChComplex,
     CrossedHom,
-    ch_blocks,
     d_D_matrix,
 )
 from supercochain.deformation import (
@@ -22,9 +21,9 @@ from supercochain.graded import wedge_basis
 from supercochain.superalgebra import LinearMap
 from supercochain.triple import (
     ActionMap,
-    blocks_from_vector,
     triple_blocks,
     triple_coboundary_matrix,
+    triple_complex,
 )
 
 from helpers import adjoint_triple, aff11, ch_units, infinitesimal, matrix_apply, mixed21_triple, residual
@@ -91,6 +90,7 @@ def test_cocycles_give_linear_deformations(make):
 def test_non_cocycles_fail_linear_check(make):
     t = make()
     gs, hs = t.g.space, t.h.space
+    cx = triple_complex(t)
     units = triple_units(gs, hs, 2, parity=0)
     mat = triple_coboundary_matrix(t, 2, parity=0)
     rng = random.Random(77)
@@ -99,7 +99,7 @@ def test_non_cocycles_fail_linear_check(make):
         vec = tuple(F(rng.randint(-2, 2)) for _ in units)
         if vec_is_zero(matrix_apply(mat, vec)):
             continue
-        c = blocks_from_vector(gs, hs, triple_blocks(2), units, vec)
+        c = cx.element(2, 0, vec)
         pi1, rho1, mu1 = unpack_degree2(t, c)
         assert not linear_check(TripleDeformation.build(t, [pi1], [rho1], [mu1], order=1))
         found += 1
@@ -168,8 +168,9 @@ def test_ch_kernel_vectors_linearly_deform(crossed_D):
     mat = d_D_matrix(crossed_D, 1, parity=0)
     kb = kernel_basis(mat)
     assert kb
+    cx = ChComplex(t).twisted(crossed_D.as_block())
     for vec in kb:
-        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
+        blk = cx.element(1, 0, vec)[0]
         cols = tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         D1 = LinearMap(gs, hs, cols)
         d = CrossedHomDeformation.build(crossed_D, [D1], order=1)
@@ -184,12 +185,13 @@ def test_ch_non_cocycles_fail(crossed_D):
     units = ch_units(gs, hs, 1, parity=0)
     mat = d_D_matrix(crossed_D, 1, parity=0)
     rng = random.Random(13)
+    cx = ChComplex(t).twisted(crossed_D.as_block())
     found = 0
     while found < 8:
         vec = tuple(F(rng.randint(-2, 2)) for _ in units)
         if vec_is_zero(matrix_apply(mat, vec)):
             continue
-        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
+        blk = cx.element(1, 0, vec)[0]
         cols = tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         D1 = LinearMap(gs, hs, cols)
         assert not linear_check(CrossedHomDeformation.build(crossed_D, [D1], order=1))
@@ -208,7 +210,7 @@ def test_ch_obstruction_shape_at_order_two(crossed_D):
     for _ in range(10):
         coefs = [F(rng.randint(-2, 2)) for _ in kb]
         vec = tuple(sum(c * k[i] for c, k in zip(coefs, kb)) for i in range(len(units)))
-        blk = blocks_from_vector(gs, hs, ch_blocks(1), units, vec)[0]
+        blk = cc.twisted(crossed_D.as_block()).element(1, 0, vec)[0]
         D1 = LinearMap(
             gs, hs, tuple(tuple(blk.coeffs.get(((i,), ()), zero_vec(hs.dim))) for i in range(gs.dim))
         )

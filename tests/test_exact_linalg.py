@@ -403,8 +403,8 @@ def _mixed21_crossed():
 )
 def test_cohomology_table_builds_each_unit_list_once(monkeypatch, table):
     calls, ranked = [], []
-    real_units, real_rank = triple.sum_units, exact_linalg.rank
-    monkeypatch.setattr(triple, "sum_units", lambda *a, **k: calls.append(a) or real_units(*a, **k))
+    real_units, real_rank = triple.block_units, exact_linalg.rank
+    monkeypatch.setattr(triple, "block_units", lambda *a, **k: calls.append(a) or real_units(*a, **k))
     monkeypatch.setattr(exact_linalg, "rank", lambda m, *a: ranked.append(m) or real_rank(m, *a))
     table()
     # C^1..C^4, one walk each for both parities: each list gives the rows of d_(n-1)

@@ -85,9 +85,9 @@ UNREACHED = {
     "triple.ActionMap.table": _VIEW,
     "triple.ActionMap.value": _VIEW,
     "triple.ActionMap.zero": "the zero terms of a deformation given fewer terms than its order",
+    "triple.BlockComplex.element": "read by derivation_space and triple_cocycle_deformations",
     "triple.LieSupActTriple.check": _README,
     "triple.adjoint_action": "the paper's adjoint triple; " + _README,
-    "triple.blocks_from_vector": "read by derivation_space and triple_cocycle_deformations",
     "triple.semidirect": "the paper's semidirect product; " + _README,
     "util.Frozen.__delattr__": _IMMUTABLE,
     "util.Frozen.__hash__": "hash of an immutable record (util.Frozen, named in the README)",

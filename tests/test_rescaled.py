@@ -21,19 +21,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supercochain.cochains import bracket_sum, circ, nr_bracket
-from supercochain.crossed import CrossedHom, ch_mc_residual, check_crossed, d_D_matrix, graph_failures
+from supercochain.crossed import CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed, d_D_matrix
+from supercochain.crossed import graph_failures
 from supercochain.deformation import CrossedHomDeformation
-from supercochain.superalgebra import check_jacobi, check_super_skew
-from supercochain.triple import check_action, mc_residual, triple_coboundary_matrix
+from supercochain.superalgebra import LinearMap, check_jacobi, check_super_skew, gl
+from supercochain.triple import check_action, mc_residual, triple_coboundary_matrix, triple_cohomology_table
 
 import oracles
 from helpers import (
     SMALL_SPACES,
     adjoint_triple,
+    defining_triple,
     draw_scales,
     identity_map,
+    mixed21_triple,
+    osp12,
     random_cochain,
     random_homogeneous_cochain,
+    rebase_crossed,
+    rebase_triple,
+    rebasing,
     rescale_ch_deformation,
     rescale_cochain,
     rescale_crossed,
@@ -241,3 +248,35 @@ def test_rescaled_differentials_match_references(name, parity, rng):
         D = rescale_crossed(CROSSED[name], *_scales(CROSSED[name].triple, rng))
         if check_crossed(D).ok:
             assert d_D_matrix(D, 1, parity) == oracles.ch_reference_matrix(D, 1, parity)
+
+
+REBASED = {
+    "osp12_adjoint": lambda: adjoint_triple(osp12()),
+    "gl11_adjoint": lambda: adjoint_triple(gl(1, 1)),
+    "gl11_defining": lambda: defining_triple(1, 1),
+    "mixed21": mixed21_triple,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBASED))
+def test_cohomology_tables_are_invariant_under_a_mixed_change_of_basis(name):
+    """A triangular basis mixed within each parity (``helpers.rebasing``): a sign that
+    follows the basis order rather than parity alone changes the tables here, where a
+    diagonal rescaling keeps them."""
+    t = REBASED[name]()
+    Mg, Mh = rebasing(t.g.space), rebasing(t.h.space)
+    r = rebase_triple(t, Mg, Mh)
+    assert (r.g, r.h, r.rho) != (t.g, t.h, t.rho)
+    assert triple_cohomology_table(r, range(1, 4)) == triple_cohomology_table(t, range(1, 4))
+    D0 = CrossedHom(t, LinearMap.zero(t.g.space, t.h.space), True)
+    r0 = rebase_crossed(D0, Mg, Mh)
+    assert ch_cohomology_table(r0, range(1, 5)) == ch_cohomology_table(D0, range(1, 5))
+
+
+def test_crossed_table_is_invariant_under_a_mixed_change_of_basis():
+    """D = -id on the gl(1|1) adjoint triple becomes M_h^-1 (-id) M_g, crossed again."""
+    t = adjoint_triple(gl(1, 1))
+    D = CrossedHom(t, identity_map(t.g.space).scale(-1))
+    r = rebase_crossed(D, rebasing(t.g.space), rebasing(t.h.space))
+    assert check_crossed(r).ok
+    assert ch_cohomology_table(r, range(1, 4)) == ch_cohomology_table(D, range(1, 4))
