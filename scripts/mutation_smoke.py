@@ -352,6 +352,19 @@ MUTATIONS = (
         "        code = EXIT_CHECK_FAILED",
         ("tests/test_cli.py::test_module_entry_point_on_a_closed_pipe_reports_without_traceback",),
     ),
+    # the command line reads as argparse read it: its defaults, and the last repeat wins
+    (
+        "cli.py",
+        '"--max-n": ("max_n", int, 2),',
+        '"--max-n": ("max_n", int, 3),',
+        ("tests/test_cli.py::test_parser_agrees_with_argparse",),
+    ),
+    (
+        "cli.py",
+        "flags[dest] = _converted(name, values, value)",
+        "flags[dest] = flags[dest] if flags[dest] != _OPTIONS[name][2] else _converted(name, values, value)",
+        ("tests/test_cli.py::test_parser_agrees_with_argparse",),
+    ),
 )
 
 

@@ -9,11 +9,12 @@ only in text mode.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
 from functools import partial
+from types import SimpleNamespace
 
 from . import io as sio
 from .crossed import CrossedHom, ch_cohomology_table, ch_mc_residual, check_crossed, graph_check
@@ -292,20 +293,140 @@ def _format_text(report: dict, elapsed_ms: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The command line: ``command`` and ``file`` in that order, ``-h``/``--help``,
+# and these options, each --name: (dest, int or the tuple of its choices, default).
+_OPTIONS = {
+    "--max-n": ("max_n", int, 2),
+    "--parity": ("parity", ("even", "odd", "both"), "both"),
+    "--format": ("fmt", ("text", "json"), "text"),
+    "--order": ("order", int, None),
+    "--seed": ("seed", int, 0),
+}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_USAGE = """\
+usage: supercochain COMMAND FILE [--max-n N] [--parity P] [--format F]
+                    [--order K] [--seed S]
+
+Exact checks and cohomology for Lie superalgebra triples, crossed
+homomorphisms and their deformations, read from the JSON problem FILE.
+
+commands:
+  check-algebra    super-skew-symmetry and Jacobi of every algebra in FILE
+  check-triple     both algebras, the action and the Maurer-Cartan residual
+  check-crossed    the crossed-homomorphism identity, graph criterion, residual
+  cohomology       per-parity cohomology of the triple complex, degrees 1..N
+  ch-cohomology    the same for the twisted complex of the crossed homomorphism
+  deform           order-by-order residuals of the deformation in FILE
+  ch-deform        the same for the deformation of the crossed homomorphism
+
+options, anywhere on the line, as --opt VALUE, --opt=VALUE or a unique prefix
+of --opt; the last one given wins:
+  -h, --help       show this help and exit
+  --max-n N        top cohomology degree (default 2)
+  --parity P       even, odd or both (default both)
+  --format F       text or json (default text)
+  --order K        deformation truncation order (default: the file's)
+  --seed S         seed recorded in the report (default 0)
+"""
+
+
+def _token_kind(arg):
+    """None for a positional token, else (option or None if unknown, its ``=`` value or None).
+
+    A token that starts with ``-`` is an option, unless it is ``-`` itself or
+    names no option and is a negative number or holds a space.  ``--name``
+    may be any unique prefix of a long option (``--=x`` matches them all and
+    is refused), and ``-hX`` is ``-h`` with the value X.
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if arg[1] != "-":
+        if arg.startswith("-h"):
+            return ("-h", value if name == "-h" else arg[2:])
+    else:
+        matches = [opt for opt in (*_OPTIONS, "--help") if opt.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {arg!r} could match {', '.join(matches)}")
+        if matches:
+            return (matches[0], value)
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
+
+
+def _converted(name, values, text):
+    """``text`` as the value of ``name``: ``int(text)`` if ``values`` is int, else one of ``values``."""
+    if values is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if text not in values:
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(values)})")
+    return text
+
+
+def parse_args(argv):
+    """The flags of one command line, None if it asks for the help.
+
+    Reads ``argv`` as argparse did with ``allow_abbrev``: options anywhere,
+    ``--opt=value``, unique prefixes, the last repeat wins, ``--`` ends the
+    options and a negative number is a value.  A ``--`` given as a value is
+    that value.  Raises ``UsageError`` on every line argparse refused.
+    """
+    kinds = []
+    for arg in argv:
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(argv) - len(kinds) - 1)
+            break
+        kinds.append(_token_kind(arg))
+    flags = {dest: default for dest, _, default in _OPTIONS.values()}
+    positionals, unknown, sealed, i = [], [], False, 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None:
+            if not positionals:
+                _converted("command", sorted(_HANDLERS), arg)
+            (positionals if len(positionals) < 2 else unknown).append(arg)
+        elif kind == "--":
+            # left over, as argparse left it, after an option that followed both positionals
+            if sealed:
+                unknown.append(arg)
+        else:
+            sealed = len(positionals) == 2
+            name, value = kind
+            if name is None:
+                unknown.append(arg)
+            elif name in ("-h", "--help"):
+                # -hh...h is -h given again
+                if value is None or (name == "-h" and value and not value.strip("h")):
+                    return None
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            else:
+                if value is None:
+                    if i == len(argv) or kinds[i] is not None:
+                        raise UsageError(f"argument {name}: expected one argument")
+                    value, i = argv[i], i + 1
+                dest, values, _ = _OPTIONS[name]
+                flags[dest] = _converted(name, values, value)
+    if len(positionals) < 2:
+        missing = ("command", "file")[len(positionals):]
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(map(repr, unknown))}")
+    return SimpleNamespace(command=positionals[0], file=positionals[1], **flags)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="supercochain",
-        description="Exact checks and cohomology for Lie superalgebra triples, "
-        "crossed homomorphisms and their deformations.",
-    )
-    parser.add_argument("command", choices=sorted(_HANDLERS))
-    parser.add_argument("file", help="JSON problem file")
-    parser.add_argument("--max-n", type=int, default=2, dest="max_n", help="top cohomology degree")
-    parser.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-    parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    parser.add_argument("--order", type=int, default=None, help="deformation truncation order")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args is None:
+        sys.stdout.write(_USAGE)
+        return EXIT_OK
     if args.max_n < 1:
         print("error: --max-n must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -340,9 +461,9 @@ def console_main():
     If the output cannot be written (a closed pipe), the job ends the same
     way whether the write inside :func:`main` failed (unbuffered stdout) or
     the flush here did: one line naming the error on stderr and exit code
-    120, the code the interpreter gives a failed final flush.  Any other
-    exception out of :func:`main`, argparse's ``SystemExit`` among them,
-    leaves by the normal exit.
+    120, the code the interpreter gives a failed final flush.  Usage errors
+    and ``--help`` are exit codes :func:`main` returns; any other exception
+    out of it leaves by the normal exit.
     """
     try:
         code = main()

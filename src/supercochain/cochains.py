@@ -469,15 +469,19 @@ class BlockCochain(_CoefficientMap):
         )
 
 
-def hat_extend(block: BlockCochain) -> Cochain:
+def hat_extend(block: BlockCochain, ds: DirectSum = None) -> Cochain:
     """Extend a block map to the direct sum g + h.
 
     The extension is zero on every key without exactly (g_arity, h_arity)
     entries from the two sides.  At the ``block_key`` of a block pair it is
     the block value, re-keyed to the target side's positions, times the key's
     sign, so that reading the g entries first gives the block value back.
+    ``ds`` is the direct sum of the block's two spaces, if the caller holds it.
     """
-    ds = direct_sum(block.g_space, block.h_space)
+    if ds is None:
+        ds = direct_sum(block.g_space, block.h_space)
+    elif ds.left != block.g_space or ds.right != block.h_space:
+        raise SpaceMismatch("block does not live on the given direct sum")
     pos = ds.left_pos if block.target_side == "g" else ds.right_pos
     out = {}
     for (gk, hk), row in block.ints.items():
@@ -486,9 +490,9 @@ def hat_extend(block: BlockCochain) -> Cochain:
     return Cochain._from_ints((ds.space, ds.space, block.g_arity + block.h_arity), block.den, out)
 
 
-def hat_sum(blocks) -> Cochain:
-    """The sum of the ``hat_extend``s of blocks of one total arity on one g + h."""
-    return reduce(Cochain.add, map(hat_extend, blocks))
+def hat_sum(blocks, ds: DirectSum = None) -> Cochain:
+    """The sum of the ``hat_extend``s of blocks of one total arity on one g + h (``ds``, if given)."""
+    return reduce(Cochain.add, (hat_extend(b, ds) for b in blocks))
 
 
 def project_block(F: Cochain, ds: DirectSum, g_arity: int, h_arity: int, target_side: str) -> BlockCochain:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .cochains import BlockCochain, hat_extend, nr_bracket, project_block
+from .cochains import BlockCochain, hat_extend, hat_sum, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis
 from .graded import direct_sum
@@ -160,17 +160,19 @@ class ChComplex:
 
     def __init__(self, t: LieSupActTriple):
         self.triple = t
-        self.mu_hat = hat_extend(mu_block(t.g.space, t.h))
-        self.pr_hat = hat_extend(pi_block(t.g, t.h.space)).add(hat_extend(t.rho.as_block()))
+        ds = direct_sum(t.g.space, t.h.space)
+        self.mu_hat = hat_extend(mu_block(t.g.space, t.h), ds)
+        self.pr_hat = hat_sum((pi_block(t.g, t.h.space), t.rho.as_block()), ds)
         self._untwisted = BlockComplex(t.g.space, t.h.space, self.pr_hat, ch_blocks)
 
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""
         m = f1.g_arity
-        inner = nr_bracket(self.mu_hat, hat_extend(f1))
-        outer = nr_bracket(inner, hat_extend(f2))
+        ds = self._untwisted.ds
+        inner = nr_bracket(self.mu_hat, hat_extend(f1, ds))
+        outer = nr_bracket(inner, hat_extend(f2, ds))
         sign = 1 if (m - 1) % 2 == 0 else -1
-        return project_block(outer.scale(sign), self._untwisted.ds, m + f2.g_arity, 0, "h")
+        return project_block(outer.scale(sign), ds, m + f2.g_arity, 0, "h")
 
     def coboundary(self, f: BlockCochain) -> BlockCochain:
         """f -> [pi + rho, f], one degree up."""
@@ -180,7 +182,7 @@ class ChComplex:
         """The complex of d_D = [P_D, .] with P_D = pi + rho + [mu, D], over ``ch_blocks``:
         the complex of the crossed problem at D."""
         problem = self.problem()
-        return problem.complex(problem.left(hat_extend(D_block)))
+        return problem.complex(problem.left(hat_extend(D_block, problem.ds)))
 
     def problem(self) -> McProblem:
         """The crossed problem, with its t^n coefficients read on Hom(wedge^2 g, h).
@@ -190,11 +192,9 @@ class ChComplex:
         b is symmetric, as [f, g] = 0 for maps g -> h.  The complex at D is
         ``twisted(D)``.
         """
-        t = self.triple
-        project = partial(project_block, ds=self._untwisted.ds, g_arity=2, h_arity=0, target_side="h")
-        return McProblem(
-            t.g.space, t.h.space, ch_blocks, self.pr_hat, partial(nr_bracket, self.mu_hat), project, _one_part
-        )
+        ds = self._untwisted.ds
+        project = partial(project_block, ds=ds, g_arity=2, h_arity=0, target_side="h")
+        return McProblem(ds, ch_blocks, self.pr_hat, partial(nr_bracket, self.mu_hat), project, _one_part)
 
 
 def _one_part(block: BlockCochain):
@@ -211,8 +211,8 @@ def ch_mc_residual(D: CrossedHom) -> BlockCochain:
     cc = ChComplex(D.triple)
     if cc.pr_hat.parity() != 0:
         raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-    D_hat = hat_extend(D.as_block())
     problem = cc.problem()
+    D_hat = hat_extend(D.as_block(), problem.ds)
     return problem.residuals((D_hat,), (problem.left(D_hat),), (0,))[0]
 
 

@@ -101,7 +101,7 @@ class Series(Frozen):
     __slots__ = ("problem", "terms", "hats", "lefts")
 
     def __init__(self, problem: McProblem, terms: tuple):
-        hats = tuple(hat_sum(X) for X in terms)
+        hats = tuple(hat_sum(X, problem.ds) for X in terms)
         lefts = tuple(map(problem.left, hats[: (len(hats) + 1) // 2]))
         super().__init__(problem, terms, hats, lefts)
 
@@ -209,12 +209,11 @@ def triple_problem(t: LieSupActTriple) -> McProblem:
     is read at twice its ``_EQUATION_FACTORS`` factor.  The complex at Pi is
     the triple complex over ``triple_blocks``, with P = Pi itself.
     """
-    gs, hs = t.g.space, t.h.space
-    ds = direct_sum(gs, hs)
+    ds = direct_sum(t.g.space, t.h.space)
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
     zero = Cochain.zero(ds.space, ds.space, 2)
     project = partial(McResidual.project, ds=ds, factors=factors)
-    return McProblem(gs, hs, triple_blocks, zero, lambda X: X, project, McResidual.components)
+    return McProblem(ds, triple_blocks, zero, lambda X: X, project, McResidual.components)
 
 
 class CrossedHomDeformation(Frozen):

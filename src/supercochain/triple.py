@@ -34,7 +34,7 @@ from .cochains import nr_bracket, order_pairs, project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
-from .graded import GradedSpace, direct_sum, wedge_basis
+from .graded import DirectSum, GradedSpace, direct_sum, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, algebra_reports
 from .superalgebra import identity_failures
 from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
@@ -281,8 +281,9 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     blocks = _blocks_of(g, h, rho)
     if blocks[1].parity() != 0:
         raise ShapeMismatch("the action is not degree 0")
-    Pi = hat_sum(blocks)
-    return McResidual.project(nr_bracket(Pi, Pi), direct_sum(g.space, h.space))
+    ds = direct_sum(g.space, h.space)
+    Pi = hat_sum(blocks, ds)
+    return McResidual.project(nr_bracket(Pi, Pi), ds)
 
 
 def triple_blocks(n: int):
@@ -373,13 +374,13 @@ class BlockComplex:
         """[P, c] for the element ``blocks`` of C^n, as the blocks of C^(n+1)."""
         if self.P.parity() != 0:
             raise ShapeMismatch("the differential needs an even arity-2 cochain V -> V")
-        total = hat_sum(blocks)
+        total = hat_sum(blocks, self.ds)
         image = nr_bracket(self.P, total)
         return tuple(project_block(image, self.ds, *sig) for sig in self.sigs(total.arity + 1))
 
 
 class McProblem(Frozen):
-    """One Maurer-Cartan series problem: X(t) = sum_k t^k X_k in a dgLa (delta, b) on g + h.
+    """One Maurer-Cartan series problem: X(t) = sum_k t^k X_k in a dgLa (delta, b) on g + h (``ds``).
 
     ``delta`` is the element delta brackets with (zero when delta = 0), and
     b(X, Y) = [left(X), Y] on hat extensions, symmetric in X and Y.  Each X_k
@@ -393,10 +394,10 @@ class McProblem(Frozen):
     extensions and left(X_i) that ``residuals`` and ``complex`` read.
     """
 
-    __slots__ = ("g_space", "h_space", "sigs", "delta", "left", "project", "parts")
+    __slots__ = ("ds", "sigs", "delta", "left", "project", "parts")
 
-    def __init__(self, g_space: GradedSpace, h_space: GradedSpace, sigs, delta: Cochain, left, project, parts):
-        super().__init__(g_space, h_space, sigs, delta, left, project, parts)
+    def __init__(self, ds: DirectSum, sigs, delta: Cochain, left, project, parts):
+        super().__init__(ds, sigs, delta, left, project, parts)
 
     def residuals(self, hats, lefts, orders):
         """The report of the t^n coefficient for each n in ``orders``.
@@ -417,7 +418,7 @@ class McProblem(Frozen):
         """The ``BlockComplex`` at X_0, given left(X_0): P = delta + left(X_0), left(X_0) itself
         when delta = 0, so that P keeps the bracket support ``residuals`` built for it."""
         P = left0 if self.delta.is_zero() else self.delta.add(left0)
-        return BlockComplex(self.g_space, self.h_space, P, self.sigs)
+        return BlockComplex(self.ds.left, self.ds.right, P, self.sigs)
 
     def is_zero(self, report) -> bool:
         return all(b.is_zero() for b in self.parts(report).values())

@@ -51,8 +51,13 @@ sign path, the inversion counts of ``graded.normalize_tuple`` and
 ``graded.shuffle``; ``f_membership`` tests the block support of a cochain on
 g + h; ``cohomology_dims`` gives one degree of a complex from its two
 differentials, for the per-degree oracle cohomology.
+
+``argparse_parser`` is the command line as ``cli.main`` read it through
+``argparse`` before its own parser: the same positionals and options, with
+argparse's defaults (``allow_abbrev`` on).
 """
 
+import argparse
 import functools
 import heapq
 import itertools
@@ -1297,3 +1302,24 @@ def semidirect_reference(g, h, rho):
             f"semidirect product violates the super Jacobi identity at {jac.failures[0].where}"
         )
     return result
+
+
+# ---------------------------------------------------------------------------
+# the command line as argparse read it
+
+
+def argparse_parser(commands):
+    """The ``argparse`` parser ``cli.main`` built, for the command names ``commands``."""
+    parser = argparse.ArgumentParser(
+        prog="supercochain",
+        description="Exact checks and cohomology for Lie superalgebra triples, "
+        "crossed homomorphisms and their deformations.",
+    )
+    parser.add_argument("command", choices=sorted(commands))
+    parser.add_argument("file", help="JSON problem file")
+    parser.add_argument("--max-n", type=int, default=2, dest="max_n", help="top cohomology degree")
+    parser.add_argument("--parity", choices=("even", "odd", "both"), default="both")
+    parser.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
+    parser.add_argument("--order", type=int, default=None, help="deformation truncation order")
+    parser.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+    return parser

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -5,10 +8,11 @@ import sys
 
 import pytest
 
+import oracles
 from conftest import FIXTURES, SRC
 from supercochain import cli
 from supercochain import io as sio
-from supercochain.errors import ParseError, ValidationError
+from supercochain.errors import ParseError, UsageError, ValidationError
 from supercochain.superalgebra import check_jacobi
 from supercochain.triple import BlockComplex
 
@@ -156,6 +160,9 @@ def test_missing_file_is_exit_2(capsys):
 def test_bad_max_n_is_exit_2(capsys):
     code, _ = run_cli(["cohomology", str(FIXTURES / "solvable2.json"), "--max-n", "0"], capsys)
     assert code == 2
+    # a negative number is a value, refused by the same range check
+    assert cli.main(["cohomology", str(FIXTURES / "solvable2.json"), "--max-n", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max-n must be >= 1\n"
 
 
 def test_missing_section_is_exit_2(capsys):
@@ -302,6 +309,7 @@ def test_check_triple_lists_the_triple_checks_before_the_residual(capsys):
 
 def test_the_parser_and_the_cli_know_the_same_commands():
     assert set(cli._HANDLERS) == set(sio.COMMANDS)
+    assert all(f"\n  {command} " in cli._USAGE for command in cli._HANDLERS)
 
 
 @pytest.mark.parametrize(
@@ -439,16 +447,158 @@ def test_json_reports_are_deterministic(capsys):
     assert json.loads(first)["parameters"]["seed"] == 7
 
 
+# Command lines for the parser, against argparse: options before, between and
+# after the positionals, --opt=value, every unique prefix, repeats, --, negative
+# numbers, int() forms, and each kind of line argparse refused; -h among them.
+PF = "p.json"
+PARSER_LINES = [
+    ["cohomology", PF],
+    ["--max-n", "3", "cohomology", PF],
+    ["cohomology", "--parity", "odd", PF, "--seed", "4"],
+    ["cohomology", PF, "--format", "json", "--order", "2"],
+    ["--seed", "1", "deform", "--order", "3", PF, "--format", "text"],
+    ["cohomology", PF, "--max-n=3", "--parity=even", "--format=json", "--order=2", "--seed=-7"],
+    ["cohomology", PF, "--max-n", "1", "--max-n", "4"],
+    ["cohomology", PF, "--parity", "odd", "--par", "even", "--parity=both"],
+    ["cohomology", PF, "--seed=1", "--se", "2", "--s=3"],
+    ["--", "cohomology", PF],
+    ["cohomology", "--", PF],
+    ["cohomology", PF, "--"],
+    ["--max-n", "3", "--", "cohomology", "-f"],
+    ["cohomology", "--", "--max-n"],
+    ["cohomology", "--max-n", "3", PF, "--"],
+    ["cohomology", PF, "--seed", "1", "--"],
+    ["cohomology", PF, "--", "extra"],
+    ["cohomology", PF, "--max-n", "--", "3"],
+    ["cohomology", PF, "--max-n", "-1"],
+    ["cohomology", PF, "--seed", "-5", "--order=-2"],
+    ["cohomology", "-5"],
+    ["cohomology", PF, "--seed", "-1.5"],
+    ["cohomology", PF, "--seed", "-x"],
+    ["cohomology", PF, "--seed", "-1 2"],
+    ["cohomology", "-f oo"],
+    ["cohomology", PF, "--max-n", "+3"],
+    ["cohomology", PF, "--max-n", "3_0"],
+    ["cohomology", PF, "--max-n", " 3 "],
+    ["cohomology", PF, "--max-n", "\u0663"],
+    ["cohomology", PF, "--max-n", "0003", "--seed", "-0"],
+    ["cohomology", PF, "--max-n"],
+    ["cohomology", PF, "--parity", "--format", "json"],
+    ["cohomology", PF, "--order="],
+    ["cohomology", PF, "--max-n", "3.0"],
+    ["cohomology", PF, "--max-n", "x"],
+    ["cohomology", PF, "--max-n", ""],
+    ["cohomology", PF, "--max-n", "0x10"],
+    ["cohomology", PF, "--seed", "1e3"],
+    ["cohomology", PF, "--max-n", "3__0"],
+    ["cohomology", PF, "--parity", "EVEN"],
+    ["cohomology", PF, "--format=yaml"],
+    ["Cohomology", PF],
+    ["cohomology", PF, "--bogus"],
+    ["cohomology", PF, "-x"],
+    ["cohomology", PF, "--bogus=1"],
+    ["cohomology", PF, "--max-n-x", "3"],
+    ["cohomology", PF, "--bogus\nx"],
+    ["cohomology", PF, "extra\nline"],
+    ["--=a\nb", "cohomology", PF],
+    ["--=1", "cohomology", PF],
+    ["cohomology", PF, "---"],
+    [],
+    ["cohomology"],
+    ["cohomology", "--max-n", "3"],
+    ["cohomology", PF, "extra"],
+    ["-h"],
+    ["--help"],
+    ["cohomology", PF, "-h"],
+    ["-hh"],
+    ["-h=h"],
+    ["--bogus", "-h"],
+    ["cohomology", "a", "b", "c", "-h"],
+    ["bogus", "-h"],
+    ["-h", "bogus"],
+    ["-h", "--=x"],
+    ["cohomology", PF, "--max-n", "x", "-h"],
+    ["cohomology", PF, "--parity", "-h"],
+    ["-hx"],
+    ["-h="],
+    ["--help=1"],
+    ["cohomology", "--", "-h"],
+]
+PARSER_LINES += [
+    ["cohomology", PF, *form]
+    for name, value in (("--max-n", "3"), ("--parity", "odd"), ("--format", "json"), ("--order", "1"), ("--seed", "5"))
+    for k in range(3, len(name) + 1)
+    for form in ([name[:k], value], [f"{name[:k]}={value}"])
+]
+PARSER_LINES += [["cohomology", PF, "--help"[:k]] for k in range(3, 7)]
+
+
+def _argparse_reading(parser, argv):
+    """The flags argparse read from ``argv``, or the code of its ``SystemExit``."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _our_reading(argv):
+    try:
+        flags = cli.parse_args(argv)
+    except UsageError:
+        return 2
+    return 0 if flags is None else vars(flags)
+
+
+@pytest.mark.parametrize("argv", PARSER_LINES, ids=str)
+def test_parser_agrees_with_argparse(argv, capsys):
+    """A line argparse accepted gives its values; one it refused (exit 2) is refused by ``main``
+    with one ``error:`` line; ``-h`` prints the usage and returns 0."""
+    expected = _argparse_reading(oracles.argparse_parser(cli._HANDLERS), argv)
+    if isinstance(expected, dict):
+        assert vars(cli.parse_args(argv)) == expected
+        return
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    if code == 0:
+        assert (out, err) == (cli._USAGE, "")
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_parser_agrees_with_argparse_on_every_short_line():
+    """Every line of at most four tokens drawn from the ones below, but for a second ``--``
+    (``test_a_double_dash_value_is_its_text``)."""
+    tokens = ("deform", PF, "--", "-h", "--max-n", "-1", "--p=odd", "--bogus", "--=x", "-x y", "-hh")
+    parser = oracles.argparse_parser(cli._HANDLERS)
+    lines = 0
+    for n in range(5):
+        for argv in map(list, itertools.product(tokens, repeat=n)):
+            if argv.count("--") < 2:
+                assert _our_reading(argv) == _argparse_reading(parser, argv), argv
+                lines += 1
+    assert lines > 15000
+
+
+def test_a_double_dash_value_is_its_text(capsys):
+    """argparse dropped a ``--`` given as a value and left an empty list: ``--order=--`` ended
+    in a traceback and ``--parity=--`` ran as ``both``.  Here the value is the text ``--``."""
+    path = str(FIXTURES / "solvable2.json")
+    for flag in ("--order=--", "--parity=--", "--max-n=--"):
+        code, err = _exit_and_stderr(["deform", path, flag], capsys)
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith(f"error: argument {flag[:-3]}")
+    assert cli.parse_args(["check-algebra", "--", "--"]).file == "--"
+
+
 def _entry_env():
     """The environment of a ``python -m supercochain`` child.
 
     Stdout is left block-buffered (no ``PYTHONUNBUFFERED``), so output the
-    entry fails to flush before its hard exit is lost; a fixed ``COLUMNS``
-    makes argparse's usage lines the same in the child and in process.
+    entry fails to flush before its hard exit is lost.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["COLUMNS"] = "80"
     return env
 
 
@@ -467,16 +617,14 @@ def _entry(argv, stdout, env=None):
         (["check-triple", "gl11.json"], 2),
         (["cohomology", "solvable2.json", "--max-n", "0"], 2),
         (["no-such-command", "gl11.json"], 2),
+        (["check-algebra", "gl11.json", "--help"], 0),
+        (["cohomology", "solvable2.json", "--max-n", "x"], 2),
     ],
-    ids=["ok", "check-failed", "missing-section", "max-n-0", "bad-choice"],
+    ids=["ok", "check-failed", "missing-section", "max-n-0", "bad-choice", "help", "bad-option-value"],
 )
-def test_module_entry_point_subprocess(argv, expected, capsys, monkeypatch, tmp_path):
+def test_module_entry_point_subprocess(argv, expected, capsys, tmp_path):
     argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:], "--format", "json"]
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(argv)
     out, err = capsys.readouterr()
     assert code == expected
 

@@ -247,6 +247,9 @@ def test_hat_project_round_trip_wide_signatures():
         for _ in range(4):
             blk = random_block(gsp, hsp, *sig, rng, max_keys=6, bound=3)
             assert project_block(hat_extend(blk), ds, *sig) == blk
+            assert hat_extend(blk, ds) == hat_extend(blk)
+    with pytest.raises(SpaceMismatch):
+        hat_extend(blk, make_sum(hsp, gsp))
 
 
 def test_block_decomposition_is_complete():

@@ -1,8 +1,12 @@
+import importlib.util
+import json
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from supercochain import cli, cochains, crossed, deformation, graded, triple
 from supercochain.cochains import BlockCochain, Cochain
 from supercochain.crossed import (
     ChComplex,
@@ -245,3 +249,27 @@ def test_linear_ch_check_trivial(crossed_D):
     # the paper's claim is about order-1 truncations alone
     with pytest.raises(ValidationError):
         linear_check(CrossedHomDeformation.build(crossed_D, order=2))
+
+
+def test_deform_builds_at_most_two_direct_sums(monkeypatch, tmp_path, capsys):
+    """``deform`` on the benchmark's gl(2|1) adjoint input builds the triple problem's
+    direct sum and that of the complex at Pi; every hat extension reuses one of them."""
+    bench_inputs = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", bench_inputs)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / "gl21_adjoint.json"
+    path.write_text(json.dumps(inputs.generated_inputs()["gl21_adjoint"]), encoding="utf-8")
+    built = []
+    real = graded.direct_sum
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (graded, cochains, triple, crossed, deformation):
+        if getattr(module, "direct_sum", None) is real:
+            monkeypatch.setattr(module, "direct_sum", counted)
+    assert cli.main(["deform", str(path), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert 1 <= len(built) <= 2

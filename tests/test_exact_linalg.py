@@ -431,7 +431,8 @@ def test_residual_pass_builds_each_support_once(monkeypatch, tmp_path, capsys):
     assert len(built) == len({id(P) for P in built}) == 5
     # check-crossed on the same D reads the order-0 residual and builds no complex at D:
     # one [mu, D], one more expansion each for the residual and for the semidirect
-    # product's [Pi, Pi] (a self-bracket), and no direct sum for P_D
+    # product's [Pi, Pi] (a self-bracket), and no direct sum for P_D: every hat
+    # extension of ChComplex reuses its one direct sum
     calls = dict.fromkeys(("nr_bracket", "_expand", "direct_sum"), 0)
     for name in calls:
         original = getattr(graded if name == "direct_sum" else cochains, name)
@@ -449,7 +450,7 @@ def test_residual_pass_builds_each_support_once(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(problem), encoding="utf-8")
     assert cli.main(["check-crossed", str(path), "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls == {"nr_bracket": 2, "_expand": 3, "direct_sum": 13}
+    assert calls == {"nr_bracket": 2, "_expand": 3, "direct_sum": 7}
     # ch-deform of the deformation above: [mu, D_0] and [mu, D_1] of the residual pass,
     # then d D_1 in the complex at D_0, whose P_D reuses the pass's [mu, D_0]
     problem["deformation"] = {"order": 2, "coefficients": [

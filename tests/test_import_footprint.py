@@ -1,7 +1,10 @@
-"""What ``import supercochain.cli`` loads, in a fresh interpreter, and what the scripts import.
+"""What ``import supercochain.cli`` and one CLI job load, in a fresh interpreter, and what the scripts import.
 
 Every CLI job pays this import.  ``dataclasses`` pulls in ``inspect``,
-``ast``, ``dis`` and ``tokenize``, so neither may appear; and the imports stay
+``ast``, ``dis`` and ``tokenize``, so neither may appear; ``cli`` reads its
+command line itself, so ``argparse`` and the ``gettext`` and ``locale`` it
+loads appear neither after the import nor after a whole ``check-algebra``
+job (argparse loaded ``locale`` only while it parsed).  The imports stay
 eager, so every submodule but ``__main__`` is loaded once the CLI is.  No
 function imports anything either: an import inside a function is a hidden
 dependency, or a way round an import cycle.  Every name a script under
@@ -25,24 +28,37 @@ SUBMODULES = {
 }
 
 
-def loaded_after_cli_import():
-    code = "import json, sys, supercochain.cli; print(json.dumps(sorted(sys.modules)))"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ARGPARSE_AND_ITS_IMPORTS = {"argparse", "gettext", "locale"}
+
+
+def loaded_after(code):
+    """The modules loaded once ``code`` has run in a fresh interpreter; its last stdout line."""
+    code += "; import json, sys; print(); print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return set(json.loads(done.stdout))
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_cli_import_loads_no_dataclasses_and_every_submodule():
-    loaded = loaded_after_cli_import()
+    loaded = loaded_after("import supercochain.cli")
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
+    assert not loaded & ARGPARSE_AND_ITS_IMPORTS
     ours = {name.split(".", 1)[1] for name in loaded if name.startswith("supercochain.")}
     assert ours == SUBMODULES
     assert {path.stem for path in (SRC / "supercochain").glob("*.py")} == (
         SUBMODULES | {"__init__", "__main__"}
     )
+
+
+def test_a_whole_job_loads_no_argparse():
+    argv = ["check-algebra", str(FIXTURES / "gl11.json"), "--format", "json"]
+    loaded = loaded_after(f"from supercochain import cli; assert cli.main({argv!r}) == 0")
+    assert "supercochain.cli" in loaded
+    assert not loaded & ARGPARSE_AND_ITS_IMPORTS
 
 
 def test_no_function_level_imports():
