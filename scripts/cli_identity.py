@@ -5,8 +5,12 @@
 Extracts ``src/`` of REV (default ``HEAD``) with ``git archive`` into a
 temporary directory, then runs every fixture x every command x each option
 set below through both source trees, one job at a time, and reports every
-job whose JSON stdout, stderr or exit code differs.  Exits 1 if any job
-differs, 0 otherwise.  Standard library only.
+job whose stdout, stderr or exit code differs.  The option sets include
+lines the parser refuses, the help and one text report, whose ``(... ms)``
+timing is masked before the comparison.  The same jobs also run on
+section-stripped copies of ``fixtures/abelian_mixed.json``, written to the
+temporary directory, and each command runs once with no FILE.  Exits 1 if
+any job differs, 0 otherwise.  Standard library only.
 
 Each job runs under a time limit and an address-space limit, so that a job
 too large for one of the trees (a revision with the dense rank grows past
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import pathlib
+import re
 import resource
 import subprocess
 import sys
@@ -41,15 +47,36 @@ COMMANDS = (
     "ch-deform",
 )
 
-# --order 3 reads each deformation past its file's order (1 or 2), the
-# coefficients the file leaves out as zeros, up to an order whose pairs of
-# coefficients (0 + 3, 1 + 2) are all off-diagonal.
+# The options after COMMAND FILE.  --order 3 reads each deformation past its
+# file's order (1 or 2), the coefficients the file leaves out as zeros, up to
+# an order whose pairs of coefficients (0 + 3, 1 + 2) are all off-diagonal.
+# Then the --opt=value form and a unique prefix, one text report, four lines
+# the parser or main refuses, and the help.
 OPTION_SETS = (
-    ("--max-n", "3"),
-    ("--parity", "even"),
-    ("--parity", "odd"),
-    ("--order", "3"),
+    ("--format", "json", "--max-n", "3"),
+    ("--format", "json", "--parity", "even"),
+    ("--format", "json", "--parity", "odd"),
+    ("--format", "json", "--order", "3"),
+    ("--max-n=3", "--form", "json"),
+    ("--format", "text"),
+    ("--format", "json", "--max-n", "0"),
+    ("--format", "json", "--parity", "sideways"),
+    ("--format", "json", "--no-such-option"),
+    ("--format", "json", "--max-n"),
+    ("-h",),
+    ("--help",),
 )
+
+# The sections each stripped copy of STRIPPED_FROM keeps.
+STRIPPED_FROM = ROOT / "fixtures" / "abelian_mixed.json"
+STRIPPED = {
+    "no_deformation": ("g", "h", "action", "D"),
+    "no_action": ("g", "h", "D"),
+    "no_D": ("g", "h", "action"),
+    "g_only": ("g",),
+    "empty": (),
+}
+TIMING = re.compile(r"\(\d+\.\d ms\)$", re.M)
 
 
 def extract(rev: str, dest: pathlib.Path, *paths: str) -> pathlib.Path:
@@ -67,8 +94,20 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (JOB_MEMORY_BYTES, JOB_MEMORY_BYTES))
 
 
+def write_stripped(dest: pathlib.Path):
+    """Write the ``STRIPPED`` copies of ``STRIPPED_FROM`` under ``dest``; returns their paths."""
+    doc = json.loads(STRIPPED_FROM.read_text(encoding="utf-8"))
+    paths = []
+    for name, keep in STRIPPED.items():
+        path = dest / f"{STRIPPED_FROM.stem}.{name}.json"
+        path.write_text(json.dumps({k: doc[k] for k in keep}), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
 def run_cli(src: pathlib.Path, args):
-    """(exit code, stdout, stderr) of one job; the exit code is "timeout" past the limit."""
+    """(exit code, stdout with any timing masked, stderr) of one job; the exit code is
+    "timeout" past the limit."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
@@ -78,7 +117,7 @@ def run_cli(src: pathlib.Path, args):
         )
     except subprocess.TimeoutExpired:
         return "timeout", "", ""
-    return proc.returncode, proc.stdout, proc.stderr
+    return proc.returncode, TIMING.sub("(... ms)", proc.stdout), proc.stderr
 
 
 def main(argv=None) -> int:
@@ -92,20 +131,24 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         old_src = extract(opts.rev, pathlib.Path(tmp), "src") / "src"
         new_src = ROOT / "src"
-        jobs = differ = 0
-        for path in fixtures:
-            for command in COMMANDS:
-                for extra in OPTION_SETS:
-                    args = [command, str(path), "--format", "json", *extra]
-                    old, new = run_cli(old_src, args), run_cli(new_src, args)
-                    jobs += 1
-                    for label, a, b in zip(("exit code", "stdout", "stderr"), old, new):
-                        if a != b:
-                            differ += 1
-                            print(f"DIFF {label}: {' '.join(args)}")
-                            print(f"  {opts.rev}: {a!r:.300}")
-                            print(f"  working tree: {b!r:.300}")
-    print(f"{jobs} jobs, {differ} differences against {opts.rev}")
+        stripped = write_stripped(pathlib.Path(tmp))
+        groups = {
+            "on the fixtures": [[c, str(p), *o] for p in fixtures for c in COMMANDS for o in OPTION_SETS],
+            "on stripped copies": [[c, str(p), *o] for p in stripped for c in COMMANDS for o in OPTION_SETS],
+            "without FILE": [[c] for c in COMMANDS],
+        }
+        differ = 0
+        for lines in groups.values():
+            for args in lines:
+                old, new = run_cli(old_src, args), run_cli(new_src, args)
+                for label, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                    if a != b:
+                        differ += 1
+                        print(f"DIFF {label}: {' '.join(args)}")
+                        print(f"  {opts.rev}: {a!r:.300}")
+                        print(f"  working tree: {b!r:.300}")
+    counts = ", ".join(f"{len(lines)} {name}" for name, lines in groups.items())
+    print(f"{sum(map(len, groups.values()))} jobs ({counts}), {differ} differences against {opts.rev}")
     return 1 if differ else 0
 
 

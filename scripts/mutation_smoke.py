@@ -365,6 +365,20 @@ MUTATIONS = (
         "flags[dest] = flags[dest] if flags[dest] != _OPTIONS[name][2] else _converted(name, values, value)",
         ("tests/test_cli.py::test_parser_agrees_with_argparse",),
     ),
+    # the readers: a failing verdict stops the command before its complex, and the
+    # base sections are required before the command's own
+    (
+        "cli.py",
+        '    x, verdicts = read(pf)\n    if not all(v["ok"] for v in verdicts):',
+        "    x, verdicts = read(pf)\n    if False:",
+        ("tests/test_cli.py::test_failing_triple_checks_stop_each_command_before_its_complex",),
+    ),
+    (
+        "cli.py",
+        'pf.require("g", "h", "action", "crossed")',
+        'pf.require("g", "h", "action", "crossed", *sections)',
+        ("tests/test_cli.py::test_missing_sections_are_refused_in_reading_order",),
+    ),
 )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .exact_linalg import Matrix, cohomology_table, format_scalar, kernel_basis, parse_scalar, rank
-from .graded import GradedSpace, direct_sum, normalize_tuple, wedge_basis
+from .graded import DirectSum, GradedSpace, normalize_tuple, wedge_basis
 from .cochains import BlockCochain, Cochain, bracket_matrix, bracket_sum, circ, hat_extend, nr_bracket
 from .cochains import project_block
 from .superalgebra import CheckReport, LinearMap, SuperAlgebra, abelian, check_jacobi, check_super_skew, gl

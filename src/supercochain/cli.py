@@ -68,11 +68,6 @@ def _block_witnesses(block, limit=10):
     return out
 
 
-def _triple_of(pf: sio.ProblemFile) -> LieSupActTriple:
-    pf.require("g", "h", "action")
-    return LieSupActTriple(pf.g, pf.h, pf.action)
-
-
 def _verdicts(reports):
     return [_verdict(name, r.ok, r.failures) for name, r in reports]
 
@@ -81,15 +76,35 @@ def _triple_verdicts(t: LieSupActTriple):
     return _verdicts(triple_reports(t.g, t.h, t.rho))
 
 
-def _crossed_of(pf: sio.ProblemFile) -> CrossedHom:
+def _read_triple(pf: sio.ProblemFile, *sections):
+    """The file's triple and its verdicts; ``sections`` are required once the triple is built."""
+    pf.require("g", "h", "action")
+    t = LieSupActTriple(pf.g, pf.h, pf.action)
+    pf.require(*sections)
+    return t, _triple_verdicts(t)
+
+
+def _crossed_of(pf: sio.ProblemFile, *sections) -> CrossedHom:
+    """The file's D, unchecked; ``sections`` are required once it is built."""
     pf.require("g", "h", "action", "crossed")
-    return CrossedHom(_triple_of(pf), pf.crossed)
+    D = CrossedHom(LieSupActTriple(pf.g, pf.h, pf.action), pf.crossed)
+    pf.require(*sections)
+    return D
 
 
 def _crossed_identity(D: CrossedHom):
     """The ``crossed_identity`` verdict, and D carrying it as ``verified``."""
     rep = check_crossed(D)
     return _verdict("crossed_identity", rep.ok, rep.failures), CrossedHom(D.triple, D.linmap, rep.ok)
+
+
+def _read_crossed(pf: sio.ProblemFile, *sections):
+    """The file's D, carrying its identity check as ``verified``, and the triple verdicts
+    followed by ``crossed_identity``, checked whatever the triple verdicts read."""
+    D = _crossed_of(pf, *sections)
+    verdicts = _triple_verdicts(D.triple)
+    identity, D = _crossed_identity(D)
+    return D, verdicts + [identity]
 
 
 def cmd_check_algebra(pf, flags):
@@ -100,8 +115,7 @@ def cmd_check_algebra(pf, flags):
 
 
 def cmd_check_triple(pf, flags):
-    t = _triple_of(pf)
-    verdicts = _triple_verdicts(t)
+    t, verdicts = _read_triple(pf)
     res = mc_residual(t.g, t.h, t.rho)
     axioms_ok = all(v["ok"] for v in verdicts)
     # The residual reads the tables through wedge keys, which hold no [x, x]
@@ -118,6 +132,7 @@ def cmd_check_triple(pf, flags):
 
 
 def cmd_check_crossed(pf, flags):
+    """Stops after failing triple checks: unlike ``_read_crossed``, it checks no identity then."""
     D = _crossed_of(pf)
     verdicts = _triple_verdicts(D.triple)
     if not all(v["ok"] for v in verdicts):
@@ -144,71 +159,39 @@ def _parity_list(flags):
     return (("even", 0), ("odd", 1))
 
 
-def _cohomology_rows(table_of, flags):
-    """Report rows {"n": {parity name: dim}}; ``table_of`` builds each d_n once."""
+def cmd_cohomology(read, table, pf, flags):
+    """``cohomology`` and ``ch-cohomology``: ``read`` gives the file's problem and its
+    verdicts, ``table`` the {n: {parity: dim H^n}} of its complex, each d_n built once."""
+    x, verdicts = read(pf)
+    if not all(v["ok"] for v in verdicts):
+        return {"verdicts": verdicts}
     names = _parity_list(flags)
-    table = table_of(range(1, flags.max_n + 1), tuple(p for _, p in names))
-    return {str(n): {name: row[p] for name, p in names} for n, row in table.items()}
-
-
-def cmd_cohomology(pf, flags):
-    t = _triple_of(pf)
-    verdicts = _triple_verdicts(t)
-    if not all(v["ok"] for v in verdicts):
-        return {"verdicts": verdicts}
-    rows = _cohomology_rows(partial(triple_cohomology_table, t), flags)
+    dims = table(x, range(1, flags.max_n + 1), tuple(p for _, p in names))
+    rows = {str(n): {name: row[p] for name, p in names} for n, row in dims.items()}
     return {"verdicts": verdicts, "cohomology": rows}
 
 
-def cmd_ch_cohomology(pf, flags):
-    D = _crossed_of(pf)
-    verdicts = _triple_verdicts(D.triple)
-    identity, D = _crossed_identity(D)
-    verdicts.append(identity)
-    if not all(v["ok"] for v in verdicts):
-        return {"verdicts": verdicts}
-    rows = _cohomology_rows(partial(ch_cohomology_table, D), flags)
-    return {"verdicts": verdicts, "cohomology": rows}
-
-
-def _deformation_order(pf, flags):
-    return flags.order if flags.order is not None else pf.deformation.order
-
-
-def _triple_deformation(pf, flags):
-    """The triple verdicts, and the file's triple deformation if they all pass (else None)."""
-    t = _triple_of(pf)
-    pf.require("deformation")
-    verdicts = _triple_verdicts(t)
-    if not all(v["ok"] for v in verdicts):
-        return verdicts, None
+def _triple_deformation(t, pf, order):
     pis, rhos, mus = sio.deformation_terms(pf)
-    return verdicts, TripleDeformation.build(t, pis, rhos, mus, order=_deformation_order(pf, flags))
+    return TripleDeformation.build(t, pis, rhos, mus, order=order)
 
 
-def _crossed_deformation(pf, flags):
-    """The triple and crossed-identity verdicts, and the file's deformation of D if they all pass."""
-    D = _crossed_of(pf)
-    pf.require("deformation")
-    verdicts = _triple_verdicts(D.triple)
-    identity, D = _crossed_identity(D)
-    verdicts.append(identity)
-    if not all(v["ok"] for v in verdicts):
-        return verdicts, None
-    terms = sio.crossed_deformation_terms(pf)
-    return verdicts, CrossedHomDeformation.build(D, terms, order=_deformation_order(pf, flags))
+def _crossed_deformation(D, pf, order):
+    return CrossedHomDeformation.build(D, sio.crossed_deformation_terms(pf), order=order)
 
 
-def cmd_deform(read, pf, flags):
-    """``deform`` and ``ch-deform``: ``read`` gives the verdicts and the deformation of the file.
+def cmd_deform(read, build, pf, flags):
+    """``deform`` and ``ch-deform``: ``read`` gives the file's problem and its verdicts,
+    ``build`` the file's deformation of it, at ``--order`` or else the file's order.
 
     A report of named blocks (a triple's) lists the witnesses of each
     nonzero block by name, a report of one block (key None) lists its own.
     """
-    verdicts, d = read(pf, flags)
-    if d is None:
+    x, verdicts = read(pf, "deformation")
+    if not all(v["ok"] for v in verdicts):
         return {"verdicts": verdicts}
-    series = d.series()
+    order = flags.order if flags.order is not None else pf.deformation.order
+    series = build(x, pf, order).series()
     reports = series.residuals()
     residuals = []
     for n, r in enumerate(reports):
@@ -231,10 +214,10 @@ _HANDLERS = {
     "check-algebra": cmd_check_algebra,
     "check-triple": cmd_check_triple,
     "check-crossed": cmd_check_crossed,
-    "cohomology": cmd_cohomology,
-    "ch-cohomology": cmd_ch_cohomology,
-    "deform": partial(cmd_deform, _triple_deformation),
-    "ch-deform": partial(cmd_deform, _crossed_deformation),
+    "cohomology": partial(cmd_cohomology, _read_triple, triple_cohomology_table),
+    "ch-cohomology": partial(cmd_cohomology, _read_crossed, ch_cohomology_table),
+    "deform": partial(cmd_deform, _read_triple, _triple_deformation),
+    "ch-deform": partial(cmd_deform, _read_crossed, _crossed_deformation),
 }
 
 

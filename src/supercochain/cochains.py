@@ -46,7 +46,7 @@ from math import comb, lcm
 
 from .errors import ArityMismatch, ShapeMismatch, SpaceMismatch, ValidationError
 from .exact_linalg import Matrix
-from .graded import DirectSum, GradedSpace, direct_sum, normalize_tuple, shuffle
+from .graded import DirectSum, GradedSpace, normalize_tuple, shuffle
 from .util import canonical, dense, exact_rows, lincomb, require_exact, scaled_rows
 
 
@@ -469,18 +469,16 @@ class BlockCochain(_CoefficientMap):
         )
 
 
-def hat_extend(block: BlockCochain, ds: DirectSum = None) -> Cochain:
-    """Extend a block map to the direct sum g + h.
+def hat_extend(block: BlockCochain, ds: DirectSum) -> Cochain:
+    """Extend a block map to the direct sum ``ds`` = g + h of its two spaces.
 
     The extension is zero on every key without exactly (g_arity, h_arity)
     entries from the two sides.  At the ``block_key`` of a block pair it is
     the block value, re-keyed to the target side's positions, times the key's
     sign, so that reading the g entries first gives the block value back.
-    ``ds`` is the direct sum of the block's two spaces, if the caller holds it.
+    A block on other spaces than ``ds``'s is refused (``SpaceMismatch``).
     """
-    if ds is None:
-        ds = direct_sum(block.g_space, block.h_space)
-    elif ds.left != block.g_space or ds.right != block.h_space:
+    if ds.left != block.g_space or ds.right != block.h_space:
         raise SpaceMismatch("block does not live on the given direct sum")
     pos = ds.left_pos if block.target_side == "g" else ds.right_pos
     out = {}
@@ -490,8 +488,8 @@ def hat_extend(block: BlockCochain, ds: DirectSum = None) -> Cochain:
     return Cochain._from_ints((ds.space, ds.space, block.g_arity + block.h_arity), block.den, out)
 
 
-def hat_sum(blocks, ds: DirectSum = None) -> Cochain:
-    """The sum of the ``hat_extend``s of blocks of one total arity on one g + h (``ds``, if given)."""
+def hat_sum(blocks, ds: DirectSum) -> Cochain:
+    """The sum of the ``hat_extend``s of blocks of one total arity on one g + h, ``ds``."""
     return reduce(Cochain.add, (hat_extend(b, ds) for b in blocks))
 
 

@@ -44,7 +44,7 @@ from functools import partial
 from .cochains import BlockCochain, hat_extend, hat_sum, nr_bracket, project_block
 from .errors import ShapeMismatch, ValidationError
 from .exact_linalg import Matrix, cohomology_table, kernel_basis
-from .graded import direct_sum
+from .graded import DirectSum
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, check_super_skew
 from .triple import BlockComplex, LieSupActTriple, McProblem, adjoint_action, mu_block, pi_block
 from .triple import semidirect_algebra
@@ -114,7 +114,7 @@ def graph_failures(D: CrossedHom):
     multiplying each by the other's missing denominators.
     """
     t = D.triple
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     (s, S), (dg, G) = ((A.den, A.ints) for A in (semidirect_algebra(t), t.g))
     f = D.linmap
     dd = f.den
@@ -160,10 +160,10 @@ class ChComplex:
 
     def __init__(self, t: LieSupActTriple):
         self.triple = t
-        ds = direct_sum(t.g.space, t.h.space)
+        ds = DirectSum(t.g.space, t.h.space)
         self.mu_hat = hat_extend(mu_block(t.g.space, t.h), ds)
         self.pr_hat = hat_sum((pi_block(t.g, t.h.space), t.rho.as_block()), ds)
-        self._untwisted = BlockComplex(t.g.space, t.h.space, self.pr_hat, ch_blocks)
+        self._untwisted = BlockComplex(ds, self.pr_hat, ch_blocks)
 
     def bracket(self, f1: BlockCochain, f2: BlockCochain) -> BlockCochain:
         """[[f1, f2]] through the double bracket in the big algebra."""

@@ -47,7 +47,7 @@ from functools import partial
 from .cochains import BlockCochain, Cochain, hat_sum
 from .errors import InternalInvariantError, ShapeMismatch, ValidationError
 from .exact_linalg import kernel_basis
-from .graded import direct_sum
+from .graded import DirectSum
 from .superalgebra import LinearMap
 from .triple import (
     ActionMap,
@@ -209,7 +209,7 @@ def triple_problem(t: LieSupActTriple) -> McProblem:
     is read at twice its ``_EQUATION_FACTORS`` factor.  The complex at Pi is
     the triple complex over ``triple_blocks``, with P = Pi itself.
     """
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     factors = tuple(2 * f for f in _EQUATION_FACTORS)
     zero = Cochain.zero(ds.space, ds.space, 2)
     project = partial(McResidual.project, ds=ds, factors=factors)

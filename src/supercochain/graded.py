@@ -17,9 +17,9 @@ counts are the only Koszul signs the library computes; the test oracles
 check them against the permutation form of the sign (the signature times
 (-1) to the number of inversions between two odd entries).
 
-Nothing here keeps a cache: ``wedge_basis`` lists its keys and
-``direct_sum`` builds its tables on each call, so a long-lived process holds
-no table it is not using.
+Nothing here keeps a cache: ``wedge_basis`` lists its keys on each call and
+each ``DirectSum`` builds its own tables, so a long-lived process holds no
+table it is not using.
 """
 
 from __future__ import annotations
@@ -202,7 +202,3 @@ class DirectSum:
         self.left_pos = left_pos
         self.right_pos = right_pos
         self.side_of = tuple(side_of)
-
-
-def direct_sum(left: GradedSpace, right: GradedSpace) -> DirectSum:
-    return DirectSum(left, right)

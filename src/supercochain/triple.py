@@ -34,7 +34,7 @@ from .cochains import nr_bracket, order_pairs, project_block
 from .errors import DimensionMismatch, InternalInvariantError, InvalidAction, ShapeMismatch
 from .errors import ValidationError
 from .exact_linalg import Matrix, cohomology_table
-from .graded import DirectSum, GradedSpace, direct_sum, wedge_basis
+from .graded import DirectSum, GradedSpace, wedge_basis
 from .superalgebra import CheckReport, Failure, LinearMap, SuperAlgebra, algebra_reports
 from .superalgebra import identity_failures
 from .util import Frozen, bilinear, canonical, contract_cols, contract_pairs, contract_rows, dense
@@ -200,7 +200,7 @@ def _blocks_of(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap):
 
 def mc_element(t: LieSupActTriple) -> Cochain:
     """Pi = pi + rho + mu, extended to one arity-2 cochain on g + h."""
-    return hat_sum(_blocks_of(t.g, t.h, t.rho))
+    return hat_sum(_blocks_of(t.g, t.h, t.rho), DirectSum(t.g.space, t.h.space))
 
 
 def adjoint_action(A: SuperAlgebra) -> ActionMap:
@@ -281,7 +281,7 @@ def mc_residual(g: SuperAlgebra, h: SuperAlgebra, rho: ActionMap) -> McResidual:
     blocks = _blocks_of(g, h, rho)
     if blocks[1].parity() != 0:
         raise ShapeMismatch("the action is not degree 0")
-    ds = direct_sum(g.space, h.space)
+    ds = DirectSum(g.space, h.space)
     Pi = hat_sum(blocks, ds)
     return McResidual.project(nr_bracket(Pi, Pi), ds)
 
@@ -318,19 +318,19 @@ def block_units(g_space, h_space, sigs):
 
 
 class BlockComplex:
-    """The complex (C^*, [P, .]) of block cochains for an even arity-2 P on g + h.
+    """The complex (C^*, [P, .]) of block cochains for an even arity-2 P on ``ds`` = g + h.
 
     ``sigs(n)`` lists the block signatures of C^n; an element of C^n is the
     tuple of its ``BlockCochain``s in that order, and ``element`` decodes one
     from its coordinates on ``units``.  The triple complex has
     P = pi + rho + mu over ``triple_blocks``, the crossed-homomorphism
-    complex P_D = pi + rho + [mu, D] over ``crossed.ch_blocks``.
+    complex P_D = pi + rho + [mu, D] over ``crossed.ch_blocks``.  ``ds`` is
+    the direct sum its builder extended P on; ``d``, ``units`` and ``element``
+    extend and project on it.
     """
 
-    def __init__(self, g_space: GradedSpace, h_space: GradedSpace, P: Cochain, sigs):
-        self.g_space = g_space
-        self.h_space = h_space
-        self.ds = direct_sum(g_space, h_space)
+    def __init__(self, ds: DirectSum, P: Cochain, sigs):
+        self.ds = ds
         self.P = P
         self.sigs = sigs
         self._units = {}
@@ -344,7 +344,7 @@ class BlockComplex:
             ds, sigs = self.ds, self.sigs(n)
             out = {None: [], 0: [], 1: []}
             pair = None
-            for b, gk, hk, t, up in block_units(self.g_space, self.h_space, sigs):
+            for b, gk, hk, t, up in block_units(ds.left, ds.right, sigs):
                 if pair != (gk, hk):
                     pair = (gk, hk)
                     key, sign = block_key(ds, gk, hk)
@@ -418,15 +418,16 @@ class McProblem(Frozen):
         """The ``BlockComplex`` at X_0, given left(X_0): P = delta + left(X_0), left(X_0) itself
         when delta = 0, so that P keeps the bracket support ``residuals`` built for it."""
         P = left0 if self.delta.is_zero() else self.delta.add(left0)
-        return BlockComplex(self.ds.left, self.ds.right, P, self.sigs)
+        return BlockComplex(self.ds, P, self.sigs)
 
     def is_zero(self, report) -> bool:
         return all(b.is_zero() for b in self.parts(report).values())
 
 
 def triple_complex(t: LieSupActTriple) -> BlockComplex:
-    """The triple complex: [Pi, .] over ``triple_blocks``."""
-    return BlockComplex(t.g.space, t.h.space, mc_element(t), triple_blocks)
+    """The triple complex: [Pi, .] over ``triple_blocks``, Pi extended on the complex's g + h."""
+    ds = DirectSum(t.g.space, t.h.space)
+    return BlockComplex(ds, hat_sum(_blocks_of(t.g, t.h, t.rho), ds), triple_blocks)
 
 
 def triple_coboundary_matrix(t: LieSupActTriple, n: int, parity=None, cx=None) -> Matrix:

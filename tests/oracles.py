@@ -69,7 +69,7 @@ from supercochain.cochains import BlockCochain, Cochain, _multiplicity, hat_exte
 from supercochain.errors import ArityMismatch, DimensionMismatch, InternalInvariantError, InvalidAction
 from supercochain.errors import SpaceMismatch, ValidationError
 from supercochain.exact_linalg import Matrix
-from supercochain.graded import direct_sum, normalize_tuple, shuffle, wedge_basis
+from supercochain.graded import DirectSum, normalize_tuple, shuffle, wedge_basis
 from supercochain.triple import check_action as triple_check_action
 from supercochain.triple import (
     McResidual,
@@ -260,7 +260,7 @@ def hat_extend_reference(block):
     g_arity g entries takes the block value times the Koszul sign of the
     shuffle pulling its g entries to the front in order.
     """
-    ds = direct_sum(block.g_space, block.h_space)
+    ds = DirectSum(block.g_space, block.h_space)
     V = ds.space
     N = block.g_arity + block.h_arity
     pars = V.parities
@@ -394,7 +394,7 @@ def raw_bracket_eval(Ftab, aF, f_parity, Gtab, aG, g_parity, space, X):
 
 def raw_structure_table(t):
     """Pi as a raw arity-2 table on g + h, assembled from the three tables."""
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     dim = ds.space.dim
     out = {}
     for i in range(dim):
@@ -417,7 +417,7 @@ def raw_structure_table(t):
 
 def pi_rho_table(t):
     """pi + rho only (the h-h block left out)."""
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     out = {}
     for key, vec in raw_structure_table(t).items():
         sides = {ds.side_of[k][0] for k in key}
@@ -428,7 +428,7 @@ def pi_rho_table(t):
 
 
 def mu_table(t):
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     out = {}
     for key, vec in raw_structure_table(t).items():
         sides = {ds.side_of[k][0] for k in key}
@@ -447,7 +447,7 @@ def _unit_sum_key_and_target(ds, unit_blocks, unit):
 
 def triple_oracle_matrix(t, n, parity):
     """Raw-table matrix of the degree-n differential of the triple complex."""
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     space = ds.space
     blocks_n = triple_blocks(n)
     blocks_n1 = triple_blocks(n + 1)
@@ -500,7 +500,7 @@ def _materialize_bracket(Ftab, aF, fp, Gtab, aG, gp, space):
 def ch_oracle_matrix(D, n, parity):
     """Raw-table matrix of the twisted differential on Hom(wedge^n g, h)."""
     t = D.triple
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     space = ds.space
     PR = pi_rho_table(t)
     MU = mu_table(t)
@@ -687,13 +687,13 @@ def _reference_matrix(g_space, h_space, P, sigs, n, parity):
     Each unit block is hat-extended, bracketed with P by the shuffle-sum
     product and projected back onto every block signature of degree n + 1.
     """
-    ds = direct_sum(g_space, h_space)
+    ds = DirectSum(g_space, h_space)
     cols = parity_units(g_space, h_space, sigs(n), parity)
     rows = parity_units(g_space, h_space, sigs(n + 1), parity)
     columns = []
     for u in cols:
         unit = unit_blocks(g_space, h_space, sigs(n), u)[u[0]]
-        image = shuffle_nr_bracket(P, hat_extend(unit))
+        image = shuffle_nr_bracket(P, hat_extend(unit, ds))
         blocks = tuple(project_block(image, ds, *sig) for sig in sigs(n + 1))
         columns.append(blocks_vector(blocks, rows))
     return matrix_from_cols(columns, len(rows))
@@ -717,8 +717,9 @@ def ch_reference_matrix(D, n, parity):
     """Degree-n twisted differential [pi + rho + [mu, D], .], one ``shuffle_nr_bracket`` per column."""
     t = D.triple
     gs, hs = t.g.space, t.h.space
-    mu_D = shuffle_nr_bracket(hat_extend(mu_block(gs, t.h)), hat_extend(D.as_block()))
-    P_D = hat_extend(pi_block(t.g, hs)).add(hat_extend(t.rho.as_block())).add(mu_D)
+    ds = DirectSum(gs, hs)
+    mu_D = shuffle_nr_bracket(hat_extend(mu_block(gs, t.h), ds), hat_extend(D.as_block(), ds))
+    P_D = hat_extend(pi_block(t.g, hs), ds).add(hat_extend(t.rho.as_block(), ds)).add(mu_D)
     return _reference_matrix(gs, hs, P_D, ch_blocks, n, parity)
 
 
@@ -969,7 +970,7 @@ def graph_failures(D):
     t = D.triple
     g = t.g
     sd = semidirect_reference(g, t.h, t.rho)
-    ds = direct_sum(g.space, t.h.space)
+    ds = DirectSum(g.space, t.h.space)
 
     def lift(x):
         return vec_add(embed_left(ds, x), embed_right(ds, dense_apply(D.linmap, x)))
@@ -993,7 +994,7 @@ def mc_residual_components_reference(g, h, rho):
     the same block of [Pi, Pi]; a mismatch would be a bug in the bracket, not
     in the candidate data.
     """
-    ds = direct_sum(g.space, h.space)
+    ds = DirectSum(g.space, h.space)
     P, R, M = (
         hat_extend_reference(b) for b in (pi_block(g, h.space), rho.as_block(), mu_block(g.space, h))
     )
@@ -1277,7 +1278,7 @@ def semidirect_reference(g, h, rho):
     report = triple_check_action(g, h, rho)
     if not report.ok:
         raise InvalidAction(f"action fails {len(report.failures)} axiom checks")
-    ds = direct_sum(g.space, h.space)
+    ds = DirectSum(g.space, h.space)
     dim = ds.space.dim
     sc = {}
     for i in range(dim):

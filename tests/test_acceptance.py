@@ -28,7 +28,7 @@ from supercochain.deformation import (
     triple_cocycle_deformations,
 )
 from supercochain.exact_linalg import kernel_basis, rank
-from supercochain.graded import GradedSpace, direct_sum
+from supercochain.graded import DirectSum, GradedSpace
 from supercochain.superalgebra import LinearMap
 from supercochain.triple import (
     LieSupActTriple,
@@ -155,7 +155,7 @@ def test_criterion_3_membership_closure():
     rng = random.Random(103)
     gsp = GradedSpace(("x",), ("y",))
     hsp = GradedSpace(("u",), ("v",))
-    ds = direct_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     g_sigs = [(1, 0, "g"), (2, 0, "g"), (3, 0, "g")]
     h_sigs = [(0, 1, "h"), (1, 1, "h"), (0, 2, "h"), (2, 1, "h"), (1, 2, "h")]
     cases = {"gg": 0, "gm": 0, "mm": 0}
@@ -173,8 +173,8 @@ def test_criterion_3_membership_closure():
         else:
             s1, s2 = rng.choice(h_sigs), rng.choice(h_sigs)
             tag = "mm"
-        F1 = hat_extend(random_block(gsp, hsp, *s1, rng))
-        F2 = hat_extend(random_block(gsp, hsp, *s2, rng))
+        F1 = hat_extend(random_block(gsp, hsp, *s1, rng), ds)
+        F2 = hat_extend(random_block(gsp, hsp, *s2, rng), ds)
         assert f_membership(F1, ds) and f_membership(F2, ds)
         assert f_membership(nr_bracket(F1, F2), ds)
         cases[tag] += 1
@@ -236,11 +236,12 @@ def test_criterion_5_differentials():
     for t in (solvable_triple(), adjoint_triple(aff11())):
         Pi = mc_element(t)
         gsp, hsp = t.g.space, t.h.space
+        ds = DirectSum(gsp, hsp)
         while pairs < 100 * (1 if t.g.dim == 2 else 2):
             b1 = random_block(gsp, hsp, *rng.choice(legal), rng)
             b2 = random_block(gsp, hsp, *rng.choice(legal), rng)
-            parts1 = hat_extend(b1).parity_parts()
-            parts2 = hat_extend(b2).parity_parts()
+            parts1 = hat_extend(b1, ds).parity_parts()
+            parts2 = hat_extend(b2, ds).parity_parts()
             if not parts1 or not parts2:
                 continue
             F1, _ = parts1[0]
@@ -259,7 +260,8 @@ def test_criterion_5_differentials():
     t = adjoint_triple(aff11())
     cc = ChComplex(t)
     gsp, hsp = t.g.space, t.h.space
-    mu_hat = hat_extend(mu_block(gsp, t.h))
+    ds = DirectSum(gsp, hsp)
+    mu_hat = hat_extend(mu_block(gsp, t.h), ds)
     obstruction = nr_bracket(cc.pr_hat, mu_hat)
     rng2 = random.Random(1105)
     while pairs < 200:
@@ -277,7 +279,7 @@ def test_criterion_5_differentials():
             cc.bracket(b1, cc.coboundary(b2)).scale(F(-1 if m % 2 else 1))
         )
         assert lhs == rhs
-        assert nr_bracket(nr_bracket(obstruction, hat_extend(b1)), hat_extend(b2)).is_zero()
+        assert nr_bracket(nr_bracket(obstruction, hat_extend(b1, ds)), hat_extend(b2, ds)).is_zero()
         pairs += 1
 
 

@@ -681,3 +681,54 @@ def test_crossed_commands_check_the_identity_once(capsys, monkeypatch, command, 
     code, _ = run_cli([command, str(FIXTURES / f"{fixture}.json"), "--format", "json"], capsys)
     assert code in (0, 1)
     assert len(calls) == 1
+
+
+# Section-stripped copies of abelian_mixed.json: the sections each drops, and the one
+# stderr line of cohomology, ch-cohomology, deform and ch-deform on it (None: the
+# command runs).  A reader requires its base sections and builds the triple or D before
+# it requires "deformation", so a file missing both names only the base section.
+STRIPPED = {
+    "no_deformation": (("deformation",), (None, None, "deformation", "deformation")),
+    "no_action": (("action", "deformation"), ("action",) * 4),
+    "no_D": (("D", "deformation"), (None, "crossed", "deformation", "crossed")),
+    "g_only": (("h", "action", "D", "deformation"), ("h, action", "h, action, crossed") * 2),
+    "empty": (("g", "h", "action", "D", "deformation"), ("g, h, action", "g, h, action, crossed") * 2),
+}
+
+
+@pytest.mark.parametrize("stripped", sorted(STRIPPED))
+def test_missing_sections_are_refused_in_reading_order(capsys, tmp_path, stripped):
+    drop, lines = STRIPPED[stripped]
+    doc = json.loads((FIXTURES / "abelian_mixed.json").read_text())
+    p = tmp_path / f"{stripped}.json"
+    p.write_text(json.dumps({k: v for k, v in doc.items() if k not in drop}))
+    for command, missing in zip(("cohomology", "ch-cohomology", "deform", "ch-deform"), lines):
+        code = cli.main([command, str(p), "--format", "json"])
+        out, err = capsys.readouterr()
+        if missing is None:
+            assert (code, err) == (0, "") and json.loads(out)["cohomology"], command
+        else:
+            assert (code, out, err) == (2, "", f"error: file is missing required section(s): {missing}\n"), command
+
+
+def test_failing_triple_checks_stop_each_command_before_its_complex(capsys, tmp_path):
+    # [e, e] = e for the even e breaks g.super_skew; check-crossed then stops at the
+    # triple verdicts, while the ch-* commands still report crossed_identity
+    doc = json.loads((FIXTURES / "aff11_adjoint.json").read_text())
+    doc["g"]["bracket"].append({"left": "e", "right": "e", "value": [{"basis": "e", "coeff": "1"}]})
+    p = tmp_path / "even_square.json"
+    p.write_text(json.dumps(doc))
+    triple = ["g.super_skew", "g.jacobi", "h.super_skew", "h.jacobi", "action"]
+    for command, names in [
+        ("check-crossed", triple),
+        ("cohomology", triple),
+        ("deform", triple),
+        ("ch-cohomology", triple + ["crossed_identity"]),
+        ("ch-deform", triple + ["crossed_identity"]),
+    ]:
+        code, out = run_cli([command, str(p), "--format", "json"], capsys)
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False, command
+        assert [v["name"] for v in report["verdicts"]] == names, command
+        assert report["verdicts"][0]["ok"] is False, command
+        assert not {"cohomology", "residuals", "infinitesimal"} & set(report), command

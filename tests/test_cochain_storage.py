@@ -30,7 +30,7 @@ from supercochain.cochains import (
 )
 from supercochain.deformation import CrossedHomDeformation, TripleDeformation
 from supercochain.errors import ArityMismatch, ValidationError
-from supercochain.graded import GradedSpace, direct_sum, wedge_basis
+from supercochain.graded import DirectSum, GradedSpace, wedge_basis
 from supercochain.superalgebra import LinearMap, SuperAlgebra
 from supercochain.triple import ActionMap
 
@@ -198,12 +198,12 @@ def _ops(rng):
     """(name, result) of every linear and bracket operation on random data."""
     c1, c2 = random_cochain(V, 2, rng, bound=3), random_cochain(V, 2, rng, bound=3)
     b = random_block(G, H, 1, 1, "h", rng)
-    ds = direct_sum(G, H)
+    ds = DirectSum(G, H)
     big = random_cochain(ds.space, 2, rng)
     return [
         ("add", c1.add(c2.scale(F(1, 3)))),
         ("scale", c1.scale(F(-5, 4))),
-        ("hat_extend", hat_extend(b.scale(F(2, 3)))),
+        ("hat_extend", hat_extend(b.scale(F(2, 3)), ds)),
         ("project_block", project_block(big.scale(F(1, 6)), ds, 1, 1, "h")),
         ("circ", circ(c1.scale(F(1, 2)), c2)),
         ("nr_bracket", nr_bracket(c1, c2.scale(F(3, 4)))),

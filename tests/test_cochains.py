@@ -18,7 +18,7 @@ from supercochain.cochains import (
     project_block,
 )
 from supercochain.errors import ShapeMismatch, SpaceMismatch
-from supercochain.graded import GradedSpace, direct_sum, wedge_basis
+from supercochain.graded import DirectSum, GradedSpace, wedge_basis
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, gl
 from supercochain.triple import ActionMap, LieSupActTriple, check_action, mc_residual
 from supercochain.triple import triple_blocks, triple_complex
@@ -192,16 +192,12 @@ def test_bracket_graded_antisymmetry_and_jacobi():
 # --- hat extension and membership ------------------------------------------
 
 
-def make_sum(gsp, hsp):
-    return direct_sum(gsp, hsp)
-
-
 def test_hat_pure_g_block_acts_like_inclusion():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
     rng = random.Random(7)
     blk = random_block(gsp, hsp, 2, 0, "g", rng, max_keys=4)
-    F_hat = hat_extend(blk)
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
+    F_hat = hat_extend(blk, ds)
     for gk in wedge_basis(gsp, 2):
         slots = tuple(ds.left_pos[i] for i in gk)
         assert split(ds, F_hat.eval(slots))[0] == blk.eval(gk, ())
@@ -211,10 +207,10 @@ def test_hat_pure_g_block_acts_like_inclusion():
 
 def test_hat_action_block_signs():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     rng = random.Random(8)
     blk = random_block(gsp, hsp, 1, 1, "h", rng, max_keys=4)
-    H = hat_extend(blk)
+    H = hat_extend(blk, ds)
     for i in range(gsp.dim):
         for j in range(hsp.dim):
             x = ds.left_pos[i]
@@ -233,56 +229,55 @@ def test_hat_injective_on_blocks():
         blk = random_block(gsp, hsp, sig[0], sig[1], sig[2], rng, max_keys=6)
         if blk.is_zero():
             continue
-        ext = hat_extend(blk)
+        ds = DirectSum(gsp, hsp)
+        ext = hat_extend(blk, ds)
         assert not ext.is_zero()
-        ds = make_sum(gsp, hsp)
         assert project_block(ext, ds, *sig) == blk
 
 
 def test_hat_project_round_trip_wide_signatures():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     rng = random.Random(21)
     for sig in [(2, 2, "h"), (3, 1, "h"), (1, 3, "h"), (4, 0, "g"), (0, 4, "h")]:
         for _ in range(4):
             blk = random_block(gsp, hsp, *sig, rng, max_keys=6, bound=3)
-            assert project_block(hat_extend(blk), ds, *sig) == blk
-            assert hat_extend(blk, ds) == hat_extend(blk)
+            assert project_block(hat_extend(blk, ds), ds, *sig) == blk
     with pytest.raises(SpaceMismatch):
-        hat_extend(blk, make_sum(hsp, gsp))
+        hat_extend(blk, DirectSum(hsp, gsp))
 
 
 def test_block_decomposition_is_complete():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     rng = random.Random(22)
     legal = [(3, 0, "g"), (2, 1, "h"), (1, 2, "h"), (0, 3, "h")]
     for _ in range(6):
         blocks = {sig: random_block(gsp, hsp, *sig, rng, max_keys=4, bound=3) for sig in legal}
         total = None
         for sig in legal:
-            ext = hat_extend(blocks[sig])
+            ext = hat_extend(blocks[sig], ds)
             total = ext if total is None else total.add(ext)
         rebuilt = None
         for sig in legal:
             part = project_block(total, ds, *sig)
             assert part == blocks[sig]
-            ext = hat_extend(part)
+            ext = hat_extend(part, ds)
             rebuilt = ext if rebuilt is None else rebuilt.add(ext)
         assert rebuilt == total
 
 
 def test_f_membership_patterns():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     rng = random.Random(10)
-    good = hat_extend(random_block(gsp, hsp, 2, 0, "g", rng))
+    good = hat_extend(random_block(gsp, hsp, 2, 0, "g", rng), ds)
     assert f_membership(good, ds)
-    good_h = hat_extend(random_block(gsp, hsp, 1, 1, "h", rng))
+    good_h = hat_extend(random_block(gsp, hsp, 1, 1, "h", rng), ds)
     assert f_membership(good_h, ds)
     # a map sending a mixed tuple into g is not a member
     bad = hat_extend(
-        BlockCochain(gsp, hsp, 1, 1, "g", {((0,), (0,)): (F(1), F(0))})
+        BlockCochain(gsp, hsp, 1, 1, "g", {((0,), (0,)): (F(1), F(0))}), ds
     )
     assert not bad.is_zero()
     assert not f_membership(bad, ds)
@@ -290,7 +285,7 @@ def test_f_membership_patterns():
 
 def test_f_closure_under_bracket():
     gsp, hsp = V11, GradedSpace(("u",), ("v",))
-    ds = make_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     rng = random.Random(11)
     legal = [
         (1, 0, "g"),
@@ -302,8 +297,8 @@ def test_f_closure_under_bracket():
     ]
     for _ in range(40):
         s1, s2 = rng.choice(legal), rng.choice(legal)
-        F1 = hat_extend(random_block(gsp, hsp, *s1, rng))
-        F2 = hat_extend(random_block(gsp, hsp, *s2, rng))
+        F1 = hat_extend(random_block(gsp, hsp, *s1, rng), ds)
+        F2 = hat_extend(random_block(gsp, hsp, *s2, rng), ds)
         assert f_membership(F1, ds) and f_membership(F2, ds)
         assert f_membership(nr_bracket(F1, F2), ds)
 
@@ -394,11 +389,11 @@ def _block_with_repeated_odd(gsp, hsp, sig, rng, max_keys):
 @given(keys=st.integers(0, 4), rng=st.randoms(use_true_random=False))
 def test_block_maps_match_references(name, keys, rng):
     gsp, hsp = SPACE_PAIRS[name]
-    ds = direct_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     totals = {}
     for sig in BLOCK_SIGNATURES:
         blk = _block_with_repeated_odd(gsp, hsp, sig, rng, keys)
-        ext = hat_extend(blk)
+        ext = hat_extend(blk, ds)
         assert ext == oracles.hat_extend_reference(blk)
         assert project_block(ext, ds, *sig) == blk
         n = sig[0] + sig[1]

@@ -15,7 +15,7 @@ from supercochain.crossed import (
     graph_failures,
 )
 from supercochain.errors import ValidationError
-from supercochain.graded import direct_sum
+from supercochain.graded import DirectSum
 from supercochain.superalgebra import LinearMap, abelian, gl
 from supercochain.triple import ActionMap, LieSupActTriple, mu_block
 
@@ -204,8 +204,8 @@ def test_intermediate_sign_identity():
     # [[mu,f1],f2] + (-1)^(m + mn - n + f1 f2) [[mu,f2],f1] = 0
     t = adjoint_triple(aff11())
     gs, hs = t.g.space, t.h.space
-    ds = direct_sum(gs, hs)
-    mu_hat = hat_extend(mu_block(gs, t.h))
+    ds = DirectSum(gs, hs)
+    mu_hat = hat_extend(mu_block(gs, t.h), ds)
     rng = random.Random(7)
     for _ in range(25):
         f1 = random_block(gs, hs, rng.randint(1, 2), 0, "h", rng)
@@ -213,8 +213,8 @@ def test_intermediate_sign_identity():
         for p1, a in f1.parity_parts():
             for p2, b in f2.parity_parts():
                 m, n = p1.g_arity, p2.g_arity
-                lhs = nr_bracket(nr_bracket(mu_hat, hat_extend(p1)), hat_extend(p2))
-                rhs = nr_bracket(nr_bracket(mu_hat, hat_extend(p2)), hat_extend(p1))
+                lhs = nr_bracket(nr_bracket(mu_hat, hat_extend(p1, ds)), hat_extend(p2, ds))
+                rhs = nr_bracket(nr_bracket(mu_hat, hat_extend(p2, ds)), hat_extend(p1, ds))
                 sign = F(-1 if (m + m * n - n + a * b) % 2 else 1)
                 assert lhs == rhs.scale(sign).scale(-1)
 
@@ -254,8 +254,8 @@ def test_del_pi_rho_derivation_rule_and_inner_obstruction(aff_triple):
     cc = ChComplex(aff_triple)
     t = aff_triple
     gs, hs = t.g.space, t.h.space
-    ds = direct_sum(gs, hs)
-    mu_hat = hat_extend(mu_block(gs, t.h))
+    ds = DirectSum(gs, hs)
+    mu_hat = hat_extend(mu_block(gs, t.h), ds)
     rng = random.Random(10)
     for _ in range(15):
         f1 = random_block(gs, hs, rng.randint(1, 2), 0, "h", rng)
@@ -270,7 +270,7 @@ def test_del_pi_rho_derivation_rule_and_inner_obstruction(aff_triple):
                 assert lhs == rhs
                 # the composite obstruction [[pi+rho, mu], f1], f2] vanishes identically
                 inner = nr_bracket(cc.pr_hat, mu_hat)
-                piece = nr_bracket(nr_bracket(inner, hat_extend(p1)), hat_extend(p2))
+                piece = nr_bracket(nr_bracket(inner, hat_extend(p1, ds)), hat_extend(p2, ds))
                 assert piece.is_zero()
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from supercochain import cli, cochains, crossed, deformation, graded, triple
+from supercochain import cli, graded
 from supercochain.cochains import BlockCochain, Cochain
 from supercochain.crossed import (
     ChComplex,
@@ -251,9 +251,11 @@ def test_linear_ch_check_trivial(crossed_D):
         linear_check(CrossedHomDeformation.build(crossed_D, order=2))
 
 
-def test_deform_builds_at_most_two_direct_sums(monkeypatch, tmp_path, capsys):
-    """``deform`` on the benchmark's gl(2|1) adjoint input builds the triple problem's
-    direct sum and that of the complex at Pi; every hat extension reuses one of them."""
+def test_each_command_builds_one_direct_sum(monkeypatch, tmp_path, capsys):
+    """Each command on the benchmark's gl(2|1) adjoint input builds its problem's or complex's
+    g + h once and hat-extends every block on it.  ``check-crossed`` builds four: the graph
+    criterion's, the semidirect product's Pi and its [Pi, Pi] check, and the residual's
+    crossed complex; ``check-algebra`` builds none."""
     bench_inputs = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("bench_inputs", bench_inputs)
     inputs = importlib.util.module_from_spec(spec)
@@ -261,15 +263,25 @@ def test_deform_builds_at_most_two_direct_sums(monkeypatch, tmp_path, capsys):
     path = tmp_path / "gl21_adjoint.json"
     path.write_text(json.dumps(inputs.generated_inputs()["gl21_adjoint"]), encoding="utf-8")
     built = []
-    real = graded.direct_sum
+    real = graded.DirectSum.__init__
 
-    def counted(*args):
+    def counted(self, *args):
         built.append(args)
-        return real(*args)
+        real(self, *args)
 
-    for module in (graded, cochains, triple, crossed, deformation):
-        if getattr(module, "direct_sum", None) is real:
-            monkeypatch.setattr(module, "direct_sum", counted)
-    assert cli.main(["deform", str(path), "--format", "json"]) == 0
+    monkeypatch.setattr(graded.DirectSum, "__init__", counted)
+    counts = {}
+    for command in cli._HANDLERS:
+        built.clear()
+        assert cli.main([command, str(path), "--format", "json"]) == 0
+        counts[command] = len(built)
     capsys.readouterr()
-    assert 1 <= len(built) <= 2
+    assert counts == {
+        "check-algebra": 0,
+        "check-triple": 1,
+        "check-crossed": 4,
+        "cohomology": 1,
+        "ch-cohomology": 1,
+        "deform": 1,
+        "ch-deform": 1,
+    }

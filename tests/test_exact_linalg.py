@@ -431,26 +431,33 @@ def test_residual_pass_builds_each_support_once(monkeypatch, tmp_path, capsys):
     assert len(built) == len({id(P) for P in built}) == 5
     # check-crossed on the same D reads the order-0 residual and builds no complex at D:
     # one [mu, D], one more expansion each for the residual and for the semidirect
-    # product's [Pi, Pi] (a self-bracket), and no direct sum for P_D: every hat
-    # extension of ChComplex reuses its one direct sum
-    calls = dict.fromkeys(("nr_bracket", "_expand", "direct_sum"), 0)
-    for name in calls:
-        original = getattr(graded if name == "direct_sum" else cochains, name)
+    # product's [Pi, Pi] (a self-bracket), and four direct sums, for the graph
+    # criterion, Pi, [Pi, Pi] and ChComplex, whose hat extensions all reuse its own
+    calls = dict.fromkeys(("nr_bracket", "_expand", "DirectSum"), 0)
+    for name in ("nr_bracket", "_expand"):
+        original = getattr(cochains, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        for module in (cochains, graded, triple, crossed, deformation):
+        for module in (cochains, triple, crossed, deformation):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
+    real_init = graded.DirectSum.__init__
+
+    def counted_init(self, *args):
+        calls["DirectSum"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(graded.DirectSum, "__init__", counted_init)
     path = tmp_path / "gl21_adjoint.json"
     problem = {"g": sio.algebra_to_obj(t.g), "h": sio.algebra_to_obj(t.h),
                "action": sio.action_to_obj(t.rho), "D": sio.crossed_to_obj(D.linmap)}
     path.write_text(json.dumps(problem), encoding="utf-8")
     assert cli.main(["check-crossed", str(path), "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls == {"nr_bracket": 2, "_expand": 3, "direct_sum": 7}
+    assert calls == {"nr_bracket": 2, "_expand": 3, "DirectSum": 4}
     # ch-deform of the deformation above: [mu, D_0] and [mu, D_1] of the residual pass,
     # then d D_1 in the complex at D_0, whose P_D reuses the pass's [mu, D_0]
     problem["deformation"] = {"order": 2, "coefficients": [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import supercochain
 from supercochain.cochains import block_key
 from supercochain.errors import ArityMismatch, ValidationError
-from supercochain.graded import GradedSpace, direct_sum, normalize_tuple, shuffle, wedge_basis, wedge_dim
+from supercochain.graded import DirectSum, GradedSpace, normalize_tuple, shuffle, wedge_basis, wedge_dim
 
 import oracles
 from helpers import embed_left, split
@@ -180,7 +180,7 @@ def test_shuffle_is_normalize_of_the_concatenation(p, q):
 
 def test_block_key_sign_is_normalize_of_the_concatenated_positions():
     g, h = _space(2, 1), _space(1, 2)
-    ds = direct_sum(g, h)
+    ds = DirectSum(g, h)
     for i in range(4):
         for j in range(4 - i):
             for gk in wedge_basis(g, i):
@@ -233,10 +233,10 @@ def test_shuffles_are_increasing_in_blocks(blocks):
 def test_direct_sum_layout_and_collision():
     a = GradedSpace(("x",), ("y",))
     b = GradedSpace(("u",), ("v",))
-    ds = direct_sum(a, b)
+    ds = DirectSum(a, b)
     assert ds.space.labels == ("x", "u", "y", "v")
     assert ds.side_of == (("g", 0), ("h", 0), ("g", 1), ("h", 1))
-    same = direct_sum(a, a)
+    same = DirectSum(a, a)
     assert same.space.labels == ("g.x", "h.x", "g.y", "h.y")
     vec = embed_left(same, (F(1), F(2)))
     assert vec == (F(1), F(0), F(2), F(0))

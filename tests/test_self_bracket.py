@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from supercochain.crossed import ChComplex, CrossedHom, ch_mc_residual
 from supercochain.deformation import CrossedHomDeformation, TripleDeformation
 from supercochain.errors import InternalInvariantError, ShapeMismatch
-from supercochain.graded import direct_sum
+from supercochain.graded import DirectSum
 from supercochain.superalgebra import SuperAlgebra, check_jacobi, check_super_skew
 from supercochain.triple import mc_element, mc_residual, semidirect_algebra
 
@@ -33,7 +33,7 @@ FACTORS = {"ggg": F(1), "ggh": F(-1, 2), "ghh": F(1, 2), "hhh": F(1)}
 
 
 def _pi_table(t):
-    return SuperAlgebra(direct_sum(t.g.space, t.h.space).space, mc_element(t).coeffs)
+    return SuperAlgebra(DirectSum(t.g.space, t.h.space).space, mc_element(t).coeffs)
 
 
 def _twisted_reading(D):

@@ -157,9 +157,9 @@ def test_semidirect_zero_action_is_direct_sum():
     S = semidirect(g, h, rho)
     assert check_jacobi(S).ok
     # g block survives verbatim
-    from supercochain.graded import direct_sum
+    from supercochain.graded import DirectSum
 
-    ds = direct_sum(g.space, h.space)
+    ds = DirectSum(g.space, h.space)
     for i in range(g.dim):
         for j in range(g.dim):
             got = S.bracket_eval(

@@ -5,7 +5,7 @@ import pytest
 
 from supercochain.cochains import nr_bracket
 from supercochain.errors import DimensionMismatch, ShapeMismatch, ValidationError
-from supercochain.graded import direct_sum
+from supercochain.graded import DirectSum
 from supercochain.superalgebra import SuperAlgebra, abelian, check_jacobi, gl
 from supercochain.triple import (
     ActionMap,
@@ -89,7 +89,7 @@ def test_mc_element_zero_for_trivial_data():
 def test_mc_element_structure():
     t = solvable_triple()
     Pi = mc_element(t)
-    ds = direct_sum(t.g.space, t.h.space)
+    ds = DirectSum(t.g.space, t.h.space)
     assert f_membership(Pi, ds)
     assert Pi.eval((ds.left_pos[0], ds.right_pos[0])) == embed_right(ds, (F(1),))
 
@@ -205,7 +205,7 @@ def test_derivation_rule_of_coboundary():
     rng = random.Random(31)
     t = adjoint_triple(aff11())
     gsp, hsp = t.g.space, t.h.space
-    ds = direct_sum(gsp, hsp)
+    ds = DirectSum(gsp, hsp)
     Pi = mc_element(t)
     legal = [(1, 0, "g"), (2, 0, "g"), (1, 1, "h"), (0, 1, "h"), (0, 2, "h")]
     from supercochain.cochains import hat_extend
@@ -213,9 +213,9 @@ def test_derivation_rule_of_coboundary():
     for _ in range(15):
         b1 = random_block(gsp, hsp, *rng.choice(legal), rng)
         b2 = random_block(gsp, hsp, *rng.choice(legal), rng)
-        for F1, f in hat_extend(b1).parity_parts():
+        for F1, f in hat_extend(b1, ds).parity_parts():
             n1 = F1.arity - 1
-            for F2, _ in hat_extend(b2).parity_parts():
+            for F2, _ in hat_extend(b2, ds).parity_parts():
                 lhs = nr_bracket(Pi, nr_bracket(F1, F2))
                 rhs = nr_bracket(nr_bracket(Pi, F1), F2).add(
                     nr_bracket(F1, nr_bracket(Pi, F2)).scale(F(-1 if n1 % 2 else 1))
